@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Survey extraction widths over generated request graph families.
 
-For random cacti the cheap per-root BFS strategy should already land on
-width <= 2; half-wheels separate the strategies sharply (center root
-gives 2, every orientation rooted at the hub needs n//2 + 1). Writes one
-CSV row per graph and strategy.
+For random cacti the cheap per-root-bfs strategy should already land on
+width <= 2. On half-wheels it reports width 2 (its degree-ordered pass
+finds a rim-rooted order), while every orientation rooted at the hub needs
+n//2 + 1, as the ``exhaustive@hub`` rows show. Writes one CSV row per graph
+and strategy.
 """
 
 from __future__ import annotations

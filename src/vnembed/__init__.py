@@ -24,6 +24,7 @@ from .extraction import (
     ExtractionError,
     ExtractionOrder,
     LabeledExtractionOrder,
+    build_degree_order,
     build_extraction_order,
     compute_edge_bags,
     compute_edge_labels,
@@ -78,6 +79,7 @@ from .oracle import (
 )
 from .pipeline import PipelineConfig, PipelineError, RunReport, run_pipeline
 from .rounding import (
+    GuaranteeError,
     RoundedSolution,
     RoundingBounds,
     bounds_from_parameters,

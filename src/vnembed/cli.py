@@ -23,7 +23,14 @@ from .decomposition import (
     decompose_mcf_tree,
     decompose_novel,
 )
-from .extraction import Digraph, ExtractionError, build_extraction_order, min_width_order_search
+from .extraction import (
+    Digraph,
+    ExtractionError,
+    build_extraction_order,
+    label_order,
+    min_width_order_search,
+    orientation_from_flags,
+)
 from .formulations import build_mcf, build_novel
 from .instances import (
     Instance,
@@ -128,26 +135,54 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _build_formulation(instance: Instance, formulation: str, variant: str,
-                       strategy: str, var_budget: int | None):
-    if formulation == "mcf":
-        model, index = build_mcf(instance.substrate, instance.requests, variant)
-        return model, index, None
+def _search_orders(instance: Instance, strategy: str):
+    return [
+        min_width_order_search(Digraph.build(req.nodes, req.edges), strategy=strategy)
+        for req in instance.requests
+    ]
+
+
+def _pinned_orders(instance: Instance, pinned):
+    """Rebuild the orders a solution file recorded: per request its root and
+    one reversal flag per edge of ``Digraph.build(req.nodes, req.edges)``."""
+    if not isinstance(pinned, list) or len(pinned) != len(instance.requests):
+        raise InstanceFormatError("solution needs one order per request")
     orders = []
-    for req in instance.requests:
+    for req, entry in zip(instance.requests, pinned):
+        if not isinstance(entry, dict) or entry.get("request") != req.name:
+            raise InstanceFormatError(
+                f"solution orders do not match request {req.name!r}"
+            )
+        flags = entry.get("reversed")
+        if not isinstance(flags, list) or not all(isinstance(f, bool) for f in flags):
+            raise InstanceFormatError(
+                f"solution order of {req.name!r} needs a list of boolean flags"
+            )
         graph = Digraph.build(req.nodes, req.edges)
-        orders.append(min_width_order_search(graph, strategy=strategy))
-    model, index = build_novel(
+        orders.append(
+            label_order(orientation_from_flags(graph, entry.get("root"), flags))
+        )
+    return orders
+
+
+def _build_formulation(instance: Instance, formulation: str, variant: str,
+                       orders, var_budget: int | None):
+    if formulation == "mcf":
+        return build_mcf(instance.substrate, instance.requests, variant)
+    return build_novel(
         instance.substrate, instance.requests, orders, variant,
         var_budget=var_budget,
     )
-    return model, index, orders
 
 
 def cmd_solve_lp(args) -> int:
     instance = _load(args.instance)
-    model, _, _ = _build_formulation(
-        instance, args.formulation, args.variant, args.strategy, args.var_budget
+    orders = (
+        None if args.formulation == "mcf"
+        else _search_orders(instance, args.strategy)
+    )
+    model, _ = _build_formulation(
+        instance, args.formulation, args.variant, orders, args.var_budget
     )
     if args.export_lp:
         Path(args.export_lp).write_text(write_lp(model))
@@ -172,6 +207,17 @@ def cmd_solve_lp(args) -> int:
             "objective": solution.objective_value,
             "values": [float(v) for v in solution.values],
         }
+        if orders is not None:
+            # pin the orders: decompose must pair these values with this
+            # exact model, whatever the search would return later
+            payload["orders"] = [
+                {
+                    "request": req.name,
+                    "root": labeled.order.root,
+                    "reversed": [e.reversed for e in labeled.order.edges],
+                }
+                for req, labeled in zip(instance.requests, orders)
+            ]
         Path(args.solution_out).write_text(
             json.dumps(payload, indent=2) + "\n"
         )
@@ -189,9 +235,14 @@ def cmd_decompose(args) -> int:
         if key not in payload:
             raise InstanceFormatError(f"solution file lacks {key!r}")
     formulation = payload["formulation"]
-    model, index, orders = _build_formulation(
-        instance, formulation, payload["variant"],
-        payload.get("strategy", "per-root-bfs"), None,
+    if formulation == "mcf":
+        orders = None
+    elif "orders" in payload:
+        orders = _pinned_orders(instance, payload["orders"])
+    else:
+        orders = _search_orders(instance, payload.get("strategy", "per-root-bfs"))
+    model, index = _build_formulation(
+        instance, formulation, payload["variant"], orders, None
     )
     values = np.asarray(payload["values"], dtype=float)
     if values.shape != (model.num_variables,):

@@ -7,6 +7,13 @@ node-disjoint paths) whose path edges include that edge. Outgoing edges of
 a node are grouped into *bags* by transitive label overlap; the width of an
 order is one plus the size of the largest bag label set. Width drives the
 size of the decomposable LP relaxation, so finding low-width orders matters.
+
+Finding a minimum-width order is NP-hard, so the default search is a
+heuristic with two candidate orders per root: the BFS orientation, and a
+degree-ordered orientation that visits low-degree frontier nodes first and
+so leaves hubs (like a half wheel's center) for last. Both passes stop as
+soon as an order meets the lower bound of 1 (forests) or 2 (anything with
+an undirected cycle).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 
 class RequestShaped(Protocol):
@@ -82,6 +89,15 @@ class ExtractionOrder:
         return {i: tuple(v) for i, v in adj.items()}
 
 
+def _neighbor_sets(graph: RequestShaped) -> dict[str, set[str]]:
+    """Distinct neighbors of each node in the undirected view."""
+    neighbors: dict[str, set[str]] = {i: set() for i in graph.nodes}
+    for (a, b) in graph.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return neighbors
+
+
 def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
     """Orient all edges along BFS layers from ``root``.
 
@@ -94,10 +110,7 @@ def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
     if root not in nodes:
         raise ExtractionError(f"root {root!r} is not a request node")
     index = {i: k for k, i in enumerate(nodes)}
-    neighbors: dict[str, set[str]] = {i: set() for i in nodes}
-    for (a, b) in graph.edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    neighbors = _neighbor_sets(graph)
     layer = {root: 0}
     frontier = [root]
     while frontier:
@@ -117,6 +130,34 @@ def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
         tail, head = (b, a) if flip else (a, b)
         oriented.append(OrientedEdge(tail=tail, head=head, original=(a, b), reversed=flip))
     return ExtractionOrder(nodes=nodes, root=root, edges=tuple(oriented))
+
+
+def build_degree_order(graph: RequestShaped, root: str) -> ExtractionOrder:
+    """Orient all edges along a degree-ordered search from ``root``.
+
+    Each step visits the unvisited frontier node with the fewest distinct
+    undirected neighbors, ties broken by node index; each edge then points
+    from its endpoint visited earlier to the one visited later. The visit
+    sequence is a linear order in which every non-root node has an earlier
+    neighbor, so the result is always a valid order.
+    """
+    nodes = tuple(graph.nodes)
+    if root not in nodes:
+        raise ExtractionError(f"root {root!r} is not a request node")
+    index = {i: k for k, i in enumerate(nodes)}
+    neighbors = _neighbor_sets(graph)
+    position = {root: 0}
+    frontier = set(neighbors[root])
+    while frontier:
+        u = min(frontier, key=lambda v: (len(neighbors[v]), index[v]))
+        frontier.remove(u)
+        position[u] = len(position)
+        frontier.update(v for v in neighbors[u] if v not in position)
+    if len(position) != len(nodes):
+        missing = sorted(set(nodes) - set(position))
+        raise ExtractionError(f"nodes unreachable from root: {missing}")
+    flags = [position[a] > position[b] for (a, b) in graph.edges]
+    return orientation_from_flags(graph, root, flags)
 
 
 def orientation_from_flags(
@@ -395,25 +436,60 @@ def min_width_order_search(
 ) -> LabeledExtractionOrder:
     """Search for a low-width order.
 
-    ``per-root-bfs`` labels the BFS orientation for each candidate root and
-    keeps the best; it is a heuristic. ``exhaustive`` enumerates every valid
-    orientation per candidate root and returns a true minimum; it is only
-    meant for small graphs and refuses oversized searches.
+    ``per-root-bfs`` is a heuristic in two passes over the candidate roots.
+    The first labels the BFS orientation (``build_extraction_order``) of
+    each root and keeps the first strictly narrowest. The second labels the
+    degree-ordered orientation (``build_degree_order``) of each root, which
+    replaces the best so far only if strictly narrower; so whenever BFS
+    already finds the narrowest order of the two passes, that BFS order is
+    the result. Both passes stop once the best order meets the lower bound
+    (see ``_width_floor``), which cannot change the result. ``exhaustive``
+    enumerates every valid orientation per candidate root and returns a
+    true minimum; it is only meant for small graphs and refuses oversized
+    searches.
     """
     candidates = tuple(roots) if roots is not None else tuple(graph.nodes)
     if not candidates:
         raise ValueError("at least one candidate root required")
     if strategy == "per-root-bfs":
-        best: LabeledExtractionOrder | None = None
-        for root in candidates:
-            labeled = label_order(build_extraction_order(graph, root))
-            if best is None or labeled.width < best.width:
-                best = labeled
-        assert best is not None
-        return best
+        best = _per_root_pass(graph, candidates, build_extraction_order)
+        return _per_root_pass(graph, candidates, build_degree_order, best)
     if strategy == "exhaustive":
         return _exhaustive_search(graph, candidates)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _width_floor(graph: RequestShaped) -> int:
+    """Lowest width any order of a connected request graph can reach.
+
+    A tree (one edge fewer than nodes) has width-1 orders. Otherwise the
+    undirected view has a cycle (antiparallel pairs included), so some
+    node has two in-edges in every valid order. That node is the target of
+    a confluence from its immediate dominator, and an edge carrying its
+    label puts a labeled bag at its tail: width at least 2. Disconnected
+    graphs have no valid order at all.
+    """
+    return 1 if len(graph.edges) < len(graph.nodes) else 2
+
+
+def _per_root_pass(
+    graph: RequestShaped,
+    roots: Sequence[str],
+    build: Callable[[RequestShaped, str], ExtractionOrder],
+    best: LabeledExtractionOrder | None = None,
+) -> LabeledExtractionOrder:
+    """One pass of ``per-root-bfs``: label ``build(graph, root)`` for each
+    root in turn; an order replaces ``best`` only if strictly narrower.
+    Stops at the width floor."""
+    floor = _width_floor(graph)
+    for root in roots:
+        if best is not None and best.width <= floor:
+            break
+        labeled = label_order(build(graph, root))
+        if best is None or labeled.width < best.width:
+            best = labeled
+    assert best is not None
+    return best
 
 
 _EXHAUSTIVE_LIMIT = 1 << 20

@@ -37,6 +37,7 @@ from .model import (
 )
 from .rounding import (
     MAX_TRIES_DEFAULT,
+    GuaranteeError,
     RoundedSolution,
     RoundingBounds,
     compute_bounds,
@@ -288,14 +289,17 @@ def run_pipeline(
                         "removed": prep.removed,
                     }
                 )
-        except ValueError as err:
+        except (ValueError, GuaranteeError) as err:
             raise PipelineError("prune", str(err)) from err
         for row, extra in zip(decomposition_rows, prune_rows):
             row["pruning"] = extra
-        rounded = round_cost(
-            instance.substrate, requests, pruned, bounds, lp_objective,
-            config.seed, config.max_tries,
-        )
+        try:
+            rounded = round_cost(
+                instance.substrate, requests, pruned, bounds, lp_objective,
+                config.seed, config.max_tries,
+            )
+        except GuaranteeError as err:
+            raise PipelineError("round", str(err)) from err
     timings["round"] = time.perf_counter() - t0
 
     _verify_rounding(instance, requests, rounded, config.variant)

@@ -43,6 +43,11 @@ WEIGHT_TOL = 1e-6
 MAX_TRIES_DEFAULT = 128
 
 
+class GuaranteeError(RuntimeError):
+    """A proven rounding guarantee failed: the half-weight pruning bound or
+    the 2x cost cap. Raised explicitly so the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class RoundingBounds:
     epsilon: float
@@ -122,7 +127,9 @@ def preprocess_profit(
 
     Each request is solved solo against the decomposable LP; anything with
     maximum acceptance below 1 (up to tolerance) can never contribute a
-    full embedding and would only dilute the rounding probabilities.
+    full embedding and would only dilute the rounding probabilities. The
+    solo profit LP is always feasible (accept nothing), so a solver status
+    other than optimal is a failure and raises ``RuntimeError``.
     """
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
@@ -130,9 +137,12 @@ def preprocess_profit(
     for req, labeled in zip(requests, labeled_orders):
         model, index = build_novel(substrate, [req], [labeled], "profit")
         solution = solve(model, backend)
-        acceptance = 0.0
-        if solution.optimal:
-            acceptance = float(solution.values[index.x[0]])
+        if not solution.optimal:
+            raise RuntimeError(
+                f"solo LP of request {req.name!r}: solver returned "
+                f"{solution.status}"
+            )
+        acceptance = float(solution.values[index.x[0]])
         if acceptance < 1.0 - WEIGHT_TOL:
             dropped.append(req.name)
         else:
@@ -316,8 +326,9 @@ def prune_costly_mappings(
     """Drop entries costing more than twice the weighted average cost.
 
     Requires total weight 1 (the cost LP pins acceptance to 1). At least
-    half the weight always survives; weights are renormalized to sum to 1
-    so later sampling always embeds the request.
+    half the weight always survives (checked, raising ``GuaranteeError``);
+    weights are renormalized to sum to 1 so later sampling always embeds
+    the request.
     """
     total = decomposition.total_weight
     if abs(total - 1.0) > WEIGHT_TOL:
@@ -338,9 +349,10 @@ def prune_costly_mappings(
         if c <= threshold + ACCEPT_TOL
     ]
     surviving = sum(entry.weight for entry in kept)
-    assert surviving >= 0.5 - WEIGHT_TOL, (
-        f"surviving weight {surviving:.8f} below 1/2 for {request.name!r}"
-    )
+    if surviving < 0.5 - WEIGHT_TOL:
+        raise GuaranteeError(
+            f"surviving weight {surviving:.8f} below 1/2 for {request.name!r}"
+        )
     scale = 1.0 / surviving
     normalized = ConvexDecomposition(
         request_name=decomposition.request_name,
@@ -370,7 +382,8 @@ def round_cost(
     """Sample full embeddings from pruned decompositions.
 
     Every draw embeds all requests and provably costs at most twice the
-    LP cost (asserted); acceptance only tests the load criteria.
+    LP cost (checked, raising ``GuaranteeError``); acceptance only tests the
+    load criteria.
     """
     if len(decompositions) != len(requests):
         raise ValueError("one decomposition per request required")
@@ -398,9 +411,10 @@ def round_cost(
             selection[req.name] = mapping
             embedded.append((req, mapping))
             cost += mapping_cost(substrate, req, mapping)
-        assert cost <= 2.0 * lp_cost + WEIGHT_TOL * max(1.0, abs(lp_cost)), (
-            f"sampled cost {cost:.8f} exceeds twice the LP cost {lp_cost:.8f}"
-        )
+        if cost > 2.0 * lp_cost + WEIGHT_TOL * max(1.0, abs(lp_cost)):
+            raise GuaranteeError(
+                f"sampled cost {cost:.8f} exceeds twice the LP cost {lp_cost:.8f}"
+            )
         _, utilization = collection_feasible(substrate, embedded)
         report = check_tri_criteria(cost, utilization, bounds, lp_cost, "cost")
         records.append(

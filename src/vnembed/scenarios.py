@@ -15,12 +15,13 @@ import numpy as np
 
 from .extraction import (
     Digraph,
+    build_extraction_order,
     generate_half_wheel,
     generate_vc_gadget,
     is_cactus,
     label_order,
-    min_width_order_search,
     LabeledExtractionOrder,
+    _per_root_pass,
 )
 from .instances import Instance, default_allowed_edges, default_allowed_nodes
 from .model import Request, SubstrateGraph
@@ -460,7 +461,9 @@ def width3_corpus(
             pick = cand[int(rng.integers(0, len(cand)))]
             edge_list.append((pick[1], pick[0]))
         graph = Digraph.build(nodes, edge_list)
-        labeled = min_width_order_search(graph)
+        # the search's BFS pass alone: its degree pass would take some of
+        # these requests to width 2 and thin out the width-3 coverage
+        labeled = _per_root_pass(graph, graph.nodes, build_extraction_order)
         if labeled.width > 3:
             continue
         # placement restrictions keep the per-edge copy count small

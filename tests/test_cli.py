@@ -125,6 +125,43 @@ def test_solution_handoff_to_decompose(tmp_path, capsys):
     assert lp_out["objective"] >= max(r["total_weight"] for r in rows) - 1e-6
 
 
+def test_solution_file_pins_the_orders(tmp_path, capsys, monkeypatch):
+    import vnembed.cli as cli
+    from vnembed import build_extraction_order, label_order
+
+    path = _generate(tmp_path, "halfwheel:4")
+    sol = tmp_path / "solution.json"
+    # solve with the hub-rooted BFS order, wider than what the search finds
+    monkeypatch.setattr(
+        cli, "min_width_order_search",
+        lambda graph, strategy: label_order(build_extraction_order(graph, "c")),
+    )
+    assert main(["solve-lp", str(path), "--solution-out", str(sol)]) == 0
+    lp_out = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    payload = json.loads(sol.read_text())
+    (pinned,) = payload["orders"]
+    assert pinned["request"] == "halfwheel4"
+    assert pinned["root"] == "c"
+    assert len(pinned["reversed"]) == 7 and not any(pinned["reversed"][:4])
+
+    assert main(["decompose", str(path), str(sol)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["total_weight"] == pytest.approx(lp_out["objective"], abs=1e-6)
+
+    # without the pinned orders the search picks a narrower order, whose
+    # model does not match the recorded values
+    del payload["orders"]
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "values" in capsys.readouterr().err
+
+    payload["orders"] = [dict(pinned, root="w02")]
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_decompose_rejects_mismatched_solution(tmp_path, capsys):
     path = _generate(tmp_path, "tree:3")
     sol = tmp_path / "solution.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from vnembed import (
     Digraph,
+    build_degree_order,
     build_extraction_order,
+    count_novel_variables,
     is_cactus,
     label_order,
     min_width_order_search,
@@ -19,13 +22,20 @@ from vnembed import (
 )
 from vnembed.extraction import (
     ExtractionError,
+    _per_root_pass,
+    _width_floor,
     compute_edge_bags,
     compute_edge_labels,
     generate_half_wheel,
     generate_vc_gadget,
     half_wheel_center_order,
 )
-from vnembed.scenarios import random_tree_graph, scenario_instance
+from vnembed.scenarios import (
+    VC_BASES,
+    cactus_graph_corpus,
+    random_tree_graph,
+    scenario_instance,
+)
 
 
 def _all_edge_paths(out_by_node, source, sink):
@@ -349,3 +359,129 @@ def test_search_strategies_and_errors():
     )
     with pytest.raises(ValueError, match="exhaustive"):
         min_width_order_search(big, "exhaustive", roots=[ring[0]])
+
+
+def _graph(req):
+    return Digraph.build(req.nodes, req.edges)
+
+
+def _reference_bfs_search(graph):
+    """The BFS pass without its early exit: the first strictly narrowest
+    BFS order over all roots."""
+    best = None
+    for root in graph.nodes:
+        labeled = label_order(build_extraction_order(graph, root))
+        if best is None or labeled.width < best.width:
+            best = labeled
+    return best
+
+
+def test_degree_order_visits_low_degree_nodes_first():
+    # rooted at the rim end, the search walks the rim and reaches the hub
+    # last, so every spoke points into the hub
+    order = build_degree_order(generate_half_wheel(5), "w01")
+    oriented = {(e.tail, e.head) for e in order.edges}
+    assert {(f"w{k:02d}", "c") for k in range(1, 6)} <= oriented
+    assert {(f"w{k:02d}", f"w{k + 1:02d}") for k in range(1, 5)} <= oriented
+    assert label_order(order).width == 2
+    with pytest.raises(ExtractionError, match="unreachable"):
+        build_degree_order(Digraph.build(("a", "b", "c"), (("a", "b"),)), "a")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_search_never_wider_than_bfs(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_digraph(rng)
+    bfs = _reference_bfs_search(g)
+    found = min_width_order_search(g)
+    assert found.width <= bfs.width
+    assert found.width >= _width_floor(g)
+    assert _per_root_pass(g, g.nodes, build_extraction_order) == bfs
+    if bfs.width == _width_floor(g):
+        assert found == bfs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_width_floor_is_a_true_lower_bound(seed):
+    # the early exit is sound only if no order beats the floor
+    g = random_connected_digraph(np.random.default_rng(seed), max_nodes=5)
+    assert min_width_order_search(g, "exhaustive").width >= _width_floor(g)
+    if len(g.edges) < len(g.nodes):
+        assert min_width_order_search(g).width == 1
+
+
+@pytest.mark.parametrize(
+    "corpus", ["tree_corpus", "cactus", "tiny_corpus", "cost_corpus"]
+)
+def test_search_keeps_bfs_order_at_the_floor(corpus, request):
+    if corpus == "cactus":
+        graphs = cactus_graph_corpus(100)
+    else:
+        graphs = [
+            _graph(r)
+            for inst in request.getfixturevalue(corpus)
+            for r in inst.requests
+        ]
+    at_floor = 0
+    for g in graphs:
+        bfs = _reference_bfs_search(g)
+        if bfs.width == _width_floor(g):
+            at_floor += 1
+            assert min_width_order_search(g) == bfs
+    assert at_floor > 0
+
+
+def _reference_graphs():
+    cases = {f"halfwheel:{n}": generate_half_wheel(n) for n in range(4, 8)}
+    for name in ("fig4", "servicechain"):
+        cases[name] = _graph(scenario_instance(name).requests[0])
+    for base, (base_nodes, base_edges) in VC_BASES.items():
+        cases[f"vc-gadget:{base}"] = generate_vc_gadget(base_nodes, base_edges)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_reference_graphs()))
+def test_search_matches_exhaustive_on_reference_families(name):
+    g = _reference_graphs()[name]
+    assert (
+        min_width_order_search(g).width
+        == min_width_order_search(g, "exhaustive").width
+    )
+
+
+def test_search_finds_width_two_on_half_wheels():
+    for n in range(8, 17):
+        assert min_width_order_search(generate_half_wheel(n)).width == 2
+
+
+def test_search_never_grows_the_model(tree_corpus, tiny_corpus, cost_corpus):
+    named = [
+        "fig3", "fig3-cost-gadget", "fig4", "servicechain", "virtualcluster:4",
+        "cactus:9", "tree:7",
+        *(f"halfwheel:{n}" for n in range(4, 11)),
+        *(f"vc-gadget:{base}" for base in VC_BASES),
+    ]
+    instances = [scenario_instance(name) for name in named]
+    instances += tree_corpus + tiny_corpus + cost_corpus
+    smaller = 0
+    for inst in instances:
+        for req in inst.requests:
+            g = _graph(req)
+            found = count_novel_variables(
+                inst.substrate, [req], [min_width_order_search(g)]
+            )
+            bfs = count_novel_variables(
+                inst.substrate, [req], [_reference_bfs_search(g)]
+            )
+            assert found <= bfs, f"{inst.name}/{req.name}: {found} > {bfs}"
+            smaller += found < bfs
+    assert smaller > 0
+
+
+def test_width3_corpus_keeps_its_width_histogram(width3_corpus):
+    widths = collections.Counter(labeled.width for _, labeled in width3_corpus)
+    assert widths == {2: 42, 3: 8}
+    for instance, labeled in width3_corpus:
+        assert labeled == _reference_bfs_search(_graph(instance.requests[0]))

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vnembed.pipeline
+import vnembed.rounding
 
 from vnembed import (
     PipelineConfig,
@@ -14,6 +21,7 @@ from vnembed import (
     run_pipeline,
 )
 from vnembed.instances import Instance
+from vnembed.lpmodel import SOLVERS, LPSolution
 
 
 def test_unknown_variant_fails_in_config(fig3):
@@ -97,3 +105,73 @@ def test_timings_are_opt_in(fig3_gadget):
     assert {"width", "build-lp", "solve-lp", "decompose", "round"} <= set(
         with_timings["timings"]
     )
+
+
+def test_solo_lp_failure_surfaces_in_preprocess(fig3_gadget, monkeypatch):
+    def broken(model):
+        return LPSolution(
+            status="error", objective_value=None, values=None, model=model,
+            backend="broken",
+        )
+
+    monkeypatch.setitem(SOLVERS, "broken", broken)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", backend="broken"))
+    assert err.value.stage == "preprocess"
+    assert "solver returned error" in str(err.value)
+
+
+def test_pruning_bound_violation_names_its_stage(fig3_gadget, monkeypatch):
+    # negative costs break the averaging argument behind the bound
+    monkeypatch.setattr(vnembed.rounding, "mapping_cost", lambda *args: -1.0)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="cost", seed=1))
+    assert err.value.stage == "prune"
+    assert "below 1/2" in str(err.value)
+
+
+def test_cost_cap_violation_names_its_stage(fig3_gadget, monkeypatch):
+    real = vnembed.pipeline.round_cost
+
+    def understated_lp_cost(substrate, requests, decs, bounds, lp_cost, *rest):
+        return real(substrate, requests, decs, bounds, lp_cost / 4, *rest)
+
+    monkeypatch.setattr(vnembed.pipeline, "round_cost", understated_lp_cost)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="cost", seed=1))
+    assert err.value.stage == "round"
+    assert "exceeds twice the LP cost" in str(err.value)
+
+
+_COST_CAP_SCRIPT = """
+import sys
+from vnembed import (
+    ConvexDecomposition, DecompositionEntry, GuaranteeError, Request,
+    SubstrateGraph, ValidMapping, bounds_from_parameters, round_cost,
+)
+assert sys.flags.optimize
+substrate = SubstrateGraph.build({"h": {"vm": (10.0, 3.0)}}, {})
+req = Request.build("p", {"i": ("vm", 1.0, ("h",))}, {}, profit=1.0)
+dec = ConvexDecomposition(
+    request_name="p",
+    entries=[DecompositionEntry(
+        weight=1.0, mapping=ValidMapping(node_map={"i": "h"}, edge_map={}),
+    )],
+)
+bounds = bounds_from_parameters("cost", 0.1, 0.1, 0.0, 1, 1)
+try:
+    round_cost(substrate, [req], [dec], bounds, 1.0, seed=0)
+except GuaranteeError as err:
+    print("caught:", err)
+"""
+
+
+def test_cost_cap_check_survives_optimized_python():
+    src = Path(vnembed.pipeline.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _COST_CAP_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "caught: sampled cost 3.00000000 exceeds twice the LP cost" in result.stdout
