@@ -27,7 +27,6 @@ from .extraction import (
     build_degree_order,
     build_extraction_order,
     compute_edge_bags,
-    compute_edge_labels,
     generate_half_wheel,
     generate_vc_gadget,
     half_wheel_center_order,

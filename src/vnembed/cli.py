@@ -205,8 +205,9 @@ def cmd_solve_lp(args) -> int:
             "strategy": args.strategy,
             "status": solution.status,
             "objective": solution.objective_value,
-            "values": [float(v) for v in solution.values],
         }
+        if solution.values is not None:
+            payload["values"] = [float(v) for v in solution.values]
         if orders is not None:
             # pin the orders: decompose must pair these values with this
             # exact model, whatever the search would return later
@@ -345,7 +346,9 @@ def cmd_exact(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK if solution.status == "optimal" else EXIT_INFEASIBLE
+    if solution.status == "infeasible":
+        return EXIT_INFEASIBLE
+    return EXIT_OK if solution.status == "optimal" else EXIT_INTERNAL
 
 
 def cmd_generate(args) -> int:

@@ -268,13 +268,10 @@ def _apply_extraction(
     entries: list[DecompositionEntry],
     value_of,
     decrement,
-    sub_loads: Sequence[tuple[tuple, float]] = (),
 ) -> bool:
     """Take the bottleneck weight, subtract it everywhere, record the entry.
 
-    ``sub_loads`` lists (sub-allocation key, amount per unit weight) pairs
-    to subtract from ``state.sub_a`` alongside the global loads. Returns
-    False for dust rounds that only cleared a near-zero variable.
+    Returns False for dust rounds that only cleared a near-zero variable.
     """
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
@@ -286,11 +283,6 @@ def _apply_extraction(
         return False
     for key in tracker.keys:
         decrement(state, key, weight)
-    allocations = compute_allocations(substrate, request, mapping)
-    for res, amount in allocations.items():
-        state.a[res] = state.a.get(res, 0.0) - weight * amount
-    for sub_key, amount in sub_loads:
-        state.sub_a[sub_key] = state.sub_a.get(sub_key, 0.0) - weight * amount
     entries.append(DecompositionEntry(weight=weight, mapping=mapping))
     return True
 
@@ -336,7 +328,6 @@ def decompose_novel(
             )
         node_map: dict[str, str] = {root: u0}
         edge_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-        mu_chosen: dict[int, tuple[str, ...]] = {}
         pending_in = {i: len(order.in_edges[i]) for i in order.nodes}
         queue = [root]
         while queue:
@@ -359,7 +350,6 @@ def decompose_novel(
                     j = oe.head
                     labels_e = labeled.labels[k]
                     mu = tuple(node_map[l] for l in labels_e)
-                    mu_chosen[k] = mu
                     flows = state.sub_z.get((k, mu), {})
                     known = node_map.get(j)
                     try:
@@ -398,14 +388,9 @@ def decompose_novel(
         for i in request.nodes:
             tracker.cover(("y", i, node_map[i]))
         mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
-        sub_loads = []
-        for k, e in enumerate(request.edges):
-            demand = request.edge_demand[e]
-            for se in edge_map[e]:
-                sub_loads.append(((k, mu_chosen[k], se), demand))
         if not _apply_extraction(
             substrate, request, state, tracker, mapping, entries, _novel_value,
-            _novel_decrement, sub_loads,
+            _novel_decrement,
         ):
             continue
     return ConvexDecomposition(request_name=request.name, entries=entries)

@@ -234,12 +234,6 @@ class LabeledExtractionOrder:
     label_roots: Mapping[str, str]
     width: int
 
-    def labels_of_original(self, edge: tuple[str, str]) -> tuple[str, ...]:
-        for k, oe in enumerate(self.order.edges):
-            if oe.original == edge:
-                return self.labels[k]
-        raise KeyError(edge)
-
 
 class _OrderView:
     """Index-level scratch view of an order, shared by the label routines."""
@@ -322,26 +316,6 @@ class _OrderView:
         if not inner:
             return False
         return all(self.reaches(i, j, eij, skip=k) for k in sorted(inner))
-
-
-def compute_edge_labels(order: ExtractionOrder) -> tuple[tuple[str, ...], ...]:
-    """Per-edge confluence target labels.
-
-    A node ``j`` labels edge ``e`` iff some node ``i`` reaches ``j`` via two
-    internally node-disjoint paths and ``e`` lies on any i -> j path.
-    """
-    view = _OrderView(order)
-    label_sets: list[set[int]] = [set() for _ in order.edges]
-    for j in range(view.n):
-        if view.indeg[j] < 2:
-            continue
-        for i in range(view.n):
-            if view.two_disjoint_paths(i, j):
-                for k in view.path_edges(i, j):
-                    label_sets[k].add(j)
-    return tuple(
-        tuple(order.nodes[j] for j in sorted(s)) for s in label_sets
-    )
 
 
 def compute_edge_bags(

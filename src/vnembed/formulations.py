@@ -17,15 +17,17 @@ decompose into valid mappings; its size grows with ``|V_S|`` to the power
 of the order's width.
 
 Variable blocks are laid out per request in a fixed, documented order
-(global x, then y, then per-edge sub-blocks, then bag variables, then load
-variables), so indices, solution files and exported models are stable.
+(global x, then y, then per-edge sub-blocks, then bag variables), so
+indices, solution files and exported models are stable. Every variable lies
+in [0, 1]. A request's load on a resource is linear in its host and flow
+variables, so the capacity rows and the cost objective read those directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .model import (
     Resource,
     SubstrateGraph,
     ValidMapping,
-    compute_allocations,
     edge_resource,
     node_resource,
 )
@@ -55,7 +56,10 @@ class BudgetExceededError(Exception):
 
 @dataclass
 class McfState:
-    """Mutable per-request slice of an MCF solution, used for extraction."""
+    """Mutable per-request slice of an MCF solution, used for extraction.
+
+    ``a`` is the request's load per resource, derived from ``y`` and ``z``.
+    """
 
     x: float
     y: dict[tuple[str, str], float]
@@ -65,7 +69,11 @@ class McfState:
 
 @dataclass
 class NovelState:
-    """Mutable per-request slice of a decomposable-LP solution."""
+    """Mutable per-request slice of a decomposable-LP solution.
+
+    ``a`` is the request's load per resource, derived from ``y`` and
+    ``sub_z``.
+    """
 
     x: float
     y: dict[tuple[str, str], float]
@@ -73,7 +81,6 @@ class NovelState:
     sub_x: dict[tuple, float]
     sub_y: dict[tuple, float]
     sub_z: dict[tuple, dict[tuple[str, str], float]]
-    sub_a: dict[tuple, float]
     a: dict[Resource, float]
 
 
@@ -86,7 +93,11 @@ class McfVariableIndex:
         self.x: list[int] = []
         self.y: list[dict[tuple[str, str], int]] = []
         self.z: list[dict[tuple[str, str], dict[tuple[str, str], int]]] = []
-        self.a: list[dict[Resource, int]] = []
+
+    def load_terms(self, r: int) -> Iterator[tuple[Resource, int, float]]:
+        """(resource, variable, demand) terms of request ``r``'s loads."""
+        req = self.requests[r]
+        return _load_terms(req, self.y[r], self.z[r].items())
 
     def request_state(self, values: np.ndarray, r: int) -> McfState:
         return McfState(
@@ -96,8 +107,49 @@ class McfVariableIndex:
                 e: {se: float(values[i]) for se, i in per_edge.items()}
                 for e, per_edge in self.z[r].items()
             },
-            a={k: float(values[i]) for k, i in self.a[r].items()},
+            a=_loads(self, values, r),
         )
+
+
+def _load_terms(req: Request, ys, flows) -> Iterator[tuple[Resource, int, float]]:
+    """(resource, variable, demand) for every host and flow variable of one
+    request: the request puts ``demand * variable`` on the resource.
+    ``flows`` pairs each request edge with a flow block keyed by substrate
+    edge; the decomposable LP has one such block per label mapping."""
+    for (i, u), var in ys.items():
+        yield node_resource(req.node_type[i], u), var, req.node_demand[i]
+    for e, per_edge in flows:
+        for se, var in per_edge.items():
+            yield edge_resource(*se), var, req.edge_demand[e]
+
+
+def _loads(index, values: np.ndarray, r: int) -> dict[Resource, float]:
+    """Per-resource load of request ``r`` at a solution, every resource
+    present."""
+    loads = dict.fromkeys(index.substrate.resources, 0.0)
+    for res, var, demand in index.load_terms(r):
+        loads[res] += demand * float(values[var])
+    return loads
+
+
+def _add_capacity_rows(model: LPModel, index, objective: str) -> None:
+    """One capacity row per resource some request can load, summing
+    ``demand * variable`` over all requests; the cost objective prices the
+    same terms."""
+    substrate = index.substrate
+    terms: dict[Resource, list[tuple[int, float]]] = {}
+    for r in range(len(index.requests)):
+        for res, var, demand in index.load_terms(r):
+            if demand:
+                terms.setdefault(res, []).append((var, demand))
+    for k, res in enumerate(substrate.resources):
+        coeffs = terms.get(res)
+        if not coeffs:
+            continue
+        model.add_constraint(f"cap_res{k}", coeffs, LE, substrate.capacity(res))
+        if objective == "cost":
+            for var, demand in coeffs:
+                model.set_objective_coefficient(var, substrate.cost(res) * demand)
 
 
 def build_mcf(
@@ -132,10 +184,6 @@ def build_mcf(
                 )
             zs[e] = per_edge
         index.z.append(zs)
-        loads: dict[Resource, int] = {}
-        for k, res in enumerate(substrate.resources):
-            loads[res] = model.add_variable(f"r{r}_a_res{k}", 0.0, None)
-        index.a.append(loads)
 
         for i in req.nodes:
             model.add_constraint(
@@ -165,44 +213,12 @@ def build_mcf(
                         EQ,
                         0.0,
                     )
-        for se in substrate.edges:
-            coeffs = [(loads[edge_resource(*se)], -1.0)]
-            for e in req.edges:
-                if se in zs[e]:
-                    coeffs.append((zs[e][se], req.edge_demand[e]))
-            model.add_constraint(
-                f"r{r}_load_se{substrate.edge_index[se]}", coeffs, EQ, 0.0
-            )
-        for t in substrate.types:
-            for u in substrate.typed_nodes[t]:
-                res = node_resource(t, u)
-                coeffs = [(loads[res], -1.0)]
-                for i in req.nodes:
-                    if req.node_type[i] == t and (i, u) in ys:
-                        coeffs.append((ys[(i, u)], req.node_demand[i]))
-                model.add_constraint(
-                    f"r{r}_load_n{t}_{substrate.node_index[u]}", coeffs, EQ, 0.0
-                )
         if objective == "profit":
             model.set_objective_coefficient(x, req.profit)
         else:
             model.add_constraint(f"r{r}_accept", [(x, 1.0)], EQ, 1.0)
-    _add_capacity_rows(model, substrate, index.a)
-    if objective == "cost":
-        for loads in index.a:
-            for res, var in loads.items():
-                model.set_objective_coefficient(var, substrate.cost(res))
+    _add_capacity_rows(model, index, objective)
     return model, index
-
-
-def _add_capacity_rows(
-    model: LPModel,
-    substrate: SubstrateGraph,
-    per_request_loads: Sequence[Mapping[Resource, int]],
-) -> None:
-    for k, res in enumerate(substrate.resources):
-        coeffs = [(loads[res], 1.0) for loads in per_request_loads]
-        model.add_constraint(f"cap_res{k}", coeffs, LE, substrate.capacity(res))
 
 
 def _mappings_of(labels: Sequence[str], req: Request) -> list[tuple[str, ...]]:
@@ -227,7 +243,6 @@ class NovelVariableIndex:
         self.orders = list(orders)
         self.x: list[int] = []
         self.y: list[dict[tuple[str, str], int]] = []
-        self.a: list[dict[Resource, int]] = []
         # Per request: labels per edge index, label mappings per edge index,
         # and bag mappings keyed by (node, bag position).
         self.edge_labels: list[list[tuple[str, ...]]] = []
@@ -236,9 +251,14 @@ class NovelVariableIndex:
         self.sub_x: list[dict[tuple, int]] = []
         self.sub_y: list[dict[tuple, int]] = []
         self.sub_z: list[dict[tuple, dict[tuple[str, str], int]]] = []
-        self.sub_a: list[dict[tuple, int]] = []
         self.gamma: list[dict[tuple, int]] = []
         self.num_variables: int = 0
+
+    def load_terms(self, r: int) -> Iterator[tuple[Resource, int, float]]:
+        """(resource, variable, demand) terms of request ``r``'s loads."""
+        req = self.requests[r]
+        flows = ((req.edges[k], f) for (k, _), f in self.sub_z[r].items())
+        return _load_terms(req, self.y[r], flows)
 
     def request_state(self, values: np.ndarray, r: int) -> NovelState:
         return NovelState(
@@ -251,8 +271,7 @@ class NovelVariableIndex:
                 key: {se: float(values[i]) for se, i in flows.items()}
                 for key, flows in self.sub_z[r].items()
             },
-            sub_a={k: float(values[i]) for k, i in self.sub_a[r].items()},
-            a={k: float(values[i]) for k, i in self.a[r].items()},
+            a=_loads(self, values, r),
         )
 
 
@@ -263,17 +282,15 @@ def count_novel_variables(
 ) -> int:
     """Exact variable count of ``build_novel`` without building it."""
     total = 0
-    n_resources = len(substrate.resources)
     for req, labeled in zip(requests, orders):
         total += 1  # x
         total += sum(len(req.allowed_nodes[i]) for i in req.nodes)
-        total += n_resources
         for k, e in enumerate(req.edges):
             labels = labeled.labels[k]
             n_mu = 1
             for l in labels:
                 n_mu *= len(req.allowed_nodes[l])
-            per_mu = 1 + 2 * len(req.allowed_edges[e])
+            per_mu = 1 + len(req.allowed_edges[e])
             for endpoint in e:
                 per_mu += 1 if endpoint in labels else len(req.allowed_nodes[endpoint])
             total += n_mu * per_mu
@@ -337,7 +354,6 @@ def build_novel(
         sxs: dict[tuple, int] = {}
         sys_: dict[tuple, int] = {}
         szs: dict[tuple, dict[tuple[str, str], int]] = {}
-        sas: dict[tuple, int] = {}
         for k, e in enumerate(req.edges):
             labels = edge_labels[k]
             allowed = req.allowed_edges[e]
@@ -360,14 +376,9 @@ def build_novel(
                         f"{tag}_z_se{seidx[se]}", 0.0, 1.0
                     )
                 szs[key] = flows
-                for se in allowed:
-                    sas[(k, mu, se)] = model.add_variable(
-                        f"{tag}_a_se{seidx[se]}", 0.0, None
-                    )
         index.sub_x.append(sxs)
         index.sub_y.append(sys_)
         index.sub_z.append(szs)
-        index.sub_a.append(sas)
 
         bag_mus: dict[tuple[str, int], list[tuple[str, ...]]] = {}
         gammas: dict[tuple, int] = {}
@@ -385,25 +396,16 @@ def build_novel(
         index.bag_mus.append(bag_mus)
         index.gamma.append(gammas)
 
-        loads: dict[Resource, int] = {}
-        for kr, res in enumerate(substrate.resources):
-            loads[res] = model.add_variable(f"r{r}_a_res{kr}", 0.0, None)
-        index.a.append(loads)
-
         _novel_request_rows(
-            model, substrate, req, labeled, r, x, ys, sxs, sys_, szs, sas,
-            bag_mus, gammas, loads, edge_labels, edge_mus,
+            model, substrate, req, labeled, r, x, ys, sxs, sys_, szs,
+            bag_mus, gammas, edge_labels, edge_mus,
         )
         if objective == "profit":
             model.set_objective_coefficient(x, req.profit)
         else:
             model.add_constraint(f"r{r}_accept", [(x, 1.0)], EQ, 1.0)
 
-    _add_capacity_rows(model, substrate, index.a)
-    if objective == "cost":
-        for loads in index.a:
-            for res, var in loads.items():
-                model.set_objective_coefficient(var, substrate.cost(res))
+    _add_capacity_rows(model, index, objective)
     index.num_variables = model.num_variables
     return model, index
 
@@ -419,10 +421,8 @@ def _novel_request_rows(
     sxs: dict,
     sys_: dict,
     szs: dict,
-    sas: dict,
     bag_mus: dict,
     gammas: dict,
-    loads: dict,
     edge_labels: list,
     edge_mus: list,
 ) -> None:
@@ -462,13 +462,6 @@ def _novel_request_rows(
                     coeffs.append((sys_[(k, mu, j, w)], 1.0))
                 if coeffs:
                     model.add_constraint(f"{tag}_flow_s{sidx[w]}", coeffs, EQ, 0.0)
-            for se in allowed:
-                model.add_constraint(
-                    f"{tag}_load_se{substrate.edge_index[se]}",
-                    [(flows[se], req.edge_demand[e]), (sas[(k, mu, se)], -1.0)],
-                    EQ,
-                    0.0,
-                )
 
     # Acceptance is carried by the root's host distribution.
     root = order.root
@@ -562,28 +555,6 @@ def _novel_request_rows(
                                 0.0,
                             )
 
-    # Node loads come from the global host distribution, edge loads from the
-    # sub-LP allocations.
-    for t in substrate.types:
-        for u in substrate.typed_nodes[t]:
-            res = node_resource(t, u)
-            coeffs = [(loads[res], -1.0)]
-            for i in req.nodes:
-                if req.node_type[i] == t and (i, u) in ys:
-                    coeffs.append((ys[(i, u)], req.node_demand[i]))
-            model.add_constraint(
-                f"r{r}_load_n{t}_{sidx[u]}", coeffs, EQ, 0.0
-            )
-    for se in substrate.edges:
-        coeffs = [(loads[edge_resource(*se)], -1.0)]
-        for k in range(len(req.edges)):
-            for mu in edge_mus[k]:
-                if (k, mu, se) in sas:
-                    coeffs.append((sas[(k, mu, se)], 1.0))
-        model.add_constraint(
-            f"r{r}_load_se{substrate.edge_index[se]}", coeffs, EQ, 0.0
-        )
-
 
 def embed_mapping(
     index: NovelVariableIndex, r: int, mapping: ValidMapping
@@ -596,7 +567,6 @@ def embed_mapping(
     """
     req = index.requests[r]
     labeled = index.orders[r]
-    substrate = index.substrate
     vec = np.zeros(index.num_variables)
     vec[index.x[r]] = 1.0
     for i in req.nodes:
@@ -609,13 +579,10 @@ def embed_mapping(
             vec[index.sub_y[r][(k, mu, n, mapping.node_map[n])]] = 1.0
         for se in mapping.edge_map[e]:
             vec[index.sub_z[r][(k, mu)][se]] = 1.0
-            vec[index.sub_a[r][(k, mu, se)]] = req.edge_demand[e]
     for node in labeled.order.nodes:
         for bi, bag in enumerate(labeled.bags[node]):
             assign = tuple(mapping.node_map[l] for l in bag.labels)
             vec[index.gamma[r][(node, bi, assign, mapping.node_map[node])]] = 1.0
-    for res, amount in compute_allocations(substrate, req, mapping).items():
-        vec[index.a[r][res]] = amount
     return vec
 
 

@@ -82,9 +82,6 @@ class LPModel:
         if coefficient:
             self.objective[var] = self.objective.get(var, 0.0) + coefficient
 
-    def index_of(self, name: str) -> int:
-        return self._names[name]
-
     @property
     def num_variables(self) -> int:
         return len(self.variables)
@@ -102,23 +99,9 @@ class LPSolution:
     def optimal(self) -> bool:
         return self.status == "optimal"
 
-    def value(self, name_or_index) -> float:
+    def value(self, index: int) -> float:
         assert self.values is not None, "no solution vector available"
-        idx = (
-            name_or_index
-            if isinstance(name_or_index, int)
-            else self.model.index_of(name_or_index)
-        )
-        return float(self.values[idx])
-
-    def nonzero_values(self, tol: float = 1e-12) -> dict[str, float]:
-        assert self.values is not None
-        out = {}
-        for k, var in enumerate(self.model.variables):
-            v = float(self.values[k])
-            if abs(v) > tol:
-                out[var.name] = v
-        return out
+        return float(self.values[index])
 
 
 def _solve_highs(model: LPModel) -> LPSolution:

@@ -34,10 +34,6 @@ def edge_resource(tail: str, head: str) -> Resource:
     return (EDGE, tail, head)
 
 
-def format_resource(res: Resource) -> str:
-    return ":".join(res)
-
-
 @dataclass(frozen=True)
 class SubstrateGraph:
     """Directed substrate network with typed node resources.

@@ -110,7 +110,7 @@ def enumerate_valid_mappings(
 
 @dataclass
 class EnumerativeSolution:
-    status: str  # optimal | infeasible
+    status: str  # optimal, else the LP solver's status (infeasible, error, ...)
     objective_value: float | None
     # Per request: list of (weight, mapping index) pairs; integral solves
     # have a single unit-weight pair or, for profit, possibly none.
@@ -182,7 +182,7 @@ def _enumerative_lp(substrate, requests, enums, objective, backend):
     sol = solve(model, backend=backend)
     if not sol.optimal:
         return EnumerativeSolution(
-            status="infeasible", objective_value=None, assignment=[], enumerations=enums
+            status=sol.status, objective_value=None, assignment=[], enumerations=enums
         )
     assignment = [
         [

@@ -233,7 +233,6 @@ def run_pipeline(
     for r, (req, labeled) in enumerate(zip(requests, orders)):
         state = index.request_state(solution.values, r)
         x_value = state.x
-        load_values = dict(state.a)
         try:
             dec = decompose_novel(instance.substrate, req, labeled, state)
         except Exception as err:
@@ -241,7 +240,7 @@ def run_pipeline(
                 "decompose", f"request {req.name!r}: {err}"
             ) from err
         check = verify_decomposition(
-            instance.substrate, req, dec, x_value, load_values
+            instance.substrate, req, dec, x_value, state.a
         )
         if not check.ok:
             raise PipelineError(

@@ -523,7 +523,7 @@ def tiny_corpus(count: int = 20, seed: int = 20242) -> list[Instance]:
             )
             requests.append(req)
         if any(
-            not enumerate_valid_mappings(substrate, req).mappings
+            not enumerate_valid_mappings(substrate, req, cap=1).mappings
             for req in requests
         ):
             continue
@@ -563,7 +563,7 @@ def cost_corpus(count: int = 20, seed: int = 20243) -> list[Instance]:
             )
             requests.append(req)
         if any(
-            not enumerate_valid_mappings(substrate, req).mappings
+            not enumerate_valid_mappings(substrate, req, cap=1).mappings
             for req in requests
         ):
             continue

@@ -10,6 +10,7 @@ import pytest
 from vnembed import SubstrateGraph, Request, dump_instance
 from vnembed.cli import main
 from vnembed.instances import Instance
+from vnembed.lpmodel import SOLVERS, LPSolution
 
 
 def _generate(tmp_path, name, stem=None):
@@ -95,6 +96,15 @@ def test_solve_lp_infeasible_cost_exits_three(tmp_path, capsys):
     code = main(["solve-lp", str(path), "--variant", "cost"])
     capsys.readouterr()
     assert code == 3
+    sol = tmp_path / "solution.json"
+    code = main(
+        ["solve-lp", str(path), "--variant", "cost", "--solution-out", str(sol)]
+    )
+    assert capsys.readouterr().err == ""
+    assert code == 3
+    payload = json.loads(sol.read_text())
+    assert payload["status"] == "infeasible"
+    assert "values" not in payload
 
 
 def test_solution_handoff_to_decompose(tmp_path, capsys):
@@ -193,6 +203,32 @@ def test_exact_cost_gadget(tmp_path, capsys):
     entries = out["assignment"][0]["entries"]
     assert len(entries) == 1
     assert entries[0]["node_map"] == {"i": "u1", "j": "u2", "k": "u3"}
+
+
+def test_exact_separates_infeasible_from_solver_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # two requests that each fit the only host, but not together
+    substrate = SubstrateGraph.build({"v1": {"vm": (1.5, 1.0)}}, {})
+    requests = tuple(
+        Request.build(name, {"x": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
+        for name in ("a", "b")
+    )
+    path = tmp_path / "crowded.json"
+    dump_instance(Instance(name="crowded", substrate=substrate, requests=requests), path)
+    args = ["exact", str(path), "--variant", "cost", "--relaxation", "lp"]
+    assert main(args) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+
+    def broken(model):
+        return LPSolution(
+            status="error", objective_value=None, values=None, model=model,
+            backend="broken",
+        )
+
+    monkeypatch.setitem(SOLVERS, "broken", broken)
+    assert main(["exact", str(path), "--relaxation", "lp", "--solver", "broken"]) == 5
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
 
 
 def test_exact_truncation_asks_for_higher_cap(tmp_path, capsys):

@@ -25,7 +25,6 @@ from vnembed.extraction import (
     _per_root_pass,
     _width_floor,
     compute_edge_bags,
-    compute_edge_labels,
     generate_half_wheel,
     generate_vc_gadget,
     half_wheel_center_order,
@@ -155,7 +154,7 @@ def test_labels_match_brute_force_on_braid(fig4):
     req = fig4.requests[0]
     g = Digraph.build(req.nodes, req.edges)
     order = orientation_from_flags(g, "a", [False] * len(req.edges))
-    assert compute_edge_labels(order) == brute_labels(order)
+    assert label_order(order).labels == brute_labels(order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +164,7 @@ def test_labels_match_brute_force_on_random_graphs(seed):
     g = random_connected_digraph(rng)
     root = str(rng.choice(g.nodes))
     order = build_extraction_order(g, root)
-    assert compute_edge_labels(order) == brute_labels(order)
+    assert label_order(order).labels == brute_labels(order)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,11 @@ from vnembed import (
     Digraph,
     build_mcf,
     build_novel,
+    compute_allocations,
     count_novel_variables,
     embed_mapping,
     enumerate_valid_mappings,
+    mapping_cost,
     max_violation,
     min_width_order_search,
     solve,
@@ -66,18 +68,40 @@ def test_embedded_mappings_satisfy_constraints():
     for instance in tiny_corpus(6):
         if len(instance.requests) != 1:
             continue
+        substrate = instance.substrate
         req = instance.requests[0]
         orders = _orders(instance)
-        model, index = build_novel(
-            instance.substrate, instance.requests, orders, "profit"
-        )
+        model, index = build_novel(substrate, instance.requests, orders, "profit")
+        cost_model, _ = build_novel(substrate, instance.requests, orders, "cost")
         # a truncated enumeration still provides plenty of witnesses
-        enum = enumerate_valid_mappings(instance.substrate, req, cap=200)
+        enum = enumerate_valid_mappings(substrate, req, cap=200)
         for mapping in enum.mappings[:25]:
             values = embed_mapping(index, 0, mapping)
             assert max_violation(model, values) <= 1e-9
             achieved = sum(c * values[k] for k, c in model.objective.items())
             assert achieved == pytest.approx(req.profit)
+            assert max_violation(cost_model, values) <= 1e-9
+            cost = sum(c * values[k] for k, c in cost_model.objective.items())
+            assert cost == pytest.approx(mapping_cost(substrate, req, mapping))
+            loads = compute_allocations(substrate, req, mapping)
+            derived = index.request_state(values, 0).a
+            assert set(derived) == set(substrate.resources)
+            for res in substrate.resources:
+                assert derived[res] == pytest.approx(loads.get(res, 0.0))
+
+
+def test_every_variable_lies_in_the_unit_interval(fig3):
+    for instance in [fig3, *tiny_corpus(4)]:
+        orders = _orders(instance)
+        for objective in ("profit", "cost"):
+            for model, _ in (
+                build_mcf(instance.substrate, instance.requests, objective),
+                build_novel(instance.substrate, instance.requests, orders, objective),
+            ):
+                assert all(
+                    (v.lower, v.upper) == (0.0, 1.0) for v in model.variables
+                )
+                assert not any("_load_" in c.name for c in model.constraints)
 
 
 def test_variable_count_closed_form():
