@@ -245,7 +245,12 @@ def cmd_decompose(args) -> int:
     model, index = _build_formulation(
         instance, formulation, payload["variant"], orders, None
     )
-    values = np.asarray(payload["values"], dtype=float)
+    raw = payload["values"]
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (int, float)) for v in raw
+    ):
+        raise InstanceFormatError("solution 'values' must be a flat list of numbers")
+    values = np.asarray(raw, dtype=float)
     if values.shape != (model.num_variables,):
         raise InstanceFormatError(
             f"solution has {values.shape[0]} values, model has "

@@ -1,13 +1,16 @@
 """Extracting convex combinations of valid mappings from LP solutions.
 
-Both extractors repeatedly peel off one mapping: map the root somewhere
-its host variable is positive, walk the order, route every request edge
-along positive flow, take the minimum over all participating variables as
-the mapping's weight, and subtract. For tree requests this works directly
-on the flow relaxation. For general requests it works on the decomposable
-LP, where bag variables pin the hosts of confluence targets before the
-paths towards them are extracted, which is exactly what makes the loop
-sound there.
+One extraction loop, ``decompose_novel``, works on decomposable-LP
+solutions. It repeatedly peels off one mapping: map the root somewhere its
+host variable is positive, walk the order, let a node's bag variables pin
+the hosts of the confluence targets before the paths towards them are
+extracted, route every request edge along positive flow inside the sub-LP
+copy its label hosts select, take the minimum over all participating
+variables as the mapping's weight, and subtract. The bag variables are
+exactly what makes the loop sound on requests with cycles.
+``decompose_mcf_tree`` runs the same loop on the flow relaxation of a tree
+request: every label is empty there, so each per-edge copy is the flow's
+own variables.
 
 All comparisons use an epsilon of ``EPS``; residual acceptance below
 ``LOOP_EPS`` ends extraction (the leftover is far below the completeness
@@ -21,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .extraction import ExtractionOrder, LabeledExtractionOrder
+from .extraction import ExtractionOrder, LabeledExtractionOrder, label_order
 from .formulations import McfState, NovelState
 from .model import (
     Request,
@@ -136,8 +139,8 @@ def _positive_choice(values: Sequence[tuple[str, float]]) -> str | None:
 
 
 class _Extraction:
-    """Shared bookkeeping for one extraction pass: covered variables and
-    their residual values."""
+    """Bookkeeping for one extraction pass: the covered variables, in the
+    order they were first covered."""
 
     def __init__(self):
         self.keys: list[tuple] = []
@@ -154,105 +157,46 @@ def decompose_mcf_tree(
     request: Request,
     order: ExtractionOrder,
     state: McfState,
-    check_tree: bool = True,
 ) -> ConvexDecomposition:
     """Peel a flow solution of a tree request into weighted valid mappings.
 
-    With ``check_tree`` disabled the loop runs on arbitrary requests; on
-    cyclic ones it generally fails with a ``MappingConflictError`` because
-    plain flow solutions need not be decomposable there.
+    On a tree every edge of the labeled order has an empty label set and
+    every bag holds one edge, so the flow solution already is a
+    decomposable-LP solution whose per-edge copies equal the flow's own
+    variables. It is decomposed as one by ``decompose_novel``; ``state``
+    itself is left untouched.
     """
-    if check_tree and len(request.edges) != len(request.nodes) - 1:
+    is_tree = len(request.edges) == len(request.nodes) - 1
+    labeled = label_order(order) if is_tree else None
+    if labeled is None or any(labeled.labels):
         raise DecompositionError(
             f"request {request.name!r} is not a tree; use the decomposable LP"
         )
-    entries: list[DecompositionEntry] = []
-    max_rounds = 100 + 2 * (
-        1 + len(state.y) + sum(len(f) for f in state.z.values())
+    sub_x: dict[tuple, float] = {}
+    sub_y: dict[tuple, float] = {}
+    sub_z: dict[tuple, dict[tuple[str, str], float]] = {}
+    for k, oe in enumerate(order.edges):
+        e = oe.original
+        sub_x[(k, ())] = state.x
+        sub_z[(k, ())] = dict(state.z[e])
+        for (n, u), val in state.y.items():
+            if n in e:
+                sub_y[(k, (), n, u)] = val
+    gamma = {
+        (i, bi, (), u): val
+        for (i, u), val in state.y.items()
+        for bi in range(len(labeled.bags[i]))
+    }
+    novel = NovelState(
+        x=state.x,
+        y=dict(state.y),
+        gamma=gamma,
+        sub_x=sub_x,
+        sub_y=sub_y,
+        sub_z=sub_z,
+        a=state.a,
     )
-    rounds = 0
-    while state.x > LOOP_EPS:
-        rounds += 1
-        if rounds > max_rounds:
-            raise DecompositionStuckError("extraction makes no progress")
-        tracker = _Extraction()
-        tracker.cover(("x",))
-        root = order.root
-        u0 = _positive_choice(
-            [(u, state.y.get((root, u), 0.0)) for u in request.allowed_nodes[root]]
-        )
-        if u0 is None:
-            raise DecompositionStuckError(
-                f"acceptance is {state.x:.3g} but the root has no positive host"
-            )
-        node_map: dict[str, str] = {root: u0}
-        edge_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-        queue = [root]
-        while queue:
-            queue.sort(key=order.node_index.__getitem__)
-            i = queue.pop(0)
-            for k in order.out_edges[i]:
-                oe = order.edges[k]
-                e = oe.original
-                j = oe.head
-                flows = state.z[e]
-                known = node_map.get(j)
-                try:
-                    path = find_connectivity_path(
-                        flows,
-                        lambda u: state.y.get((j, u), 0.0),
-                        node_map[i],
-                        direction="forward" if not oe.reversed else "reverse",
-                        target=known,
-                    )
-                except DecompositionError as err:
-                    if known is not None:
-                        raise MappingConflictError(
-                            f"node {j!r} is already on {known!r} but edge {e} "
-                            f"cannot be routed there: {err}"
-                        ) from err
-                    raise
-                if path:
-                    endpoint = path[-1][1] if not oe.reversed else path[0][0]
-                else:
-                    endpoint = node_map[i]
-                if j not in node_map:
-                    node_map[j] = endpoint
-                    queue.append(j)
-                edge_map[e] = tuple(path)
-                for se in path:
-                    tracker.cover(("z", e, se))
-        if len(edge_map) != len(request.edges):
-            raise DecompositionError(
-                "extraction order does not reach every request edge"
-            )
-        for i in request.nodes:
-            tracker.cover(("y", i, node_map[i]))
-        mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
-        if not _apply_extraction(
-            substrate, request, state, tracker, mapping, entries, _mcf_value,
-            _mcf_decrement,
-        ):
-            continue
-    return ConvexDecomposition(request_name=request.name, entries=entries)
-
-
-def _mcf_value(state: McfState, key: tuple) -> float:
-    if key[0] == "x":
-        return state.x
-    if key[0] == "y":
-        return state.y.get((key[1], key[2]), 0.0)
-    return state.z[key[1]].get(key[2], 0.0)
-
-
-def _mcf_decrement(state: McfState, key: tuple, amount: float) -> None:
-    if key[0] == "x":
-        state.x = _clamp(state.x - amount)
-    elif key[0] == "y":
-        k = (key[1], key[2])
-        state.y[k] = _clamp(state.y[k] - amount)
-    else:
-        state.z[key[1]][key[2]] = _clamp(state.z[key[1]][key[2]] - amount)
+    return decompose_novel(substrate, request, labeled, novel)
 
 
 def _clamp(v: float) -> float:
@@ -260,14 +204,12 @@ def _clamp(v: float) -> float:
 
 
 def _apply_extraction(
-    substrate,
-    request,
-    state,
+    substrate: SubstrateGraph,
+    request: Request,
+    state: NovelState,
     tracker: _Extraction,
     mapping: ValidMapping,
     entries: list[DecompositionEntry],
-    value_of,
-    decrement,
 ) -> bool:
     """Take the bottleneck weight, subtract it everywhere, record the entry.
 
@@ -276,13 +218,13 @@ def _apply_extraction(
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
         raise DecompositionError(f"extracted mapping invalid: {why}")
-    weight = min(value_of(state, key) for key in tracker.keys)
+    weight = min(_novel_value(state, key) for key in tracker.keys)
     if weight <= WEIGHT_FLOOR:
-        argmin = min(tracker.keys, key=lambda key: value_of(state, key))
-        decrement(state, argmin, value_of(state, argmin))
+        argmin = min(tracker.keys, key=lambda key: _novel_value(state, key))
+        _novel_decrement(state, argmin, _novel_value(state, argmin))
         return False
     for key in tracker.keys:
-        decrement(state, key, weight)
+        _novel_decrement(state, key, weight)
     entries.append(DecompositionEntry(weight=weight, mapping=mapping))
     return True
 
@@ -388,11 +330,7 @@ def decompose_novel(
         for i in request.nodes:
             tracker.cover(("y", i, node_map[i]))
         mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
-        if not _apply_extraction(
-            substrate, request, state, tracker, mapping, entries, _novel_value,
-            _novel_decrement,
-        ):
-            continue
+        _apply_extraction(substrate, request, state, tracker, mapping, entries)
     return ConvexDecomposition(request_name=request.name, entries=entries)
 
 

@@ -107,6 +107,15 @@ class LPSolution:
 def _solve_highs(model: LPModel) -> LPSolution:
     n = model.num_variables
     if n == 0:
+        # With no variables every row reads ``0 <sense> rhs``.
+        if any(
+            {LE: con.rhs < 0.0, EQ: con.rhs != 0.0, GE: con.rhs > 0.0}[con.sense]
+            for con in model.constraints
+        ):
+            return LPSolution(
+                status="infeasible", objective_value=None, values=None,
+                model=model, backend="highs",
+            )
         return LPSolution(
             status="optimal", objective_value=0.0, values=np.zeros(0), model=model,
             backend="highs",

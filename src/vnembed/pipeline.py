@@ -40,6 +40,7 @@ from .rounding import (
     GuaranteeError,
     RoundedSolution,
     RoundingBounds,
+    _worst,
     compute_bounds,
     preprocess_profit,
     prune_costly_mappings,
@@ -307,20 +308,8 @@ def run_pipeline(
         "accepted": rounded.accepted,
         "tries_used": rounded.tries_used,
         "objective": round(rounded.objective_value, 9),
-        "max_node_utilization": round(
-            max(
-                (v for res, v in rounded.utilization.items() if res[0] == NODE),
-                default=0.0,
-            ),
-            9,
-        ),
-        "max_edge_utilization": round(
-            max(
-                (v for res, v in rounded.utilization.items() if res[0] == EDGE),
-                default=0.0,
-            ),
-            9,
-        ),
+        "max_node_utilization": round(_worst(rounded.utilization, NODE), 9),
+        "max_edge_utilization": round(_worst(rounded.utilization, EDGE), 9),
         "selection": {
             name: mapping_to_dict(mapping)
             for name, mapping in sorted(rounded.selection.items())

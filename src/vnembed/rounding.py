@@ -7,7 +7,10 @@ while overloading node capacities by at most ``beta`` and edge capacities
 by at most ``gamma``. The cost variant first discards mappings costing
 more than twice the request's LP cost share, renormalizes, and then every
 draw embeds all requests at total cost at most twice the LP cost; only
-the load criteria remain random there.
+the load criteria remain random there. Both variants run one sampling
+loop; the variant only decides what a draw adds to the objective, what
+leftover mass does, whether the cost cap is checked and which fallback
+counts as best.
 
 Per-request randomness comes from independent PCG64 substreams seeded
 with ``(seed, request_index)``, one uniform draw per try, so runs are
@@ -246,11 +249,40 @@ def round_profit(
 ) -> RoundedSolution:
     """Sample until a draw meets all three criteria or tries run out.
 
-    The fallback after ``max_tries`` unaccepted draws is the best-profit
-    sample seen, flagged ``accepted=False``. Deterministic given the seed.
+    A draw embeds a request with probability equal to its decomposition's
+    total weight. The fallback after ``max_tries`` unaccepted draws is the
+    best-profit sample seen, flagged ``accepted=False``. Deterministic given
+    the seed.
     """
     if len(decompositions) != len(requests):
         raise ValueError("one decomposition per request required")
+    return _sample(
+        substrate, requests, decompositions, bounds, lp_optimum, seed,
+        max_tries, "profit",
+    )
+
+
+def _sample(
+    substrate: SubstrateGraph,
+    requests: Sequence[Request],
+    decompositions: Sequence[ConvexDecomposition],
+    bounds: RoundingBounds,
+    lp_optimum: float,
+    seed: int,
+    max_tries: int,
+    variant: str,
+) -> RoundedSolution:
+    """The sampling loop of both variants.
+
+    Each try draws one entry per request and adds the request's profit or
+    the mapping's cost to the objective. Leftover mass embeds nothing under
+    profit; under cost the renormalized weights sum to 1, so leftover mass
+    is numerical only and takes the last entry. Cost draws are checked
+    against the 2x cap. The first try meeting the tri-criteria is returned;
+    otherwise the highest-profit or lowest-cost try, ``accepted=False``.
+    """
+    cost = variant == "cost"
+    cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
     streams = request_streams(seed, len(requests))
     records: list[TryRecord] = []
     best: RoundedSolution | None = None
@@ -259,33 +291,42 @@ def round_profit(
         tries = attempt + 1
         selection: dict[str, ValidMapping | None] = {}
         embedded = []
-        profit = 0.0
+        objective = 0.0
         for r, req in enumerate(requests):
             pick = sample_entry(decompositions[r], streams[r].uniform())
+            if pick is None and cost:
+                pick = len(decompositions[r].entries) - 1
             if pick is None:
                 selection[req.name] = None
                 continue
             mapping = decompositions[r].entries[pick].mapping
             selection[req.name] = mapping
             embedded.append((req, mapping))
-            profit += req.profit
+            objective += (
+                mapping_cost(substrate, req, mapping) if cost else req.profit
+            )
+        if cost and objective > cap:
+            raise GuaranteeError(
+                f"sampled cost {objective:.8f} exceeds twice the LP cost "
+                f"{lp_optimum:.8f}"
+            )
         _, utilization = collection_feasible(substrate, embedded)
         report = check_tri_criteria(
-            profit, utilization, bounds, lp_optimum, "profit"
+            objective, utilization, bounds, lp_optimum, variant
         )
         records.append(
             TryRecord(
                 index=attempt,
-                objective=profit,
+                objective=objective,
                 max_node_utilization=_worst(utilization, NODE),
                 max_edge_utilization=_worst(utilization, EDGE),
                 accepted=report.ok,
             )
         )
         candidate = RoundedSolution(
-            variant="profit",
+            variant=variant,
             selection=selection,
-            objective_value=profit,
+            objective_value=objective,
             utilization=utilization,
             accepted=report.ok,
             tries_used=tries,
@@ -294,7 +335,11 @@ def round_profit(
         if report.ok:
             candidate.records = records
             return candidate
-        if best is None or profit > best.objective_value:
+        if best is None or (
+            objective < best.objective_value
+            if cost
+            else objective > best.objective_value
+        ):
             best = candidate
     assert best is not None
     best.tries_used = tries
@@ -383,7 +428,8 @@ def round_cost(
 
     Every draw embeds all requests and provably costs at most twice the
     LP cost (checked, raising ``GuaranteeError``); acceptance only tests the
-    load criteria.
+    load criteria. The fallback after ``max_tries`` unaccepted draws is the
+    lowest-cost sample seen, flagged ``accepted=False``.
     """
     if len(decompositions) != len(requests):
         raise ValueError("one decomposition per request required")
@@ -393,54 +439,7 @@ def round_cost(
                 f"request {req.name!r} has an empty decomposition; "
                 "the cost variant must embed every request"
             )
-    streams = request_streams(seed, len(requests))
-    records: list[TryRecord] = []
-    best: RoundedSolution | None = None
-    tries = 0
-    for attempt in range(max(max_tries, 1)):
-        tries = attempt + 1
-        selection: dict[str, ValidMapping | None] = {}
-        embedded = []
-        cost = 0.0
-        for r, req in enumerate(requests):
-            pick = sample_entry(decompositions[r], streams[r].uniform())
-            # renormalized weights sum to 1; leftover mass is numerical only
-            if pick is None:
-                pick = len(decompositions[r].entries) - 1
-            mapping = decompositions[r].entries[pick].mapping
-            selection[req.name] = mapping
-            embedded.append((req, mapping))
-            cost += mapping_cost(substrate, req, mapping)
-        if cost > 2.0 * lp_cost + WEIGHT_TOL * max(1.0, abs(lp_cost)):
-            raise GuaranteeError(
-                f"sampled cost {cost:.8f} exceeds twice the LP cost {lp_cost:.8f}"
-            )
-        _, utilization = collection_feasible(substrate, embedded)
-        report = check_tri_criteria(cost, utilization, bounds, lp_cost, "cost")
-        records.append(
-            TryRecord(
-                index=attempt,
-                objective=cost,
-                max_node_utilization=_worst(utilization, NODE),
-                max_edge_utilization=_worst(utilization, EDGE),
-                accepted=report.ok,
-            )
-        )
-        candidate = RoundedSolution(
-            variant="cost",
-            selection=selection,
-            objective_value=cost,
-            utilization=utilization,
-            accepted=report.ok,
-            tries_used=tries,
-            seed=seed,
-        )
-        if report.ok:
-            candidate.records = records
-            return candidate
-        if best is None or cost < best.objective_value:
-            best = candidate
-    assert best is not None
-    best.tries_used = tries
-    best.records = records
-    return best
+    return _sample(
+        substrate, requests, decompositions, bounds, lp_cost, seed, max_tries,
+        "cost",
+    )

@@ -184,6 +184,17 @@ def test_decompose_rejects_mismatched_solution(tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [None, 0.5, {"0": 0.5}, [[0.5]], ["x"], [None]])
+def test_decompose_rejects_malformed_values(tmp_path, capsys, values):
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    sol = tmp_path / "solution.json"
+    sol.write_text(
+        json.dumps({"formulation": "novel", "variant": "cost", "values": values})
+    )
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "values" in capsys.readouterr().err
+
+
 def test_exact_on_restricted_triangle(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["exact", str(path)]) == 0
@@ -203,6 +214,18 @@ def test_exact_cost_gadget(tmp_path, capsys):
     entries = out["assignment"][0]["entries"]
     assert len(entries) == 1
     assert entries[0]["node_map"] == {"i": "u1", "j": "u2", "k": "u3"}
+
+
+@pytest.mark.parametrize("relaxation", ["lp", "ip"])
+def test_exact_cost_without_valid_mappings_is_infeasible(
+    tmp_path, capsys, relaxation
+):
+    # no valid mapping leaves the LP without variables but with the
+    # unsatisfiable row "choose one mapping"
+    path = _generate(tmp_path, "fig3")
+    args = ["exact", str(path), "--variant", "cost", "--relaxation", relaxation]
+    assert main(args) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
 def test_exact_separates_infeasible_from_solver_failure(

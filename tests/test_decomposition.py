@@ -13,10 +13,11 @@ from vnembed import (
     build_extraction_order,
     build_mcf,
     build_novel,
-    compute_allocations,
     decompose_mcf_tree,
     decompose_novel,
+    embed_mapping,
     find_connectivity_path,
+    label_order,
     min_width_order_search,
     solve,
     verify_decomposition,
@@ -27,10 +28,8 @@ from vnembed.decomposition import (
     DecompositionStuckError,
     _apply_extraction,
     _Extraction,
-    _mcf_decrement,
-    _mcf_value,
 )
-from vnembed.formulations import McfState
+from vnembed.formulations import McfState, NovelState
 from vnembed.scenarios import tree_corpus, width3_corpus
 
 
@@ -106,33 +105,28 @@ def _triangle_fixture():
     return substrate, request
 
 
-def _averaged_state(substrate, request, mappings, weights):
-    y: dict[tuple[str, str], float] = {}
-    z: dict[tuple[str, str], dict[tuple[str, str], float]] = {
-        e: {} for e in request.edges
-    }
-    a: dict = {}
-    for mapping, w in zip(mappings, weights):
-        for i, u in mapping.node_map.items():
-            y[(i, u)] = y.get((i, u), 0.0) + w
-        for e, path in mapping.edge_map.items():
-            for se in path:
-                z[e][se] = z[e].get(se, 0.0) + w
-        for res, amount in compute_allocations(substrate, request, mapping).items():
-            a[res] = a.get(res, 0.0) + w * amount
-    return McfState(x=sum(weights), y=y, z=z, a=a)
+_TRIANGLE_M1 = ValidMapping(
+    node_map={"i": "v1", "j": "v2", "k": "v3"},
+    edge_map={
+        ("i", "j"): (("v1", "v2"),),
+        ("j", "k"): (("v2", "v3"),),
+        ("k", "i"): (("v3", "v1"),),
+    },
+)
+
+
+def _embedded_state(substrate, request, mappings, weights):
+    """Decomposable-LP state at the weighted sum of the mappings' 0/1 points."""
+    graph = Digraph.build(request.nodes, request.edges)
+    labeled = label_order(build_extraction_order(graph, "i"))
+    _, index = build_novel(substrate, [request], [labeled], "profit")
+    values = sum(w * embed_mapping(index, 0, m) for m, w in zip(mappings, weights))
+    return labeled, index.request_state(values, 0)
 
 
 def test_average_of_two_embeddings_splits_back():
     substrate, request = _triangle_fixture()
-    m1 = ValidMapping(
-        node_map={"i": "v1", "j": "v2", "k": "v3"},
-        edge_map={
-            ("i", "j"): (("v1", "v2"),),
-            ("j", "k"): (("v2", "v3"),),
-            ("k", "i"): (("v3", "v1"),),
-        },
-    )
+    m1 = _TRIANGLE_M1
     m2 = ValidMapping(
         node_map={"i": "v2", "j": "v3", "k": "v1"},
         edge_map={
@@ -141,10 +135,9 @@ def test_average_of_two_embeddings_splits_back():
             ("k", "i"): (("v1", "v2"),),
         },
     )
-    state = _averaged_state(substrate, request, [m1, m2], [0.5, 0.5])
+    labeled, state = _embedded_state(substrate, request, [m1, m2], [0.5, 0.5])
     loads = dict(state.a)
-    order = build_extraction_order(Digraph.build(request.nodes, request.edges), "i")
-    dec = decompose_mcf_tree(substrate, request, order, state, check_tree=False)
+    dec = decompose_novel(substrate, request, labeled, state)
     # the average admits several convex combinations; any exact split
     # into valid mappings that the input loads dominate is acceptable
     assert len(dec.entries) == 2
@@ -153,14 +146,18 @@ def test_average_of_two_embeddings_splits_back():
     assert check.ok
 
 
-def test_cyclic_flow_state_raises_conflict(fig3):
-    req = fig3.requests[0]
-    model, index = build_mcf(fig3.substrate, fig3.requests, "profit")
-    sol = solve(model)
-    state = index.request_state(sol.values, 0)
-    order = build_extraction_order(Digraph.build(req.nodes, req.edges), "i")
+def test_unroutable_pinned_host_raises_conflict():
+    # the bag at the root pins k's host; moving the flow of edge (k, i) off
+    # that host leaves the edge no route to where k already is
+    substrate, request = _triangle_fixture()
+    labeled, state = _embedded_state(substrate, request, [_TRIANGLE_M1], [1.0])
+    (k,) = [
+        k for k, oe in enumerate(labeled.order.edges) if oe.original == ("k", "i")
+    ]
+    flows = state.sub_z[(k, ("v3",))]
+    flows[("v3", "v1")], flows[("v2", "v1")] = 0.0, 1.0
     with pytest.raises(MappingConflictError, match="already on"):
-        decompose_mcf_tree(fig3.substrate, req, order, state, check_tree=False)
+        decompose_novel(substrate, request, labeled, state)
 
 
 def test_tree_check_rejects_cycles(fig3):
@@ -183,7 +180,9 @@ def test_stuck_when_root_has_no_host():
 def test_dust_round_clears_without_emitting():
     substrate, _ = _triangle_fixture()
     solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
-    state = McfState(x=1.0, y={("i", "v1"): 5e-10}, z={}, a={})
+    state = NovelState(
+        x=1.0, y={("i", "v1"): 5e-10}, gamma={}, sub_x={}, sub_y={}, sub_z={}, a={}
+    )
     tracker = _Extraction()
     tracker.cover(("x",))
     tracker.cover(("y", "i", "v1"))
@@ -195,8 +194,6 @@ def test_dust_round_clears_without_emitting():
         tracker,
         ValidMapping(node_map={"i": "v1"}, edge_map={}),
         entries,
-        _mcf_value,
-        _mcf_decrement,
     )
     assert not emitted
     assert entries == []
@@ -240,18 +237,10 @@ def test_width3_corpus_slice_decomposes():
 
 def test_verifier_flags_tampering():
     substrate, request = _triangle_fixture()
-    m1 = ValidMapping(
-        node_map={"i": "v1", "j": "v2", "k": "v3"},
-        edge_map={
-            ("i", "j"): (("v1", "v2"),),
-            ("j", "k"): (("v2", "v3"),),
-            ("k", "i"): (("v3", "v1"),),
-        },
-    )
-    state = _averaged_state(substrate, request, [m1], [1.0])
+    m1 = _TRIANGLE_M1
+    labeled, state = _embedded_state(substrate, request, [m1], [1.0])
     loads = dict(state.a)
-    order = build_extraction_order(Digraph.build(request.nodes, request.edges), "i")
-    dec = decompose_mcf_tree(substrate, request, order, state, check_tree=False)
+    dec = decompose_novel(substrate, request, labeled, state)
 
     short = verify_decomposition(substrate, request, dec, 1.5, loads)
     assert short.completeness_error == pytest.approx(0.5)

@@ -20,7 +20,7 @@ from vnembed import (
     write_lp,
 )
 from vnembed.formulations import BudgetExceededError
-from vnembed.lpmodel import SOLVER_ENV_VAR, default_backend
+from vnembed.lpmodel import EQ, GE, LE, SOLVER_ENV_VAR, LPModel, default_backend
 from vnembed.scenarios import scenario_instance, tiny_corpus
 
 
@@ -148,6 +148,25 @@ def test_backend_selection(fig3, monkeypatch):
         solve(model)
     monkeypatch.delenv(SOLVER_ENV_VAR)
     assert default_backend() == "highs"
+
+
+@pytest.mark.parametrize(
+    "sense, rhs, status",
+    [
+        (EQ, 0.0, "optimal"),
+        (EQ, 1.0, "infeasible"),
+        (LE, 1.0, "optimal"),
+        (LE, -1.0, "infeasible"),
+        (GE, -1.0, "optimal"),
+        (GE, 1.0, "infeasible"),
+    ],
+)
+def test_model_without_variables_checks_its_rows(sense, rhs, status):
+    model = LPModel()
+    model.add_constraint("row", [], sense, rhs)
+    sol = solve(model, backend="highs")
+    assert sol.status == status
+    assert sol.objective_value == (0.0 if status == "optimal" else None)
 
 
 def test_unknown_objective_rejected(fig3):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -283,6 +284,19 @@ class TestProfitRounding:
         with pytest.raises(ValueError, match="one decomposition per request"):
             round_profit(substrate, [req], [], bounds, 1.0, seed=0)
 
+    def test_fallback_keeps_the_highest_profit(self):
+        # half the draws embed nothing; the target is out of reach
+        substrate, req = _cost_ladder()
+        bounds = compute_bounds(substrate, [req], "profit")
+        dec = _dec([(0.5, "h1")])
+        out = round_profit(
+            substrate, [req], [dec], bounds, 100.0, seed=1, max_tries=8
+        )
+        assert not out.accepted
+        assert {r.objective for r in out.records} == {0.0, 1.0}
+        assert out.objective_value == 1.0
+        assert out.selection["p"].node_map == {"i": "h1"}
+
 
 class TestCostRounding:
     def test_single_mapping_costs_its_allocation(self):
@@ -300,6 +314,20 @@ class TestCostRounding:
         empty = ConvexDecomposition(request_name="pair", entries=[])
         with pytest.raises(ValueError, match="empty decomposition"):
             round_cost(substrate, [req], [empty], bounds, 1.0, seed=5)
+
+    def test_fallback_keeps_the_lowest_cost(self):
+        # no host may carry any load, so no draw is accepted
+        substrate, req = _cost_ladder()
+        bounds = dataclasses.replace(
+            compute_bounds(substrate, [req], "cost"), beta=0.0, gamma=0.0
+        )
+        dec = _dec([(0.5, "h3"), (0.5, "h1")])
+        out = round_cost(substrate, [req], [dec], bounds, 3.0, seed=1, max_tries=8)
+        assert not out.accepted
+        assert out.tries_used == 8
+        assert {r.objective for r in out.records} == {1.0, 3.0}
+        assert out.objective_value == 1.0
+        assert out.selection["p"].node_map == {"i": "h1"}
 
 
 class TestTriCriteria:
