@@ -237,6 +237,12 @@ def cmd_decompose(args) -> int:
             raise InstanceFormatError(f"solution file lacks {key!r}")
     formulation = payload["formulation"]
     if formulation == "mcf":
+        for req in instance.requests:
+            if len(req.edges) != len(req.nodes) - 1:
+                raise InstanceFormatError(
+                    f"request {req.name!r} is not a tree; an mcf solution "
+                    "decomposes only tree requests"
+                )
         orders = None
     elif "orders" in payload:
         orders = _pinned_orders(instance, payload["orders"])

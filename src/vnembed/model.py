@@ -409,15 +409,26 @@ def collection_feasible(
     node_slack: float = 1.0,
     edge_slack: float = 1.0,
     tol: float = 1e-9,
+    *,
+    allocations: Sequence[Mapping[Resource, float]] | None = None,
 ) -> tuple[bool, dict[Resource, float]]:
     """Check cumulative loads against (possibly slacked) capacities.
 
     Returns the verdict plus the utilization ``load / capacity`` of every
-    substrate resource, including untouched ones at 0.
+    substrate resource, including untouched ones at 0. ``allocations``, if
+    given, holds each embedding's ``compute_allocations`` result in order;
+    the loads are then summed from it without rechecking the mappings.
     """
+    if allocations is None:
+        allocations = [
+            compute_allocations(substrate, request, mapping)
+            for request, mapping in embeddings
+        ]
+    elif len(allocations) != len(embeddings):
+        raise ValueError("one allocation per embedding required")
     load: dict[Resource, float] = {res: 0.0 for res in substrate.resources}
-    for request, mapping in embeddings:
-        for res, amount in compute_allocations(substrate, request, mapping).items():
+    for alloc in allocations:
+        for res, amount in alloc.items():
             load[res] += amount
     utilization = {res: load[res] / substrate.capacity(res) for res in load}
     ok = all(

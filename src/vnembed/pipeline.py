@@ -1,9 +1,19 @@
 """End-to-end embedding pipeline and its report.
 
-Stages: validate, width analysis, LP construction and solve, convex
-decomposition, variant-specific preparation (profit preprocessing or
-cost pruning), randomized rounding, verification. Failures surface as
-``PipelineError`` carrying the stage name.
+Stages: validate, width analysis, joint LP construction and solve,
+profit preprocessing, convex decomposition, cost pruning, randomized
+rounding, verification. Failures surface as ``PipelineError`` carrying
+the stage name.
+
+The profit variant drops every request that cannot be fully accepted on
+its own, but solves the joint LP over all requests first. A request the
+joint LP accepts fully (up to ``WEIGHT_TOL``) is certified without a solo
+LP: the joint solution restricted to its variables is feasible for its
+solo LP, because demands are nonnegative, so its solo maximum acceptance
+is at least as large. Only the remaining requests go through
+``preprocess_profit``; if it drops any, the joint LP is built and solved
+again over the kept ones. Either way the final joint model is the one
+built over exactly the requests that solo preprocessing would keep.
 
 Reports serialize deterministically: keys are emitted in a fixed order
 and wall-clock timings are left out unless explicitly requested, so two
@@ -24,9 +34,9 @@ from typing import Any, Sequence
 from ._version import __version__
 from .decomposition import ConvexDecomposition, decompose_novel, verify_decomposition
 from .extraction import Digraph, LabeledExtractionOrder, min_width_order_search
-from .formulations import BudgetExceededError, build_novel
+from .formulations import BudgetExceededError, NovelVariableIndex, build_novel
 from .instances import Instance
-from .lpmodel import LPSolution, solve
+from .lpmodel import LPModel, LPSolution, solve
 from .model import (
     EDGE,
     NODE,
@@ -37,6 +47,7 @@ from .model import (
 )
 from .rounding import (
     MAX_TRIES_DEFAULT,
+    WEIGHT_TOL,
     GuaranteeError,
     RoundedSolution,
     RoundingBounds,
@@ -150,7 +161,9 @@ def run_pipeline(
         raise PipelineError("config", f"unknown variant {config.variant!r}")
     timings: dict[str, float] = {}
 
+    t0 = time.perf_counter()
     report = validate_instance(instance.substrate, instance.requests)
+    timings["validate"] = time.perf_counter() - t0
     if not report.ok:
         raise PipelineError(
             "validate",
@@ -183,42 +196,42 @@ def run_pipeline(
 
     requests = list(instance.requests)
     orders = list(labeled_orders)
+    model, index, solution = _solve_joint(
+        instance, requests, orders, config, timings
+    )
     if config.variant == "profit":
-        t0 = time.perf_counter()
-        try:
-            requests, orders, dropped = preprocess_profit(
-                instance.substrate, requests, orders, config.backend
-            )
-        except Exception as err:
-            raise PipelineError("preprocess", str(err)) from err
-        timings["preprocess"] = time.perf_counter() - t0
-        for row in request_rows:
-            if row["name"] in dropped:
-                row["dropped"] = True
-
-    t0 = time.perf_counter()
-    try:
-        model, index = build_novel(
-            instance.substrate,
-            requests,
-            orders,
-            config.variant,
-            var_budget=config.var_budget,
-        )
-    except BudgetExceededError as err:
-        raise PipelineError("build-lp", str(err)) from err
-    timings["build-lp"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solution: LPSolution = solve(model, config.backend)
-    timings["solve-lp"] = time.perf_counter() - t0
-    if solution.status == "infeasible":
-        raise PipelineError(
-            "solve-lp", "LP infeasible (cost variant cannot embed all requests)",
-            infeasible=True,
-        )
-    if not solution.optimal:
-        raise PipelineError("solve-lp", f"solver returned {solution.status}")
+        # A request the joint LP fully accepts needs no solo LP: restricted
+        # to its own variables, the joint solution meets every row of the
+        # solo LP (a capacity row only loses the other requests' nonnegative
+        # loads), so the solo maximum acceptance is at least the joint one.
+        uncertified = [
+            r for r in range(len(requests))
+            if solution.values[index.x[r]] < 1.0 - WEIGHT_TOL
+        ]
+        timings["preprocess"] = 0.0
+        if uncertified:
+            t0 = time.perf_counter()
+            try:
+                _, _, dropped = preprocess_profit(
+                    instance.substrate,
+                    [requests[r] for r in uncertified],
+                    [orders[r] for r in uncertified],
+                    config.backend,
+                )
+            except Exception as err:
+                raise PipelineError("preprocess", str(err)) from err
+            timings["preprocess"] = time.perf_counter() - t0
+            if dropped:
+                for row in request_rows:
+                    row["dropped"] = row["name"] in dropped
+                kept = [
+                    r for r, row in enumerate(request_rows) if not row["dropped"]
+                ]
+                requests = [requests[r] for r in kept]
+                orders = [orders[r] for r in kept]
+                model, index, solution = _solve_joint(
+                    instance, requests, orders, config, timings
+                )
     lp_objective = float(solution.objective_value)
 
     lp_row: dict[str, Any] = {
@@ -336,6 +349,41 @@ def run_pipeline(
         rounding=rounding_row,
         timings=timings,
     ), rounded
+
+
+def _solve_joint(
+    instance: Instance,
+    requests: Sequence,
+    orders: Sequence[LabeledExtractionOrder],
+    config: PipelineConfig,
+    timings: dict[str, float],
+) -> tuple[LPModel, NovelVariableIndex, LPSolution]:
+    """Build and solve the decomposable LP over ``requests``; the time spent
+    adds to the ``build-lp`` and ``solve-lp`` stages."""
+    t0 = time.perf_counter()
+    try:
+        model, index = build_novel(
+            instance.substrate,
+            requests,
+            orders,
+            config.variant,
+            var_budget=config.var_budget,
+        )
+    except BudgetExceededError as err:
+        raise PipelineError("build-lp", str(err)) from err
+    t1 = time.perf_counter()
+    solution = solve(model, config.backend)
+    t2 = time.perf_counter()
+    timings["build-lp"] = timings.get("build-lp", 0.0) + t1 - t0
+    timings["solve-lp"] = timings.get("solve-lp", 0.0) + t2 - t1
+    if solution.status == "infeasible":
+        raise PipelineError(
+            "solve-lp", "LP infeasible (cost variant cannot embed all requests)",
+            infeasible=True,
+        )
+    if not solution.optimal:
+        raise PipelineError("solve-lp", f"solver returned {solution.status}")
+    return model, index, solution
 
 
 def _apply_overrides(

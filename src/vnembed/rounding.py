@@ -37,6 +37,7 @@ from .model import (
     SubstrateGraph,
     ValidMapping,
     collection_feasible,
+    compute_allocations,
     mapping_cost,
     resource_stats,
 )
@@ -133,6 +134,9 @@ def preprocess_profit(
     full embedding and would only dilute the rounding probabilities. The
     solo profit LP is always feasible (accept nothing), so a solver status
     other than optimal is a failure and raises ``RuntimeError``.
+
+    ``run_pipeline`` calls it only for the requests its joint LP leaves
+    below full acceptance; a fully accepted one provably passes.
     """
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
@@ -277,12 +281,25 @@ def _sample(
     Each try draws one entry per request and adds the request's profit or
     the mapping's cost to the objective. Leftover mass embeds nothing under
     profit; under cost the renormalized weights sum to 1, so leftover mass
-    is numerical only and takes the last entry. Cost draws are checked
-    against the 2x cap. The first try meeting the tri-criteria is returned;
-    otherwise the highest-profit or lowest-cost try, ``accepted=False``.
+    is numerical only and takes the last entry. Each entry's allocation
+    and objective term are computed once per call; a try only adds up
+    those of its picks. Cost draws are checked against the 2x cap. The
+    first try meeting the tri-criteria is returned; otherwise the
+    highest-profit or lowest-cost try, ``accepted=False``.
     """
     cost = variant == "cost"
     cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
+    allocations = [
+        [compute_allocations(substrate, req, entry.mapping) for entry in dec.entries]
+        for req, dec in zip(requests, decompositions)
+    ]
+    terms = [
+        [
+            mapping_cost(substrate, req, entry.mapping) if cost else req.profit
+            for entry in dec.entries
+        ]
+        for req, dec in zip(requests, decompositions)
+    ]
     streams = request_streams(seed, len(requests))
     records: list[TryRecord] = []
     best: RoundedSolution | None = None
@@ -291,6 +308,7 @@ def _sample(
         tries = attempt + 1
         selection: dict[str, ValidMapping | None] = {}
         embedded = []
+        loads = []
         objective = 0.0
         for r, req in enumerate(requests):
             pick = sample_entry(decompositions[r], streams[r].uniform())
@@ -302,15 +320,16 @@ def _sample(
             mapping = decompositions[r].entries[pick].mapping
             selection[req.name] = mapping
             embedded.append((req, mapping))
-            objective += (
-                mapping_cost(substrate, req, mapping) if cost else req.profit
-            )
+            loads.append(allocations[r][pick])
+            objective += terms[r][pick]
         if cost and objective > cap:
             raise GuaranteeError(
                 f"sampled cost {objective:.8f} exceeds twice the LP cost "
                 f"{lp_optimum:.8f}"
             )
-        _, utilization = collection_feasible(substrate, embedded)
+        _, utilization = collection_feasible(
+            substrate, embedded, allocations=loads
+        )
         report = check_tri_criteria(
             objective, utilization, bounds, lp_optimum, variant
         )

@@ -184,7 +184,18 @@ def test_decompose_rejects_mismatched_solution(tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values", [None, 0.5, {"0": 0.5}, [[0.5]], ["x"], [None]])
+def test_decompose_rejects_mcf_solution_of_cyclic_request(tmp_path, capsys):
+    path = _generate(tmp_path, "fig3")
+    sol = tmp_path / "solution.json"
+    assert main(
+        ["solve-lp", str(path), "--formulation", "mcf", "--solution-out", str(sol)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "not a tree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values",[None, 0.5, {"0": 0.5}, [[0.5]], ["x"], [None]])
 def test_decompose_rejects_malformed_values(tmp_path, capsys, values):
     path = _generate(tmp_path, "fig3-cost-gadget")
     sol = tmp_path / "solution.json"

@@ -205,6 +205,14 @@ def test_collection_feasible_reports_utilization():
     ok, _ = collection_feasible(substrate, [(req, mapping)] * 4, node_slack=1.25)
     assert ok
 
+    # precomputed allocations give the same loads without recomputing them
+    alloc = compute_allocations(substrate, req, mapping)
+    assert collection_feasible(
+        substrate, [(req, mapping)] * 3, allocations=[alloc] * 3
+    ) == (True, utilization)
+    with pytest.raises(ValueError, match="one allocation per embedding"):
+        collection_feasible(substrate, [(req, mapping)] * 3, allocations=[alloc])
+
 
 def test_resource_stats_extremes():
     substrate = square_substrate()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,14 +15,19 @@ import vnembed.pipeline
 import vnembed.rounding
 
 from vnembed import (
+    Digraph,
     PipelineConfig,
     PipelineError,
     Request,
     SubstrateGraph,
+    min_width_order_search,
     run_pipeline,
 )
+from vnembed.formulations import build_novel, count_novel_variables
 from vnembed.instances import Instance
-from vnembed.lpmodel import SOLVERS, LPSolution
+from vnembed.lpmodel import SOLVERS, LPSolution, solve
+from vnembed.rounding import preprocess_profit
+from vnembed.scenarios import scenario_instance
 
 
 def test_unknown_variant_fails_in_config(fig3):
@@ -102,23 +108,142 @@ def test_timings_are_opt_in(fig3_gadget):
     without = json.loads(report.to_json())
     assert "timings" not in without
     with_timings = json.loads(report.to_json(include_timings=True))
-    assert {"width", "build-lp", "solve-lp", "decompose", "round"} <= set(
-        with_timings["timings"]
+    assert {
+        "validate", "width", "preprocess", "build-lp", "solve-lp", "decompose",
+        "round",
+    } <= set(with_timings["timings"])
+
+
+def _broken(model):
+    return LPSolution(
+        status="error", objective_value=None, values=None, model=model,
+        backend="broken",
     )
 
 
-def test_solo_lp_failure_surfaces_in_preprocess(fig3_gadget, monkeypatch):
-    def broken(model):
-        return LPSolution(
-            status="error", objective_value=None, values=None, model=model,
-            backend="broken",
-        )
+def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
+    # fig3's request stays below acceptance 1 in the joint LP, so its solo
+    # LP runs: the first solve is the joint one, every later one fails
+    highs = SOLVERS["highs"]
+    calls = []
 
-    monkeypatch.setitem(SOLVERS, "broken", broken)
+    def joint_only(model):
+        calls.append(model)
+        return highs(model) if len(calls) == 1 else _broken(model)
+
+    monkeypatch.setitem(SOLVERS, "joint-only", joint_only)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", backend="broken"))
+        run_pipeline(fig3, PipelineConfig(variant="profit", backend="joint-only"))
+    assert len(calls) == 2
     assert err.value.stage == "preprocess"
     assert "solver returned error" in str(err.value)
+
+
+def test_joint_lp_failure_stops_at_solve_lp(fig3_gadget, monkeypatch):
+    monkeypatch.setitem(SOLVERS, "broken", _broken)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", backend="broken"))
+    assert err.value.stage == "solve-lp"
+    assert "solver returned error" in str(err.value)
+
+
+def _pair(profit=1.0):
+    """A one-edge request pinned to u4 -> u5 of the fig3 substrates."""
+    return Request.build(
+        "pair",
+        {"a": ("vm", 1.0, ("u4",)), "b": ("vm", 1.0, ("u5",))},
+        {("a", "b"): (1.0, (("u4", "u5"),))},
+        profit=profit,
+    )
+
+
+def _mixed_instances():
+    """fig3's restricted triangle (no valid mapping) beside servable
+    requests on the cost-gadget substrate: the joint LP leaves it below
+    acceptance 1, so its solo LP drops it and the joint LP is solved again.
+    Two copies of the gadget's triangle compete for its only embedding, so
+    one of them also stays below 1 jointly but is kept by its solo LP."""
+    gadget = scenario_instance("fig3-cost-gadget")
+    served = gadget.requests[0]
+    blocked = dataclasses.replace(
+        scenario_instance("fig3").requests[0], name="blocked"
+    )
+    pair = _pair(profit=2.0)
+    twin = dataclasses.replace(served, name="twin")
+    batches = {
+        "blocked-first": (blocked, served),
+        "blocked-between": (pair, blocked, served),
+        "contended": (served, blocked, twin, pair),
+    }
+    return [
+        Instance(name=name, substrate=gadget.substrate, requests=requests)
+        for name, requests in batches.items()
+    ]
+
+
+def _cross_check(instance):
+    report, _ = run_pipeline(instance, PipelineConfig(variant="profit", seed=1))
+    orders = [
+        min_width_order_search(Digraph.build(req.nodes, req.edges))
+        for req in instance.requests
+    ]
+    kept, kept_orders, dropped = preprocess_profit(
+        instance.substrate, instance.requests, orders
+    )
+    assert [row["dropped"] for row in report.requests] == [
+        req.name in dropped for req in instance.requests
+    ]
+    model, _ = build_novel(instance.substrate, kept, kept_orders, "profit")
+    solution = solve(model)
+    assert report.lp["objective"] == round(float(solution.objective_value), 9)
+    assert report.lp["variables"] == count_novel_variables(
+        instance.substrate, kept, kept_orders
+    )
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "corpus", ["tiny_corpus", "tree_corpus", "cost_corpus", "fig3", "mixed"]
+)
+def test_joint_first_matches_preprocessing_every_request(corpus, request):
+    if corpus == "mixed":
+        instances = _mixed_instances()
+    elif corpus == "fig3":
+        instances = [request.getfixturevalue("fig3")]
+    else:
+        instances = request.getfixturevalue(corpus)
+    dropped = [_cross_check(instance) for instance in instances]
+    if corpus == "mixed":
+        assert dropped == [["blocked"]] * 3
+
+
+def test_fully_accepted_batch_solves_one_lp(fig3_gadget, monkeypatch):
+    calls = {"solve": 0, "solo-build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        vnembed.pipeline, "solve", counted("solve", vnembed.pipeline.solve)
+    )
+    monkeypatch.setattr(
+        vnembed.rounding, "build_novel",
+        counted("solo-build", vnembed.rounding.build_novel),
+    )
+    instance = Instance(
+        name="served", substrate=fig3_gadget.substrate,
+        requests=(fig3_gadget.requests[0], _pair()),
+    )
+    report, _ = run_pipeline(
+        instance, PipelineConfig(variant="profit", seed=1, include_timings=True)
+    )
+    assert calls == {"solve": 1, "solo-build": 0}
+    assert report.lp["objective"] == pytest.approx(2.0)
+    assert not any(row["dropped"] for row in report.requests)
+    assert report.timings["preprocess"] == 0.0
 
 
 def test_pruning_bound_violation_names_its_stage(fig3_gadget, monkeypatch):
