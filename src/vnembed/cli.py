@@ -18,11 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .decomposition import (
-    DecompositionError,
-    decompose_mcf_tree,
-    decompose_novel,
-)
+from .decomposition import decompose_mcf_tree, decompose_novel
 from .extraction import (
     Digraph,
     ExtractionError,
@@ -489,8 +485,6 @@ def _code_for(err: Exception) -> int:
         err, (InstanceFormatError, ExtractionError, ValueError, FileNotFoundError)
     ):
         return EXIT_INVALID
-    if isinstance(err, (DecompositionError, AssertionError)):
-        return EXIT_INTERNAL
     return EXIT_INTERNAL
 
 

@@ -8,6 +8,16 @@ a node are grouped into *bags* by transitive label overlap; the width of an
 order is one plus the size of the largest bag label set. Width drives the
 size of the decomposable LP relaxation, so finding low-width orders matters.
 
+Labels come from dominators. Every node ``j`` with two or more in-edges is
+the target of a confluence from its immediate dominator ``d`` (computed in
+one pass over a topological order, after Cooper, Harvey & Kennedy, "A
+Simple, Fast Dominance Algorithm", 2001), and ``j`` labels exactly the
+edges on ``d -> j`` paths. Sketch: a single node separating ``d`` from
+``j`` would dominate ``j`` below ``d``, so ``d`` is a source; ``d``
+separates every node above it from ``j``; and any other source lies below
+``d``, since a root path avoiding ``d`` would force ``d`` into both of its
+disjoint paths. ``label_order`` spells this out.
+
 Finding a minimum-width order is NP-hard, so the default search is a
 heuristic with two candidate orders per root: the BFS orientation, and a
 degree-ordered orientation that visits low-degree frontier nodes first and
@@ -121,15 +131,7 @@ def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
                     layer[v] = layer[u] + 1
                     nxt.append(v)
         frontier = nxt
-    if len(layer) != len(nodes):
-        missing = sorted(set(nodes) - set(layer))
-        raise ExtractionError(f"nodes unreachable from root: {missing}")
-    oriented = []
-    for (a, b) in graph.edges:
-        flip = (layer[a], index[a]) > (layer[b], index[b])
-        tail, head = (b, a) if flip else (a, b)
-        oriented.append(OrientedEdge(tail=tail, head=head, original=(a, b), reversed=flip))
-    return ExtractionOrder(nodes=nodes, root=root, edges=tuple(oriented))
+    return _orient_by_rank(graph, root, {i: (layer[i], index[i]) for i in layer})
 
 
 def build_degree_order(graph: RequestShaped, root: str) -> ExtractionOrder:
@@ -153,11 +155,34 @@ def build_degree_order(graph: RequestShaped, root: str) -> ExtractionOrder:
         frontier.remove(u)
         position[u] = len(position)
         frontier.update(v for v in neighbors[u] if v not in position)
-    if len(position) != len(nodes):
-        missing = sorted(set(nodes) - set(position))
+    return _orient_by_rank(graph, root, position)
+
+
+def _orient_by_rank(
+    graph: RequestShaped, root: str, rank: Mapping[str, object]
+) -> ExtractionOrder:
+    """Point every edge from its lower-ranked endpoint to the higher one.
+
+    ``rank`` holds the nodes a search from ``root`` reached, the root ranked
+    lowest and every other node above a neighbor, so the result is a valid
+    order by construction. Raises if the search missed a node.
+    """
+    if len(rank) != len(graph.nodes):
+        missing = sorted(set(graph.nodes) - set(rank))
         raise ExtractionError(f"nodes unreachable from root: {missing}")
-    flags = [position[a] > position[b] for (a, b) in graph.edges]
-    return orientation_from_flags(graph, root, flags)
+    return _orient(graph, root, [rank[a] > rank[b] for (a, b) in graph.edges])
+
+
+def _orient(
+    graph: RequestShaped, root: str, reversed_flags: Sequence[bool]
+) -> ExtractionOrder:
+    oriented = tuple(
+        OrientedEdge(tail=b, head=a, original=(a, b), reversed=True)
+        if flip
+        else OrientedEdge(tail=a, head=b, original=(a, b), reversed=False)
+        for (a, b), flip in zip(graph.edges, reversed_flags)
+    )
+    return ExtractionOrder(nodes=tuple(graph.nodes), root=root, edges=oriented)
 
 
 def orientation_from_flags(
@@ -167,54 +192,9 @@ def orientation_from_flags(
     ``graph.edges``). Raises if the result is cyclic or not root-covering."""
     if len(reversed_flags) != len(graph.edges):
         raise ExtractionError("one reversal flag per edge required")
-    oriented = tuple(
-        OrientedEdge(tail=b, head=a, original=(a, b), reversed=True)
-        if flip
-        else OrientedEdge(tail=a, head=b, original=(a, b), reversed=False)
-        for (a, b), flip in zip(graph.edges, reversed_flags)
-    )
-    order = ExtractionOrder(nodes=tuple(graph.nodes), root=root, edges=oriented)
-    problem = _orientation_defect(order)
-    if problem:
-        raise ExtractionError(problem)
+    order = _orient(graph, root, reversed_flags)
+    _OrderView(order)  # raises on an invalid order
     return order
-
-
-def _orientation_defect(order: ExtractionOrder) -> str | None:
-    """Return a description of why the orientation is invalid, or None."""
-    if order.root not in order.nodes:
-        return f"root {order.root!r} is not a request node"
-    index = order.node_index
-    n = len(order.nodes)
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for e in order.edges:
-        out_adj[index[e.tail]].append(index[e.head])
-        indeg[index[e.head]] += 1
-    stack = [k for k in range(n) if indeg[k] == 0]
-    seen = 0
-    indeg = list(indeg)
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for v in out_adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    if seen != n:
-        return "orientation is not acyclic"
-    reach = {index[order.root]}
-    stack = [index[order.root]]
-    while stack:
-        u = stack.pop()
-        for v in out_adj[u]:
-            if v not in reach:
-                reach.add(v)
-                stack.append(v)
-    if len(reach) != n:
-        missing = sorted(order.nodes[k] for k in range(n) if k not in reach)
-        return f"nodes unreachable from root: {missing}"
-    return None
 
 
 @dataclass(frozen=True)
@@ -236,42 +216,61 @@ class LabeledExtractionOrder:
 
 
 class _OrderView:
-    """Index-level scratch view of an order, shared by the label routines."""
+    """Index-level view of an order: descendant masks and immediate
+    dominators. Raises ``ExtractionError`` unless the order is valid."""
 
     def __init__(self, order: ExtractionOrder):
-        self.order = order
-        self.index = order.node_index
-        self.n = len(order.nodes)
-        self.tails = [self.index[e.tail] for e in order.edges]
-        self.heads = [self.index[e.head] for e in order.edges]
-        self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for k in range(len(order.edges)):
-            self.out_adj[self.tails[k]].append((self.heads[k], k))
-        self.indeg = [0] * self.n
-        for h in self.heads:
-            self.indeg[h] += 1
-        self.desc = self._descendant_masks()
-
-    def _descendant_masks(self) -> list[int]:
-        indeg = list(self.indeg)
-        stack = [v for v in range(self.n) if indeg[v] == 0]
+        if order.root not in order.nodes:
+            raise ExtractionError(f"root {order.root!r} is not a request node")
+        index = order.node_index
+        n = len(order.nodes)
+        self.tails = [index[e.tail] for e in order.edges]
+        self.heads = [index[e.head] for e in order.edges]
+        succ: list[list[int]] = [[] for _ in range(n)]
+        self.pred: list[list[int]] = [[] for _ in range(n)]
+        for t, h in zip(self.tails, self.heads):
+            succ[t].append(h)
+            self.pred[h].append(t)
+        indeg = [len(p) for p in self.pred]
+        stack = [v for v in range(n) if indeg[v] == 0]
         topo: list[int] = []
         while stack:
             u = stack.pop()
             topo.append(u)
-            for (v, _) in self.out_adj[u]:
+            for v in succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     stack.append(v)
-        if len(topo) != self.n:
+        if len(topo) != n:
             raise ExtractionError("orientation is not acyclic")
-        desc = [0] * self.n
+        self.desc = [0] * n
         for u in reversed(topo):
             mask = 1 << u
-            for (v, _) in self.out_adj[u]:
-                mask |= desc[v]
-            desc[u] = mask
-        return desc
+            for v in succ[u]:
+                mask |= self.desc[v]
+            self.desc[u] = mask
+        root = index[order.root]
+        if self.desc[root] != (1 << n) - 1:
+            missing = sorted(
+                order.nodes[k] for k in range(n) if not (self.desc[root] >> k) & 1
+            )
+            raise ExtractionError(f"nodes unreachable from root: {missing}")
+        # Every node is reachable from the root, so the root is the only
+        # source and comes first in ``topo``; each other node's immediate
+        # dominator is the deepest common dominator-tree ancestor of its
+        # predecessors, all of which precede it.
+        self.idom = [root] * n
+        depth = [0] * n
+        for v in topo[1:]:
+            d = self.pred[v][0]
+            for p in self.pred[v][1:]:
+                while d != p:
+                    if depth[d] >= depth[p]:
+                        d = self.idom[d]
+                    else:
+                        p = self.idom[p]
+            self.idom[v] = d
+            depth[v] = depth[d] + 1
 
     def path_edges(self, i: int, j: int) -> list[int]:
         """Edges lying on some i -> j path."""
@@ -281,41 +280,6 @@ class _OrderView:
             for k in range(len(self.tails))
             if (di >> self.tails[k]) & 1 and (self.desc[self.heads[k]] >> j) & 1
         ]
-
-    def reaches(self, i: int, j: int, edge_ids: Iterable[int], skip: int = -1) -> bool:
-        if i == skip or j == skip:
-            return False
-        adj: dict[int, list[int]] = {}
-        for k in edge_ids:
-            adj.setdefault(self.tails[k], []).append(self.heads[k])
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            if u == j:
-                return True
-            for v in adj.get(u, ()):
-                if v != skip and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
-
-    def two_disjoint_paths(self, i: int, j: int) -> bool:
-        """True iff two internally node-disjoint i -> j paths exist."""
-        if i == j or not (self.desc[i] >> j) & 1:
-            return False
-        eij = self.path_edges(i, j)
-        direct = [k for k in eij if self.tails[k] == i and self.heads[k] == j]
-        if len(direct) >= 2:
-            return True
-        if direct:
-            rest = [k for k in eij if k not in direct]
-            return self.reaches(i, j, rest)
-        inner = {self.tails[k] for k in eij} | {self.heads[k] for k in eij}
-        inner -= {i, j}
-        if not inner:
-            return False
-        return all(self.reaches(i, j, eij, skip=k) for k in sorted(inner))
 
 
 def compute_edge_bags(
@@ -352,46 +316,36 @@ def compute_edge_bags(
     return bags
 
 
-def _label_root(
-    view: _OrderView, j: int, sources: list[int], labeled_edges: set[int]
-) -> int:
-    """The unique source whose path sets cover all ``j``-labeled edges and
-    through which every root-to-``j`` route passes."""
-    root = view.index[view.order.root]
-    all_edges = range(len(view.tails))
-    winners = []
-    for s in sources:
-        if not labeled_edges <= set(view.path_edges(s, j)):
-            continue
-        if s != root and view.reaches(root, j, all_edges, skip=s):
-            continue
-        winners.append(s)
-    if len(winners) != 1:
-        raise ExtractionError(
-            f"label root for {view.order.nodes[j]!r} is not unique: "
-            f"{[view.order.nodes[w] for w in winners]}"
-        )
-    return winners[0]
-
-
 def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
-    """Compute labels, bags, per-label roots and the width of an order."""
+    """Compute labels, bags, per-label roots and the width of an order.
+
+    A node ``j`` with two or more in-edges labels exactly the edges on the
+    paths from its immediate dominator ``d`` to ``j``, and ``d`` is its
+    label root. This is the union, over all sources ``i`` of confluences
+    ``(i, j)``, of the edges on ``i -> j`` paths:
+
+    - ``d`` is a source: otherwise, by Menger's theorem, a single node
+      separates ``d`` from ``j``, and it would dominate ``j`` below ``d``.
+    - A node strictly above ``d`` is not a source: ``d`` separates it
+      from ``j``.
+    - Every other source ``s`` has ``d`` on each root-to-``s`` path, since
+      otherwise ``d`` would sit inside both disjoint ``s -> j`` paths; so
+      ``s -> j`` paths are parts of ``d -> j`` paths.
+
+    So ``d`` is also the unique source that dominates ``j``. Nodes with
+    fewer than two in-edges are targets of no confluence. Raises
+    ``ExtractionError`` on an invalid order.
+    """
     view = _OrderView(order)
     label_sets: list[set[int]] = [set() for _ in order.edges]
     label_roots: dict[str, str] = {}
-    for j in range(view.n):
-        if view.indeg[j] < 2:
+    for j, preds in enumerate(view.pred):
+        if len(preds) < 2:
             continue
-        sources = [i for i in range(view.n) if view.two_disjoint_paths(i, j)]
-        if not sources:
-            continue
-        covered: set[int] = set()
-        for i in sources:
-            covered.update(view.path_edges(i, j))
-        for k in covered:
+        d = view.idom[j]
+        for k in view.path_edges(d, j):
             label_sets[k].add(j)
-        s = _label_root(view, j, sources, covered)
-        label_roots[order.nodes[j]] = order.nodes[s]
+        label_roots[order.nodes[j]] = order.nodes[d]
     labels = tuple(tuple(order.nodes[j] for j in sorted(s)) for s in label_sets)
     bags = compute_edge_bags(order, labels)
     width = 1 + max(

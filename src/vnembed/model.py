@@ -14,6 +14,7 @@ are lexicographic on those identifiers, so that every derived structure
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -246,15 +247,23 @@ def _validate_substrate(substrate: SubstrateGraph, report: ValidationReport) -> 
         if u not in known or v not in known:
             report.add("unknown-node", f"substrate edge ({u!r}, {v!r}) uses unknown node")
     for key, cap in substrate.node_capacity.items():
-        if not cap > 0:
-            report.add("bad-capacity", f"node resource {key} has non-positive capacity")
+        if not 0 < cap < math.inf:
+            report.add(
+                "bad-capacity",
+                f"node resource {key} has capacity {cap}, not positive and finite",
+            )
     for key, cap in substrate.edge_capacity.items():
-        if not cap > 0:
-            report.add("bad-capacity", f"substrate edge {key} has non-positive capacity")
+        if not 0 < cap < math.inf:
+            report.add(
+                "bad-capacity",
+                f"substrate edge {key} has capacity {cap}, not positive and finite",
+            )
     for table in (substrate.node_cost, substrate.edge_cost):
         for key, cost in table.items():
-            if cost < 0:
-                report.add("bad-cost", f"negative cost on {key}")
+            if not 0 <= cost < math.inf:
+                report.add(
+                    "bad-cost", f"cost {cost} on {key} is not non-negative and finite"
+                )
 
 
 def _validate_request(
@@ -264,8 +273,8 @@ def _validate_request(
     if not req.nodes:
         report.add("empty-request", f"{name}: request has no nodes")
         return
-    if not req.profit > 0:
-        report.add("bad-profit", f"{name}: profit must be positive")
+    if not 0 < req.profit < math.inf:
+        report.add("bad-profit", f"{name}: profit must be positive and finite")
     node_set = set(req.nodes)
     for (i, j) in req.edges:
         if i == j:
@@ -279,8 +288,12 @@ def _validate_request(
         if t not in substrate.types:
             report.add("unknown-type", f"{name}: node {i!r} has unknown type {t!r}")
             continue
-        if req.node_demand[i] < 0:
-            report.add("bad-demand", f"{name}: node {i!r} has negative demand")
+        if not 0 <= req.node_demand[i] < math.inf:
+            report.add(
+                "bad-demand",
+                f"{name}: node {i!r} has demand {req.node_demand[i]}, "
+                "not non-negative and finite",
+            )
         allowed = req.allowed_nodes.get(i, ())
         if not allowed:
             report.add("empty-allowed-set", f"{name}: node {i!r} has empty allowed set")
@@ -297,8 +310,12 @@ def _validate_request(
                 )
     edge_idx = set(substrate.edges)
     for e in req.edges:
-        if req.edge_demand[e] < 0:
-            report.add("bad-demand", f"{name}: edge {e} has negative demand")
+        if not 0 <= req.edge_demand[e] < math.inf:
+            report.add(
+                "bad-demand",
+                f"{name}: edge {e} has demand {req.edge_demand[e]}, "
+                "not non-negative and finite",
+            )
         allowed = req.allowed_edges.get(e, ())
         if not allowed:
             report.add("empty-allowed-set", f"{name}: edge {e} has empty allowed set")

@@ -7,7 +7,15 @@ import json
 
 import pytest
 
-from vnembed import SubstrateGraph, Request, dump_instance
+from vnembed import (
+    PipelineConfig,
+    PipelineError,
+    Request,
+    SubstrateGraph,
+    dump_instance,
+    load_instance,
+    run_pipeline,
+)
 from vnembed.cli import main
 from vnembed.instances import Instance
 from vnembed.lpmodel import SOLVERS, LPSolution
@@ -48,6 +56,43 @@ def test_validate_flags_broken_instances(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert not report["ok"]
     assert any(issue["code"] == "bad-capacity" for issue in report["issues"])
+
+
+@pytest.mark.parametrize(
+    "path, value, code",
+    [
+        (("requests", 0, "nodes", 0, "demand"), float("nan"), "bad-demand"),
+        (("requests", 0, "profit"), float("inf"), "bad-profit"),
+        (("substrate", "edges", 0, "cost"), float("nan"), "bad-cost"),
+        (("substrate", "edges", 0, "capacity"), float("inf"), "bad-capacity"),
+        (("requests", 0, "edges", 0, "demand"), float("inf"), "bad-demand"),
+        (
+            ("substrate", "nodes", 0, "types", 0, "capacity"),
+            float("inf"),
+            "bad-capacity",
+        ),
+    ],
+    ids=[
+        "node-demand-nan", "profit-inf", "edge-cost-nan", "edge-capacity-inf",
+        "edge-demand-inf", "node-capacity-inf",
+    ],
+)
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, path, value, code):
+    # Python's json reads NaN and Infinity; they must not reach the solver
+    data = json.loads(_generate(tmp_path, "fig3").read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    assert main(["validate", str(broken)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert code in {issue["code"] for issue in report["issues"]}
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_instance(broken), PipelineConfig())
+    assert err.value.stage == "validate"
+    assert main(["round", str(broken)]) == 2
 
 
 def test_width_reports_orders(tmp_path, capsys):

@@ -22,6 +22,8 @@ from vnembed import (
 )
 from vnembed.extraction import (
     ExtractionError,
+    ExtractionOrder,
+    OrientedEdge,
     _per_root_pass,
     _width_floor,
     compute_edge_bags,
@@ -92,6 +94,38 @@ def brute_labels(order):
                 for k in p:
                     labels[k].add(j)
     return tuple(tuple(sorted(s)) for s in labels)
+
+
+def brute_label_roots(order):
+    """Label-root reference: for each node j with two or more in-edges, the
+    sources of brute-force confluences (i, j) that every root-to-j path
+    visits."""
+    out_by_node = {}
+    for k, e in enumerate(order.edges):
+        out_by_node.setdefault(e.tail, []).append((k, e.head))
+
+    def internal(path):
+        return {order.edges[k].head for k in path[:-1]}
+
+    roots = {}
+    for j in order.nodes:
+        if sum(e.head == j for e in order.edges) < 2:
+            continue
+        root_paths = _all_edge_paths(out_by_node, order.root, j)
+        found = []
+        for i in order.nodes:
+            if i == j:
+                continue
+            paths = _all_edge_paths(out_by_node, i, j)
+            if not any(
+                not (internal(p) & internal(q))
+                for p, q in itertools.combinations(paths, 2)
+            ):
+                continue
+            if all(i == order.root or i in internal(p) for p in root_paths):
+                found.append(i)
+        roots[j] = found
+    return roots
 
 
 def random_connected_digraph(rng, max_nodes=7):
@@ -165,6 +199,39 @@ def test_labels_match_brute_force_on_random_graphs(seed):
     root = str(rng.choice(g.nodes))
     order = build_extraction_order(g, root)
     assert label_order(order).labels == brute_labels(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_labels_match_brute_force_on_every_orientation(seed):
+    g = random_connected_digraph(np.random.default_rng(seed), max_nodes=6)
+    valid = 0
+    for root in g.nodes:
+        for flags in itertools.product((False, True), repeat=len(g.edges)):
+            try:
+                order = orientation_from_flags(g, root, flags)
+            except ExtractionError:
+                continue
+            valid += 1
+            labeled = label_order(order)
+            assert labeled.labels == brute_labels(order)
+            assert {
+                j: [i] for j, i in labeled.label_roots.items()
+            } == brute_label_roots(order)
+    assert valid > 0
+
+
+def test_label_order_rejects_invalid_orders():
+    def order(root, arcs):
+        nodes = tuple(sorted({v for arc in arcs for v in arc}))
+        edges = tuple(OrientedEdge(a, b, (a, b), False) for a, b in arcs)
+        return ExtractionOrder(nodes=nodes, root=root, edges=edges)
+
+    with pytest.raises(ExtractionError, match="acyclic"):
+        label_order(order("a", [("a", "b"), ("b", "c"), ("c", "b")]))
+    # x has two disjoint paths into b, but the root reaches b around it
+    with pytest.raises(ExtractionError, match="unreachable"):
+        label_order(order("a", [("a", "b"), ("x", "b"), ("x", "y"), ("y", "b")]))
 
 
 @settings(max_examples=60, deadline=None)
