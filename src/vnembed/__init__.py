@@ -37,8 +37,8 @@ from .extraction import (
 )
 from .formulations import (
     BudgetExceededError,
-    McfState,
     NovelState,
+    RequestColumns,
     build_mcf,
     build_novel,
     count_novel_variables,

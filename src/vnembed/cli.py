@@ -27,7 +27,7 @@ from .extraction import (
     min_width_order_search,
     orientation_from_flags,
 )
-from .formulations import build_mcf, build_novel
+from .formulations import build_mcf, build_novel, max_violation
 from .instances import (
     Instance,
     InstanceFormatError,
@@ -52,6 +52,10 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNACCEPTED = 4
 EXIT_INTERNAL = 5
+
+FORMULATIONS = ("mcf", "novel")
+# Largest row or bound violation a solution file's values may show.
+POINT_TOL = 1e-6
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -232,6 +236,10 @@ def cmd_decompose(args) -> int:
         if key not in payload:
             raise InstanceFormatError(f"solution file lacks {key!r}")
     formulation = payload["formulation"]
+    if formulation not in FORMULATIONS:
+        raise InstanceFormatError(
+            f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}"
+        )
     if formulation == "mcf":
         for req in instance.requests:
             if len(req.edges) != len(req.nodes) - 1:
@@ -257,6 +265,13 @@ def cmd_decompose(args) -> int:
         raise InstanceFormatError(
             f"solution has {values.shape[0]} values, model has "
             f"{model.num_variables} variables"
+        )
+    if not np.isfinite(values).all():
+        raise InstanceFormatError("solution 'values' must be finite numbers")
+    violation = max_violation(model, values)
+    if violation > POINT_TOL:
+        raise InstanceFormatError(
+            f"solution 'values' violate the model by {violation:.3g}"
         )
     out_rows = []
     for r, req in enumerate(instance.requests):
@@ -521,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-lp", help="build and solve a relaxation")
     p.add_argument("instance")
-    p.add_argument("--formulation", choices=("mcf", "novel"), default="novel")
+    p.add_argument("--formulation", choices=FORMULATIONS, default="novel")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
     p.add_argument(
         "--strategy", choices=("per-root-bfs", "exhaustive"),

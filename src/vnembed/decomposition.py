@@ -10,7 +10,11 @@ variables as the mapping's weight, and subtract. The bag variables are
 exactly what makes the loop sound on requests with cycles.
 ``decompose_mcf_tree`` runs the same loop on the flow relaxation of a tree
 request: every label is empty there, so each per-edge copy is the flow's
-own variables.
+own columns, and each bag variable is its node's host variable.
+
+The loop reads and drains a ``NovelState``'s residual, a private copy of
+the solution vector, by column number; the caller's solution is never
+changed, so several requests decompose from one vector.
 
 All comparisons use an epsilon of ``EPS``; residual acceptance below
 ``LOOP_EPS`` ends extraction (the leftover is far below the completeness
@@ -20,12 +24,13 @@ tolerance of verification). Iterations that would produce a weight under
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .extraction import ExtractionOrder, LabeledExtractionOrder, label_order
-from .formulations import McfState, NovelState
+from .formulations import NovelState
 from .model import (
     Request,
     Resource,
@@ -139,14 +144,14 @@ def _positive_choice(values: Sequence[tuple[str, float]]) -> str | None:
 
 
 class _Extraction:
-    """Bookkeeping for one extraction pass: the covered variables, in the
+    """Bookkeeping for one extraction pass: the covered columns, in the
     order they were first covered."""
 
     def __init__(self):
-        self.keys: list[tuple] = []
-        self.seen: set[tuple] = set()
+        self.keys: list[int] = []
+        self.seen: set[int] = set()
 
-    def cover(self, key: tuple) -> None:
+    def cover(self, key: int) -> None:
         if key not in self.seen:
             self.seen.add(key)
             self.keys.append(key)
@@ -156,15 +161,17 @@ def decompose_mcf_tree(
     substrate: SubstrateGraph,
     request: Request,
     order: ExtractionOrder,
-    state: McfState,
+    state: NovelState,
 ) -> ConvexDecomposition:
     """Peel a flow solution of a tree request into weighted valid mappings.
 
     On a tree every edge of the labeled order has an empty label set and
     every bag holds one edge, so the flow solution already is a
-    decomposable-LP solution whose per-edge copies equal the flow's own
-    variables. It is decomposed as one by ``decompose_novel``; ``state``
-    itself is left untouched.
+    decomposable-LP solution: its per-edge copies are the flow's own
+    columns, and every bag of node ``i`` reads ``y[(i, u)]``. It is
+    decomposed as one by ``decompose_novel`` on a copy of the residual;
+    ``state`` itself is left untouched. Edge ``k`` of ``order`` must
+    reorient edge ``k`` of ``request``.
     """
     is_tree = len(request.edges) == len(request.nodes) - 1
     labeled = label_order(order) if is_tree else None
@@ -172,31 +179,20 @@ def decompose_mcf_tree(
         raise DecompositionError(
             f"request {request.name!r} is not a tree; use the decomposable LP"
         )
-    sub_x: dict[tuple, float] = {}
-    sub_y: dict[tuple, float] = {}
-    sub_z: dict[tuple, dict[tuple[str, str], float]] = {}
-    for k, oe in enumerate(order.edges):
-        e = oe.original
-        sub_x[(k, ())] = state.x
-        sub_z[(k, ())] = dict(state.z[e])
-        for (n, u), val in state.y.items():
-            if n in e:
-                sub_y[(k, (), n, u)] = val
+    if len(order.edges) != len(request.edges) or any(
+        oe.original != e for oe, e in zip(order.edges, request.edges)
+    ):
+        raise DecompositionError(f"order does not match request {request.name!r}")
+    cols = state.columns
     gamma = {
-        (i, bi, (), u): val
-        for (i, u), val in state.y.items()
+        (i, bi, (), u): col
+        for (i, u), col in cols.y.items()
         for bi in range(len(labeled.bags[i]))
     }
-    novel = NovelState(
-        x=state.x,
-        y=dict(state.y),
-        gamma=gamma,
-        sub_x=sub_x,
-        sub_y=sub_y,
-        sub_z=sub_z,
-        a=state.a,
+    tree_state = NovelState(
+        replace(cols, gamma=gamma), list(state.residual), state.a
     )
-    return decompose_novel(substrate, request, labeled, novel)
+    return decompose_novel(substrate, request, labeled, tree_state)
 
 
 def _clamp(v: float) -> float:
@@ -218,13 +214,13 @@ def _apply_extraction(
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
         raise DecompositionError(f"extracted mapping invalid: {why}")
-    weight = min(_novel_value(state, key) for key in tracker.keys)
+    residual = state.residual
+    weight = min(residual[col] for col in tracker.keys)
     if weight <= WEIGHT_FLOOR:
-        argmin = min(tracker.keys, key=lambda key: _novel_value(state, key))
-        _novel_decrement(state, argmin, _novel_value(state, argmin))
+        residual[min(tracker.keys, key=residual.__getitem__)] = 0.0
         return False
-    for key in tracker.keys:
-        _novel_decrement(state, key, weight)
+    for col in tracker.keys:
+        residual[col] = _clamp(residual[col] - weight)
     entries.append(DecompositionEntry(weight=weight, mapping=mapping))
     return True
 
@@ -244,14 +240,16 @@ def decompose_novel(
     its incoming edges are routed.
     """
     order = labeled.order
+    cols = state.columns
+    residual = state.residual
     entries: list[DecompositionEntry] = []
     max_rounds = 100 + 2 * (
         1
-        + len(state.y)
-        + len(state.gamma)
-        + len(state.sub_x)
-        + len(state.sub_y)
-        + sum(len(f) for f in state.sub_z.values())
+        + len(cols.y)
+        + len(cols.gamma)
+        + len(cols.sub_x)
+        + len(cols.sub_y)
+        + sum(len(f) for f in cols.sub_z.values())
     )
     rounds = 0
     while state.x > LOOP_EPS:
@@ -259,10 +257,10 @@ def decompose_novel(
         if rounds > max_rounds:
             raise DecompositionStuckError("extraction makes no progress")
         tracker = _Extraction()
-        tracker.cover(("x",))
+        tracker.cover(cols.x)
         root = order.root
         u0 = _positive_choice(
-            [(u, state.y.get((root, u), 0.0)) for u in request.allowed_nodes[root]]
+            [(u, residual[cols.y[(root, u)]]) for u in request.allowed_nodes[root]]
         )
         if u0 is None:
             raise DecompositionStuckError(
@@ -277,7 +275,9 @@ def decompose_novel(
             i = queue.pop(0)
             u = node_map[i]
             for bi, bag in enumerate(labeled.bags[i]):
-                assign = _choose_bag_mapping(state, i, bi, u, bag.labels, node_map)
+                assign = _choose_bag_mapping(
+                    state, request, i, bi, u, bag.labels, node_map
+                )
                 if assign is None:
                     raise DecompositionStuckError(
                         f"no positive bag mapping at node {i!r} (bag {bi}) "
@@ -285,19 +285,19 @@ def decompose_novel(
                     )
                 for l, v in zip(bag.labels, assign):
                     node_map.setdefault(l, v)
-                tracker.cover(("gamma", i, bi, assign, u))
+                tracker.cover(cols.gamma[(i, bi, assign, u)])
                 for k in bag.edges:
                     oe = order.edges[k]
                     e = oe.original
                     j = oe.head
                     labels_e = labeled.labels[k]
                     mu = tuple(node_map[l] for l in labels_e)
-                    flows = state.sub_z.get((k, mu), {})
+                    flows = cols.sub_z[(k, mu)]
                     known = node_map.get(j)
                     try:
                         path = find_connectivity_path(
-                            flows,
-                            lambda w: state.sub_y.get((k, mu, j, w), 0.0),
+                            {se: residual[col] for se, col in flows.items()},
+                            lambda w: _value(state, cols.sub_y.get((k, mu, j, w))),
                             u,
                             direction="forward" if not oe.reversed else "reverse",
                             target=known,
@@ -315,11 +315,11 @@ def decompose_novel(
                         endpoint = u
                     node_map.setdefault(j, endpoint)
                     edge_map[e] = tuple(path)
-                    tracker.cover(("sx", k, mu))
+                    tracker.cover(cols.sub_x[(k, mu)])
                     for n in e:
-                        tracker.cover(("sy", k, mu, n, node_map[n]))
+                        tracker.cover(cols.sub_y[(k, mu, n, node_map[n])])
                     for se in path:
-                        tracker.cover(("sz", k, mu, se))
+                        tracker.cover(flows[se])
                     pending_in[j] -= 1
                     if pending_in[j] == 0:
                         queue.append(j)
@@ -328,7 +328,7 @@ def decompose_novel(
                 "extraction order does not reach every request edge"
             )
         for i in request.nodes:
-            tracker.cover(("y", i, node_map[i]))
+            tracker.cover(cols.y[(i, node_map[i])])
         mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
         _apply_extraction(substrate, request, state, tracker, mapping, entries)
     return ConvexDecomposition(request_name=request.name, entries=entries)
@@ -336,57 +336,30 @@ def decompose_novel(
 
 def _choose_bag_mapping(
     state: NovelState,
+    request: Request,
     node: str,
     bag_index: int,
     host: str,
     bag_labels: tuple[str, ...],
     node_map: dict[str, str],
 ) -> tuple[str, ...] | None:
-    candidates = []
-    for (n, bi, assign, u), val in state.gamma.items():
-        if n != node or bi != bag_index or u != host or val <= EPS:
-            continue
-        if any(
-            l in node_map and node_map[l] != v for l, v in zip(bag_labels, assign)
-        ):
-            continue
-        candidates.append(assign)
-    if not candidates:
-        return None
-    return min(candidates)
+    """Least bag assignment that agrees with ``node_map`` and whose bag
+    variable at ``host`` is positive."""
+    choices = [
+        (node_map[l],) if l in node_map else request.allowed_nodes[l]
+        for l in bag_labels
+    ]
+    gamma = state.columns.gamma
+    candidates = [
+        assign
+        for assign in itertools.product(*choices)
+        if _value(state, gamma.get((node, bag_index, assign, host))) > EPS
+    ]
+    return min(candidates, default=None)
 
 
-def _novel_value(state: NovelState, key: tuple) -> float:
-    kind = key[0]
-    if kind == "x":
-        return state.x
-    if kind == "y":
-        return state.y.get((key[1], key[2]), 0.0)
-    if kind == "gamma":
-        return state.gamma.get(key[1:], 0.0)
-    if kind == "sx":
-        return state.sub_x.get(key[1:], 0.0)
-    if kind == "sy":
-        return state.sub_y.get(key[1:], 0.0)
-    return state.sub_z[(key[1], key[2])].get(key[3], 0.0)
-
-
-def _novel_decrement(state: NovelState, key: tuple, amount: float) -> None:
-    kind = key[0]
-    if kind == "x":
-        state.x = _clamp(state.x - amount)
-    elif kind == "y":
-        k = (key[1], key[2])
-        state.y[k] = _clamp(state.y[k] - amount)
-    elif kind == "gamma":
-        state.gamma[key[1:]] = _clamp(state.gamma[key[1:]] - amount)
-    elif kind == "sx":
-        state.sub_x[key[1:]] = _clamp(state.sub_x[key[1:]] - amount)
-    elif kind == "sy":
-        state.sub_y[key[1:]] = _clamp(state.sub_y[key[1:]] - amount)
-    else:
-        flows = state.sub_z[(key[1], key[2])]
-        flows[key[3]] = _clamp(flows[key[3]] - amount)
+def _value(state: NovelState, col: int | None) -> float:
+    return 0.0 if col is None else state.residual[col]
 
 
 @dataclass

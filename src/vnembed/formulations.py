@@ -21,6 +21,13 @@ Variable blocks are laid out per request in a fixed, documented order
 indices, solution files and exported models are stable. Every variable lies
 in [0, 1]. A request's load on a resource is linear in its host and flow
 variables, so the capacity rows and the cost objective read those directly.
+
+Both builders return a ``NovelVariableIndex`` with one ``RequestColumns``
+per request, which maps every variable to its column. ``build_mcf`` files
+the flow of edge ``k`` as that edge's copy under the empty label mapping,
+so load terms and decomposition read both relaxations the same way.
+``request_state`` hands decomposition a ``NovelState``: the columns, a
+copy of the solution vector to drain, and the request's loads.
 """
 
 from __future__ import annotations
@@ -55,84 +62,84 @@ class BudgetExceededError(Exception):
 
 
 @dataclass
-class McfState:
-    """Mutable per-request slice of an MCF solution, used for extraction.
+class RequestColumns:
+    """Column of every variable of one request, keyed by meaning.
 
-    ``a`` is the request's load per resource, derived from ``y`` and ``z``.
+    ``sub_x[(k, mu)]``, ``sub_y[(k, mu, n, u)]`` and ``sub_z[(k, mu)][se]``
+    belong to the copy of request edge ``k`` under label mapping ``mu``, and
+    ``gamma[(node, bag, assign, u)]`` to a bag variable. The flow relaxation
+    has no labels: its one copy of edge ``k``, under ``mu = ()``, is the
+    flow's own columns (``sub_x`` is ``x``, ``sub_y`` is ``y`` and
+    ``sub_z`` is edge ``k``'s flow block), and it has no bag variables.
     """
 
-    x: float
-    y: dict[tuple[str, str], float]
-    z: dict[tuple[str, str], dict[tuple[str, str], float]]
-    a: dict[Resource, float]
+    x: int
+    y: dict[tuple[str, str], int] = field(default_factory=dict)
+    sub_x: dict[tuple, int] = field(default_factory=dict)
+    sub_y: dict[tuple, int] = field(default_factory=dict)
+    sub_z: dict[tuple, dict[tuple[str, str], int]] = field(default_factory=dict)
+    gamma: dict[tuple, int] = field(default_factory=dict)
 
 
 @dataclass
 class NovelState:
-    """Mutable per-request slice of a decomposable-LP solution.
+    """One request's view of an LP solution, drained by decomposition.
 
-    ``a`` is the request's load per resource, derived from ``y`` and
-    ``sub_z``.
+    ``residual`` is a copy of the whole solution vector, read and drained
+    through ``columns``; ``a`` is the request's load per resource at the
+    solution.
     """
 
-    x: float
-    y: dict[tuple[str, str], float]
-    gamma: dict[tuple, float]
-    sub_x: dict[tuple, float]
-    sub_y: dict[tuple, float]
-    sub_z: dict[tuple, dict[tuple[str, str], float]]
+    columns: RequestColumns
+    residual: list[float]
     a: dict[Resource, float]
 
+    @property
+    def x(self) -> float:
+        return self.residual[self.columns.x]
 
-class McfVariableIndex:
-    """Keeps the variable layout of an MCF model addressable by meaning."""
 
-    def __init__(self, substrate: SubstrateGraph, requests: Sequence[Request]):
+class NovelVariableIndex:
+    """Column layout of either relaxation, one ``RequestColumns`` per
+    request, with the labeled orders a decomposable LP was built from (none
+    for the flow relaxation)."""
+
+    def __init__(
+        self,
+        substrate: SubstrateGraph,
+        requests: Sequence[Request],
+        orders: Sequence[LabeledExtractionOrder] = (),
+    ):
         self.substrate = substrate
         self.requests = list(requests)
-        self.x: list[int] = []
-        self.y: list[dict[tuple[str, str], int]] = []
-        self.z: list[dict[tuple[str, str], dict[tuple[str, str], int]]] = []
+        self.orders = list(orders)
+        self.columns: list[RequestColumns] = []
+        self.num_variables: int = 0
 
     def load_terms(self, r: int) -> Iterator[tuple[Resource, int, float]]:
-        """(resource, variable, demand) terms of request ``r``'s loads."""
+        """(resource, column, demand) for every host and flow variable of
+        request ``r``: the request puts ``demand * variable`` on the
+        resource."""
         req = self.requests[r]
-        return _load_terms(req, self.y[r], self.z[r].items())
+        cols = self.columns[r]
+        for (i, u), var in cols.y.items():
+            yield node_resource(req.node_type[i], u), var, req.node_demand[i]
+        for (k, _), flows in cols.sub_z.items():
+            demand = req.edge_demand[req.edges[k]]
+            for se, var in flows.items():
+                yield edge_resource(*se), var, demand
 
-    def request_state(self, values: np.ndarray, r: int) -> McfState:
-        return McfState(
-            x=float(values[self.x[r]]),
-            y={k: float(values[i]) for k, i in self.y[r].items()},
-            z={
-                e: {se: float(values[i]) for se, i in per_edge.items()}
-                for e, per_edge in self.z[r].items()
-            },
-            a=_loads(self, values, r),
-        )
-
-
-def _load_terms(req: Request, ys, flows) -> Iterator[tuple[Resource, int, float]]:
-    """(resource, variable, demand) for every host and flow variable of one
-    request: the request puts ``demand * variable`` on the resource.
-    ``flows`` pairs each request edge with a flow block keyed by substrate
-    edge; the decomposable LP has one such block per label mapping."""
-    for (i, u), var in ys.items():
-        yield node_resource(req.node_type[i], u), var, req.node_demand[i]
-    for e, per_edge in flows:
-        for se, var in per_edge.items():
-            yield edge_resource(*se), var, req.edge_demand[e]
+    def request_state(self, values: np.ndarray, r: int) -> NovelState:
+        residual = values.tolist()
+        loads = dict.fromkeys(self.substrate.resources, 0.0)
+        for res, var, demand in self.load_terms(r):
+            loads[res] += demand * residual[var]
+        return NovelState(self.columns[r], residual, loads)
 
 
-def _loads(index, values: np.ndarray, r: int) -> dict[Resource, float]:
-    """Per-resource load of request ``r`` at a solution, every resource
-    present."""
-    loads = dict.fromkeys(index.substrate.resources, 0.0)
-    for res, var, demand in index.load_terms(r):
-        loads[res] += demand * float(values[var])
-    return loads
-
-
-def _add_capacity_rows(model: LPModel, index, objective: str) -> None:
+def _add_capacity_rows(
+    model: LPModel, index: NovelVariableIndex, objective: str
+) -> None:
     """One capacity row per resource some request can load, summing
     ``demand * variable`` over all requests; the cost objective prices the
     same terms."""
@@ -156,34 +163,37 @@ def build_mcf(
     substrate: SubstrateGraph,
     requests: Sequence[Request],
     objective: str = "profit",
-) -> tuple[LPModel, McfVariableIndex]:
+) -> tuple[LPModel, NovelVariableIndex]:
     """Multi-commodity flow relaxation over all requests.
 
     ``objective`` is ``"profit"`` (maximize accepted profit, acceptance
     fractional) or ``"cost"`` (minimize allocation cost, full acceptance
-    forced).
+    forced). The index files each edge's flow as its copy under the empty
+    label mapping.
     """
     if objective not in ("profit", "cost"):
         raise ValueError(f"unknown objective {objective!r}")
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
-    index = McfVariableIndex(substrate, requests)
+    index = NovelVariableIndex(substrate, requests)
     for r, req in enumerate(requests):
         x = model.add_variable(f"r{r}_x", 0.0, 1.0)
-        index.x.append(x)
         ys: dict[tuple[str, str], int] = {}
         for i in req.nodes:
             for u in req.allowed_nodes[i]:
                 ys[(i, u)] = model.add_variable(f"r{r}_y_n{req.node_index[i]}_s{substrate.node_index[u]}", 0.0, 1.0)
-        index.y.append(ys)
-        zs: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-        for e in req.edges:
-            per_edge = {}
-            for se in req.allowed_edges[e]:
-                per_edge[se] = model.add_variable(
+        cols = RequestColumns(x=x, y=ys)
+        for k, e in enumerate(req.edges):
+            cols.sub_x[(k, ())] = x
+            for n in e:
+                for u in req.allowed_nodes[n]:
+                    cols.sub_y[(k, (), n, u)] = ys[(n, u)]
+            cols.sub_z[(k, ())] = {
+                se: model.add_variable(
                     f"r{r}_z_e{req.edge_index[e]}_se{substrate.edge_index[se]}", 0.0, 1.0
                 )
-            zs[e] = per_edge
-        index.z.append(zs)
+                for se in req.allowed_edges[e]
+            }
+        index.columns.append(cols)
 
         for i in req.nodes:
             model.add_constraint(
@@ -192,9 +202,9 @@ def build_mcf(
                 EQ,
                 0.0,
             )
-        for e in req.edges:
+        for k, e in enumerate(req.edges):
             i, j = e
-            per_edge = zs[e]
+            per_edge = cols.sub_z[(k, ())]
             for w in substrate.nodes:
                 coeffs: list[tuple[int, float]] = []
                 for se in req.allowed_edges[e]:
@@ -218,6 +228,7 @@ def build_mcf(
         else:
             model.add_constraint(f"r{r}_accept", [(x, 1.0)], EQ, 1.0)
     _add_capacity_rows(model, index, objective)
+    index.num_variables = model.num_variables
     return model, index
 
 
@@ -227,52 +238,6 @@ def _mappings_of(labels: Sequence[str], req: Request) -> list[tuple[str, ...]]:
         tuple(combo)
         for combo in itertools.product(*(req.allowed_nodes[l] for l in labels))
     ]
-
-
-class NovelVariableIndex:
-    """Variable layout and order metadata of the decomposable LP."""
-
-    def __init__(
-        self,
-        substrate: SubstrateGraph,
-        requests: Sequence[Request],
-        orders: Sequence[LabeledExtractionOrder],
-    ):
-        self.substrate = substrate
-        self.requests = list(requests)
-        self.orders = list(orders)
-        self.x: list[int] = []
-        self.y: list[dict[tuple[str, str], int]] = []
-        # Per request: labels per edge index, label mappings per edge index,
-        # and bag mappings keyed by (node, bag position).
-        self.edge_labels: list[list[tuple[str, ...]]] = []
-        self.edge_mus: list[list[list[tuple[str, ...]]]] = []
-        self.bag_mus: list[dict[tuple[str, int], list[tuple[str, ...]]]] = []
-        self.sub_x: list[dict[tuple, int]] = []
-        self.sub_y: list[dict[tuple, int]] = []
-        self.sub_z: list[dict[tuple, dict[tuple[str, str], int]]] = []
-        self.gamma: list[dict[tuple, int]] = []
-        self.num_variables: int = 0
-
-    def load_terms(self, r: int) -> Iterator[tuple[Resource, int, float]]:
-        """(resource, variable, demand) terms of request ``r``'s loads."""
-        req = self.requests[r]
-        flows = ((req.edges[k], f) for (k, _), f in self.sub_z[r].items())
-        return _load_terms(req, self.y[r], flows)
-
-    def request_state(self, values: np.ndarray, r: int) -> NovelState:
-        return NovelState(
-            x=float(values[self.x[r]]),
-            y={k: float(values[i]) for k, i in self.y[r].items()},
-            gamma={k: float(values[i]) for k, i in self.gamma[r].items()},
-            sub_x={k: float(values[i]) for k, i in self.sub_x[r].items()},
-            sub_y={k: float(values[i]) for k, i in self.sub_y[r].items()},
-            sub_z={
-                key: {se: float(values[i]) for se, i in flows.items()}
-                for key, flows in self.sub_z[r].items()
-            },
-            a=_loads(self, values, r),
-        )
 
 
 def count_novel_variables(
@@ -337,68 +302,50 @@ def build_novel(
     for r, (req, labeled) in enumerate(zip(requests, orders)):
         order = labeled.order
         x = model.add_variable(f"r{r}_x", 0.0, 1.0)
-        index.x.append(x)
-        ys: dict[tuple[str, str], int] = {}
+        cols = RequestColumns(x=x)
         for i in req.nodes:
             for u in req.allowed_nodes[i]:
-                ys[(i, u)] = model.add_variable(
+                cols.y[(i, u)] = model.add_variable(
                     f"r{r}_y_n{req.node_index[i]}_s{sidx[u]}", 0.0, 1.0
                 )
-        index.y.append(ys)
 
-        edge_labels = [labeled.labels[k] for k in range(len(req.edges))]
-        edge_mus = [_mappings_of(labels, req) for labels in edge_labels]
-        index.edge_labels.append(edge_labels)
-        index.edge_mus.append(edge_mus)
-
-        sxs: dict[tuple, int] = {}
-        sys_: dict[tuple, int] = {}
-        szs: dict[tuple, dict[tuple[str, str], int]] = {}
+        edge_mus = [_mappings_of(labels, req) for labels in labeled.labels]
         for k, e in enumerate(req.edges):
-            labels = edge_labels[k]
-            allowed = req.allowed_edges[e]
+            labels = labeled.labels[k]
             for mu in edge_mus[k]:
                 tag = f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
                 key = (k, mu)
-                sxs[key] = model.add_variable(f"{tag}_x", 0.0, 1.0)
+                cols.sub_x[key] = model.add_variable(f"{tag}_x", 0.0, 1.0)
                 for n in e:
                     if n in labels:
                         hosts: tuple[str, ...] = (mu[labels.index(n)],)
                     else:
                         hosts = req.allowed_nodes[n]
                     for u in hosts:
-                        sys_[(k, mu, n, u)] = model.add_variable(
+                        cols.sub_y[(k, mu, n, u)] = model.add_variable(
                             f"{tag}_y_n{req.node_index[n]}_s{sidx[u]}", 0.0, 1.0
                         )
-                flows: dict[tuple[str, str], int] = {}
-                for se in allowed:
-                    flows[se] = model.add_variable(
-                        f"{tag}_z_se{seidx[se]}", 0.0, 1.0
-                    )
-                szs[key] = flows
-        index.sub_x.append(sxs)
-        index.sub_y.append(sys_)
-        index.sub_z.append(szs)
+                cols.sub_z[key] = {
+                    se: model.add_variable(f"{tag}_z_se{seidx[se]}", 0.0, 1.0)
+                    for se in req.allowed_edges[e]
+                }
 
         bag_mus: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-        gammas: dict[tuple, int] = {}
         for node in order.nodes:
             for bi, bag in enumerate(labeled.bags[node]):
                 mus = _mappings_of(bag.labels, req)
                 bag_mus[(node, bi)] = mus
                 for mi, assign in enumerate(mus):
                     for u in req.allowed_nodes[node]:
-                        gammas[(node, bi, assign, u)] = model.add_variable(
+                        cols.gamma[(node, bi, assign, u)] = model.add_variable(
                             f"r{r}_g_n{req.node_index[node]}_b{bi}_m{mi}_s{sidx[u]}",
                             0.0,
                             1.0,
                         )
-        index.bag_mus.append(bag_mus)
-        index.gamma.append(gammas)
+        index.columns.append(cols)
 
         _novel_request_rows(
-            model, substrate, req, labeled, r, x, ys, sxs, sys_, szs,
-            bag_mus, gammas, edge_labels, edge_mus,
+            model, substrate, req, labeled, r, cols, edge_mus, bag_mus
         )
         if objective == "profit":
             model.set_objective_coefficient(x, req.profit)
@@ -416,15 +363,9 @@ def _novel_request_rows(
     req: Request,
     labeled: LabeledExtractionOrder,
     r: int,
-    x: int,
-    ys: dict,
-    sxs: dict,
-    sys_: dict,
-    szs: dict,
-    bag_mus: dict,
-    gammas: dict,
-    edge_labels: list,
-    edge_mus: list,
+    cols: RequestColumns,
+    edge_mus: list[list[tuple[str, ...]]],
+    bag_mus: dict[tuple[str, int], list[tuple[str, ...]]],
 ) -> None:
     order = labeled.order
     sidx = substrate.node_index
@@ -443,23 +384,23 @@ def _novel_request_rows(
             tag = f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
             for n in e:
                 coeffs = [
-                    (sys_[(k, mu, n, u)], 1.0)
+                    (cols.sub_y[(k, mu, n, u)], 1.0)
                     for u in req.allowed_nodes[n]
-                    if (k, mu, n, u) in sys_
+                    if (k, mu, n, u) in cols.sub_y
                 ]
-                coeffs.append((sxs[key], -1.0))
+                coeffs.append((cols.sub_x[key], -1.0))
                 model.add_constraint(f"{tag}_embed_n{req.node_index[n]}", coeffs, EQ, 0.0)
-            flows = szs[key]
+            flows = cols.sub_z[key]
             for w in substrate.nodes:
                 coeffs = []
                 for se in by_tail.get(w, ()):
                     coeffs.append((flows[se], 1.0))
                 for se in by_head.get(w, ()):
                     coeffs.append((flows[se], -1.0))
-                if (k, mu, i, w) in sys_:
-                    coeffs.append((sys_[(k, mu, i, w)], -1.0))
-                if (k, mu, j, w) in sys_:
-                    coeffs.append((sys_[(k, mu, j, w)], 1.0))
+                if (k, mu, i, w) in cols.sub_y:
+                    coeffs.append((cols.sub_y[(k, mu, i, w)], -1.0))
+                if (k, mu, j, w) in cols.sub_y:
+                    coeffs.append((cols.sub_y[(k, mu, j, w)], 1.0))
                 if coeffs:
                     model.add_constraint(f"{tag}_flow_s{sidx[w]}", coeffs, EQ, 0.0)
 
@@ -467,7 +408,8 @@ def _novel_request_rows(
     root = order.root
     model.add_constraint(
         f"r{r}_root",
-        [(ys[(root, u)], 1.0) for u in req.allowed_nodes[root]] + [(x, -1.0)],
+        [(cols.y[(root, u)], 1.0) for u in req.allowed_nodes[root]]
+        + [(cols.x, -1.0)],
         EQ,
         0.0,
     )
@@ -479,10 +421,10 @@ def _novel_request_rows(
             if i not in e:
                 continue
             for u in req.allowed_nodes[i]:
-                coeffs = [(ys[(i, u)], 1.0)]
+                coeffs = [(cols.y[(i, u)], 1.0)]
                 for mu in edge_mus[k]:
-                    if (k, mu, i, u) in sys_:
-                        coeffs.append((sys_[(k, mu, i, u)], -1.0))
+                    if (k, mu, i, u) in cols.sub_y:
+                        coeffs.append((cols.sub_y[(k, mu, i, u)], -1.0))
                 model.add_constraint(
                     f"r{r}_link_n{req.node_index[i]}_e{k}_s{sidx[u]}", coeffs, EQ, 0.0
                 )
@@ -494,8 +436,7 @@ def _novel_request_rows(
         for bi, bag in enumerate(labeled.bags[node]):
             big = bag_mus[(node, bi)]
             for ke in bag.edges:
-                e = order.edges[ke].original
-                labels = edge_labels[ke]
+                labels = labeled.labels[ke]
                 positions = [bag.labels.index(l) for l in labels]
                 groups: dict[tuple, list[tuple[str, ...]]] = {}
                 for assign in big:
@@ -504,9 +445,9 @@ def _novel_request_rows(
                     ).append(assign)
                 for mu in edge_mus[ke]:
                     for u in req.allowed_nodes[node]:
-                        coeffs = [(sys_[(ke, mu, node, u)], 1.0)]
+                        coeffs = [(cols.sub_y[(ke, mu, node, u)], 1.0)]
                         for assign in groups.get(mu, ()):
-                            coeffs.append((gammas[(node, bi, assign, u)], -1.0))
+                            coeffs.append((cols.gamma[(node, bi, assign, u)], -1.0))
                         model.add_constraint(
                             f"r{r}_bagout_n{req.node_index[node]}_b{bi}_e{ke}"
                             f"_m{edge_mus[ke].index(mu)}_s{sidx[u]}",
@@ -522,8 +463,7 @@ def _novel_request_rows(
         if not bags:
             continue
         for ke in order.in_edges[node]:
-            e = order.edges[ke].original
-            labels = edge_labels[ke]
+            labels = labeled.labels[ke]
             for bi, bag in enumerate(bags):
                 shared = tuple(l for l in labels if l in bag.labels)
                 in_pos = [labels.index(l) for l in shared]
@@ -542,10 +482,10 @@ def _novel_request_rows(
                     for u in req.allowed_nodes[node]:
                         coeffs = []
                         for mu in sy_groups[m_shared]:
-                            if (ke, mu, node, u) in sys_:
-                                coeffs.append((sys_[(ke, mu, node, u)], 1.0))
+                            if (ke, mu, node, u) in cols.sub_y:
+                                coeffs.append((cols.sub_y[(ke, mu, node, u)], 1.0))
                         for assign in gamma_groups.get(m_shared, ()):
-                            coeffs.append((gammas[(node, bi, assign, u)], -1.0))
+                            coeffs.append((cols.gamma[(node, bi, assign, u)], -1.0))
                         if coeffs:
                             model.add_constraint(
                                 f"r{r}_bagin_n{req.node_index[node]}_e{ke}_b{bi}"
@@ -567,22 +507,22 @@ def embed_mapping(
     """
     req = index.requests[r]
     labeled = index.orders[r]
+    cols = index.columns[r]
     vec = np.zeros(index.num_variables)
-    vec[index.x[r]] = 1.0
+    vec[cols.x] = 1.0
     for i in req.nodes:
-        vec[index.y[r][(i, mapping.node_map[i])]] = 1.0
+        vec[cols.y[(i, mapping.node_map[i])]] = 1.0
     for k, e in enumerate(req.edges):
-        labels = index.edge_labels[r][k]
-        mu = tuple(mapping.node_map[l] for l in labels)
-        vec[index.sub_x[r][(k, mu)]] = 1.0
+        mu = tuple(mapping.node_map[l] for l in labeled.labels[k])
+        vec[cols.sub_x[(k, mu)]] = 1.0
         for n in e:
-            vec[index.sub_y[r][(k, mu, n, mapping.node_map[n])]] = 1.0
+            vec[cols.sub_y[(k, mu, n, mapping.node_map[n])]] = 1.0
         for se in mapping.edge_map[e]:
-            vec[index.sub_z[r][(k, mu)][se]] = 1.0
+            vec[cols.sub_z[(k, mu)][se]] = 1.0
     for node in labeled.order.nodes:
         for bi, bag in enumerate(labeled.bags[node]):
             assign = tuple(mapping.node_map[l] for l in bag.labels)
-            vec[index.gamma[r][(node, bi, assign, mapping.node_map[node])]] = 1.0
+            vec[cols.gamma[(node, bi, assign, mapping.node_map[node])]] = 1.0
     return vec
 
 

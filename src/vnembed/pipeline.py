@@ -206,7 +206,7 @@ def run_pipeline(
         # loads), so the solo maximum acceptance is at least the joint one.
         uncertified = [
             r for r in range(len(requests))
-            if solution.values[index.x[r]] < 1.0 - WEIGHT_TOL
+            if solution.values[index.columns[r].x] < 1.0 - WEIGHT_TOL
         ]
         timings["preprocess"] = 0.0
         if uncertified:

@@ -149,7 +149,7 @@ def preprocess_profit(
                 f"solo LP of request {req.name!r}: solver returned "
                 f"{solution.status}"
             )
-        acceptance = float(solution.values[index.x[0]])
+        acceptance = float(solution.values[index.columns[0].x])
         if acceptance < 1.0 - WEIGHT_TOL:
             dropped.append(req.name)
         else:

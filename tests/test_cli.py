@@ -251,6 +251,46 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys, values):
     assert "values" in capsys.readouterr().err
 
 
+def _gadget_solution(tmp_path, capsys):
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    sol = tmp_path / "solution.json"
+    assert main(["solve-lp", str(path), "--solution-out", str(sol)]) == 0
+    capsys.readouterr()
+    return path, sol, json.loads(sol.read_text())
+
+
+def test_decompose_rejects_unknown_formulation(tmp_path, capsys):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    payload["formulation"] = "foo"
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "unknown formulation 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper, code",
+    [
+        (lambda values: values, 0),
+        (lambda values: [float("nan")] + values[1:], 2),
+        (lambda values: [float("inf")] + values[1:], 2),
+        (lambda values: [-v for v in values], 2),
+    ],
+    ids=["valid", "nan", "infinity", "negated"],
+)
+def test_decompose_rejects_values_off_the_model(tmp_path, capsys, tamper, code):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    assert payload["objective"] > 0.5
+    payload["values"] = tamper(payload["values"])
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        (row,) = json.loads(captured.out)
+        assert row["total_weight"] == pytest.approx(payload["objective"], abs=1e-6)
+    else:
+        assert "values" in captured.err
+
+
 def test_exact_on_restricted_triangle(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["exact", str(path)]) == 0

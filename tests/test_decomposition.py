@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
+import numpy as np
 import pytest
 
 from vnembed import (
@@ -29,8 +33,8 @@ from vnembed.decomposition import (
     _apply_extraction,
     _Extraction,
 )
-from vnembed.formulations import McfState, NovelState
-from vnembed.scenarios import tree_corpus, width3_corpus
+from vnembed.formulations import NovelState, RequestColumns
+from vnembed.scenarios import tiny_corpus, tree_corpus, width3_corpus
 
 
 class TestConnectivityPath:
@@ -154,8 +158,9 @@ def test_unroutable_pinned_host_raises_conflict():
     (k,) = [
         k for k, oe in enumerate(labeled.order.edges) if oe.original == ("k", "i")
     ]
-    flows = state.sub_z[(k, ("v3",))]
-    flows[("v3", "v1")], flows[("v2", "v1")] = 0.0, 1.0
+    flows = state.columns.sub_z[(k, ("v3",))]
+    state.residual[flows[("v3", "v1")]] = 0.0
+    state.residual[flows[("v2", "v1")]] = 1.0
     with pytest.raises(MappingConflictError, match="already on"):
         decompose_novel(substrate, request, labeled, state)
 
@@ -163,7 +168,7 @@ def test_unroutable_pinned_host_raises_conflict():
 def test_tree_check_rejects_cycles(fig3):
     req = fig3.requests[0]
     order = build_extraction_order(Digraph.build(req.nodes, req.edges), "i")
-    empty = McfState(x=0.0, y={}, z={e: {} for e in req.edges}, a={})
+    empty = NovelState(RequestColumns(x=0), [0.0], {})
     with pytest.raises(DecompositionError, match="not a tree"):
         decompose_mcf_tree(fig3.substrate, req, order, empty)
 
@@ -172,7 +177,7 @@ def test_stuck_when_root_has_no_host():
     substrate, request = _triangle_fixture()
     solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
     order = build_extraction_order(Digraph.build(solo.nodes, solo.edges), "i")
-    state = McfState(x=1.0, y={}, z={}, a={})
+    state = NovelState(RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 0.0], {})
     with pytest.raises(DecompositionStuckError, match="no positive host"):
         decompose_mcf_tree(substrate, solo, order, state)
 
@@ -181,11 +186,11 @@ def test_dust_round_clears_without_emitting():
     substrate, _ = _triangle_fixture()
     solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
     state = NovelState(
-        x=1.0, y={("i", "v1"): 5e-10}, gamma={}, sub_x={}, sub_y={}, sub_z={}, a={}
+        RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 5e-10], {}
     )
     tracker = _Extraction()
-    tracker.cover(("x",))
-    tracker.cover(("y", "i", "v1"))
+    tracker.cover(state.columns.x)
+    tracker.cover(state.columns.y[("i", "v1")])
     entries = []
     emitted = _apply_extraction(
         substrate,
@@ -198,7 +203,7 @@ def test_dust_round_clears_without_emitting():
     assert not emitted
     assert entries == []
     # the near-zero variable was zeroed, acceptance stays for the next round
-    assert state.y[("i", "v1")] == 0.0
+    assert state.residual[state.columns.y[("i", "v1")]] == 0.0
     assert state.x == 1.0
     assert 5e-10 <= WEIGHT_FLOOR
 
@@ -233,6 +238,63 @@ def test_width3_corpus_slice_decomposes():
         dec = decompose_novel(instance.substrate, req, labeled, state)
         check = verify_decomposition(instance.substrate, req, dec, acceptance, loads)
         assert check.ok, instance.name
+
+
+def test_tree_decomposition_rejects_misaligned_order():
+    # the order lists the request's edges sorted, the request does not
+    path = Request.build(
+        "path",
+        {i: ("vm", 1.0, ("v1", "v2", "v3")) for i in ("a", "b", "c")},
+        {
+            e: (1.0, (("v1", "v2"), ("v2", "v3")))
+            for e in (("a", "b"), ("b", "c"))
+        },
+    )
+    request = dataclasses.replace(path, edges=tuple(reversed(path.edges)))
+    substrate, _ = _triangle_fixture()
+    model, index = build_mcf(substrate, [request], "profit")
+    state = index.request_state(solve(model).values, 0)
+    order = build_extraction_order(Digraph.build(request.nodes, request.edges), "a")
+    assert order.edges[0].original != request.edges[0]
+    with pytest.raises(DecompositionError, match="does not match"):
+        decompose_mcf_tree(substrate, request, order, state)
+
+
+def test_decomposition_leaves_the_solution_untouched():
+    # the pipeline decomposes every request from one solution vector
+    checked = 0
+    for instance in tiny_corpus(8):
+        orders = [
+            min_width_order_search(Digraph.build(r.nodes, r.edges))
+            for r in instance.requests
+        ]
+        model, index = build_novel(instance.substrate, instance.requests, orders)
+        values = solve(model).values
+        before = values.copy()
+        for r, req in enumerate(instance.requests):
+            state = index.request_state(values, r)
+            dec = decompose_novel(instance.substrate, req, orders[r], state)
+            checked += bool(dec.entries)
+        assert np.array_equal(values, before)
+    assert checked > 0
+
+
+def test_tree_decomposition_leaves_the_state_untouched():
+    for instance in tree_corpus(6):
+        model, index = build_mcf(instance.substrate, instance.requests, "profit")
+        values = solve(model).values
+        for r, req in enumerate(instance.requests):
+            state = index.request_state(values, r)
+            residual, columns = list(state.residual), copy.deepcopy(state.columns)
+            order = build_extraction_order(
+                Digraph.build(req.nodes, req.edges), req.nodes[0]
+            )
+            dec = decompose_mcf_tree(instance.substrate, req, order, state)
+            assert dec.total_weight == pytest.approx(state.x, abs=1e-6)
+            assert state.residual == residual
+            assert state.columns == columns
+            assert state.columns.gamma == {}
+            assert state.columns is index.columns[r]
 
 
 def test_verifier_flags_tampering():

@@ -40,7 +40,7 @@ def test_flow_formulation_overestimates_gadget(fig3):
     assert state.x == pytest.approx(1.0, abs=1e-6)
     # acceptance spreads over both allowed hosts of each request node
     for i in fig3.requests[0].nodes:
-        hosts = [u for (n, u) in state.y if n == i]
+        hosts = [u for (n, u) in state.columns.y if n == i]
         assert len(hosts) == 2
 
 
