@@ -55,7 +55,7 @@ from .instances import (
     load_instance,
     loads_instance,
 )
-from .lpmodel import LPModel, LPSolution, default_backend, solve, write_lp
+from .lpmodel import LPModel, LPSolution, solve, write_lp
 from .model import (
     Request,
     SubstrateGraph,

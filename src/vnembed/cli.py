@@ -34,7 +34,7 @@ from .instances import (
     dumps_instance,
     load_instance,
 )
-from .lpmodel import default_backend, solve, write_lp
+from .lpmodel import solve, write_lp
 from .model import validate_instance
 from .oracle import DEFAULT_MAPPING_CAP, solve_enumerative
 from .pipeline import (
@@ -186,7 +186,7 @@ def cmd_solve_lp(args) -> int:
     )
     if args.export_lp:
         Path(args.export_lp).write_text(write_lp(model))
-    solution = solve(model, args.solver)
+    solution = solve(model)
     _emit_json(
         {
             "formulation": args.formulation,
@@ -302,7 +302,6 @@ def cmd_round(args) -> int:
         variant=args.variant,
         seed=args.seed,
         max_tries=args.max_tries,
-        backend=args.solver,
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
@@ -331,7 +330,7 @@ def cmd_exact(args) -> int:
     instance = _load(args.instance)
     solution = solve_enumerative(
         instance.substrate, instance.requests, args.variant,
-        relaxation=args.relaxation, cap=args.cap, backend=args.solver,
+        relaxation=args.relaxation, cap=args.cap,
     )
     truncated = [
         enum.request.name for enum in solution.enumerations if enum.truncated
@@ -389,7 +388,6 @@ def _config_from_args(args) -> PipelineConfig:
         variant=args.variant,
         seed=args.seed,
         max_tries=args.max_tries,
-        backend=args.solver,
         var_budget=args.var_budget,
         alpha=args.alpha,
         beta=args.beta,
@@ -512,17 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solver=True):
+    def common(p):
         p.add_argument("--out", help="write output here instead of stdout")
-        if solver:
-            p.add_argument(
-                "--solver", default=None,
-                help=f"LP backend (default: {default_backend()})",
-            )
 
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("instance")
-    common(p, solver=False)
+    common(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("width", help="extraction order analysis per request")
@@ -531,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("per-root-bfs", "exhaustive"),
         default="per-root-bfs",
     )
-    common(p, solver=False)
+    common(p)
     p.set_defaults(fn=cmd_width)
 
     p = sub.add_parser("solve-lp", help="build and solve a relaxation")
@@ -551,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="turn an LP solution into mappings")
     p.add_argument("instance")
     p.add_argument("solution", help="file written by solve-lp --solution-out")
-    common(p, solver=False)
+    common(p)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("round", help="full pipeline, report the rounded solution")
@@ -577,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a named scenario instance")
     p.add_argument("name", nargs="?")
     p.add_argument("--list", action="store_true", help="list scenario names")
-    common(p, solver=False)
+    common(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("run", help="pipeline with full report, multi-instance")

@@ -408,18 +408,22 @@ def _per_root_pass(
 ) -> LabeledExtractionOrder:
     """One pass of ``per-root-bfs``: label ``build(graph, root)`` for each
     root in turn; an order replaces ``best`` only if strictly narrower.
-    Stops at the width floor."""
+    Without a ``best`` the first root's order starts as best. Stops at the
+    width floor."""
     floor = _width_floor(graph)
+    if best is None:
+        best, roots = label_order(build(graph, roots[0])), roots[1:]
     for root in roots:
-        if best is not None and best.width <= floor:
+        if best.width <= floor:
             break
         labeled = label_order(build(graph, root))
-        if best is None or labeled.width < best.width:
+        if labeled.width < best.width:
             best = labeled
-    assert best is not None
     return best
 
 
+# Cap on the edge-reversal flag vectors the exhaustive search would test,
+# summed over the candidate roots: 2**k for a root that k edges miss.
 _EXHAUSTIVE_LIMIT = 1 << 20
 
 
@@ -433,7 +437,7 @@ def _exhaustive_search(
         total += 1 << free
     if total > _EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"exhaustive search would try {total} orientations "
+            f"exhaustive search would try {total} edge-reversal flag vectors "
             f"(limit {_EXHAUSTIVE_LIMIT}); use per-root-bfs"
         )
     best: LabeledExtractionOrder | None = None

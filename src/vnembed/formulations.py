@@ -176,11 +176,13 @@ def build_mcf(
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
     index = NovelVariableIndex(substrate, requests)
     for r, req in enumerate(requests):
-        x = model.add_variable(f"r{r}_x", 0.0, 1.0)
+        x = model.add_variable(f"r{r}_x")
         ys: dict[tuple[str, str], int] = {}
         for i in req.nodes:
             for u in req.allowed_nodes[i]:
-                ys[(i, u)] = model.add_variable(f"r{r}_y_n{req.node_index[i]}_s{substrate.node_index[u]}", 0.0, 1.0)
+                ys[(i, u)] = model.add_variable(
+                    f"r{r}_y_n{req.node_index[i]}_s{substrate.node_index[u]}"
+                )
         cols = RequestColumns(x=x, y=ys)
         for k, e in enumerate(req.edges):
             cols.sub_x[(k, ())] = x
@@ -189,7 +191,7 @@ def build_mcf(
                     cols.sub_y[(k, (), n, u)] = ys[(n, u)]
             cols.sub_z[(k, ())] = {
                 se: model.add_variable(
-                    f"r{r}_z_e{req.edge_index[e]}_se{substrate.edge_index[se]}", 0.0, 1.0
+                    f"r{r}_z_e{req.edge_index[e]}_se{substrate.edge_index[se]}"
                 )
                 for se in req.allowed_edges[e]
             }
@@ -301,12 +303,12 @@ def build_novel(
 
     for r, (req, labeled) in enumerate(zip(requests, orders)):
         order = labeled.order
-        x = model.add_variable(f"r{r}_x", 0.0, 1.0)
+        x = model.add_variable(f"r{r}_x")
         cols = RequestColumns(x=x)
         for i in req.nodes:
             for u in req.allowed_nodes[i]:
                 cols.y[(i, u)] = model.add_variable(
-                    f"r{r}_y_n{req.node_index[i]}_s{sidx[u]}", 0.0, 1.0
+                    f"r{r}_y_n{req.node_index[i]}_s{sidx[u]}"
                 )
 
         edge_mus = [_mappings_of(labels, req) for labels in labeled.labels]
@@ -315,7 +317,7 @@ def build_novel(
             for mu in edge_mus[k]:
                 tag = f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
                 key = (k, mu)
-                cols.sub_x[key] = model.add_variable(f"{tag}_x", 0.0, 1.0)
+                cols.sub_x[key] = model.add_variable(f"{tag}_x")
                 for n in e:
                     if n in labels:
                         hosts: tuple[str, ...] = (mu[labels.index(n)],)
@@ -323,10 +325,10 @@ def build_novel(
                         hosts = req.allowed_nodes[n]
                     for u in hosts:
                         cols.sub_y[(k, mu, n, u)] = model.add_variable(
-                            f"{tag}_y_n{req.node_index[n]}_s{sidx[u]}", 0.0, 1.0
+                            f"{tag}_y_n{req.node_index[n]}_s{sidx[u]}"
                         )
                 cols.sub_z[key] = {
-                    se: model.add_variable(f"{tag}_z_se{seidx[se]}", 0.0, 1.0)
+                    se: model.add_variable(f"{tag}_z_se{seidx[se]}")
                     for se in req.allowed_edges[e]
                 }
 
@@ -338,9 +340,7 @@ def build_novel(
                 for mi, assign in enumerate(mus):
                     for u in req.allowed_nodes[node]:
                         cols.gamma[(node, bi, assign, u)] = model.add_variable(
-                            f"r{r}_g_n{req.node_index[node]}_b{bi}_m{mi}_s{sidx[u]}",
-                            0.0,
-                            1.0,
+                            f"r{r}_g_n{req.node_index[node]}_b{bi}_m{mi}_s{sidx[u]}"
                         )
         index.columns.append(cols)
 
@@ -527,19 +527,14 @@ def embed_mapping(
 
 
 def max_violation(model: LPModel, values: np.ndarray) -> float:
-    """Largest constraint or bound violation of a candidate point."""
+    """Largest row or unit-box violation of a candidate point."""
     worst = 0.0
-    for var_idx, var in enumerate(model.variables):
-        v = values[var_idx]
-        worst = max(worst, var.lower - v)
-        if var.upper is not None:
-            worst = max(worst, v - var.upper)
+    if len(values):
+        worst = max(worst, -float(values.min()), float(values.max()) - 1.0)
     for con in model.constraints:
         lhs = sum(values[i] * c for i, c in con.coefficients)
         if con.sense == EQ:
             worst = max(worst, abs(lhs - con.rhs))
-        elif con.sense == LE:
-            worst = max(worst, lhs - con.rhs)
         else:
-            worst = max(worst, con.rhs - lhs)
+            worst = max(worst, lhs - con.rhs)
     return worst

@@ -1,17 +1,16 @@
-"""A small LP container plus a pluggable solve interface.
+"""A small LP container and its HiGHS solve.
 
-Models are built column by column with stable insertion order, so variable
-indices (and therefore solver inputs and exported files) are reproducible.
-The bundled backend wraps scipy's HiGHS; further backends can be registered
-under a name and selected per call or through the ``VNEMBED_SOLVER``
-environment variable.
+Every LP of the package has variables in [0, 1] and ``<=`` or ``==`` rows,
+so that is all a model can hold. Models are built column by column with
+stable insertion order, so variable indices (and therefore solver inputs
+and exported files) are reproducible. ``solve`` hands the model to scipy's
+HiGHS through the module-level ``linprog``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -22,14 +21,14 @@ MAXIMIZE = "max"
 
 LE = "<="
 EQ = "=="
-GE = ">="
+
+# The solver every report names.
+BACKEND = "highs"
 
 
 @dataclass
 class Variable:
     name: str
-    lower: float = 0.0
-    upper: float | None = None
 
 
 @dataclass
@@ -42,7 +41,7 @@ class Constraint:
 
 @dataclass
 class LPModel:
-    """Linear program over named variables.
+    """Linear program over named variables, each in [0, 1].
 
     Coefficients reference variables by index; ``add_variable`` returns the
     index to use. Duplicate variable names are rejected to keep solution
@@ -55,12 +54,10 @@ class LPModel:
     objective: dict[int, float] = field(default_factory=dict)
     _names: dict[str, int] = field(default_factory=dict)
 
-    def add_variable(
-        self, name: str, lower: float = 0.0, upper: float | None = None
-    ) -> int:
+    def add_variable(self, name: str) -> int:
         if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
-        self.variables.append(Variable(name=name, lower=lower, upper=upper))
+        self.variables.append(Variable(name=name))
         idx = len(self.variables) - 1
         self._names[name] = idx
         return idx
@@ -72,7 +69,7 @@ class LPModel:
         sense: str,
         rhs: float,
     ) -> None:
-        if sense not in (LE, EQ, GE):
+        if sense not in (LE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
         self.constraints.append(
             Constraint(name=name, coefficients=list(coefficients), sense=sense, rhs=rhs)
@@ -89,106 +86,62 @@ class LPModel:
 
 @dataclass
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded | error
+    status: str  # optimal | infeasible | error (a unit box is never unbounded)
     objective_value: float | None
     values: np.ndarray | None
-    model: LPModel
-    backend: str
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
-    def value(self, index: int) -> float:
-        assert self.values is not None, "no solution vector available"
-        return float(self.values[index])
 
-
-def _solve_highs(model: LPModel) -> LPSolution:
+def solve(model: LPModel) -> LPSolution:
+    """Solve with HiGHS; a status other than optimal carries no values."""
     n = model.num_variables
     if n == 0:
         # With no variables every row reads ``0 <sense> rhs``.
         if any(
-            {LE: con.rhs < 0.0, EQ: con.rhs != 0.0, GE: con.rhs > 0.0}[con.sense]
+            con.rhs < 0.0 if con.sense == LE else con.rhs != 0.0
             for con in model.constraints
         ):
-            return LPSolution(
-                status="infeasible", objective_value=None, values=None,
-                model=model, backend="highs",
-            )
-        return LPSolution(
-            status="optimal", objective_value=0.0, values=np.zeros(0), model=model,
-            backend="highs",
-        )
+            return LPSolution(status="infeasible", objective_value=None, values=None)
+        return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
     c = np.zeros(n)
     for idx, coef in model.objective.items():
         c[idx] = coef
     if model.sense == MAXIMIZE:
         c = -c
-    rows_ub: list[tuple[list[tuple[int, float]], float]] = []
-    rows_eq: list[tuple[list[tuple[int, float]], float]] = []
-    for con in model.constraints:
-        if con.sense == EQ:
-            rows_eq.append((con.coefficients, con.rhs))
-        elif con.sense == LE:
-            rows_ub.append((con.coefficients, con.rhs))
-        else:  # >= becomes <= after negation
-            rows_ub.append(
-                ([(i, -coef) for i, coef in con.coefficients], -con.rhs)
-            )
 
-    def matrix(rows):
-        data, ri, ci, rhs = [], [], [], []
-        for r, (coefs, b) in enumerate(rows):
-            rhs.append(b)
-            for i, coef in coefs:
+    def matrix(rows: list[Constraint]):
+        if not rows:
+            return None, None
+        data, ri, ci = [], [], []
+        for r, con in enumerate(rows):
+            for i, coef in con.coefficients:
                 ri.append(r)
                 ci.append(i)
                 data.append(coef)
         mat = csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-        return mat, np.array(rhs)
+        return mat, np.array([con.rhs for con in rows])
 
-    kwargs = {}
-    if rows_ub:
-        kwargs["A_ub"], kwargs["b_ub"] = matrix(rows_ub)
-    if rows_eq:
-        kwargs["A_eq"], kwargs["b_eq"] = matrix(rows_eq)
-    bounds = [(v.lower, v.upper) for v in model.variables]
-    res = linprog(c, bounds=bounds, method="highs", **kwargs)
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+    rows: dict[str, list[Constraint]] = {LE: [], EQ: []}
+    for con in model.constraints:
+        rows[con.sense].append(con)
+    a_ub, b_ub = matrix(rows[LE])
+    a_eq, b_eq = matrix(rows[EQ])
+    res = linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0),
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible"}.get(res.status, "error")
     if status != "optimal":
-        return LPSolution(
-            status=status, objective_value=None, values=None, model=model,
-            backend="highs",
-        )
+        return LPSolution(status=status, objective_value=None, values=None)
     objective = float(res.fun)
     if model.sense == MAXIMIZE:
         objective = -objective
     return LPSolution(
-        status="optimal", objective_value=objective, values=np.asarray(res.x),
-        model=model, backend="highs",
+        status="optimal", objective_value=objective, values=np.asarray(res.x)
     )
-
-
-SOLVERS: dict[str, Callable[[LPModel], LPSolution]] = {"highs": _solve_highs}
-
-SOLVER_ENV_VAR = "VNEMBED_SOLVER"
-
-
-def default_backend() -> str:
-    return os.environ.get(SOLVER_ENV_VAR, "highs")
-
-
-def solve(model: LPModel, backend: str | None = None) -> LPSolution:
-    """Solve with the named backend (default from ``VNEMBED_SOLVER``)."""
-    name = backend or default_backend()
-    try:
-        fn = SOLVERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {name!r}; registered: {sorted(SOLVERS)}"
-        ) from None
-    return fn(model)
 
 
 def write_lp(model: LPModel) -> str:
@@ -197,13 +150,12 @@ def write_lp(model: LPModel) -> str:
     lines.append(" obj: " + _linear_expr(model.objective.items(), model))
     lines.append("Subject To")
     for con in model.constraints:
-        op = {LE: "<=", GE: ">=", EQ: "="}[con.sense]
+        op = "=" if con.sense == EQ else "<="
         expr = _linear_expr(con.coefficients, model)
         lines.append(f" {con.name}: {expr} {op} {con.rhs!r}")
     lines.append("Bounds")
     for var in model.variables:
-        hi = "+inf" if var.upper is None else repr(var.upper)
-        lines.append(f" {var.lower!r} <= {var.name} <= {hi}")
+        lines.append(f" 0.0 <= {var.name} <= 1.0")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

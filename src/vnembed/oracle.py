@@ -98,7 +98,8 @@ def enumerate_valid_mappings(
                 edge_map=dict(zip(request.edges, path_combo)),
             )
             ok, why = check_valid_mapping(substrate, request, mapping)
-            assert ok, f"enumerated mapping invalid: {why}"
+            if not ok:
+                raise RuntimeError(f"enumerated mapping invalid: {why}")
             mappings.append(mapping)
             if len(mappings) >= cap:
                 truncated = True
@@ -124,7 +125,6 @@ def solve_enumerative(
     objective: str = "profit",
     relaxation: str = "lp",
     cap: int = DEFAULT_MAPPING_CAP,
-    backend: str | None = None,
 ) -> EnumerativeSolution:
     """Optimize over explicit mapping enumerations.
 
@@ -138,17 +138,17 @@ def solve_enumerative(
         raise ValueError(f"unknown relaxation {relaxation!r}")
     enums = [enumerate_valid_mappings(substrate, req, cap=cap) for req in requests]
     if relaxation == "lp":
-        return _enumerative_lp(substrate, requests, enums, objective, backend)
+        return _enumerative_lp(substrate, requests, enums, objective)
     return _enumerative_ip(substrate, requests, enums, objective)
 
 
-def _enumerative_lp(substrate, requests, enums, objective, backend):
+def _enumerative_lp(substrate, requests, enums, objective):
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
     weight_vars: list[list[int]] = []
     allocations: list[list[dict[Resource, float]]] = []
     for r, enum in enumerate(enums):
         vs = [
-            model.add_variable(f"f_r{r}_k{k}", 0.0, 1.0)
+            model.add_variable(f"f_r{r}_k{k}")
             for k in range(len(enum.mappings))
         ]
         weight_vars.append(vs)
@@ -179,17 +179,13 @@ def _enumerative_lp(substrate, requests, enums, objective, backend):
                     coeffs.append((v, amt))
         if coeffs:
             model.add_constraint(f"cap_res{kr}", coeffs, LE, substrate.capacity(res))
-    sol = solve(model, backend=backend)
+    sol = solve(model)
     if not sol.optimal:
         return EnumerativeSolution(
             status=sol.status, objective_value=None, assignment=[], enumerations=enums
         )
     assignment = [
-        [
-            (sol.value(v), k)
-            for k, v in enumerate(vs)
-            if sol.value(v) > 1e-9
-        ]
+        [(float(sol.values[v]), k) for k, v in enumerate(vs) if sol.values[v] > 1e-9]
         for vs in weight_vars
     ]
     return EnumerativeSolution(

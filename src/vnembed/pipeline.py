@@ -17,8 +17,7 @@ built over exactly the requests that solo preprocessing would keep.
 
 Reports serialize deterministically: keys are emitted in a fixed order
 and wall-clock timings are left out unless explicitly requested, so two
-runs with the same instance, seed and backend produce byte-identical
-JSON.
+runs with the same instance and seed produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .decomposition import ConvexDecomposition, decompose_novel, verify_decompos
 from .extraction import Digraph, LabeledExtractionOrder, min_width_order_search
 from .formulations import BudgetExceededError, NovelVariableIndex, build_novel
 from .instances import Instance
-from .lpmodel import LPModel, LPSolution, solve
+from .lpmodel import BACKEND, LPModel, LPSolution, solve
 from .model import (
     EDGE,
     NODE,
@@ -74,7 +73,6 @@ class PipelineConfig:
     variant: str = "profit"
     seed: int = 0
     max_tries: int = MAX_TRIES_DEFAULT
-    backend: str | None = None
     order_strategy: str = "per-root-bfs"
     var_budget: int | None = None
     alpha: float | None = None
@@ -89,7 +87,6 @@ class RunReport:
     instance_name: str
     variant: str
     seed: int
-    backend: str
     requests: list[dict[str, Any]]
     lp: dict[str, Any]
     bounds: dict[str, float]
@@ -103,7 +100,7 @@ class RunReport:
             "instance": self.instance_name,
             "variant": self.variant,
             "seed": self.seed,
-            "backend": self.backend,
+            "backend": BACKEND,
             "requests": self.requests,
             "lp": self.lp,
             "bounds": self.bounds,
@@ -216,7 +213,6 @@ def run_pipeline(
                     instance.substrate,
                     [requests[r] for r in uncertified],
                     [orders[r] for r in uncertified],
-                    config.backend,
                 )
             except Exception as err:
                 raise PipelineError("preprocess", str(err)) from err
@@ -334,7 +330,6 @@ def run_pipeline(
         instance_name=instance.name,
         variant=config.variant,
         seed=config.seed,
-        backend=solution.backend,
         requests=request_rows,
         lp=lp_row,
         bounds={
@@ -372,7 +367,7 @@ def _solve_joint(
     except BudgetExceededError as err:
         raise PipelineError("build-lp", str(err)) from err
     t1 = time.perf_counter()
-    solution = solve(model, config.backend)
+    solution = solve(model)
     t2 = time.perf_counter()
     timings["build-lp"] = timings.get("build-lp", 0.0) + t1 - t0
     timings["solve-lp"] = timings.get("solve-lp", 0.0) + t2 - t1

@@ -125,7 +125,6 @@ def preprocess_profit(
     substrate: SubstrateGraph,
     requests: Sequence[Request],
     labeled_orders: Sequence[LabeledExtractionOrder],
-    backend: str | None = None,
 ) -> tuple[list[Request], list[LabeledExtractionOrder], list[str]]:
     """Drop requests that cannot be fully accepted on their own.
 
@@ -143,7 +142,7 @@ def preprocess_profit(
     dropped: list[str] = []
     for req, labeled in zip(requests, labeled_orders):
         model, index = build_novel(substrate, [req], [labeled], "profit")
-        solution = solve(model, backend)
+        solution = solve(model)
         if not solution.optimal:
             raise RuntimeError(
                 f"solo LP of request {req.name!r}: solver returned "
@@ -302,10 +301,8 @@ def _sample(
     ]
     streams = request_streams(seed, len(requests))
     records: list[TryRecord] = []
-    best: RoundedSolution | None = None
-    tries = 0
-    for attempt in range(max(max_tries, 1)):
-        tries = attempt + 1
+
+    def draw(attempt: int) -> RoundedSolution:
         selection: dict[str, ValidMapping | None] = {}
         embedded = []
         loads = []
@@ -342,28 +339,29 @@ def _sample(
                 accepted=report.ok,
             )
         )
-        candidate = RoundedSolution(
+        return RoundedSolution(
             variant=variant,
             selection=selection,
             objective_value=objective,
             utilization=utilization,
             accepted=report.ok,
-            tries_used=tries,
+            tries_used=attempt + 1,
             seed=seed,
         )
-        if report.ok:
-            candidate.records = records
-            return candidate
-        if best is None or (
-            objective < best.objective_value
+
+    best = last = draw(0)
+    while not last.accepted and last.tries_used < max_tries:
+        last = draw(last.tries_used)
+        if (
+            last.objective_value < best.objective_value
             if cost
-            else objective > best.objective_value
+            else last.objective_value > best.objective_value
         ):
-            best = candidate
-    assert best is not None
-    best.tries_used = tries
-    best.records = records
-    return best
+            best = last
+    result = last if last.accepted else best
+    result.tries_used = last.tries_used
+    result.records = records
+    return result
 
 
 def _worst(utilization: Mapping[Resource, float], kind: str) -> float:

@@ -419,6 +419,19 @@ def test_search_strategies_and_errors():
     with pytest.raises(ValueError, match="candidate root"):
         min_width_order_search(g, roots=[])
 
+
+def test_exhaustive_search_refuses_oversized_graphs():
+    # 25 nodes and 47 edges: the hub misses the 23 outer edges, the two
+    # path ends miss 45 edges and the 22 inner outer nodes 44
+    wheel = generate_half_wheel(24)
+    total = 2**23 + 2 * 2**45 + 22 * 2**44
+    with pytest.raises(
+        ValueError,
+        match=rf"would try {total} edge-reversal flag vectors "
+        r"\(limit 1048576\); use per-root-bfs",
+    ):
+        min_width_order_search(wheel, strategy="exhaustive")
+
     ring = [f"v{k:02d}" for k in range(24)]
     big = Digraph.build(
         tuple(ring), tuple((ring[k], ring[(k + 1) % 24]) for k in range(24))

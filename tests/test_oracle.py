@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import vnembed.oracle
 from vnembed import (
     Request,
     SubstrateGraph,
@@ -36,6 +37,14 @@ def test_cost_gadget_has_exactly_one_mapping(fig3_gadget):
     assert mapping_cost(
         fig3_gadget.substrate, fig3_gadget.requests[0], only
     ) == pytest.approx(105.0)
+
+
+def test_invalid_enumerated_mapping_raises(fig3_gadget, monkeypatch):
+    monkeypatch.setattr(
+        vnembed.oracle, "check_valid_mapping", lambda *args: (False, "rigged")
+    )
+    with pytest.raises(RuntimeError, match="enumerated mapping invalid: rigged"):
+        enumerate_valid_mappings(fig3_gadget.substrate, fig3_gadget.requests[0])
 
 
 def test_unrestricted_chain_count_is_exhaustive():

@@ -25,7 +25,7 @@ from vnembed import (
 )
 from vnembed.formulations import build_novel, count_novel_variables
 from vnembed.instances import Instance
-from vnembed.lpmodel import SOLVERS, LPSolution, solve
+from vnembed.lpmodel import LPSolution, solve
 from vnembed.rounding import preprocess_profit
 from vnembed.scenarios import scenario_instance
 
@@ -115,34 +115,35 @@ def test_timings_are_opt_in(fig3_gadget):
 
 
 def _broken(model):
-    return LPSolution(
-        status="error", objective_value=None, values=None, model=model,
-        backend="broken",
-    )
+    return LPSolution(status="error", objective_value=None, values=None)
 
 
 def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
     # fig3's request stays below acceptance 1 in the joint LP, so its solo
-    # LP runs: the first solve is the joint one, every later one fails
-    highs = SOLVERS["highs"]
+    # LP runs: the joint solve succeeds, every solo one fails
     calls = []
 
-    def joint_only(model):
+    def joint(model):
         calls.append(model)
-        return highs(model) if len(calls) == 1 else _broken(model)
+        return solve(model)
 
-    monkeypatch.setitem(SOLVERS, "joint-only", joint_only)
+    def solo(model):
+        calls.append(model)
+        return _broken(model)
+
+    monkeypatch.setattr(vnembed.pipeline, "solve", joint)
+    monkeypatch.setattr(vnembed.rounding, "solve", solo)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(fig3, PipelineConfig(variant="profit", backend="joint-only"))
+        run_pipeline(fig3, PipelineConfig(variant="profit"))
     assert len(calls) == 2
     assert err.value.stage == "preprocess"
     assert "solver returned error" in str(err.value)
 
 
 def test_joint_lp_failure_stops_at_solve_lp(fig3_gadget, monkeypatch):
-    monkeypatch.setitem(SOLVERS, "broken", _broken)
+    monkeypatch.setattr(vnembed.pipeline, "solve", _broken)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", backend="broken"))
+        run_pipeline(fig3_gadget, PipelineConfig(variant="profit"))
     assert err.value.stage == "solve-lp"
     assert "solver returned error" in str(err.value)
 
