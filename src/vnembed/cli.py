@@ -501,6 +501,13 @@ def _code_for(err: Exception) -> int:
     return EXIT_INTERNAL
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vnembed",
@@ -551,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tries", type=int, default=MAX_TRIES_DEFAULT)
+    p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -577,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instances", nargs="+")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tries", type=int, default=MAX_TRIES_DEFAULT)
+    p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)

@@ -118,6 +118,16 @@ class SubstrateGraph:
         edge_part = [edge_resource(*e) for e in self.edges]
         return tuple(node_part + edge_part)
 
+    @cached_property
+    def resource_column(self) -> dict[Resource, int]:
+        """Position of each resource in ``resources``."""
+        return {res: k for k, res in enumerate(self.resources)}
+
+    @cached_property
+    def capacities(self) -> tuple[float, ...]:
+        """Capacity of each resource, in ``resources`` order."""
+        return tuple(self.capacity(res) for res in self.resources)
+
     def capacity(self, res: Resource) -> float:
         if res[0] == NODE:
             return self.node_capacity[(res[1], res[2])]
@@ -416,7 +426,15 @@ def mapping_cost(
     substrate: SubstrateGraph, request: Request, mapping: ValidMapping
 ) -> float:
     """Total substrate cost of a valid mapping: sum of cost times allocation."""
-    alloc = compute_allocations(substrate, request, mapping)
+    return allocation_cost(
+        substrate, compute_allocations(substrate, request, mapping)
+    )
+
+
+def allocation_cost(
+    substrate: SubstrateGraph, alloc: Mapping[Resource, float]
+) -> float:
+    """Cost of one ``compute_allocations`` result."""
     return sum(substrate.cost(res) * amount for res, amount in alloc.items())
 
 
@@ -447,7 +465,9 @@ def collection_feasible(
     for alloc in allocations:
         for res, amount in alloc.items():
             load[res] += amount
-    utilization = {res: load[res] / substrate.capacity(res) for res in load}
+    utilization = {
+        res: load[res] / cap for res, cap in zip(load, substrate.capacities)
+    }
     ok = all(
         utilization[res] <= (node_slack if res[0] == NODE else edge_slack) + tol
         for res in load

@@ -50,7 +50,7 @@ from .rounding import (
     GuaranteeError,
     RoundedSolution,
     RoundingBounds,
-    _worst,
+    check_tri_criteria,
     compute_bounds,
     preprocess_profit,
     prune_costly_mappings,
@@ -156,6 +156,10 @@ def run_pipeline(
     rounded solution (whose try records feed the diagnostics CSV)."""
     if config.variant not in ("profit", "cost"):
         raise PipelineError("config", f"unknown variant {config.variant!r}")
+    if config.max_tries < 1:
+        raise PipelineError(
+            "config", f"max_tries must be at least 1, got {config.max_tries}"
+        )
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -311,7 +315,9 @@ def run_pipeline(
             raise PipelineError("round", str(err)) from err
     timings["round"] = time.perf_counter() - t0
 
-    _verify_rounding(instance, requests, rounded, config.variant)
+    _verify_rounding(
+        instance, requests, rounded, config.variant, bounds, lp_objective
+    )
 
     rounding_row = {
         "accepted": rounded.accepted,
@@ -394,12 +400,24 @@ def _apply_overrides(
     return dataclasses.replace(bounds, **updates) if updates else bounds
 
 
+def _worst(utilization: dict, kind: str) -> float:
+    return max(
+        (used for res, used in utilization.items() if res[0] == kind),
+        default=0.0,
+    )
+
+
 def _verify_rounding(
     instance: Instance,
     requests: Sequence,
     rounded: RoundedSolution,
     variant: str,
+    bounds: RoundingBounds,
+    lp_objective: float,
 ) -> None:
+    """Recompute the rounded objective, loads and accept flag from the
+    selection alone and raise ``PipelineError("verify", ...)`` on any
+    disagreement with what the sampler reported."""
     by_name = {req.name: req for req in requests}
     embedded = []
     objective = 0.0
@@ -424,3 +442,13 @@ def _verify_rounding(
             raise PipelineError(
                 "verify", f"utilization mismatch on {res}"
             )
+    accepted = check_tri_criteria(
+        objective, utilization, bounds, lp_objective, variant
+    ).ok
+    if accepted != rounded.accepted or accepted != rounded.records[-1].accepted:
+        raise PipelineError(
+            "verify",
+            f"tri-criteria recheck says accepted={accepted}, sampler reported "
+            f"accepted={rounded.accepted}, last try "
+            f"accepted={rounded.records[-1].accepted}",
+        )

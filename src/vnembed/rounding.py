@@ -2,19 +2,24 @@
 
 The profit variant samples one mapping per request according to the
 decomposition weights (embedding nothing with the leftover probability)
-and accepts the first draw that keeps at least a third of the LP profit
+and accepts the first try that keeps at least a third of the LP profit
 while overloading node capacities by at most ``beta`` and edge capacities
 by at most ``gamma``. The cost variant first discards mappings costing
 more than twice the request's LP cost share, renormalizes, and then every
-draw embeds all requests at total cost at most twice the LP cost; only
+try embeds all requests at total cost at most twice the LP cost; only
 the load criteria remain random there. Both variants run one sampling
-loop; the variant only decides what a draw adds to the objective, what
+routine; the variant only decides what a try adds to the objective, what
 leftover mass does, whether the cost cap is checked and which fallback
 counts as best.
 
 Per-request randomness comes from independent PCG64 substreams seeded
-with ``(seed, request_index)``, one uniform draw per try, so runs are
-reproducible per request regardless of how many other requests exist.
+with ``(seed, request_index)``, so runs are reproducible per request
+regardless of how many other requests exist. Tries are evaluated in
+blocks of growing size: each request draws a block of uniforms from its
+stream at once (on PCG64 the same values as that many single draws), and
+the whole block is picked, summed and checked with array operations. The
+result is the first passing try; draws past it are discarded and never
+affect the outcome, so a run equals a try-by-try loop that stops there.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .model import (
     Resource,
     SubstrateGraph,
     ValidMapping,
+    allocation_cost,
     collection_feasible,
     compute_allocations,
     mapping_cost,
@@ -45,6 +51,10 @@ from .model import (
 ACCEPT_TOL = 1e-9
 WEIGHT_TOL = 1e-6
 MAX_TRIES_DEFAULT = 128
+# Tries per block grow 1, 8, 64, 512, 512, ...: a try accepted at once
+# costs one draw, and no block holds more than BLOCK_MAX rows of loads.
+BLOCK_GROWTH = 8
+BLOCK_MAX = 512
 
 
 class GuaranteeError(RuntimeError):
@@ -230,15 +240,30 @@ def request_streams(seed: int, count: int) -> list[np.random.Generator]:
     ]
 
 
+def _cumulative_weights(decomposition: ConvexDecomposition) -> np.ndarray:
+    """Running sums of the entry weights; ``cumsum`` adds them in order,
+    as a scalar ``acc += weight`` loop does."""
+    weights = np.array([entry.weight for entry in decomposition.entries], dtype=float)
+    return weights.cumsum()
+
+
+def _pick(cumulative: np.ndarray, draws):
+    """Per draw, the first entry whose running weight sum exceeds it;
+    ``len(cumulative)`` stands for the leftover mass. Weights are
+    nonnegative, so the sums are sorted."""
+    return np.searchsorted(cumulative, draws, side="right")
+
+
 def sample_entry(decomposition: ConvexDecomposition, draw: float) -> int | None:
     """Index of the entry whose cumulative weight interval contains the
     draw, or None for the leftover mass."""
-    acc = 0.0
-    for idx, entry in enumerate(decomposition.entries):
-        acc += entry.weight
-        if draw < acc:
-            return idx
-    return None
+    idx = int(_pick(_cumulative_weights(decomposition), draw))
+    return idx if idx < len(decomposition.entries) else None
+
+
+def _check_max_tries(max_tries: int) -> None:
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
 
 
 def round_profit(
@@ -259,6 +284,7 @@ def round_profit(
     """
     if len(decompositions) != len(requests):
         raise ValueError("one decomposition per request required")
+    _check_max_tries(max_tries)
     return _sample(
         substrate, requests, decompositions, bounds, lp_optimum, seed,
         max_tries, "profit",
@@ -275,99 +301,146 @@ def _sample(
     max_tries: int,
     variant: str,
 ) -> RoundedSolution:
-    """The sampling loop of both variants.
+    """The sampling routine of both variants.
 
-    Each try draws one entry per request and adds the request's profit or
+    Each try picks one entry per request and adds the request's profit or
     the mapping's cost to the objective. Leftover mass embeds nothing under
     profit; under cost the renormalized weights sum to 1, so leftover mass
-    is numerical only and takes the last entry. Each entry's allocation
-    and objective term are computed once per call; a try only adds up
-    those of its picks. Cost draws are checked against the 2x cap. The
-    first try meeting the tri-criteria is returned; otherwise the
-    highest-profit or lowest-cost try, ``accepted=False``.
+    is numerical only and takes the last entry.
+
+    Per request, a dense allocation matrix over ``substrate.resources``
+    (one row per entry plus an all-zero row for "embed nothing") and a
+    vector of objective terms are built once. Tries then run in blocks:
+    every request draws the block's uniforms, picks rows, and the rows are
+    added in request order, so each objective and load is the same float
+    sum a try-by-try loop gives. Utilization and the three margins follow
+    ``check_tri_criteria``. The first passing try is returned; if none of
+    ``max_tries`` passes, the first highest-profit or lowest-cost try,
+    ``accepted=False``. Only the tries up to the first passing one (or all
+    ``max_tries``) count: they get a ``TryRecord`` each, and under cost
+    any of them exceeding the 2x cap raises ``GuaranteeError``.
     """
     cost = variant == "cost"
     cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
-    allocations = [
-        [compute_allocations(substrate, req, entry.mapping) for entry in dec.entries]
-        for req, dec in zip(requests, decompositions)
-    ]
-    terms = [
-        [
-            mapping_cost(substrate, req, entry.mapping) if cost else req.profit
+    columns = substrate.resource_column
+    capacities = np.array(substrate.capacities)
+    node_count = len(substrate.node_capacity)
+    allocations = []
+    load_rows = []
+    terms = []
+    cumulative = []
+    for req, dec in zip(requests, decompositions):
+        allocs = [
+            compute_allocations(substrate, req, entry.mapping)
             for entry in dec.entries
         ]
-        for req, dec in zip(requests, decompositions)
-    ]
+        rows = np.zeros((len(allocs) + 1, len(columns)))
+        for k, alloc in enumerate(allocs):
+            for res, amount in alloc.items():
+                rows[k, columns[res]] = amount
+        allocations.append(allocs)
+        load_rows.append(rows)
+        terms.append(np.array(
+            [allocation_cost(substrate, a) if cost else req.profit for a in allocs]
+            + [0.0]
+        ))
+        cumulative.append(_cumulative_weights(dec))
+    objective_target = bounds.alpha * lp_optimum
     streams = request_streams(seed, len(requests))
+
     records: list[TryRecord] = []
-
-    def draw(attempt: int) -> RoundedSolution:
-        selection: dict[str, ValidMapping | None] = {}
-        embedded = []
-        loads = []
-        objective = 0.0
-        for r, req in enumerate(requests):
-            pick = sample_entry(decompositions[r], streams[r].uniform())
-            if pick is None and cost:
-                pick = len(decompositions[r].entries) - 1
-            if pick is None:
-                selection[req.name] = None
-                continue
-            mapping = decompositions[r].entries[pick].mapping
-            selection[req.name] = mapping
-            embedded.append((req, mapping))
-            loads.append(allocations[r][pick])
+    best_objective = math.inf if cost else -math.inf
+    best_picks: list[int] = []
+    chosen: list[int] | None = None
+    start = 0
+    block = 1
+    while start < max_tries:
+        n = min(block, max_tries - start)
+        block = min(block * BLOCK_GROWTH, BLOCK_MAX)
+        picks = []
+        objective = np.zeros(n)
+        load = np.zeros((n, len(columns)))
+        for r, stream in enumerate(streams):
+            pick = _pick(cumulative[r], stream.uniform(size=n))
+            if cost:
+                np.minimum(pick, len(cumulative[r]) - 1, out=pick)
+            picks.append(pick)
             objective += terms[r][pick]
-        if cost and objective > cap:
-            raise GuaranteeError(
-                f"sampled cost {objective:.8f} exceeds twice the LP cost "
-                f"{lp_optimum:.8f}"
-            )
-        _, utilization = collection_feasible(
-            substrate, embedded, allocations=loads
+            load += load_rows[r][pick]
+        utilization = load / capacities
+        if cost:
+            objective_margin = objective_target - objective
+        else:
+            objective_margin = objective - objective_target
+        node_use = utilization[:, :node_count]
+        edge_use = utilization[:, node_count:]
+        node_margin = (bounds.beta - node_use).min(axis=1, initial=math.inf)
+        edge_margin = (bounds.gamma - edge_use).min(axis=1, initial=math.inf)
+        ok = (
+            (objective_margin >= -ACCEPT_TOL)
+            & (node_margin >= -ACCEPT_TOL)
+            & (edge_margin >= -ACCEPT_TOL)
         )
-        report = check_tri_criteria(
-            objective, utilization, bounds, lp_optimum, variant
+        passing = np.flatnonzero(ok)
+        used = int(passing[0]) + 1 if passing.size else n
+        if cost:
+            over = np.flatnonzero(objective[:used] > cap)
+            if over.size:
+                raise GuaranteeError(
+                    f"sampled cost {float(objective[over[0]]):.8f} exceeds "
+                    f"twice the LP cost {lp_optimum:.8f}"
+                )
+        worst_node = (
+            node_use[:used].max(axis=1) if node_count else np.zeros(used)
         )
-        records.append(
-            TryRecord(
-                index=attempt,
-                objective=objective,
-                max_node_utilization=_worst(utilization, NODE),
-                max_edge_utilization=_worst(utilization, EDGE),
-                accepted=report.ok,
-            )
+        worst_edge = (
+            edge_use[:used].max(axis=1) if edge_use.shape[1] else np.zeros(used)
         )
-        return RoundedSolution(
-            variant=variant,
-            selection=selection,
-            objective_value=objective,
-            utilization=utilization,
-            accepted=report.ok,
-            tries_used=attempt + 1,
-            seed=seed,
+        records.extend(
+            TryRecord(start + k, obj, node, edge, accepted)
+            for k, (obj, node, edge, accepted) in enumerate(zip(
+                objective[:used].tolist(), worst_node.tolist(),
+                worst_edge.tolist(), ok[:used].tolist(),
+            ))
         )
+        if passing.size:
+            chosen = [int(pick[passing[0]]) for pick in picks]
+            break
+        k = int(np.argmin(objective) if cost else np.argmax(objective))
+        if objective[k] < best_objective if cost else objective[k] > best_objective:
+            best_objective = float(objective[k])
+            best_picks = [int(pick[k]) for pick in picks]
+        start += n
+    accepted = chosen is not None
+    if chosen is None:
+        chosen = best_picks
 
-    best = last = draw(0)
-    while not last.accepted and last.tries_used < max_tries:
-        last = draw(last.tries_used)
-        if (
-            last.objective_value < best.objective_value
-            if cost
-            else last.objective_value > best.objective_value
-        ):
-            best = last
-    result = last if last.accepted else best
-    result.tries_used = last.tries_used
-    result.records = records
-    return result
-
-
-def _worst(utilization: Mapping[Resource, float], kind: str) -> float:
-    return max(
-        (used for res, used in utilization.items() if res[0] == kind),
-        default=0.0,
+    selection: dict[str, ValidMapping | None] = {}
+    embedded = []
+    picked_allocations = []
+    objective_value = 0.0
+    for r, (req, dec) in enumerate(zip(requests, decompositions)):
+        pick = chosen[r]
+        if pick == len(dec.entries):
+            selection[req.name] = None
+            continue
+        mapping = dec.entries[pick].mapping
+        selection[req.name] = mapping
+        embedded.append((req, mapping))
+        picked_allocations.append(allocations[r][pick])
+        objective_value += float(terms[r][pick])
+    _, utilization = collection_feasible(
+        substrate, embedded, allocations=picked_allocations
+    )
+    return RoundedSolution(
+        variant=variant,
+        selection=selection,
+        objective_value=objective_value,
+        utilization=utilization,
+        accepted=accepted,
+        tries_used=len(records),
+        seed=seed,
+        records=records,
     )
 
 
@@ -456,6 +529,7 @@ def round_cost(
                 f"request {req.name!r} has an empty decomposition; "
                 "the cost variant must embed every request"
             )
+    _check_max_tries(max_tries)
     return _sample(
         substrate, requests, decompositions, bounds, lp_cost, seed, max_tries,
         "cost",

@@ -418,6 +418,16 @@ def test_round_unreachable_load_target_exits_four(tmp_path, capsys):
     assert report["accepted"] is False
 
 
+@pytest.mark.parametrize("command", ["round", "run"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_tries_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    path = _generate(tmp_path, "tree:3")
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), "--max-tries", value])
+    assert err.value.code == 2
+    assert "--max-tries: must be at least 1" in capsys.readouterr().err
+
+
 def test_round_infeasible_cost_exits_three(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["round", str(path), "--variant", "cost"]) == 3

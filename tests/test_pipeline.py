@@ -269,6 +269,28 @@ def test_cost_cap_violation_names_its_stage(fig3_gadget, monkeypatch):
     assert "exceeds twice the LP cost" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["accepted", "last_record"])
+def test_verify_rechecks_the_accept_flag(fig3_gadget, monkeypatch, field):
+    real = vnembed.pipeline.round_profit
+
+    def flipped(*args):
+        rounded = real(*args)
+        if field == "accepted":
+            rounded.accepted = not rounded.accepted
+        else:
+            last = rounded.records[-1]
+            rounded.records[-1] = dataclasses.replace(
+                last, accepted=not last.accepted
+            )
+        return rounded
+
+    monkeypatch.setattr(vnembed.pipeline, "round_profit", flipped)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", seed=1))
+    assert err.value.stage == "verify"
+    assert "tri-criteria recheck says accepted=True" in str(err.value)
+
+
 _COST_CAP_SCRIPT = """
 import sys
 from vnembed import (

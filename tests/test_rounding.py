@@ -7,15 +7,21 @@ import math
 
 import pytest
 
+import vnembed.pipeline
 from vnembed import (
     ConvexDecomposition,
     DecompositionEntry,
     Digraph,
+    GuaranteeError,
+    PipelineConfig,
+    PipelineError,
     Request,
     SubstrateGraph,
     ValidMapping,
     bounds_from_parameters,
     check_tri_criteria,
+    collection_feasible,
+    compute_allocations,
     compute_bounds,
     mapping_cost,
     min_width_order_search,
@@ -23,8 +29,16 @@ from vnembed import (
     prune_costly_mappings,
     round_cost,
     round_profit,
+    run_pipeline,
 )
-from vnembed.rounding import request_streams, sample_entry
+from vnembed.model import EDGE, NODE
+from vnembed.rounding import (
+    WEIGHT_TOL,
+    RoundedSolution,
+    TryRecord,
+    request_streams,
+    sample_entry,
+)
 
 
 class TestBoundFormulas:
@@ -357,3 +371,272 @@ class TestTriCriteria:
         assert report.node_margin == pytest.approx(1.0 - 1.2)
         assert report.edge_margin == pytest.approx(1.0 - 0.7)
         assert not report.ok
+
+
+class TestTryLimit:
+    @pytest.mark.parametrize("max_tries", [0, -3])
+    def test_fewer_than_one_try_is_rejected(self, max_tries):
+        substrate, req, _, dec = _single_mapping_setup()
+        profit = compute_bounds(substrate, [req], "profit")
+        with pytest.raises(ValueError, match="max_tries must be at least 1"):
+            round_profit(
+                substrate, [req], [dec], profit, req.profit, seed=0,
+                max_tries=max_tries,
+            )
+        cost = compute_bounds(substrate, [req], "cost")
+        lp_cost = mapping_cost(substrate, req, dec.entries[0].mapping)
+        with pytest.raises(ValueError, match="max_tries must be at least 1"):
+            round_cost(
+                substrate, [req], [dec], cost, lp_cost, seed=0,
+                max_tries=max_tries,
+            )
+
+    def test_pipeline_rejects_it_before_building_an_lp(
+        self, fig3_gadget, monkeypatch
+    ):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(vnembed.pipeline, "build_novel", no_lp)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(fig3_gadget, PipelineConfig(max_tries=0))
+        assert err.value.stage == "config"
+        assert "max_tries must be at least 1, got 0" in str(err.value)
+
+    def test_huge_limit_stops_at_the_first_accepted_try(self):
+        # the block schedule starts with one try, so a certain entry never
+        # draws (or allocates loads for) more than that one try
+        substrate, req, mapping, dec = _single_mapping_setup()
+        bounds = compute_bounds(substrate, [req], "profit")
+        out = round_profit(
+            substrate, [req], [dec], bounds, req.profit, seed=0,
+            max_tries=10**9,
+        )
+        assert out.accepted
+        assert out.tries_used == 1
+        assert len(out.records) == 1
+        assert out.selection["pair"] == mapping
+
+
+def _cap_ladder():
+    """Hosts costing 1, 10 and 100 per unit; only h10 is small (capacity 1)."""
+    substrate = SubstrateGraph.build(
+        {
+            "h1": {"vm": (10.0, 1.0)},
+            "h10": {"vm": (1.0, 10.0)},
+            "h100": {"vm": (10.0, 100.0)},
+        },
+        {},
+    )
+    req = Request.build("p", {"i": ("vm", 1.0, ("h1", "h10", "h100"))}, {}, profit=1.0)
+    return substrate, req
+
+
+class TestCostCapBoundary:
+    """With LP cost 10 the cap is 20 (plus tolerance). Under beta = 0.5 an
+    h10 try fails the load test at cost 10, an h1 try is accepted and an
+    h100 try costs 100, over the cap. Tries 1-8 form the second block."""
+
+    HOSTS = ("h10", "h1", "h100")
+    WEIGHTS = (0.6, 0.2, 0.2)
+
+    def _round(self, seed, alpha=None):
+        substrate, req = _cap_ladder()
+        bounds = dataclasses.replace(
+            compute_bounds(substrate, [req], "cost"), beta=0.5
+        )
+        if alpha is not None:
+            bounds = dataclasses.replace(bounds, alpha=alpha)
+        dec = _dec(list(zip(self.WEIGHTS, self.HOSTS)))
+        return round_cost(substrate, [req], [dec], bounds, 10.0, seed, max_tries=9)
+
+    def _seed_with(self, wanted):
+        """First seed whose first nine picks start with ``wanted``."""
+        dec = _dec(list(zip(self.WEIGHTS, self.HOSTS)))
+        for seed in range(10_000):
+            (stream,) = request_streams(seed, 1)
+            picks = [
+                self.HOSTS[sample_entry(dec, u)] for u in stream.uniform(size=9)
+            ]
+            if wanted(picks):
+                return seed
+        raise AssertionError("no seed draws the wanted picks")
+
+    def test_over_cap_try_before_the_accepted_one_raises(self):
+        seed = self._seed_with(
+            lambda p: p[:3] == ["h10", "h100", "h1"]
+        )
+        with pytest.raises(GuaranteeError, match="sampled cost 100.00000000"):
+            self._round(seed)
+
+    def test_over_cap_try_that_would_be_accepted_raises(self):
+        # alpha 20 admits a cost of 200, but the cap still forbids 100
+        seed = self._seed_with(lambda p: p[:2] == ["h10", "h100"])
+        with pytest.raises(GuaranteeError, match="exceeds twice the LP cost"):
+            self._round(seed, alpha=20.0)
+
+    def test_over_cap_tries_after_the_accepted_one_are_ignored(self):
+        seed = self._seed_with(
+            lambda p: p[:2] == ["h10", "h1"] and "h100" in p[2:]
+        )
+        out = self._round(seed)
+        assert out.accepted
+        assert out.tries_used == 2
+        assert [r.objective for r in out.records] == [10.0, 1.0]
+        assert out.selection["p"].node_map == {"i": "h1"}
+
+
+def _reference_sample(
+    substrate, requests, decompositions, bounds, lp_optimum, seed, max_tries,
+    variant,
+):
+    """Try-by-try sampling loop: one scalar draw per request and try, a
+    scalar cumulative-weight scan, ``collection_feasible`` and
+    ``check_tri_criteria`` per try. The production sampler must match it
+    field by field."""
+    cost = variant == "cost"
+    cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
+    allocations = [
+        [compute_allocations(substrate, req, e.mapping) for e in dec.entries]
+        for req, dec in zip(requests, decompositions)
+    ]
+    terms = [
+        [
+            mapping_cost(substrate, req, e.mapping) if cost else req.profit
+            for e in dec.entries
+        ]
+        for req, dec in zip(requests, decompositions)
+    ]
+    streams = request_streams(seed, len(requests))
+    records = []
+
+    def scan(dec, draw):
+        acc = 0.0
+        for idx, entry in enumerate(dec.entries):
+            acc += entry.weight
+            if draw < acc:
+                return idx
+        return None
+
+    def draw(attempt):
+        selection, embedded, loads, objective = {}, [], [], 0.0
+        for r, req in enumerate(requests):
+            pick = scan(decompositions[r], streams[r].uniform())
+            if pick is None and cost:
+                pick = len(decompositions[r].entries) - 1
+            if pick is None:
+                selection[req.name] = None
+                continue
+            mapping = decompositions[r].entries[pick].mapping
+            selection[req.name] = mapping
+            embedded.append((req, mapping))
+            loads.append(allocations[r][pick])
+            objective += terms[r][pick]
+        if cost and objective > cap:
+            raise GuaranteeError(f"sampled cost {objective:.8f}")
+        _, utilization = collection_feasible(substrate, embedded, allocations=loads)
+        ok = check_tri_criteria(objective, utilization, bounds, lp_optimum, variant).ok
+        worst = {
+            kind: max(
+                (u for res, u in utilization.items() if res[0] == kind),
+                default=0.0,
+            )
+            for kind in (NODE, EDGE)
+        }
+        records.append(TryRecord(attempt, objective, worst[NODE], worst[EDGE], ok))
+        return RoundedSolution(
+            variant, selection, objective, utilization, ok, attempt + 1, seed
+        )
+
+    best = last = draw(0)
+    while not last.accepted and last.tries_used < max_tries:
+        last = draw(last.tries_used)
+        if (
+            last.objective_value < best.objective_value
+            if cost
+            else last.objective_value > best.objective_value
+        ):
+            best = last
+    result = last if last.accepted else best
+    result.tries_used = last.tries_used
+    result.records = records
+    return result
+
+
+def _pipeline_rounding_inputs(instances, variant):
+    """The arguments ``run_pipeline`` hands to the sampler, per instance."""
+    captured = []
+
+    def capture(*args):
+        captured.append(args[:5])
+        raise _Captured
+
+    name = "round_profit" if variant == "profit" else "round_cost"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vnembed.pipeline, name, capture)
+        for instance in instances:
+            try:
+                run_pipeline(instance, PipelineConfig(variant=variant))
+            except _Captured:
+                pass
+            except PipelineError as err:
+                assert err.infeasible, err
+    return captured
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+@pytest.mark.parametrize("corpus", ["tiny_corpus", "tree_corpus"])
+def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
+    inputs = _pipeline_rounding_inputs(request.getfixturevalue(corpus), variant)
+    assert len(inputs) >= 10
+    sampler = round_profit if variant == "profit" else round_cost
+    if variant == "cost":
+        # the pipeline rounds pruned decompositions under the cost variant
+        inputs = [
+            (sub, reqs, [prune_costly_mappings(sub, q, d)[0] for q, d in zip(reqs, decs)],
+             bounds, lp)
+            for sub, reqs, decs, bounds, lp in inputs
+        ]
+    compared = fallbacks = late_accepts = 0
+    for substrate, requests, decs, bounds, lp in inputs:
+        # a probe run without acceptance shows each try's worst loads; a
+        # low quantile of them as beta and gamma lets some later try pass
+        probe = _reference_sample(
+            substrate, requests, decs, dataclasses.replace(bounds, beta=0.0, gamma=0.0),
+            lp, 1, 130, variant,
+        )
+        node = sorted(r.max_node_utilization for r in probe.records)
+        edge = sorted(r.max_edge_utilization for r in probe.records)
+        settings = (
+            (bounds, (1,)),
+            (dataclasses.replace(bounds, beta=node[10], gamma=edge[10]), (1, 2, 3)),
+            # no try reaches the objective target: the fallback decides
+            (dataclasses.replace(bounds, alpha=1e9 if variant == "profit" else 0.0), (2,)),
+        )
+        for b, seeds in settings:
+            for seed in seeds:
+                for max_tries in (1, 2, 9, 64, 65, 130):
+                    got = sampler(substrate, requests, decs, b, lp, seed, max_tries)
+                    want = _reference_sample(
+                        substrate, requests, decs, b, lp, seed, max_tries, variant
+                    )
+                    assert got.records == want.records
+                    assert got.selection == want.selection
+                    assert list(got.utilization.items()) == list(
+                        want.utilization.items()
+                    )
+                    assert got.objective_value == want.objective_value
+                    assert got.tries_used == want.tries_used
+                    assert got.accepted == want.accepted
+                    compared += 1
+                    fallbacks += not want.accepted and want.tries_used > 1
+                    late_accepts += want.accepted and want.tries_used > 1
+    assert compared and fallbacks
+    if corpus == "tree_corpus":
+        # tree requests have several entries, so accepted tries past the
+        # first block occur as well
+        assert late_accepts
