@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .extraction import LabeledExtractionOrder
-from .lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel
+from .lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel, constraint_matrix
 from .model import (
     Request,
     Resource,
@@ -531,10 +531,8 @@ def max_violation(model: LPModel, values: np.ndarray) -> float:
     worst = 0.0
     if len(values):
         worst = max(worst, -float(values.min()), float(values.max()) - 1.0)
-    for con in model.constraints:
-        lhs = sum(values[i] * c for i, c in con.coefficients)
-        if con.sense == EQ:
-            worst = max(worst, abs(lhs - con.rhs))
-        else:
-            worst = max(worst, lhs - con.rhs)
+    matrix, lower, upper = constraint_matrix(model)
+    if len(upper):
+        lhs = matrix @ values
+        worst = max(worst, float(np.max(lhs - upper)), float(np.max(lower - lhs)))
     return worst

@@ -383,7 +383,7 @@ def _solve_joint(
             infeasible=True,
         )
     if not solution.optimal:
-        raise PipelineError("solve-lp", f"solver returned {solution.status}")
+        raise PipelineError("solve-lp", f"solver returned {solution.outcome}")
     return model, index, solution
 
 

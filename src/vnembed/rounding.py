@@ -156,7 +156,7 @@ def preprocess_profit(
         if not solution.optimal:
             raise RuntimeError(
                 f"solo LP of request {req.name!r}: solver returned "
-                f"{solution.status}"
+                f"{solution.outcome}"
             )
         acceptance = float(solution.values[index.columns[0].x])
         if acceptance < 1.0 - WEIGHT_TOL:

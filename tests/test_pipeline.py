@@ -148,6 +148,25 @@ def test_joint_lp_failure_stops_at_solve_lp(fig3_gadget, monkeypatch):
     assert "solver returned error" in str(err.value)
 
 
+def _timed_out(model):
+    return LPSolution(
+        status="error", objective_value=None, values=None,
+        message="Time limit reached",
+    )
+
+
+@pytest.mark.parametrize(
+    "module, stage", [(vnembed.pipeline, "solve-lp"), (vnembed.rounding, "preprocess")]
+)
+def test_solver_failures_quote_the_solver(fig3, module, stage, monkeypatch):
+    # only the patched module's solve fails; fig3 needs its solo LP
+    monkeypatch.setattr(module, "solve", _timed_out)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3, PipelineConfig(variant="profit"))
+    assert err.value.stage == stage
+    assert "solver returned error (Time limit reached)" in str(err.value)
+
+
 def _pair(profit=1.0):
     """A one-edge request pinned to u4 -> u5 of the fig3 substrates."""
     return Request.build(
