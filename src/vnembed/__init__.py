@@ -13,7 +13,6 @@ from .decomposition import (
     DecompositionError,
     DecompositionStuckError,
     MappingConflictError,
-    decompose_mcf_tree,
     decompose_novel,
     find_connectivity_path,
     verify_decomposition,
@@ -27,6 +26,7 @@ from .extraction import (
     build_degree_order,
     build_extraction_order,
     compute_edge_bags,
+    flow_labeling,
     generate_half_wheel,
     generate_vc_gadget,
     half_wheel_center_order,

@@ -3,7 +3,8 @@
 Subcommands: validate, width, solve-lp, decompose, round, exact,
 generate, run. All outputs are JSON (or CSV for per-try diagnostics) to
 stdout or ``--out``. Exit codes: 0 success, 2 validation or input
-failure, 3 LP infeasible, 4 rounding unaccepted, 5 internal assertion.
+failure (a variable-budget overrun included), 3 LP infeasible, 4
+rounding unaccepted, 5 internal error.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .decomposition import decompose_mcf_tree, decompose_novel
+from .decomposition import decompose_novel
 from .extraction import (
     Digraph,
     ExtractionError,
-    build_extraction_order,
+    flow_labeling,
     label_order,
     min_width_order_search,
     orientation_from_flags,
 )
-from .formulations import build_mcf, build_novel, max_violation
+from .formulations import BudgetExceededError, build_novel, flow_orders, max_violation
 from .instances import (
     Instance,
     InstanceFormatError,
@@ -135,18 +136,23 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _search_orders(instance: Instance, strategy: str):
+def _orders(instance: Instance, formulation: str, strategy: str):
+    """Labeled orders for either relaxation: those of ``build_mcf`` for
+    ``mcf``, a search with ``strategy`` for the decomposable one."""
+    if formulation == "mcf":
+        return flow_orders(instance.requests)
     return [
         min_width_order_search(Digraph.build(req.nodes, req.edges), strategy=strategy)
         for req in instance.requests
     ]
 
 
-def _pinned_orders(instance: Instance, pinned):
+def _pinned_orders(instance: Instance, formulation: str, pinned):
     """Rebuild the orders a solution file recorded: per request its root and
     one reversal flag per edge of ``Digraph.build(req.nodes, req.edges)``."""
     if not isinstance(pinned, list) or len(pinned) != len(instance.requests):
         raise InstanceFormatError("solution needs one order per request")
+    labeling = flow_labeling if formulation == "mcf" else label_order
     orders = []
     for req, entry in zip(instance.requests, pinned):
         if not isinstance(entry, dict) or entry.get("request") != req.name:
@@ -160,29 +166,17 @@ def _pinned_orders(instance: Instance, pinned):
             )
         graph = Digraph.build(req.nodes, req.edges)
         orders.append(
-            label_order(orientation_from_flags(graph, entry.get("root"), flags))
+            labeling(orientation_from_flags(graph, entry.get("root"), flags))
         )
     return orders
 
 
-def _build_formulation(instance: Instance, formulation: str, variant: str,
-                       orders, var_budget: int | None):
-    if formulation == "mcf":
-        return build_mcf(instance.substrate, instance.requests, variant)
-    return build_novel(
-        instance.substrate, instance.requests, orders, variant,
-        var_budget=var_budget,
-    )
-
-
 def cmd_solve_lp(args) -> int:
     instance = _load(args.instance)
-    orders = (
-        None if args.formulation == "mcf"
-        else _search_orders(instance, args.strategy)
-    )
-    model, _ = _build_formulation(
-        instance, args.formulation, args.variant, orders, args.var_budget
+    orders = _orders(instance, args.formulation, args.strategy)
+    model, _ = build_novel(
+        instance.substrate, instance.requests, orders, args.variant,
+        var_budget=args.var_budget,
     )
     if args.export_lp:
         Path(args.export_lp).write_text(write_lp(model))
@@ -208,17 +202,16 @@ def cmd_solve_lp(args) -> int:
         }
         if solution.values is not None:
             payload["values"] = [float(v) for v in solution.values]
-        if orders is not None:
-            # pin the orders: decompose must pair these values with this
-            # exact model, whatever the search would return later
-            payload["orders"] = [
-                {
-                    "request": req.name,
-                    "root": labeled.order.root,
-                    "reversed": [e.reversed for e in labeled.order.edges],
-                }
-                for req, labeled in zip(instance.requests, orders)
-            ]
+        # pin the orders: decompose must pair these values with this exact
+        # model, whatever the search would return later
+        payload["orders"] = [
+            {
+                "request": req.name,
+                "root": labeled.order.root,
+                "reversed": [e.reversed for e in labeled.order.edges],
+            }
+            for req, labeled in zip(instance.requests, orders)
+        ]
         Path(args.solution_out).write_text(
             json.dumps(payload, indent=2) + "\n"
         )
@@ -247,13 +240,14 @@ def cmd_decompose(args) -> int:
                     f"request {req.name!r} is not a tree; an mcf solution "
                     "decomposes only tree requests"
                 )
-        orders = None
-    elif "orders" in payload:
-        orders = _pinned_orders(instance, payload["orders"])
+    if "orders" in payload:
+        orders = _pinned_orders(instance, formulation, payload["orders"])
     else:
-        orders = _search_orders(instance, payload.get("strategy", "per-root-bfs"))
-    model, index = _build_formulation(
-        instance, formulation, payload["variant"], orders, None
+        orders = _orders(
+            instance, formulation, payload.get("strategy", "per-root-bfs")
+        )
+    model, index = build_novel(
+        instance.substrate, instance.requests, orders, payload["variant"]
     )
     raw = payload["values"]
     if not isinstance(raw, list) or not all(
@@ -276,12 +270,7 @@ def cmd_decompose(args) -> int:
     out_rows = []
     for r, req in enumerate(instance.requests):
         state = index.request_state(values, r)
-        if formulation == "mcf":
-            graph = Digraph.build(req.nodes, req.edges)
-            order = build_extraction_order(graph, req.nodes[0])
-            dec = decompose_mcf_tree(instance.substrate, req, order, state)
-        else:
-            dec = decompose_novel(instance.substrate, req, orders[r], state)
+        dec = decompose_novel(instance.substrate, req, index.orders[r], state)
         out_rows.append(
             {
                 "request": req.name,
@@ -480,6 +469,8 @@ def cmd_run(args) -> int:
     for path, code, message in results:
         if len(results) > 1:
             sys.stderr.write(f"{path}: exit {code} ({message})\n")
+        elif code not in (EXIT_OK, EXIT_UNACCEPTED):
+            sys.stderr.write(f"error: {message}\n")
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
     return worst
@@ -489,14 +480,17 @@ def _code_for(err: Exception) -> int:
     if isinstance(err, _Invalid):
         return EXIT_INVALID
     if isinstance(err, PipelineError):
-        if err.stage == "validate":
+        # a budget overrun is the user's limit, not a fault of the program
+        if err.stage == "validate" or isinstance(err.__cause__, BudgetExceededError):
             return EXIT_INVALID
         if err.infeasible:
             return EXIT_INFEASIBLE
         return EXIT_INTERNAL
-    if isinstance(
-        err, (InstanceFormatError, ExtractionError, ValueError, FileNotFoundError)
-    ):
+    input_errors = (
+        InstanceFormatError, ExtractionError, BudgetExceededError, ValueError,
+        FileNotFoundError,
+    )
+    if isinstance(err, input_errors):
         return EXIT_INVALID
     return EXIT_INTERNAL
 
@@ -542,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("per-root-bfs", "exhaustive"),
         default="per-root-bfs",
     )
-    p.add_argument("--var-budget", type=int, default=None)
+    p.add_argument("--var-budget", type=_positive_int, default=None)
     p.add_argument("--export-lp", help="also write the model in LP text format")
     p.add_argument("--solution-out", help="write variable values for decompose")
     common(p)
@@ -588,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--var-budget", type=int, default=None)
+    p.add_argument("--var-budget", type=_positive_int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", help="per-instance reports land here")
     p.add_argument("--csv", help="per-try CSV (single instance only)")

@@ -7,10 +7,10 @@ the hosts of the confluence targets before the paths towards them are
 extracted, route every request edge along positive flow inside the sub-LP
 copy its label hosts select, take the minimum over all participating
 variables as the mapping's weight, and subtract. The bag variables are
-exactly what makes the loop sound on requests with cycles.
-``decompose_mcf_tree`` runs the same loop on the flow relaxation of a tree
-request: every label is empty there, so each per-edge copy is the flow's
-own columns, and each bag variable is its node's host variable.
+exactly what makes the loop sound on requests with cycles. A flow
+relaxation solution (``build_mcf``) goes through the same loop with its
+label-free orders; it is sure to decompose only when the request is a
+tree.
 
 The loop reads and drains a ``NovelState``'s residual, a private copy of
 the solution vector, by column number; the caller's solution is never
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .extraction import ExtractionOrder, LabeledExtractionOrder, label_order
+from .extraction import LabeledExtractionOrder
 from .formulations import NovelState
 from .model import (
     Request,
@@ -155,44 +155,6 @@ class _Extraction:
         if key not in self.seen:
             self.seen.add(key)
             self.keys.append(key)
-
-
-def decompose_mcf_tree(
-    substrate: SubstrateGraph,
-    request: Request,
-    order: ExtractionOrder,
-    state: NovelState,
-) -> ConvexDecomposition:
-    """Peel a flow solution of a tree request into weighted valid mappings.
-
-    On a tree every edge of the labeled order has an empty label set and
-    every bag holds one edge, so the flow solution already is a
-    decomposable-LP solution: its per-edge copies are the flow's own
-    columns, and every bag of node ``i`` reads ``y[(i, u)]``. It is
-    decomposed as one by ``decompose_novel`` on a copy of the residual;
-    ``state`` itself is left untouched. Edge ``k`` of ``order`` must
-    reorient edge ``k`` of ``request``.
-    """
-    is_tree = len(request.edges) == len(request.nodes) - 1
-    labeled = label_order(order) if is_tree else None
-    if labeled is None or any(labeled.labels):
-        raise DecompositionError(
-            f"request {request.name!r} is not a tree; use the decomposable LP"
-        )
-    if len(order.edges) != len(request.edges) or any(
-        oe.original != e for oe, e in zip(order.edges, request.edges)
-    ):
-        raise DecompositionError(f"order does not match request {request.name!r}")
-    cols = state.columns
-    gamma = {
-        (i, bi, (), u): col
-        for (i, u), col in cols.y.items()
-        for bi in range(len(labeled.bags[i]))
-    }
-    tree_state = NovelState(
-        replace(cols, gamma=gamma), list(state.residual), state.a
-    )
-    return decompose_novel(substrate, request, labeled, tree_state)
 
 
 def _clamp(v: float) -> float:

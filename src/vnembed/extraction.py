@@ -357,6 +357,21 @@ def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
     )
 
 
+def flow_labeling(order: ExtractionOrder) -> LabeledExtractionOrder:
+    """``order`` with every label dropped: one singleton bag per edge and
+    width 1. The decomposable LP over it is the multi-commodity flow
+    relaxation, whose solutions are sure to decompose only on tree
+    requests."""
+    labels = tuple(() for _ in order.edges)
+    return LabeledExtractionOrder(
+        order=order,
+        labels=labels,
+        bags=compute_edge_bags(order, labels),
+        label_roots={},
+        width=1,
+    )
+
+
 def min_width_order_search(
     graph: RequestShaped,
     strategy: str = "per-root-bfs",

@@ -1,20 +1,20 @@
 """LP formulations for fractional virtual network embedding.
 
-Two relaxations are built here.
-
-``build_mcf`` is the classical multi-commodity flow relaxation: one unit
-flow per request edge between the fractional host distributions of its
-endpoints. It is compact but its solutions are generally not decomposable
-into convex combinations of valid mappings once request graphs contain
-cycles and routing restrictions.
-
-``build_novel`` is the decomposable relaxation driven by a labeled
-extraction order. For every request edge it instantiates one single-edge
-flow sub-LP per mapping of the edge's confluence-target labels onto
-substrate nodes, and couples the copies of a node's outgoing edge bags
+One builder, ``build_novel``, makes the decomposable relaxation driven by
+labeled extraction orders. For every request edge it instantiates one
+single-edge flow sub-LP per mapping of the edge's confluence-target labels
+onto substrate nodes, and couples the copies of a node's outgoing edge bags
 through shared bag variables (``gamma``). Solutions of this LP always
 decompose into valid mappings; its size grows with ``|V_S|`` to the power
 of the order's width.
+
+``build_mcf`` is the classical multi-commodity flow relaxation, built as
+the decomposable LP over orders with every label dropped
+(``flow_labeling``): one flow copy per request edge, so one unit flow per
+edge between the host distributions of its endpoints. Its size does not
+grow with the width, but its solutions are generally not decomposable into
+convex combinations of valid mappings once request graphs contain cycles
+and routing restrictions.
 
 Variable blocks are laid out per request in a fixed, documented order
 (global x, then y, then per-edge sub-blocks, then bag variables), so
@@ -22,10 +22,8 @@ indices, solution files and exported models are stable. Every variable lies
 in [0, 1]. A request's load on a resource is linear in its host and flow
 variables, so the capacity rows and the cost objective read those directly.
 
-Both builders return a ``NovelVariableIndex`` with one ``RequestColumns``
-per request, which maps every variable to its column. ``build_mcf`` files
-the flow of edge ``k`` as that edge's copy under the empty label mapping,
-so load terms and decomposition read both relaxations the same way.
+The builder returns a ``NovelVariableIndex`` with the labeled orders and one
+``RequestColumns`` per request, which maps every variable to its column.
 ``request_state`` hands decomposition a ``NovelState``: the columns, a
 copy of the solution vector to drain, and the request's loads.
 """
@@ -38,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .extraction import LabeledExtractionOrder
+from .extraction import LabeledExtractionOrder, build_extraction_order, flow_labeling
 from .lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel, constraint_matrix
 from .model import (
     Request,
@@ -67,10 +65,7 @@ class RequestColumns:
 
     ``sub_x[(k, mu)]``, ``sub_y[(k, mu, n, u)]`` and ``sub_z[(k, mu)][se]``
     belong to the copy of request edge ``k`` under label mapping ``mu``, and
-    ``gamma[(node, bag, assign, u)]`` to a bag variable. The flow relaxation
-    has no labels: its one copy of edge ``k``, under ``mu = ()``, is the
-    flow's own columns (``sub_x`` is ``x``, ``sub_y`` is ``y`` and
-    ``sub_z`` is edge ``k``'s flow block), and it has no bag variables.
+    ``gamma[(node, bag, assign, u)]`` to a bag variable.
     """
 
     x: int
@@ -100,15 +95,14 @@ class NovelState:
 
 
 class NovelVariableIndex:
-    """Column layout of either relaxation, one ``RequestColumns`` per
-    request, with the labeled orders a decomposable LP was built from (none
-    for the flow relaxation)."""
+    """Column layout of a decomposable LP, one ``RequestColumns`` per
+    request, with the labeled orders it was built from."""
 
     def __init__(
         self,
         substrate: SubstrateGraph,
         requests: Sequence[Request],
-        orders: Sequence[LabeledExtractionOrder] = (),
+        orders: Sequence[LabeledExtractionOrder],
     ):
         self.substrate = substrate
         self.requests = list(requests)
@@ -168,70 +162,18 @@ def build_mcf(
 
     ``objective`` is ``"profit"`` (maximize accepted profit, acceptance
     fractional) or ``"cost"`` (minimize allocation cost, full acceptance
-    forced). The index files each edge's flow as its copy under the empty
-    label mapping.
+    forced). It is ``build_novel`` over ``flow_orders(requests)``, so edge
+    ``k``'s flow is its one copy under the empty label mapping, ``(k, ())``.
     """
-    if objective not in ("profit", "cost"):
-        raise ValueError(f"unknown objective {objective!r}")
-    model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
-    index = NovelVariableIndex(substrate, requests)
-    for r, req in enumerate(requests):
-        x = model.add_variable(f"r{r}_x")
-        ys: dict[tuple[str, str], int] = {}
-        for i in req.nodes:
-            for u in req.allowed_nodes[i]:
-                ys[(i, u)] = model.add_variable(
-                    f"r{r}_y_n{req.node_index[i]}_s{substrate.node_index[u]}"
-                )
-        cols = RequestColumns(x=x, y=ys)
-        for k, e in enumerate(req.edges):
-            cols.sub_x[(k, ())] = x
-            for n in e:
-                for u in req.allowed_nodes[n]:
-                    cols.sub_y[(k, (), n, u)] = ys[(n, u)]
-            cols.sub_z[(k, ())] = {
-                se: model.add_variable(
-                    f"r{r}_z_e{req.edge_index[e]}_se{substrate.edge_index[se]}"
-                )
-                for se in req.allowed_edges[e]
-            }
-        index.columns.append(cols)
+    return build_novel(substrate, requests, flow_orders(requests), objective)
 
-        for i in req.nodes:
-            model.add_constraint(
-                f"r{r}_embed_n{req.node_index[i]}",
-                [(ys[(i, u)], 1.0) for u in req.allowed_nodes[i]] + [(x, -1.0)],
-                EQ,
-                0.0,
-            )
-        for k, e in enumerate(req.edges):
-            i, j = e
-            per_edge = cols.sub_z[(k, ())]
-            for w in substrate.nodes:
-                coeffs: list[tuple[int, float]] = []
-                for se in req.allowed_edges[e]:
-                    if se[0] == w:
-                        coeffs.append((per_edge[se], 1.0))
-                    if se[1] == w:
-                        coeffs.append((per_edge[se], -1.0))
-                if (i, w) in ys:
-                    coeffs.append((ys[(i, w)], -1.0))
-                if (j, w) in ys:
-                    coeffs.append((ys[(j, w)], 1.0))
-                if coeffs:
-                    model.add_constraint(
-                        f"r{r}_flow_e{req.edge_index[e]}_s{substrate.node_index[w]}",
-                        coeffs,
-                        EQ,
-                        0.0,
-                    )
-        if objective == "profit":
-            model.set_objective_coefficient(x, req.profit)
-        else:
-            model.add_constraint(f"r{r}_accept", [(x, 1.0)], EQ, 1.0)
-    _add_capacity_rows(model, index, objective)
-    index.num_variables = model.num_variables
-    return model, index
+
+def flow_orders(requests: Sequence[Request]) -> list[LabeledExtractionOrder]:
+    """The orders of the flow relaxation: each request's BFS order from its
+    first node, with every label dropped."""
+    return [
+        flow_labeling(build_extraction_order(req, req.nodes[0])) for req in requests
+    ]
 
 
 def _mappings_of(labels: Sequence[str], req: Request) -> list[tuple[str, ...]]:

@@ -24,7 +24,6 @@ from vnembed import (
     build_novel,
     compute_bounds,
     count_novel_variables,
-    decompose_mcf_tree,
     decompose_novel,
     dump_instance,
     enumerate_valid_mappings,
@@ -100,10 +99,7 @@ def test_criterion_2_tree_decomposition(gate, tree_corpus):
         for ri, req in enumerate(instance.requests):
             state = index.request_state(sol.values, ri)
             acceptance, loads = state.x, dict(state.a)
-            order = build_extraction_order(
-                Digraph.build(req.nodes, req.edges), req.nodes[0]
-            )
-            dec = decompose_mcf_tree(instance.substrate, req, order, state)
+            dec = decompose_novel(instance.substrate, req, index.orders[ri], state)
             check = verify_decomposition(
                 instance.substrate, req, dec, acceptance, loads
             )

@@ -12,6 +12,7 @@ from vnembed import (
     PipelineError,
     Request,
     SubstrateGraph,
+    build_mcf,
     dump_instance,
     load_instance,
     run_pipeline,
@@ -112,6 +113,38 @@ def test_solve_lp_flow_formulation(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "optimal"
     assert out["objective"] == pytest.approx(1.0, abs=1e-6)
+    fig3 = load_instance(path)
+    model, _ = build_mcf(fig3.substrate, fig3.requests, "profit")
+    assert out["variables"] == model.num_variables
+    assert out["constraints"] == len(model.constraints)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve-lp", "--formulation", "mcf"],
+        ["solve-lp", "--formulation", "novel"],
+        ["run"],
+    ],
+    ids=["solve-lp-mcf", "solve-lp-novel", "run"],
+)
+def test_budget_overrun_is_an_input_failure(tmp_path, capsys, command):
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    code = main([command[0], str(path), *command[1:], "--var-budget", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget allows 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve-lp", "run"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_var_budget_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    path = _generate(tmp_path, "tree:3")
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), "--var-budget", value])
+    assert err.value.code == 2
+    assert "--var-budget: must be at least 1" in capsys.readouterr().err
 
 
 def test_solve_lp_decomposable_formulation(tmp_path, capsys):
@@ -170,6 +203,8 @@ def test_solution_handoff_to_decompose(tmp_path, capsys):
         == 0
     )
     lp_out = json.loads(capsys.readouterr().out)
+    (pinned,) = json.loads(sol.read_text())["orders"]
+    assert pinned["root"] == load_instance(path).requests[0].nodes[0]
     assert main(["decompose", str(path), str(sol)]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,10 +14,10 @@ from vnembed import (
     build_extraction_order,
     build_mcf,
     build_novel,
-    decompose_mcf_tree,
     decompose_novel,
     embed_mapping,
     find_connectivity_path,
+    flow_labeling,
     label_order,
     min_width_order_search,
     solve,
@@ -165,21 +162,13 @@ def test_unroutable_pinned_host_raises_conflict():
         decompose_novel(substrate, request, labeled, state)
 
 
-def test_tree_check_rejects_cycles(fig3):
-    req = fig3.requests[0]
-    order = build_extraction_order(Digraph.build(req.nodes, req.edges), "i")
-    empty = NovelState(RequestColumns(x=0), [0.0], {})
-    with pytest.raises(DecompositionError, match="not a tree"):
-        decompose_mcf_tree(fig3.substrate, req, order, empty)
-
-
 def test_stuck_when_root_has_no_host():
     substrate, request = _triangle_fixture()
     solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
     order = build_extraction_order(Digraph.build(solo.nodes, solo.edges), "i")
     state = NovelState(RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 0.0], {})
     with pytest.raises(DecompositionStuckError, match="no positive host"):
-        decompose_mcf_tree(substrate, solo, order, state)
+        decompose_novel(substrate, solo, flow_labeling(order), state)
 
 
 def test_dust_round_clears_without_emitting():
@@ -215,10 +204,7 @@ def test_tree_corpus_slice_decomposes():
         for ri, req in enumerate(instance.requests):
             state = index.request_state(sol.values, ri)
             acceptance, loads = state.x, dict(state.a)
-            order = build_extraction_order(
-                Digraph.build(req.nodes, req.edges), req.nodes[0]
-            )
-            dec = decompose_mcf_tree(instance.substrate, req, order, state)
+            dec = decompose_novel(instance.substrate, req, index.orders[ri], state)
             assert dec.total_weight == pytest.approx(acceptance, abs=1e-6)
             check = verify_decomposition(
                 instance.substrate, req, dec, acceptance, loads
@@ -240,61 +226,29 @@ def test_width3_corpus_slice_decomposes():
         assert check.ok, instance.name
 
 
-def test_tree_decomposition_rejects_misaligned_order():
-    # the order lists the request's edges sorted, the request does not
-    path = Request.build(
-        "path",
-        {i: ("vm", 1.0, ("v1", "v2", "v3")) for i in ("a", "b", "c")},
-        {
-            e: (1.0, (("v1", "v2"), ("v2", "v3")))
-            for e in (("a", "b"), ("b", "c"))
-        },
-    )
-    request = dataclasses.replace(path, edges=tuple(reversed(path.edges)))
-    substrate, _ = _triangle_fixture()
-    model, index = build_mcf(substrate, [request], "profit")
-    state = index.request_state(solve(model).values, 0)
-    order = build_extraction_order(Digraph.build(request.nodes, request.edges), "a")
-    assert order.edges[0].original != request.edges[0]
-    with pytest.raises(DecompositionError, match="does not match"):
-        decompose_mcf_tree(substrate, request, order, state)
-
-
 def test_decomposition_leaves_the_solution_untouched():
     # the pipeline decomposes every request from one solution vector
-    checked = 0
+    cases = []
     for instance in tiny_corpus(8):
         orders = [
             min_width_order_search(Digraph.build(r.nodes, r.edges))
             for r in instance.requests
         ]
-        model, index = build_novel(instance.substrate, instance.requests, orders)
+        cases.append(
+            (instance, build_novel(instance.substrate, instance.requests, orders))
+        )
+    for instance in tree_corpus(6):
+        cases.append((instance, build_mcf(instance.substrate, instance.requests)))
+    checked = 0
+    for instance, (model, index) in cases:
         values = solve(model).values
         before = values.copy()
         for r, req in enumerate(instance.requests):
             state = index.request_state(values, r)
-            dec = decompose_novel(instance.substrate, req, orders[r], state)
+            dec = decompose_novel(instance.substrate, req, index.orders[r], state)
             checked += bool(dec.entries)
         assert np.array_equal(values, before)
     assert checked > 0
-
-
-def test_tree_decomposition_leaves_the_state_untouched():
-    for instance in tree_corpus(6):
-        model, index = build_mcf(instance.substrate, instance.requests, "profit")
-        values = solve(model).values
-        for r, req in enumerate(instance.requests):
-            state = index.request_state(values, r)
-            residual, columns = list(state.residual), copy.deepcopy(state.columns)
-            order = build_extraction_order(
-                Digraph.build(req.nodes, req.edges), req.nodes[0]
-            )
-            dec = decompose_mcf_tree(instance.substrate, req, order, state)
-            assert dec.total_weight == pytest.approx(state.x, abs=1e-6)
-            assert state.residual == residual
-            assert state.columns == columns
-            assert state.columns.gamma == {}
-            assert state.columns is index.columns[r]
 
 
 def test_verifier_flags_tampering():

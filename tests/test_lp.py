@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -11,12 +13,16 @@ import vnembed.lpmodel
 
 from vnembed import (
     Digraph,
+    Request,
+    SubstrateGraph,
+    build_extraction_order,
     build_mcf,
     build_novel,
     compute_allocations,
     count_novel_variables,
     embed_mapping,
     enumerate_valid_mappings,
+    label_order,
     mapping_cost,
     max_violation,
     min_width_order_search,
@@ -81,23 +87,82 @@ def test_embedded_mappings_satisfy_constraints():
         substrate = instance.substrate
         req = instance.requests[0]
         orders = _orders(instance)
-        model, index = build_novel(substrate, instance.requests, orders, "profit")
-        cost_model, _ = build_novel(substrate, instance.requests, orders, "cost")
         # a truncated enumeration still provides plenty of witnesses
         enum = enumerate_valid_mappings(substrate, req, cap=200)
-        for mapping in enum.mappings[:25]:
-            values = embed_mapping(index, 0, mapping)
-            assert max_violation(model, values) <= 1e-9
-            achieved = sum(c * values[k] for k, c in model.objective.items())
-            assert achieved == pytest.approx(req.profit)
-            assert max_violation(cost_model, values) <= 1e-9
-            cost = sum(c * values[k] for k, c in cost_model.objective.items())
-            assert cost == pytest.approx(mapping_cost(substrate, req, mapping))
-            loads = compute_allocations(substrate, req, mapping)
-            derived = index.request_state(values, 0).a
-            assert set(derived) == set(substrate.resources)
-            for res in substrate.resources:
-                assert derived[res] == pytest.approx(loads.get(res, 0.0))
+        for build in (
+            lambda objective: build_novel(
+                substrate, instance.requests, orders, objective
+            ),
+            lambda objective: build_mcf(substrate, instance.requests, objective),
+        ):
+            model, index = build("profit")
+            cost_model, _ = build("cost")
+            for mapping in enum.mappings[:25]:
+                values = embed_mapping(index, 0, mapping)
+                assert max_violation(model, values) <= 1e-9
+                achieved = sum(c * values[k] for k, c in model.objective.items())
+                assert achieved == pytest.approx(req.profit)
+                assert max_violation(cost_model, values) <= 1e-9
+                cost = sum(c * values[k] for k, c in cost_model.objective.items())
+                assert cost == pytest.approx(mapping_cost(substrate, req, mapping))
+                loads = compute_allocations(substrate, req, mapping)
+                derived = index.request_state(values, 0).a
+                assert set(derived) == set(substrate.resources)
+                for res in substrate.resources:
+                    assert derived[res] == pytest.approx(loads.get(res, 0.0))
+
+
+def test_flow_relaxation_is_never_stronger(tiny_corpus, tree_corpus, cost_corpus):
+    # summing each edge's sub-LP copies over their label mappings turns a
+    # decomposable solution into a flow solution with the same acceptance
+    # and loads; on a tree every label is empty and the two LPs agree
+    equal = 0
+    for instance in [*tiny_corpus, *tree_corpus[:20], *cost_corpus]:
+        trees = all(len(r.edges) == len(r.nodes) - 1 for r in instance.requests)
+        orders = _orders(instance)
+        for objective in ("profit", "cost"):
+            flow_model, _ = build_mcf(instance.substrate, instance.requests, objective)
+            novel_model, _ = build_novel(
+                instance.substrate, instance.requests, orders, objective
+            )
+            flow, novel = solve(flow_model), solve(novel_model)
+            if flow.status == "infeasible":
+                assert novel.status == "infeasible", instance.name
+                continue
+            assert flow.optimal, instance.name
+            if novel.status == "infeasible":
+                assert not trees, instance.name
+                continue
+            assert novel.optimal, instance.name
+            gain = flow.objective_value - novel.objective_value
+            if objective == "cost":
+                gain = -gain
+            assert gain >= -1e-7, (instance.name, objective)
+            if trees:
+                assert gain <= 1e-7, (instance.name, objective)
+            equal += gain <= 1e-7
+    assert equal >= 99
+
+
+def test_build_rejects_an_order_of_other_edges():
+    # the order lists the request's edges sorted, the request does not
+    hosts = ("v1", "v2", "v3")
+    substrate = SubstrateGraph.build(
+        {u: {"vm": (2.0, 1.0)} for u in hosts},
+        {(a, b): (2.0, 1.0) for a in hosts for b in hosts if a != b},
+    )
+    path = Request.build(
+        "path",
+        {i: ("vm", 1.0, hosts) for i in ("a", "b", "c")},
+        {e: (1.0, tuple(substrate.edges)) for e in (("a", "b"), ("b", "c"))},
+    )
+    path = dataclasses.replace(path, edges=tuple(reversed(path.edges)))
+    labeled = label_order(
+        build_extraction_order(Digraph.build(path.nodes, path.edges), "a")
+    )
+    assert labeled.order.edges[0].original != path.edges[0]
+    with pytest.raises(ValueError, match="does not match"):
+        build_novel(substrate, [path], [labeled])
 
 
 def test_every_variable_lies_in_the_unit_interval(fig3):

@@ -126,7 +126,7 @@ def test_unknown_modes_rejected(fig3):
         solve_enumerative(fig3.substrate, fig3.requests, "profit", "sdp")
 
 
-def test_exact_matches_flow_relaxation_on_tiny_instances(tiny_corpus):
+def test_exact_matches_decomposable_relaxation_on_tiny_instances(tiny_corpus):
     from vnembed import Digraph, build_novel, min_width_order_search, solve
 
     for instance in tiny_corpus[:4]:
