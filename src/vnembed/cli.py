@@ -188,7 +188,7 @@ def cmd_solve_lp(args) -> int:
             "status": solution.status,
             "objective": solution.objective_value,
             "variables": model.num_variables,
-            "constraints": len(model.constraints),
+            "constraints": model.num_rows,
         },
         args.out,
     )

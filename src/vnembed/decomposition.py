@@ -36,8 +36,8 @@ from .model import (
     Resource,
     SubstrateGraph,
     ValidMapping,
+    _unchecked_allocations,
     check_valid_mapping,
-    compute_allocations,
 )
 
 EPS = 1e-9
@@ -355,9 +355,7 @@ def verify_decomposition(
         if not ok:
             invalid.append(f"entry {idx}: {why}")
             continue
-        for res, amount in compute_allocations(
-            substrate, request, entry.mapping
-        ).items():
+        for res, amount in _unchecked_allocations(request, entry.mapping).items():
             used[res] = used.get(res, 0.0) + entry.weight * amount
     worst = 0.0
     for res, total in used.items():

@@ -22,6 +22,16 @@ indices, solution files and exported models are stable. Every variable lies
 in [0, 1]. A request's load on a resource is linear in its host and flow
 variables, so the capacity rows and the cost objective read those directly.
 
+The rows are built as arrays, not one object per row. Every copy of an
+edge's sub-LP repeats one pattern of entries over the edge's allowed
+substrate edges, shifted by the copy's first column; only the host of a
+labeled endpoint, and so the flow row its host variable enters, differs
+between copies. The builder records each pattern once with the copies'
+row and column starts, expands all of them into the model's flat row
+buffers in a few array operations, and drops every row no variable
+enters. Names are not part of the build: the model renders them from the
+``RequestColumns`` only when it is exported.
+
 The builder returns a ``NovelVariableIndex`` with the labeled orders and one
 ``RequestColumns`` per request, which maps every variable to its column.
 ``request_state`` hands decomposition a ``NovelState``: the columns, a
@@ -30,14 +40,16 @@ copy of the solution vector to drain, and the request's loads.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .extraction import LabeledExtractionOrder, build_extraction_order, flow_labeling
-from .lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel, constraint_matrix
+from .lpmodel import MAXIMIZE, MINIMIZE, LPModel, constraint_matrix
 from .model import (
     Request,
     Resource,
@@ -96,7 +108,13 @@ class NovelState:
 
 class NovelVariableIndex:
     """Column layout of a decomposable LP, one ``RequestColumns`` per
-    request, with the labeled orders it was built from."""
+    request, with the labeled orders it was built from.
+
+    ``loads[r]`` holds, as three aligned arrays, the resource index (into
+    ``substrate.resources``), column and demand of every host and flow
+    variable of request ``r``: the request puts ``demand * variable`` on
+    the resource.
+    """
 
     def __init__(
         self,
@@ -108,49 +126,17 @@ class NovelVariableIndex:
         self.requests = list(requests)
         self.orders = list(orders)
         self.columns: list[RequestColumns] = []
+        self.loads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.num_variables: int = 0
 
-    def load_terms(self, r: int) -> Iterator[tuple[Resource, int, float]]:
-        """(resource, column, demand) for every host and flow variable of
-        request ``r``: the request puts ``demand * variable`` on the
-        resource."""
-        req = self.requests[r]
-        cols = self.columns[r]
-        for (i, u), var in cols.y.items():
-            yield node_resource(req.node_type[i], u), var, req.node_demand[i]
-        for (k, _), flows in cols.sub_z.items():
-            demand = req.edge_demand[req.edges[k]]
-            for se, var in flows.items():
-                yield edge_resource(*se), var, demand
-
     def request_state(self, values: np.ndarray, r: int) -> NovelState:
-        residual = values.tolist()
-        loads = dict.fromkeys(self.substrate.resources, 0.0)
-        for res, var, demand in self.load_terms(r):
-            loads[res] += demand * residual[var]
-        return NovelState(self.columns[r], residual, loads)
-
-
-def _add_capacity_rows(
-    model: LPModel, index: NovelVariableIndex, objective: str
-) -> None:
-    """One capacity row per resource some request can load, summing
-    ``demand * variable`` over all requests; the cost objective prices the
-    same terms."""
-    substrate = index.substrate
-    terms: dict[Resource, list[tuple[int, float]]] = {}
-    for r in range(len(index.requests)):
-        for res, var, demand in index.load_terms(r):
-            if demand:
-                terms.setdefault(res, []).append((var, demand))
-    for k, res in enumerate(substrate.resources):
-        coeffs = terms.get(res)
-        if not coeffs:
-            continue
-        model.add_constraint(f"cap_res{k}", coeffs, LE, substrate.capacity(res))
-        if objective == "cost":
-            for var, demand in coeffs:
-                model.set_objective_coefficient(var, substrate.cost(res) * demand)
+        resources = self.substrate.resources
+        res, cols, demand = self.loads[r]
+        # bincount adds in input order, as a loop over the terms would
+        totals = np.bincount(res, demand * values[cols], minlength=len(resources))
+        return NovelState(
+            self.columns[r], values.tolist(), dict(zip(resources, totals.tolist()))
+        )
 
 
 def build_mcf(
@@ -173,14 +159,6 @@ def flow_orders(requests: Sequence[Request]) -> list[LabeledExtractionOrder]:
     first node, with every label dropped."""
     return [
         flow_labeling(build_extraction_order(req, req.nodes[0])) for req in requests
-    ]
-
-
-def _mappings_of(labels: Sequence[str], req: Request) -> list[tuple[str, ...]]:
-    """All placements of a label tuple onto allowed substrate nodes."""
-    return [
-        tuple(combo)
-        for combo in itertools.product(*(req.allowed_nodes[l] for l in labels))
     ]
 
 
@@ -240,202 +218,393 @@ def build_novel(
 
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
     index = NovelVariableIndex(substrate, requests, orders)
-    sidx = substrate.node_index
-    seidx = substrate.edge_index
-
-    for r, (req, labeled) in enumerate(zip(requests, orders)):
-        order = labeled.order
-        x = model.add_variable(f"r{r}_x")
-        cols = RequestColumns(x=x)
-        for i in req.nodes:
-            for u in req.allowed_nodes[i]:
-                cols.y[(i, u)] = model.add_variable(
-                    f"r{r}_y_n{req.node_index[i]}_s{sidx[u]}"
-                )
-
-        edge_mus = [_mappings_of(labels, req) for labels in labeled.labels]
-        for k, e in enumerate(req.edges):
-            labels = labeled.labels[k]
-            for mu in edge_mus[k]:
-                tag = f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
-                key = (k, mu)
-                cols.sub_x[key] = model.add_variable(f"{tag}_x")
-                for n in e:
-                    if n in labels:
-                        hosts: tuple[str, ...] = (mu[labels.index(n)],)
-                    else:
-                        hosts = req.allowed_nodes[n]
-                    for u in hosts:
-                        cols.sub_y[(k, mu, n, u)] = model.add_variable(
-                            f"{tag}_y_n{req.node_index[n]}_s{sidx[u]}"
-                        )
-                cols.sub_z[key] = {
-                    se: model.add_variable(f"{tag}_z_se{seidx[se]}")
-                    for se in req.allowed_edges[e]
-                }
-
-        bag_mus: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-        for node in order.nodes:
-            for bi, bag in enumerate(labeled.bags[node]):
-                mus = _mappings_of(bag.labels, req)
-                bag_mus[(node, bi)] = mus
-                for mi, assign in enumerate(mus):
-                    for u in req.allowed_nodes[node]:
-                        cols.gamma[(node, bi, assign, u)] = model.add_variable(
-                            f"r{r}_g_n{req.node_index[node]}_b{bi}_m{mi}_s{sidx[u]}"
-                        )
-        index.columns.append(cols)
-
-        _novel_request_rows(
-            model, substrate, req, labeled, r, cols, edge_mus, bag_mus
-        )
+    rows = _RowBuffer()
+    for r in range(len(requests)):
+        _add_request(model, rows, index, r)
+        x = index.columns[r].x
         if objective == "profit":
-            model.set_objective_coefficient(x, req.profit)
+            model.set_objective_coefficient(x, requests[r].profit)
         else:
-            model.add_constraint(f"r{r}_accept", [(x, 1.0)], EQ, 1.0)
+            rows.tile([rows.reserve(1, rhs=1.0)], [0], [x], [0], 1.0)
 
-    _add_capacity_rows(model, index, objective)
+    # One capacity row per resource some request loads, summing
+    # ``demand * variable`` over all requests; the cost objective prices
+    # the same terms, resource by resource.
+    resources = substrate.resources
+    first = rows.reserve(len(resources), rhs=substrate.capacities, eq=False)
+    for res, cols, demand in index.loads:
+        loaded = demand != 0
+        rows.tile(
+            [first], res[loaded].tolist(), [0], cols[loaded].tolist(),
+            demand[loaded].tolist(),
+        )
+    rows.into(model)
+    if objective == "cost" and requests:
+        res, cols, demand = (np.concatenate(part) for part in zip(*index.loads))
+        by_resource = np.argsort(res, kind="stable")
+        cost = np.array([substrate.cost(resource) for resource in resources])
+        coef = cost[res[by_resource]] * demand[by_resource]
+        priced = coef != 0
+        model.objective.update(
+            zip(cols[by_resource][priced].tolist(), coef[priced].tolist())
+        )
+    model.namer = functools.partial(_names, index, objective)
     index.num_variables = model.num_variables
     return model, index
 
 
-def _novel_request_rows(
-    model: LPModel,
-    substrate: SubstrateGraph,
-    req: Request,
-    labeled: LabeledExtractionOrder,
-    r: int,
-    cols: RequestColumns,
-    edge_mus: list[list[tuple[str, ...]]],
-    bag_mus: dict[tuple[str, int], list[tuple[str, ...]]],
-) -> None:
-    order = labeled.order
-    sidx = substrate.node_index
+class _RowBuffer:
+    """Rows of a model under construction, numbered in their final order.
 
-    # Each sub-LP is the flow formulation of its single request edge.
+    ``reserve`` numbers the next candidate rows. ``tile`` records a pattern
+    of entries repeated over copies: copy ``m`` puts coefficient
+    ``vals[l]`` into row ``row_starts[m] + row_offsets[l]`` and column
+    ``col_starts[m] + col_offsets[l]``, for every ``l``. ``into`` expands
+    all patterns with a few array operations, sorts the entries by row,
+    stably, so each row keeps its entries in the order they were recorded,
+    and appends every candidate row that received an entry: a row no
+    variable enters is never emitted.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.copies: list[int] = []  # per pattern
+        self.widths: list[int] = []  # per pattern
+        self.row_starts: list[int] = []  # per copy
+        self.col_starts: list[int] = []  # per copy
+        self.row_offsets: list[int] = []  # per pattern entry
+        self.col_offsets: list[int] = []  # per pattern entry
+        self.vals: list[float] = []  # per pattern entry
+        # (first row, count, rhs, is ==) of the rows given a right-hand side
+        self.bounds: list[tuple[int, int, float | Sequence[float], bool]] = []
+
+    def reserve(
+        self, count: int, rhs: float | Sequence[float] | None = None, eq: bool = True
+    ) -> int:
+        """Number ``count`` rows and return the first one. They read
+        ``== 0`` unless ``rhs`` (one value, or one per row) is given, with
+        sense ``==`` or, for ``eq=False``, ``<=``."""
+        first = self.count
+        self.count += count
+        if rhs is not None:
+            self.bounds.append((first, count, rhs, eq))
+        return first
+
+    def tile(self, row_starts, row_offsets, col_starts, col_offsets, vals) -> None:
+        """Record one pattern; ``vals`` is one coefficient per pattern entry,
+        or one for all of them."""
+        self.copies.append(len(row_starts))
+        self.widths.append(len(row_offsets))
+        self.row_starts += row_starts
+        self.col_starts += col_starts
+        self.row_offsets += row_offsets
+        self.col_offsets += col_offsets
+        self.vals += [vals] * len(row_offsets) if isinstance(vals, float) else vals
+
+    def into(self, model: LPModel) -> None:
+        copies, widths, row_starts, col_starts, row_offsets, col_offsets = (
+            np.fromiter(part, dtype=np.intp, count=len(part))
+            for part in (
+                self.copies, self.widths, self.row_starts, self.col_starts,
+                self.row_offsets, self.col_offsets,
+            )
+        )
+        # each copy's entry count, and where its pattern's offsets begin
+        per_copy = np.repeat(widths, copies)
+        pattern = np.repeat(np.cumsum(widths) - widths, copies)
+        copy_of = np.repeat(np.arange(len(per_copy)), per_copy)
+        skip = pattern - np.cumsum(per_copy) + per_copy
+        offset_of = np.arange(len(copy_of)) + skip[copy_of]
+        rows = row_starts[copy_of] + row_offsets[offset_of]
+        cols = col_starts[copy_of] + col_offsets[offset_of]
+        vals = np.fromiter(self.vals, dtype=float, count=len(self.vals))[offset_of]
+        by_row = np.argsort(rows, kind="stable")
+        lengths = np.bincount(rows, minlength=self.count)
+        rhs = np.zeros(self.count)
+        eq = np.ones(self.count, dtype=bool)
+        for first, count, value, is_eq in self.bounds:
+            rhs[first:first + count] = value
+            eq[first:first + count] = is_eq
+        kept = lengths > 0
+        model.add_rows(cols[by_row], vals[by_row], lengths[kept], eq[kept], rhs[kept])
+
+
+@dataclass
+class _EdgeCopies:
+    """The copies of one request edge's flow sub-LP, one per label mapping.
+
+    Copy ``m`` places the edge's labels by ``mus[m]`` and owns the columns
+    from ``firsts[m]``. ``ends[n]`` gives endpoint ``n``'s first host column
+    within a copy, and for a labeled endpoint the host position each copy
+    places it on (``None`` when every allowed host has a column).
+    """
+
+    labels: tuple[str, ...]
+    mus: list[tuple[str, ...]]
+    firsts: range
+    ends: dict[str, tuple[int, list[int] | None]]
+
+    def tile_hosts(
+        self, rows: _RowBuffer, n: str, row_starts, row_of_host, val: float
+    ) -> None:
+        """Record endpoint ``n``'s host variables: in copy ``m`` the variable
+        of host position ``p`` enters row ``row_starts[m] + row_of_host[p]``."""
+        offset, placed = self.ends[n]
+        if placed is None:
+            width = range(offset, offset + len(row_of_host))
+            rows.tile(row_starts, row_of_host, self.firsts, width, val)
+        else:
+            row_starts = [r + row_of_host[p] for r, p in zip(row_starts, placed)]
+            rows.tile(row_starts, [0], self.firsts, [offset], val)
+
+
+def _add_request(
+    model: LPModel,
+    rows: _RowBuffer,
+    index: NovelVariableIndex,
+    r: int,
+) -> None:
+    """Columns and request-local rows of request ``r``, in layout order."""
+    substrate = index.substrate
+    req = index.requests[r]
+    labeled = index.orders[r]
+    order = labeled.order
+    hosts = req.allowed_nodes
+    sidx = substrate.node_index
+    res_index = substrate.resource_column
+    # where each host's flow row lies among a sub-LP copy's rows
+    flow_row = {i: [2 + sidx[u] for u in hosts[i]] for i in req.nodes}
+
+    x = model.add_columns(1)
+    ykeys = [(i, u) for i in req.nodes for u in hosts[i]]
+    y0 = model.add_columns(len(ykeys))
+    cols = RequestColumns(x=x, y=dict(zip(ykeys, range(y0, y0 + len(ykeys)))))
+    ystart = {}
+    for i in req.nodes:
+        ystart[i], y0 = y0, y0 + len(hosts[i])
+    load_res = [res_index[node_resource(req.node_type[i], u)] for i, u in ykeys]
+    load_cols = list(range(x + 1, y0))
+    load_demand = [req.node_demand[i] for i, _ in ykeys]
+
+    # Each sub-LP is the flow formulation of its single request edge; its
+    # rows are one pattern over the allowed substrate edges, tiled over the
+    # copies. Per copy: the embed rows of both endpoints, then one flow
+    # row per substrate node some variable of the copy touches.
+    per_copy = 2 + len(substrate.nodes)
+    copies: list[_EdgeCopies] = []
     for k, e in enumerate(req.edges):
-        i, j = e
-        allowed = req.allowed_edges[e]
-        by_tail: dict[str, list] = {}
-        by_head: dict[str, list] = {}
-        for se in allowed:
-            by_tail.setdefault(se[0], []).append(se)
-            by_head.setdefault(se[1], []).append(se)
-        for mu in edge_mus[k]:
-            key = (k, mu)
-            tag = f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
-            for n in e:
-                coeffs = [
-                    (cols.sub_y[(k, mu, n, u)], 1.0)
-                    for u in req.allowed_nodes[n]
-                    if (k, mu, n, u) in cols.sub_y
-                ]
-                coeffs.append((cols.sub_x[key], -1.0))
-                model.add_constraint(f"{tag}_embed_n{req.node_index[n]}", coeffs, EQ, 0.0)
-            flows = cols.sub_z[key]
-            for w in substrate.nodes:
-                coeffs = []
-                for se in by_tail.get(w, ()):
-                    coeffs.append((flows[se], 1.0))
-                for se in by_head.get(w, ()):
-                    coeffs.append((flows[se], -1.0))
-                if (k, mu, i, w) in cols.sub_y:
-                    coeffs.append((cols.sub_y[(k, mu, i, w)], -1.0))
-                if (k, mu, j, w) in cols.sub_y:
-                    coeffs.append((cols.sub_y[(k, mu, j, w)], 1.0))
-                if coeffs:
-                    model.add_constraint(f"{tag}_flow_s{sidx[w]}", coeffs, EQ, 0.0)
+        labels = labeled.labels[k]
+        mus = list(itertools.product(*(hosts[l] for l in labels)))
+        flows = req.allowed_edges[e]
+        # a copy's columns: sub_x, each endpoint's host variables (one for a
+        # labeled endpoint, on the host the copy places it), the flows
+        ends, embed, z0 = {}, [], 1
+        for t, n in enumerate(e):
+            placed = None
+            if n in labels:
+                position = {u: p for p, u in enumerate(hosts[n])}
+                placed = [position[mu[labels.index(n)]] for mu in mus]
+            ends[n] = (z0, placed)
+            embed += [t] * (len(hosts[n]) if placed is None else 1)
+            z0 = 1 + len(embed)
+        block = z0 + len(flows)
+        first = model.add_columns(len(mus) * block)
+        cp = _EdgeCopies(
+            labels, mus, range(first, first + len(mus) * block, block), ends
+        )
+        copies.append(cp)
+        cols.sub_x.update(zip([(k, mu) for mu in mus], cp.firsts))
+        for mu, c in zip(mus, cp.firsts):
+            cols.sub_z[(k, mu)] = dict(zip(flows, range(c + z0, c + block)))
+        cols.sub_y.update(zip(
+            [
+                (k, mu, n, u)
+                for mu in mus
+                for n in e
+                for u in ((mu[labels.index(n)],) if n in labels else hosts[n])
+            ],
+            [c for f in cp.firsts for c in range(f + 1, f + z0)],
+        ))
+
+        row0 = rows.reserve(len(mus) * per_copy)
+        row0 = range(row0, row0 + len(mus) * per_copy, per_copy)
+        # the embed rows, each closed by sub_x, then the flows' tails and heads
+        rows.tile(
+            row0,
+            embed + [0, 1] + [2 + sidx[a] for a, _ in flows]
+            + [2 + sidx[b] for _, b in flows],
+            cp.firsts,
+            [*range(1, z0), 0, 0, *range(z0, block), *range(z0, block)],
+            [1.0] * len(embed) + [-1.0, -1.0]
+            + [1.0] * len(flows) + [-1.0] * len(flows),
+        )
+        for t, n in enumerate(e):
+            cp.tile_hosts(rows, n, row0, flow_row[n], 1.0 if t else -1.0)
+
+        load_res += [res_index[edge_resource(*se)] for se in flows] * len(mus)
+        load_cols += [c for f in cp.firsts for c in range(f + z0, f + block)]
+        load_demand += [req.edge_demand[e]] * (len(flows) * len(mus))
+
+    bags: dict[tuple[str, int], tuple[int, list[tuple[str, ...]]]] = {}
+    for node in order.nodes:
+        for bi, bag in enumerate(labeled.bags[node]):
+            assigns = list(itertools.product(*(hosts[l] for l in bag.labels)))
+            keys = [(node, bi, a, u) for a in assigns for u in hosts[node]]
+            g0 = model.add_columns(len(keys))
+            cols.gamma.update(zip(keys, range(g0, g0 + len(keys))))
+            bags[(node, bi)] = (g0, assigns)
+    index.columns.append(cols)
+    index.loads.append((
+        np.array(load_res, dtype=np.intp),
+        np.array(load_cols, dtype=np.intp),
+        np.array(load_demand, dtype=float),
+    ))
 
     # Acceptance is carried by the root's host distribution.
     root = order.root
-    model.add_constraint(
-        f"r{r}_root",
-        [(cols.y[(root, u)], 1.0) for u in req.allowed_nodes[root]]
-        + [(cols.x, -1.0)],
-        EQ,
-        0.0,
+    row = rows.reserve(1)
+    h = len(hosts[root])
+    rows.tile(
+        [row], [0] * (h + 1), [0], [*range(ystart[root], ystart[root] + h), x],
+        [1.0] * h + [-1.0],
     )
 
     # The global host distribution of a node agrees with every incident
     # edge's family of sub-LPs.
     for i in req.nodes:
+        h = range(len(hosts[i]))
         for k, e in enumerate(req.edges):
-            if i not in e:
-                continue
-            for u in req.allowed_nodes[i]:
-                coeffs = [(cols.y[(i, u)], 1.0)]
-                for mu in edge_mus[k]:
-                    if (k, mu, i, u) in cols.sub_y:
-                        coeffs.append((cols.sub_y[(k, mu, i, u)], -1.0))
-                model.add_constraint(
-                    f"r{r}_link_n{req.node_index[i]}_e{k}_s{sidx[u]}", coeffs, EQ, 0.0
-                )
+            if i in e:
+                row = rows.reserve(len(h))
+                rows.tile([row], h, [ystart[i]], h, 1.0)
+                cp = copies[k]
+                cp.tile_hosts(rows, i, [row] * len(cp.mus), h, -1.0)
 
     # Outgoing edges of a bag draw their placements from the bag variables:
     # a sub-LP copy equals the total of all bag mappings extending its own
     # label mapping.
     for node in order.nodes:
+        h = range(len(hosts[node]))
         for bi, bag in enumerate(labeled.bags[node]):
-            big = bag_mus[(node, bi)]
+            g0, assigns = bags[(node, bi)]
+            gammas = range(g0, g0 + len(assigns) * len(h), len(h))
             for ke in bag.edges:
-                labels = labeled.labels[ke]
-                positions = [bag.labels.index(l) for l in labels]
-                groups: dict[tuple, list[tuple[str, ...]]] = {}
-                for assign in big:
-                    groups.setdefault(
-                        tuple(assign[p] for p in positions), []
-                    ).append(assign)
-                for mu in edge_mus[ke]:
-                    for u in req.allowed_nodes[node]:
-                        coeffs = [(cols.sub_y[(ke, mu, node, u)], 1.0)]
-                        for assign in groups.get(mu, ()):
-                            coeffs.append((cols.gamma[(node, bi, assign, u)], -1.0))
-                        model.add_constraint(
-                            f"r{r}_bagout_n{req.node_index[node]}_b{bi}_e{ke}"
-                            f"_m{edge_mus[ke].index(mu)}_s{sidx[u]}",
-                            coeffs,
-                            EQ,
-                            0.0,
-                        )
+                cp = copies[ke]
+                row = rows.reserve(len(cp.mus) * len(h))
+                blocks = range(row, row + len(cp.mus) * len(h), len(h))
+                cp.tile_hosts(rows, node, blocks, h, 1.0)
+                copy_of = {mu: m for m, mu in enumerate(cp.mus)}
+                positions = [bag.labels.index(l) for l in cp.labels]
+                rows.tile(
+                    [blocks[copy_of[tuple(a[p] for p in positions)]] for a in assigns],
+                    h, gammas, h, -1.0,
+                )
 
     # Incoming edges agree with each bag on their shared labels, which chains
-    # the label choices along the order.
+    # the label choices along the order; a bag's rows follow the shared
+    # placements in sorted order.
     for node in order.nodes:
-        bags = labeled.bags[node]
-        if not bags:
-            continue
-        for ke in order.in_edges[node]:
-            labels = labeled.labels[ke]
-            for bi, bag in enumerate(bags):
-                shared = tuple(l for l in labels if l in bag.labels)
-                in_pos = [labels.index(l) for l in shared]
-                bag_pos = [bag.labels.index(l) for l in shared]
-                sy_groups: dict[tuple, list] = {}
-                for mu in edge_mus[ke]:
-                    sy_groups.setdefault(
-                        tuple(mu[p] for p in in_pos), []
-                    ).append(mu)
-                gamma_groups: dict[tuple, list] = {}
-                for assign in bag_mus[(node, bi)]:
-                    gamma_groups.setdefault(
-                        tuple(assign[p] for p in bag_pos), []
-                    ).append(assign)
-                for mi, m_shared in enumerate(sorted(sy_groups)):
-                    for u in req.allowed_nodes[node]:
-                        coeffs = []
-                        for mu in sy_groups[m_shared]:
-                            if (ke, mu, node, u) in cols.sub_y:
-                                coeffs.append((cols.sub_y[(ke, mu, node, u)], 1.0))
-                        for assign in gamma_groups.get(m_shared, ()):
-                            coeffs.append((cols.gamma[(node, bi, assign, u)], -1.0))
-                        if coeffs:
-                            model.add_constraint(
-                                f"r{r}_bagin_n{req.node_index[node]}_e{ke}_b{bi}"
-                                f"_m{mi}_s{sidx[u]}",
-                                coeffs,
-                                EQ,
-                                0.0,
-                            )
+        h = range(len(hosts[node]))
+        for ke in order.in_edges[node] if labeled.bags[node] else ():
+            cp = copies[ke]
+            for bi, bag in enumerate(labeled.bags[node]) if cp.mus else ():
+                shared = [q for q, l in enumerate(cp.labels) if l in bag.labels]
+                keys = [tuple(mu[q] for q in shared) for mu in cp.mus]
+                rank = {key: m for m, key in enumerate(sorted(set(keys)))}
+                row = rows.reserve(len(rank) * len(h))
+                blocks = [row + rank[key] * len(h) for key in keys]
+                cp.tile_hosts(rows, node, blocks, h, 1.0)
+                g0, assigns = bags[(node, bi)]
+                positions = [bag.labels.index(cp.labels[q]) for q in shared]
+                rows.tile(
+                    [
+                        row + rank[tuple(a[p] for p in positions)] * len(h)
+                        for a in assigns
+                    ],
+                    h, range(g0, g0 + len(assigns) * len(h), len(h)), h, -1.0,
+                )
+
+
+def _names(
+    index: NovelVariableIndex, objective: str
+) -> tuple[list[str], list[str]]:
+    """Variable and row names of a ``build_novel`` model, rendered from its
+    ``RequestColumns`` in column and row order."""
+    substrate = index.substrate
+    sidx = substrate.node_index
+    seidx = substrate.edge_index
+    variables = [""] * index.num_variables
+    rows: list[str] = []
+    for r, (req, labeled, cols) in enumerate(
+        zip(index.requests, index.orders, index.columns)
+    ):
+        nidx = req.node_index
+        hosts = req.allowed_nodes
+        variables[cols.x] = f"r{r}_x"
+        for (i, u), c in cols.y.items():
+            variables[c] = f"r{r}_y_n{nidx[i]}_s{sidx[u]}"
+        tags = {
+            (k, mu): f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
+            for k, mu in cols.sub_x
+        }
+        for key, c in cols.sub_x.items():
+            variables[c] = f"{tags[key]}_x"
+        for (k, mu, n, u), c in cols.sub_y.items():
+            variables[c] = f"{tags[(k, mu)]}_y_n{nidx[n]}_s{sidx[u]}"
+        for key, flows in cols.sub_z.items():
+            for se, c in flows.items():
+                variables[c] = f"{tags[key]}_z_se{seidx[se]}"
+        bag_numbers: dict[tuple[str, int], dict[tuple, int]] = {}
+        for (node, bi, assign, u), c in cols.gamma.items():
+            numbers = bag_numbers.setdefault((node, bi), {})
+            mi = numbers.setdefault(assign, len(numbers))
+            variables[c] = f"r{r}_g_n{nidx[node]}_b{bi}_m{mi}_s{sidx[u]}"
+
+        for (k, mu), tag in tags.items():
+            e = req.edges[k]
+            touched = {w for se in req.allowed_edges[e] for w in se}
+            rows.extend(f"{tag}_embed_n{nidx[n]}" for n in e)
+            rows.extend(
+                f"{tag}_flow_s{sidx[w]}"
+                for w in substrate.nodes
+                if w in touched or any((k, mu, n, w) in cols.sub_y for n in e)
+            )
+        rows.append(f"r{r}_root")
+        for i in req.nodes:
+            for k, e in enumerate(req.edges):
+                if i in e:
+                    rows.extend(
+                        f"r{r}_link_n{nidx[i]}_e{k}_s{sidx[u]}" for u in hosts[i]
+                    )
+        copies = [
+            math.prod(len(hosts[l]) for l in labels) for labels in labeled.labels
+        ]
+        order = labeled.order
+        for node in order.nodes:
+            for bi, bag in enumerate(labeled.bags[node]):
+                rows.extend(
+                    f"r{r}_bagout_n{nidx[node]}_b{bi}_e{ke}_m{m}_s{sidx[u]}"
+                    for ke in bag.edges
+                    for m in range(copies[ke])
+                    for u in hosts[node]
+                )
+        for node in order.nodes:
+            for ke in order.in_edges[node] if labeled.bags[node] else ():
+                for bi, bag in enumerate(labeled.bags[node]):
+                    shared = [l for l in labeled.labels[ke] if l in bag.labels]
+                    placements = math.prod(len(hosts[l]) for l in shared)
+                    rows.extend(
+                        f"r{r}_bagin_n{nidx[node]}_e{ke}_b{bi}_m{mi}_s{sidx[u]}"
+                        for mi in range(placements if copies[ke] else 0)
+                        for u in hosts[node]
+                    )
+        if objective == "cost":
+            rows.append(f"r{r}_accept")
+    loaded = set()
+    for res, _, demand in index.loads:
+        loaded.update(res[demand != 0].tolist())
+    rows.extend(f"cap_res{k}" for k in sorted(loaded))
+    return variables, rows
 
 
 def embed_mapping(

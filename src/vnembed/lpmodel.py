@@ -1,9 +1,16 @@
 """A small LP container and its HiGHS solve.
 
 Every LP of the package has variables in [0, 1] and ``<=`` or ``==`` rows,
-so that is all a model can hold. Models are built column by column with
-stable insertion order, so variable indices (and therefore solver inputs
-and exported files) are reproducible.
+so that is all a model can hold. A model stores its rows in flat buffers:
+one of column indices and one of coefficients, holding the rows' entries
+back to back, plus each row's length, sense flag and right-hand side.
+Nothing is stored per variable or per row, and columns and rows keep their
+insertion order, so solver inputs and exported files are reproducible.
+
+Names exist for export only. ``write_lp`` renders them through the model's
+``namer`` (set by a builder that adds columns and rows in bulk) and the
+names given to ``add_variable`` and ``add_constraint``; nothing on the
+solve path formats a name.
 
 ``solve`` assembles one CSC matrix (``<=`` rows first, then ``==`` rows,
 each in insertion order) and hands it to scipy's bundled HiGHS bindings
@@ -19,8 +26,7 @@ bindings; there ``solve`` hands the same matrix to the module-level
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -41,41 +47,64 @@ EQ = "=="
 BACKEND = "highs"
 
 
-@dataclass
-class Variable:
-    name: str
+class Row(NamedTuple):
+    """One row as ``LPModel.constraints`` renders it."""
 
-
-@dataclass
-class Constraint:
     name: str
     coefficients: list[tuple[int, float]]
     sense: str
     rhs: float
 
 
-@dataclass
+@dataclass(eq=False)
 class LPModel:
-    """Linear program over named variables, each in [0, 1].
+    """Linear program over variables in [0, 1], with rows in flat buffers.
 
-    Coefficients reference variables by index; ``add_variable`` returns the
-    index to use. Duplicate variable names are rejected to keep solution
-    files unambiguous.
+    ``add_columns`` and ``add_rows`` append in bulk; ``add_variable`` and
+    ``add_constraint`` append one named column or row. Coefficients
+    reference variables by index. Duplicate explicit variable names are
+    rejected to keep exported files unambiguous. ``namer`` returns the
+    names of the columns and rows added in bulk, in order, and is called
+    only on export.
     """
 
     sense: str = MINIMIZE
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    _names: dict[str, int] = field(default_factory=dict)
+    namer: Callable[[], tuple[list[str], list[str]]] | None = None
+    num_variables: int = field(default=0, init=False)
+    num_rows: int = field(default=0, init=False)
+    num_nonzeros: int = field(default=0, init=False)
+    # appended chunks, joined into one array each on first read
+    _cols: list[np.ndarray] = field(default_factory=list, init=False)
+    _vals: list[np.ndarray] = field(default_factory=list, init=False)
+    _lengths: list[np.ndarray] = field(default_factory=list, init=False)
+    _eq: list[np.ndarray] = field(default_factory=list, init=False)
+    _rhs: list[np.ndarray] = field(default_factory=list, init=False)
+    _var_names: dict[str, int] = field(default_factory=dict, init=False)
+    _row_names: dict[int, str] = field(default_factory=dict, init=False)
+
+    def add_columns(self, count: int) -> int:
+        """Append ``count`` unnamed columns; returns the first one's index."""
+        self.num_variables += count
+        return self.num_variables - count
+
+    def add_rows(self, cols, vals, lengths, eq, rhs) -> None:
+        """Append rows given as arrays: ``cols`` and ``vals`` hold their
+        entries back to back, ``lengths`` each row's entry count, ``eq`` its
+        sense (true for ``==``) and ``rhs`` its right-hand side."""
+        self._cols.append(np.asarray(cols, dtype=np.intp))
+        self._vals.append(np.asarray(vals, dtype=float))
+        self._lengths.append(np.asarray(lengths, dtype=np.intp))
+        self._eq.append(np.asarray(eq, dtype=bool))
+        self._rhs.append(np.asarray(rhs, dtype=float))
+        self.num_rows += len(self._lengths[-1])
+        self.num_nonzeros += len(self._cols[-1])
 
     def add_variable(self, name: str) -> int:
-        if name in self._names:
+        if name in self._var_names:
             raise ValueError(f"duplicate variable name {name!r}")
-        self.variables.append(Variable(name=name))
-        idx = len(self.variables) - 1
-        self._names[name] = idx
-        return idx
+        self._var_names[name] = self.add_columns(1)
+        return self._var_names[name]
 
     def add_constraint(
         self,
@@ -86,17 +115,48 @@ class LPModel:
     ) -> None:
         if sense not in (LE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        self.constraints.append(
-            Constraint(name=name, coefficients=list(coefficients), sense=sense, rhs=rhs)
-        )
+        self._row_names[self.num_rows] = name
+        cols = [col for col, _ in coefficients]
+        vals = [coef for _, coef in coefficients]
+        self.add_rows(cols, vals, [len(cols)], [sense == EQ], [rhs])
 
     def set_objective_coefficient(self, var: int, coefficient: float) -> None:
         if coefficient:
             self.objective[var] = self.objective.get(var, 0.0) + coefficient
 
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The row buffers: columns, coefficients, lengths, ``==`` flags and
+        right-hand sides, each one array in insertion order."""
+        buffers = (self._cols, self._vals, self._lengths, self._eq, self._rhs)
+        if len(self._lengths) != 1:
+            self.add_rows([], [], [], [], [])  # types an empty model's buffers
+            for chunks in buffers:
+                chunks[:] = [np.concatenate(chunks)]
+        return tuple(chunks[0] for chunks in buffers)
+
+    def names(self) -> tuple[list[str], list[str]]:
+        """Every column's and every row's name, for export."""
+        variables, rows = self.namer() if self.namer is not None else ([], [])
+        variables += [""] * (self.num_variables - len(variables))
+        rows += [""] * (self.num_rows - len(rows))
+        for name, var in self._var_names.items():
+            variables[var] = name
+        for row, name in self._row_names.items():
+            rows[row] = name
+        return variables, rows
+
     @property
-    def num_variables(self) -> int:
-        return len(self.variables)
+    def constraints(self) -> list[Row]:
+        """A read-only view of every row, rendered from the buffers."""
+        cols, vals, lengths, eq, rhs = self.rows()
+        ends = np.cumsum(lengths).tolist()
+        pairs = list(zip(cols.tolist(), vals.tolist()))
+        return [
+            Row(name, pairs[end - length:end], EQ if is_eq else LE, value)
+            for name, end, length, is_eq, value in zip(
+                self.names()[1], ends, lengths.tolist(), eq.tolist(), rhs.tolist()
+            )
+        ]
 
 
 @dataclass
@@ -124,24 +184,31 @@ def constraint_matrix(model: LPModel) -> tuple[csc_array, np.ndarray, np.ndarray
     order; a ``<=`` row's lower bound is ``-inf``, an ``==`` row's is its
     ``rhs``, and every upper bound is the ``rhs``.
     """
-    le_rows = [con for con in model.constraints if con.sense == LE]
-    rows = le_rows + [con for con in model.constraints if con.sense == EQ]
-    lengths = [len(con.coefficients) for con in rows]
-    # every (column, coefficient) pair of every row, flattened
-    pairs = np.fromiter(
-        chain.from_iterable(chain.from_iterable(con.coefficients for con in rows)),
-        dtype=float,
-        count=2 * sum(lengths),
-    ).reshape(-1, 2)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
+    cols, vals, lengths, eq, rhs = model.rows()
+    order = np.argsort(eq, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    row_of = np.repeat(position, lengths)
+    # column by column, rows ascending within a column
+    by_column = np.argsort(cols * len(order) + row_of)
+    starts = np.zeros(model.num_variables + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=model.num_variables), out=starts[1:])
     matrix = csc_array(
-        (pairs[:, 1], (row_of, pairs[:, 0].astype(np.intp))),
-        shape=(len(rows), model.num_variables),
+        (vals[by_column], row_of[by_column], starts),
+        shape=(len(order), model.num_variables),
     )
-    upper = np.array([con.rhs for con in rows], dtype=float)
-    lower = upper.copy()
-    lower[: len(le_rows)] = -np.inf
+    matrix.sum_duplicates()  # a no-op unless a row repeats a column
+    upper = rhs[order]
+    lower = np.where(eq[order], upper, -np.inf)
     return matrix, lower, upper
+
+
+def objective_vector(model: LPModel) -> np.ndarray:
+    """The cost vector HiGHS minimizes: the objective, negated for
+    ``MAXIMIZE``."""
+    c = np.zeros(model.num_variables)
+    c[list(model.objective)] = list(model.objective.values())
+    return -c if model.sense == MAXIMIZE else c
 
 
 def solve(model: LPModel) -> LPSolution:
@@ -151,23 +218,15 @@ def solve(model: LPModel) -> LPSolution:
     the unit box, with HiGHS' dual simplex after presolve (the options of
     ``linprog(method="highs")``).
     """
-    n = model.num_variables
-    if n == 0:
+    if model.num_variables == 0:
         # With no variables every row reads ``0 <sense> rhs``.
-        if any(
-            con.rhs < 0.0 if con.sense == LE else con.rhs != 0.0
-            for con in model.constraints
-        ):
+        _, _, _, eq, rhs = model.rows()
+        if np.any(np.where(eq, rhs != 0.0, rhs < 0.0)):
             return LPSolution(status="infeasible", objective_value=None, values=None)
         return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
-    c = np.zeros(n)
-    for idx, coef in model.objective.items():
-        c[idx] = coef
-    if model.sense == MAXIMIZE:
-        c = -c
     matrix, lower, upper = constraint_matrix(model)
     run = _run_highs if _highs is not None else _run_linprog
-    solution = run(c, matrix, lower, upper)
+    solution = run(objective_vector(model), matrix, lower, upper)
     if solution.optimal and model.sense == MAXIMIZE:
         solution.objective_value = -solution.objective_value
     return solution
@@ -252,27 +311,31 @@ def _run_linprog(
 
 def write_lp(model: LPModel) -> str:
     """Render the model in the common LP text format for external checks."""
+    variables, row_names = model.names()
+
+    def expr(cols, vals) -> str:
+        terms = []
+        for col, coef in zip(cols, vals):
+            if coef < 0:
+                terms.append(f"- {-coef!r} {variables[col]}")
+            else:
+                prefix = "+ " if terms else ""
+                terms.append(f"{prefix}{coef!r} {variables[col]}")
+        return " ".join(terms) if terms else "0"
+
     lines = ["Maximize" if model.sense == MAXIMIZE else "Minimize"]
-    lines.append(" obj: " + _linear_expr(model.objective.items(), model))
+    lines.append(" obj: " + expr(model.objective, model.objective.values()))
     lines.append("Subject To")
-    for con in model.constraints:
-        op = "=" if con.sense == EQ else "<="
-        expr = _linear_expr(con.coefficients, model)
-        lines.append(f" {con.name}: {expr} {op} {con.rhs!r}")
+    cols, vals, lengths, eq, rhs = model.rows()
+    cols, vals = cols.tolist(), vals.tolist()
+    end = 0
+    for name, length, is_eq, value in zip(
+        row_names, lengths.tolist(), eq.tolist(), rhs.tolist()
+    ):
+        start, end = end, end + length
+        terms = expr(cols[start:end], vals[start:end])
+        lines.append(f" {name}: {terms} {'=' if is_eq else '<='} {value!r}")
     lines.append("Bounds")
-    for var in model.variables:
-        lines.append(f" 0.0 <= {var.name} <= 1.0")
+    lines.extend(f" 0.0 <= {name} <= 1.0" for name in variables)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def _linear_expr(coefficients, model: LPModel) -> str:
-    terms = []
-    for idx, coef in coefficients:
-        name = model.variables[idx].name
-        if coef < 0:
-            terms.append(f"- {-coef!r} {name}")
-        else:
-            prefix = "+ " if terms else ""
-            terms.append(f"{prefix}{coef!r} {name}")
-    return " ".join(terms) if terms else "0"

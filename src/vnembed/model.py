@@ -411,6 +411,13 @@ def compute_allocations(
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
         raise ValueError(f"invalid mapping: {why}")
+    return _unchecked_allocations(request, mapping)
+
+
+def _unchecked_allocations(
+    request: Request, mapping: ValidMapping
+) -> dict[Resource, float]:
+    """``compute_allocations`` of a mapping the caller has already checked."""
     alloc: dict[Resource, float] = {}
     for i in request.nodes:
         res = node_resource(request.node_type[i], mapping.node_map[i])

@@ -12,7 +12,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from vnembed import PipelineConfig, run_pipeline
+from vnembed import (
+    Digraph,
+    PipelineConfig,
+    build_novel,
+    min_width_order_search,
+    run_pipeline,
+)
 from vnembed.formulations import NovelVariableIndex
 from vnembed.scenarios import scenario_instance
 
@@ -54,3 +60,28 @@ def test_traced_run_records_lp_size():
     from vnembed import formulations
 
     assert pipeline.build_novel is formulations.build_novel
+
+
+def test_tracer_lp_size_matches_the_model():
+    # the tracer counts rows and nonzeros through ``LPModel.constraints``,
+    # a view rendered from the row buffers; it must agree with the buffers
+    tracer = _tracer_module()
+    for name in ("fig3-cost-gadget", "halfwheel:4"):
+        instance = scenario_instance(name)
+        orders = [
+            min_width_order_search(Digraph.build(r.nodes, r.edges))
+            for r in instance.requests
+        ]
+        for objective in ("profit", "cost"):
+            result = build_novel(
+                instance.substrate, instance.requests, orders, objective
+            )
+            model = result[0]
+            span = tracer.Span("pipeline:build_novel", 0.0, 0.0, None, 0)
+            tracer._model_size(span, result)
+            assert span.counts == {
+                "variables": model.num_variables,
+                "rows": model.num_rows,
+                "nonzeros": model.num_nonzeros,
+            }
+            assert model.num_rows > 0

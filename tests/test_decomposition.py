@@ -278,3 +278,52 @@ def test_verifier_flags_tampering():
     flagged = verify_decomposition(substrate, request, bad, 1.0, loads)
     assert flagged.invalid
     assert not flagged.ok
+
+
+
+def test_verifier_checks_each_entry_once(monkeypatch):
+    import vnembed.decomposition as decomposition
+    from vnembed.decomposition import DecompositionCheck
+    from vnembed.model import compute_allocations
+
+    substrate, request = _triangle_fixture()
+    m2 = ValidMapping(
+        node_map={"i": "v2", "j": "v3", "k": "v1"},
+        edge_map={
+            ("i", "j"): (("v2", "v3"),),
+            ("j", "k"): (("v3", "v1"),),
+            ("k", "i"): (("v1", "v2"),),
+        },
+    )
+    labeled, state = _embedded_state(
+        substrate, request, [_TRIANGLE_M1, m2], [0.5, 0.5]
+    )
+    dec = decompose_novel(substrate, request, labeled, state)
+    assert len(dec.entries) == 2
+    loads = {res: 0.9 * load for res, load in state.a.items()}
+    # the check as computed through the public, validating allocations
+    used: dict = {}
+    for entry in dec.entries:
+        for res, amount in compute_allocations(
+            substrate, request, entry.mapping
+        ).items():
+            used[res] = used.get(res, 0.0) + entry.weight * amount
+    expected = DecompositionCheck(
+        completeness_error=abs(dec.total_weight - 1.0),
+        worst_overuse=max(0.0, *(t - loads.get(r, 0.0) for r, t in used.items())),
+        invalid=[],
+    )
+
+    calls = []
+    original = decomposition.check_valid_mapping
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decomposition, "check_valid_mapping", counted)
+    monkeypatch.setattr("vnembed.model.check_valid_mapping", counted)
+    check = verify_decomposition(substrate, request, dec, 1.0, loads)
+    assert len(calls) == len(dec.entries)
+    assert check == expected
+    assert check.worst_overuse > 0.0

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+import lp_reference
 import vnembed.lpmodel
 
 from vnembed import (
@@ -29,8 +30,17 @@ from vnembed import (
     solve,
     write_lp,
 )
-from vnembed.formulations import BudgetExceededError
-from vnembed.lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel, LPSolution
+from vnembed.formulations import BudgetExceededError, flow_orders
+from vnembed.lpmodel import (
+    EQ,
+    LE,
+    MAXIMIZE,
+    MINIMIZE,
+    LPModel,
+    LPSolution,
+    constraint_matrix,
+    objective_vector,
+)
 from vnembed.scenarios import scenario_instance, tiny_corpus
 
 
@@ -191,7 +201,7 @@ def test_variable_count_closed_form():
             instance.substrate, instance.requests, orders, "profit"
         )
         count = count_novel_variables(instance.substrate, instance.requests, orders)
-        assert count == len(model.variables) == index.num_variables
+        assert count == model.num_variables == index.num_variables
 
 
 def test_variable_budget_enforced(fig3):
@@ -200,7 +210,7 @@ def test_variable_budget_enforced(fig3):
     model, _ = build_novel(
         fig3.substrate, fig3.requests, orders, "profit", var_budget=count
     )
-    assert len(model.variables) == count
+    assert model.num_variables == count
     with pytest.raises(BudgetExceededError):
         build_novel(
             fig3.substrate, fig3.requests, orders, "profit", var_budget=count - 1
@@ -406,3 +416,103 @@ def test_max_violation_matches_row_loop(fig3, fig3_gadget, tiny_corpus, tree_cor
             )
             checked += 1
     assert checked > 0
+
+
+def _same(ours: np.ndarray, reference: np.ndarray) -> bool:
+    """Equal bit for bit, down to the dtype and the sign of zeros."""
+    return (
+        ours.dtype == reference.dtype
+        and ours.shape == reference.shape
+        and ours.tobytes() == reference.tobytes()
+    )
+
+
+def _layout(cols) -> list:
+    """Every ``RequestColumns`` dict as a list of items, in insertion order."""
+    return [
+        cols.x,
+        list(cols.y.items()),
+        list(cols.sub_x.items()),
+        list(cols.sub_y.items()),
+        [(key, list(flows.items())) for key, flows in cols.sub_z.items()],
+        list(cols.gamma.items()),
+    ]
+
+
+def test_array_build_matches_the_object_build(
+    fig3, fig3_gadget, tiny_corpus, tree_corpus, width3_corpus
+):
+    # the array build must hand HiGHS exactly the matrix, bounds and costs
+    # of the object-per-row build it replaced, export the same text and
+    # give decomposition the same request loads
+    cases = [
+        (instance, _orders(instance))
+        for instance in (
+            fig3, fig3_gadget, scenario_instance("halfwheel:4"),
+            *tiny_corpus, *tree_corpus,
+        )
+    ]
+    width3 = [
+        (instance, [labeled])
+        for instance, labeled in width3_corpus
+        if labeled.width == 3
+    ]
+    # hosts listed against name order, so label placements enumerate out
+    # of sorted order
+    unsorted = [
+        (
+            dataclasses.replace(
+                instance,
+                requests=tuple(
+                    dataclasses.replace(
+                        req,
+                        allowed_nodes={
+                            i: hosts[::-1] for i, hosts in req.allowed_nodes.items()
+                        },
+                    )
+                    for req in instance.requests
+                ),
+            ),
+            orders,
+        )
+        for instance, orders in width3
+    ]
+    cases += width3 + unsorted
+    rng = np.random.default_rng(12)
+    compared = 0
+    for instance, orders in cases:
+        substrate, requests = instance.substrate, instance.requests
+        for objective in ("profit", "cost"):
+            for build_orders in (orders, flow_orders(requests)):
+                model, index = build_novel(
+                    substrate, requests, build_orders, objective
+                )
+                reference, ref_index = lp_reference.build_novel(
+                    substrate, requests, build_orders, objective
+                )
+                assert _same(
+                    objective_vector(model), lp_reference.objective_vector(reference)
+                )
+                matrix, lower, upper = constraint_matrix(model)
+                ref_matrix, ref_lower, ref_upper = lp_reference.constraint_matrix(
+                    reference
+                )
+                assert _same(matrix.indptr, ref_matrix.indptr)
+                assert _same(matrix.indices, ref_matrix.indices)
+                assert _same(matrix.data, ref_matrix.data)
+                assert _same(lower, ref_lower)
+                assert _same(upper, ref_upper)
+                assert index.num_variables == ref_index.num_variables
+                assert [_layout(c) for c in index.columns] == [
+                    _layout(c) for c in ref_index.columns
+                ]
+                assert write_lp(model) == lp_reference.write_lp(reference)
+                values = rng.uniform(0.0, 1.0, model.num_variables)
+                for r in range(len(requests)):
+                    state = index.request_state(values, r)
+                    assert state.residual == values.tolist()
+                    loads = lp_reference.request_loads(ref_index, values, r)
+                    assert list(state.a.items()) == list(loads.items())
+                compared += 1
+    assert compared == 4 * len(cases)
+    assert len(width3) == 8
