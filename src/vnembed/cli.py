@@ -444,8 +444,10 @@ def cmd_run(args) -> int:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
 
     results = []
-    if args.jobs > 1 and len(plan) > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+    jobs = min(args.jobs, len(plan))
+    if jobs > 1:
+        # a forked pool starts all its workers at the first submit
+        with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
             futures = [
                 pool.submit(_run_one, path, config, out, csv_out)
                 for path, out, csv_out in plan
@@ -583,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--var-budget", type=_positive_int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out-dir", help="per-instance reports land here")
     p.add_argument("--csv", help="per-try CSV (single instance only)")
     p.add_argument("--plot-data", help="tidy long-format CSV across instances")

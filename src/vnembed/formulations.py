@@ -49,7 +49,13 @@ from typing import Sequence
 import numpy as np
 
 from .extraction import LabeledExtractionOrder, build_extraction_order, flow_labeling
-from .lpmodel import MAXIMIZE, MINIMIZE, LPModel, constraint_matrix
+from .lpmodel import (
+    MAXIMIZE,
+    MINIMIZE,
+    LPModel,
+    constraint_matrix,
+    primal_violation,
+)
 from .model import (
     Request,
     Resource,
@@ -639,11 +645,4 @@ def embed_mapping(
 
 def max_violation(model: LPModel, values: np.ndarray) -> float:
     """Largest row or unit-box violation of a candidate point."""
-    worst = 0.0
-    if len(values):
-        worst = max(worst, -float(values.min()), float(values.max()) - 1.0)
-    matrix, lower, upper = constraint_matrix(model)
-    if len(upper):
-        lhs = matrix @ values
-        worst = max(worst, float(np.max(lhs - upper)), float(np.max(lower - lhs)))
-    return worst
+    return primal_violation(*constraint_matrix(model), values)

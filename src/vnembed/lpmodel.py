@@ -12,30 +12,59 @@ Names exist for export only. ``write_lp`` renders them through the model's
 names given to ``add_variable`` and ``add_constraint``; nothing on the
 solve path formats a name.
 
-``solve`` assembles one CSC matrix (``<=`` rows first, then ``==`` rows,
-each in insertion order) and hands it to scipy's bundled HiGHS bindings
-directly, through the module-level ``_run_highs``. It passes the matrix
-and sets the options exactly as ``linprog(method="highs")`` does, so both
-return the same solution vector bit for bit, but it skips ``linprog``'s
-input cleaning, option validation and per-column marginal loop, none of
-which the package reads. scipy releases before 1.15 ship no such
-bindings; there ``solve`` hands the same matrix to the module-level
-``linprog``.
+``solve`` assembles the rows as CSC arrays (``<=`` rows first, then ``==``
+rows, each in insertion order) and hands them to scipy's bundled HiGHS
+bindings directly, through the module-level ``_run_highs``. It passes the
+arrays and sets the options exactly as ``linprog(method="highs")`` does, so
+both return the same solution vector bit for bit, but it skips
+``linprog``'s input cleaning, option validation and per-column marginal
+loop, none of which the package reads. An optimal point that breaks a
+bound or a row by more than ``linprog``'s own post-check allows is
+reported as an error.
+
+The bindings are loaded from their file, ``scipy/optimize/_highspy/_core``
+plus the interpreter's extension suffix, after importing only the root
+``scipy`` package: importing ``scipy.optimize`` would pull in
+``scipy.linalg``, ``scipy.sparse`` and more, and cost most of a cold
+start. The module is registered in ``sys.modules`` under its own name, so
+a later ``import scipy.optimize`` reuses it (a second load would register
+its types twice); scipy reaches it through ``from`` imports, which find it
+there. scipy releases before 1.15 ship no such file; there ``solve`` hands
+the same rows to ``linprog``, which is imported on that path only.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # scipy < 1.15
-    _highs = None
+
+def _load_highs():
+    """scipy's bundled HiGHS bindings, or None if this scipy has none."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    return None  # scipy < 1.15
+
+
+_highs = _load_highs()
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -45,6 +74,10 @@ EQ = "=="
 
 # The solver every report names.
 BACKEND = "highs"
+
+# linprog's post-check: an "optimal" point farther than this outside a
+# bound or a row is no solution (10 times the root of its 1e-9 tolerance)
+PRIMAL_TOLERANCE = 10 * 1e-9 ** 0.5
 
 
 class Row(NamedTuple):
@@ -177,12 +210,34 @@ class LPSolution:
         return f"{self.status} ({self.message})" if self.message else self.status
 
 
-def constraint_matrix(model: LPModel) -> tuple[csc_array, np.ndarray, np.ndarray]:
+class CscMatrix(NamedTuple):
+    """A sparse matrix as compressed columns: column ``j``'s entries are
+    ``indices[indptr[j]:indptr[j + 1]]`` (their rows, ascending) and the
+    same slice of ``data``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        """``self @ values``. Each row's products are added in column order,
+        the order of scipy's CSC product, so the sums are the same floats."""
+        col_of = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        sums = np.bincount(
+            self.indices, weights=self.data * values[col_of], minlength=self.shape[0]
+        )
+        return sums.astype(float, copy=False)  # integer zeros if no entries
+
+
+def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray]:
     """All rows as one CSC matrix with their lower and upper bounds.
 
     ``<=`` rows come first, then ``==`` rows, each group in insertion
     order; a ``<=`` row's lower bound is ``-inf``, an ``==`` row's is its
-    ``rhs``, and every upper bound is the ``rhs``.
+    ``rhs``, and every upper bound is the ``rhs``. Entries a row repeats for
+    one column are summed in insertion order into one, and kept even when
+    the sum is zero.
     """
     cols, vals, lengths, eq, rhs = model.rows()
     order = np.argsort(eq, kind="stable")
@@ -190,17 +245,34 @@ def constraint_matrix(model: LPModel) -> tuple[csc_array, np.ndarray, np.ndarray
     position[order] = np.arange(len(order))
     row_of = np.repeat(position, lengths)
     # column by column, rows ascending within a column
-    by_column = np.argsort(cols * len(order) + row_of)
-    starts = np.zeros(model.num_variables + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=model.num_variables), out=starts[1:])
-    matrix = csc_array(
-        (vals[by_column], row_of[by_column], starts),
-        shape=(len(order), model.num_variables),
+    key = cols * len(order) + row_of
+    by_column = np.argsort(key, kind="stable")
+    key, vals = key[by_column], vals[by_column]
+    # the last entry of each (row, column) pair takes the pair's sum
+    last = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    for i in np.flatnonzero(~last).tolist():  # a row repeats a column
+        vals[i + 1] += vals[i]
+    by_column, vals = by_column[last], vals[last]
+    indptr = np.zeros(model.num_variables + 1, dtype=np.intp)
+    np.cumsum(
+        np.bincount(cols[by_column], minlength=model.num_variables), out=indptr[1:]
     )
-    matrix.sum_duplicates()  # a no-op unless a row repeats a column
     upper = rhs[order]
     lower = np.where(eq[order], upper, -np.inf)
+    shape = (len(order), model.num_variables)
+    matrix = CscMatrix(indptr, row_of[by_column], vals, shape)
     return matrix, lower, upper
+
+
+def primal_violation(
+    matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray, values: np.ndarray
+) -> float:
+    """Largest unit-box or row violation of ``values`` (0 if none; NaN if a
+    value or a row sum is NaN)."""
+    lhs = matrix @ values
+    parts = ([0.0], -values, values - 1.0, lhs - upper, lower - lhs)
+    return float(np.max(np.concatenate(parts)))
 
 
 def objective_vector(model: LPModel) -> np.ndarray:
@@ -216,7 +288,8 @@ def solve(model: LPModel) -> LPSolution:
 
     The objective is minimized as given, or negated for ``MAXIMIZE``, over
     the unit box, with HiGHS' dual simplex after presolve (the options of
-    ``linprog(method="highs")``).
+    ``linprog(method="highs")``). An optimal point that violates the model
+    by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
     """
     if model.num_variables == 0:
         # With no variables every row reads ``0 <sense> rhs``.
@@ -227,33 +300,26 @@ def solve(model: LPModel) -> LPSolution:
     matrix, lower, upper = constraint_matrix(model)
     run = _run_highs if _highs is not None else _run_linprog
     solution = run(objective_vector(model), matrix, lower, upper)
-    if solution.optimal and model.sense == MAXIMIZE:
-        solution.objective_value = -solution.objective_value
+    if solution.optimal:
+        violation = primal_violation(matrix, lower, upper, solution.values)
+        if not violation <= PRIMAL_TOLERANCE:
+            return LPSolution(
+                status="error", objective_value=None, values=None,
+                iterations=solution.iterations,
+                message=f"{solution.message}, but the point violates a bound "
+                f"or row by {violation:.3g} (tolerance {PRIMAL_TOLERANCE:.3g})",
+            )
+        if model.sense == MAXIMIZE:
+            solution.objective_value = -solution.objective_value
     return solution
 
 
 def _run_highs(
-    c: np.ndarray, matrix: csc_array, lower: np.ndarray, upper: np.ndarray
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
 ) -> LPSolution:
     """Minimize ``c @ x`` over the unit box and ``lower <= matrix @ x <= upper``
     through the bundled HiGHS bindings."""
     num_row, num_col = matrix.shape
-    # the bindings copy Python lists into their vectors about twice as
-    # fast as arrays, which they read element by element
-    lp = _highs.HighsLp()
-    lp.num_col_ = num_col
-    lp.num_row_ = num_row
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = [0.0] * num_col
-    lp.col_upper_ = [1.0] * num_col
-    lp.row_lower_ = lower.tolist()
-    lp.row_upper_ = upper.tolist()
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = num_col
-    lp.a_matrix_.num_row_ = num_row
-    lp.a_matrix_.start_ = matrix.indptr.tolist()
-    lp.a_matrix_.index_ = matrix.indices.tolist()
-    lp.a_matrix_.value_ = matrix.data.tolist()
     highs = _highs._Highs()
     # exactly what linprog(method="highs") sets
     highs.setOptionValue("presolve", "on")
@@ -261,7 +327,16 @@ def _run_highs(
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("highs_debug_level", 0)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    # the array overload reads int32 indices, each column's start (no end
+    # marker) and a full-length integrality vector, all zero (continuous)
+    passed = highs.passModel(
+        num_col, num_row, len(matrix.data),
+        int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
+        c, np.zeros(num_col), np.ones(num_col), lower, upper,
+        matrix.indptr[:-1].astype(np.int32), matrix.indices.astype(np.int32),
+        matrix.data, np.zeros(num_col, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
         return LPSolution(
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
@@ -283,17 +358,28 @@ def _run_highs(
     return solution
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported when called: only the fallback
+    solve path needs it, and importing ``scipy.optimize`` is slow."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _run_linprog(
-    c: np.ndarray, matrix: csc_array, lower: np.ndarray, upper: np.ndarray
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
 ) -> LPSolution:
     """``_run_highs`` through ``linprog``, for scipy without the bindings."""
+    from scipy.sparse import csc_array
+
+    rows = csc_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     num_le = int(np.isneginf(lower).sum())
     num_eq = len(upper) - num_le
     res = linprog(
         c,
-        A_ub=matrix[:num_le] if num_le else None,
+        A_ub=rows[:num_le] if num_le else None,
         b_ub=upper[:num_le] if num_le else None,
-        A_eq=matrix[num_le:] if num_eq else None,
+        A_eq=rows[num_le:] if num_eq else None,
         b_eq=upper[num_le:] if num_eq else None,
         bounds=(0.0, 1.0),
         method="highs",

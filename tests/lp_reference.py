@@ -7,6 +7,11 @@ matrix flattened from those tuples, and the request loads summed in a
 loop over the load terms. ``tests/test_lp.py`` checks that the package's
 builder hands HiGHS exactly what this one does, exports the same text and
 gives decomposition the same loads.
+
+``run_highs`` is the HiGHS hand-off as it was before the arrays went to the
+bindings' array overload: a ``HighsLp`` filled from ``.tolist()`` copies.
+``tests/test_lp.py`` checks that ``lpmodel._run_highs`` returns what it
+does, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from vnembed.formulations import (
     RequestColumns,
     count_novel_variables,
 )
-from vnembed.lpmodel import EQ, LE, MAXIMIZE, MINIMIZE
+from vnembed.lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPSolution, _highs
 from vnembed.model import (
     Request,
     Resource,
@@ -439,3 +444,48 @@ def request_loads(index: NovelVariableIndex, values: np.ndarray, r: int) -> dict
     for res, var, demand in _load_terms(index, r):
         loads[res] += demand * residual[var]
     return loads
+
+
+def run_highs(c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray) -> LPSolution:
+    """``lpmodel._run_highs`` through a ``HighsLp`` built from lists."""
+    num_row, num_col = matrix.shape
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [0.0] * num_col
+    lp.col_upper_ = [1.0] * num_col
+    lp.row_lower_ = lower.tolist()
+    lp.row_upper_ = upper.tolist()
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = num_col
+    lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = matrix.data.tolist()
+    highs = _highs._Highs()
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("simplex_strategy", 1)  # dual simplex
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("highs_debug_level", 0)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return LPSolution(
+            status="error", objective_value=None, values=None,
+            message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
+        )
+    ran = highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    solution = LPSolution(
+        status="error", objective_value=None, values=None,
+        iterations=info.simplex_iteration_count,
+        message=highs.modelStatusToString(status),
+    )
+    if ran and status == _highs.HighsModelStatus.kOptimal:
+        solution.status = "optimal"
+        solution.objective_value = float(info.objective_function_value)
+        solution.values = np.array(highs.getSolution().col_value)
+    elif ran and status == _highs.HighsModelStatus.kInfeasible:
+        solution.status = "infeasible"
+    return solution

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import filecmp
 import json
 
@@ -17,6 +18,7 @@ from vnembed import (
     load_instance,
     run_pipeline,
 )
+import vnembed.cli
 import vnembed.oracle
 from vnembed.cli import main
 from vnembed.instances import Instance
@@ -485,6 +487,53 @@ def test_run_multi_needs_out_dir(tmp_path, capsys):
     b = _generate(tmp_path, "tree:4")
     assert main(["run", str(a), str(b)]) == 2
     assert "out-dir" in capsys.readouterr().err
+
+
+class _InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size it was
+    asked for and runs every task at submit, in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, workers", [("64", [2]), ("2", [2]), ("1", [])])
+def test_run_pool_is_no_larger_than_the_batch(
+    tmp_path, capsys, monkeypatch, jobs, workers
+):
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(
+        vnembed.cli.concurrent.futures, "ProcessPoolExecutor", _InlineExecutor
+    )
+    paths = [str(_generate(tmp_path, name)) for name in ("tree:3", "tree:4")]
+    out_dir = tmp_path / "reports"
+    assert main(["run", *paths, "--jobs", jobs, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert _InlineExecutor.sizes == workers
+    assert (out_dir / "tree-3.report.json").exists()
+    assert (out_dir / "tree-4.report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, value):
+    path = _generate(tmp_path, "tree:3")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(path), "--jobs", value])
+    assert err.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
 def test_run_multi_instance_with_plot_data(tmp_path, capsys):

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_array, csr_matrix
 
 import lp_reference
 import vnembed.lpmodel
+import vnembed.pipeline
 
 from vnembed import (
     Digraph,
@@ -385,13 +388,13 @@ def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
         calls.append(kwargs)
         return linprog(*args, **kwargs)
 
-    # the name the benchmark tracer hooks stays bound to linprog
-    assert vnembed.lpmodel.linprog is linprog
+    # the name the benchmark tracer hooks forwards to scipy's linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     # as if the bindings were missing (scipy < 1.15)
     monkeypatch.setattr(vnembed.lpmodel, "_highs", None)
-    monkeypatch.setattr(vnembed.lpmodel, "linprog", counted)
     fallback = solve(model)
     assert len(calls) == 1
+    assert calls[0]["method"] == "highs"
     assert fallback.status == direct.status
     assert fallback.objective_value == direct.objective_value
     assert fallback.iterations == direct.iterations
@@ -516,3 +519,140 @@ def test_array_build_matches_the_object_build(
                 compared += 1
     assert compared == 4 * len(cases)
     assert len(width3) == 8
+
+
+@pytest.mark.skipif(
+    vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
+)
+def test_array_handoff_matches_the_list_handoff(
+    fig3, fig3_gadget, tiny_corpus, tree_corpus
+):
+    # HiGHS gets the arrays through its array overload and must return
+    # what it returns for a HighsLp filled from lists, bit for bit
+    statuses = set()
+    for model in _equivalence_models(fig3, fig3_gadget, tiny_corpus, tree_corpus):
+        c = objective_vector(model)
+        matrix, lower, upper = constraint_matrix(model)
+        ours = vnembed.lpmodel._run_highs(c, matrix, lower, upper)
+        reference = lp_reference.run_highs(c, matrix, lower, upper)
+        assert ours.status == reference.status
+        assert ours.message == reference.message
+        assert ours.iterations == reference.iterations
+        assert ours.objective_value == reference.objective_value
+        if reference.values is None:
+            assert ours.values is None
+        else:
+            assert _same(ours.values, reference.values)
+        statuses.add(ours.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def _scipy_matrix(model: LPModel) -> csc_array:
+    """The rows as scipy's ``csc_array``, with scipy summing the entries a
+    row repeats for one column."""
+    cols, vals, lengths, eq, _ = model.rows()
+    order = np.argsort(eq, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    row_of = np.repeat(position, lengths)
+    by_column = np.lexsort((row_of, cols))  # column, row, then insertion
+    starts = np.zeros(model.num_variables + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=model.num_variables), out=starts[1:])
+    matrix = csc_array(
+        (vals[by_column], row_of[by_column], starts),
+        shape=(len(order), model.num_variables),
+    )
+    matrix.sum_duplicates()
+    return matrix
+
+
+def _repeating_model() -> LPModel:
+    """Rows that list one column several times; the sums depend on the
+    order of the additions, and one of them is zero."""
+    model = LPModel()
+    for name in ("a", "b", "c"):
+        model.add_variable(name)
+    model.add_constraint("eq", [(1, 0.1), (0, 1.0), (1, 0.2), (1, 0.3)], EQ, 0.6)
+    model.add_constraint(
+        "le", [(2, 1.0), (0, 1e16), (2, -1.0), (0, 1.0), (0, -1e16)], LE, 1.0
+    )
+    model.add_constraint("single", [(2, -0.0)], LE, 0.0)
+    return model
+
+
+def test_matrix_and_product_match_scipy(fig3, fig3_gadget, tiny_corpus, tree_corpus):
+    rng = np.random.default_rng(13)
+    models = [
+        *_equivalence_models(fig3, fig3_gadget, tiny_corpus, tree_corpus),
+        _repeating_model(),
+    ]
+    for model in models:
+        matrix, _, _ = constraint_matrix(model)
+        reference = _scipy_matrix(model)
+        assert matrix.shape == reference.shape
+        assert _same(matrix.indptr, reference.indptr)
+        assert _same(matrix.indices, reference.indices)
+        assert _same(matrix.data, reference.data)
+        for values in (
+            rng.uniform(-1.0, 1.0, model.num_variables),
+            rng.uniform(0.0, 1.0, model.num_variables) * 1e8,
+        ):
+            assert _same(matrix @ values, reference @ values)
+    # summed in insertion order into one entry per (row, column), zeros kept
+    matrix, _, _ = constraint_matrix(_repeating_model())
+    # (rows: "le", "single", then "eq")
+    assert matrix.indptr.tolist() == [0, 2, 3, 5]
+    assert matrix.indices.tolist() == [0, 2, 2, 0, 1]
+    assert matrix.data.tolist() == [0.0, 1.0, (0.1 + 0.2) + 0.3, 0.0, -0.0]
+    assert math.copysign(1.0, matrix.data[-1]) == -1.0
+
+
+def _off_model(monkeypatch, kind):
+    """Make the solve path report optimal with a point moved off the model."""
+    name = "_run_highs" if vnembed.lpmodel._highs is not None else "_run_linprog"
+    honest = getattr(vnembed.lpmodel, name)
+
+    def run(c, matrix, lower, upper):
+        solution = honest(c, matrix, lower, upper)
+        values = solution.values
+        solution.values = {
+            "row": np.ones_like(values),  # inside the box, outside the rows
+            "box": values - 1e-3,  # every zero goes below its lower bound
+            "nan": np.full_like(values, np.nan),
+            "within": values + 1e-5,  # inside linprog's tolerance
+        }[kind]
+        return solution
+
+    monkeypatch.setattr(vnembed.lpmodel, name, run)
+
+
+@pytest.mark.parametrize("kind", ["row", "box", "nan"])
+def test_optimal_point_off_the_model_is_an_error(fig3_gadget, monkeypatch, kind):
+    model, _ = build_novel(
+        fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
+    )
+    honest = solve(model)
+    _off_model(monkeypatch, kind)
+    solution = solve(model)
+    assert solution.status == "error"
+    assert solution.values is None and solution.objective_value is None
+    assert "violates a bound or row by" in solution.message
+    assert solution.iterations == honest.iterations
+    with pytest.raises(vnembed.pipeline.PipelineError) as err:
+        vnembed.pipeline.run_pipeline(
+            fig3_gadget, vnembed.pipeline.PipelineConfig(variant="profit", seed=1)
+        )
+    assert err.value.stage == "solve-lp"
+    assert "violates a bound or row by" in str(err.value)
+
+
+def test_optimal_point_within_tolerance_stays_optimal(fig3_gadget, monkeypatch):
+    model, _ = build_novel(
+        fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
+    )
+    honest = solve(model)
+    _off_model(monkeypatch, "within")
+    solution = solve(model)
+    assert solution.optimal
+    assert solution.objective_value == honest.objective_value
+    assert np.array_equal(solution.values, honest.values + 1e-5)
