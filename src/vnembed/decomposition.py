@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .extraction import LabeledExtractionOrder
@@ -326,9 +326,16 @@ def _value(state: NovelState, col: int | None) -> float:
 
 @dataclass
 class DecompositionCheck:
+    """What ``verify_decomposition`` found. ``allocations`` holds each valid
+    entry's ``compute_allocations`` result, in entry order; it is what was
+    checked, not part of the verdict, so it takes no part in comparisons."""
+
     completeness_error: float
     worst_overuse: float
     invalid: list[str]
+    allocations: list[dict[Resource, float]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -349,13 +356,15 @@ def verify_decomposition(
     """Check completeness, per-resource domination by the LP loads, and
     validity of every extracted mapping."""
     invalid = []
+    allocations = []
     used: dict[Resource, float] = {}
     for idx, entry in enumerate(decomposition.entries):
         ok, why = check_valid_mapping(substrate, request, entry.mapping)
         if not ok:
             invalid.append(f"entry {idx}: {why}")
             continue
-        for res, amount in _unchecked_allocations(request, entry.mapping).items():
+        allocations.append(_unchecked_allocations(request, entry.mapping))
+        for res, amount in allocations[-1].items():
             used[res] = used.get(res, 0.0) + entry.weight * amount
     worst = 0.0
     for res, total in used.items():
@@ -364,4 +373,5 @@ def verify_decomposition(
         completeness_error=abs(decomposition.total_weight - x_value),
         worst_overuse=worst,
         invalid=invalid,
+        allocations=allocations,
     )

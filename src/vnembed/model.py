@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 # Resources are tagged tuples: ("node", node_type, node_id) for the typed
 # capacity of a substrate node, ("edge", tail, head) for edge bandwidth.
 Resource = tuple
@@ -484,61 +486,71 @@ def collection_feasible(
 
 @dataclass(frozen=True)
 class ResourceStats:
-    """Per-request extremal demand statistics.
+    """Extremal demand statistics of a batch of requests, one entry per
+    resource of ``substrate.resources``.
 
-    ``d_max[(k, res)]`` is the largest single demand request ``k`` may place
-    on resource ``res``; ``a_max_upper`` bounds the total allocation any one
-    valid mapping of request ``k`` can put there (sum of all demands that may
-    touch the resource). Requests are keyed by their position in the input
-    sequence.
+    ``demand_ratio[j]`` is the largest single demand any request may place
+    on resource ``j``, over its capacity. ``congestion[j]`` sums
+    ``(a_max_upper / d_max) ** 2`` (see ``request_extremes``) over the
+    requests, in order, that may place a positive demand there.
     """
 
-    d_max: Mapping[tuple[int, Resource], float]
-    a_max_upper: Mapping[tuple[int, Resource], float]
+    demand_ratio: np.ndarray
+    congestion: np.ndarray
 
     def max_demand_ratio(self, substrate: SubstrateGraph) -> float:
         """Largest demand to capacity ratio over all requests and resources."""
-        best = 0.0
-        for (_, res), dmax in self.d_max.items():
-            best = max(best, dmax / substrate.capacity(res))
-        return best
+        return float(self.demand_ratio.max(initial=0.0))
 
     def congestion_sum(self, substrate: SubstrateGraph, kind: str) -> float:
-        """Max over resources of ``sum_r (a_max_upper / d_max)^2``.
+        """Max over resources of ``kind`` (node or edge) of ``congestion``."""
+        nodes = len(substrate.node_capacity)
+        part = {NODE: slice(None, nodes), EDGE: slice(nodes, None)}[kind]
+        return float(self.congestion[part].max(initial=0.0))
 
-        ``kind`` selects node or edge resources. Requests that cannot touch
-        the resource contribute nothing.
-        """
-        per_resource: dict[Resource, float] = {}
-        for (k, res), dmax in self.d_max.items():
-            if res[0] != kind:
-                continue
-            if dmax <= 0:
-                continue
-            ratio = self.a_max_upper[(k, res)] / dmax
-            per_resource[res] = per_resource.get(res, 0.0) + ratio * ratio
-        return max(per_resource.values(), default=0.0)
+
+def request_extremes(
+    substrate: SubstrateGraph, request: Request
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per resource of ``substrate.resources``: ``d_max``, the largest single
+    demand ``request`` may place there, and ``a_max_upper``, the sum of all
+    demands that may touch it, which bounds the total allocation any one
+    valid mapping can put there. Both are 0 where the request cannot reach.
+
+    The demands are added in the request's node and edge order, as a loop
+    over its allowed hosts and substrate edges would add them.
+    """
+    columns = substrate.resource_column
+    where: list[int] = []
+    demand: list[float] = []
+    for i in request.nodes:
+        t = request.node_type[i]
+        allowed = request.allowed_nodes[i]
+        where += [columns[node_resource(t, u)] for u in allowed]
+        demand += [request.node_demand[i]] * len(allowed)
+    for e in request.edges:
+        allowed = request.allowed_edges[e]
+        where += [columns[edge_resource(*se)] for se in allowed]
+        demand += [request.edge_demand[e]] * len(allowed)
+    where_array = np.array(where, dtype=np.intp)
+    demand_array = np.array(demand, dtype=float)
+    d_max = np.zeros(len(columns))
+    np.maximum.at(d_max, where_array, demand_array)
+    a_max = np.bincount(where_array, weights=demand_array, minlength=len(columns))
+    return d_max, a_max.astype(float, copy=False)  # integer zeros if no terms
 
 
 def resource_stats(
     substrate: SubstrateGraph, requests: Sequence[Request]
 ) -> ResourceStats:
-    d_max: dict[tuple[int, Resource], float] = {}
-    a_max: dict[tuple[int, Resource], float] = {}
-    for k, req in enumerate(requests):
-        for i in req.nodes:
-            t = req.node_type[i]
-            d = req.node_demand[i]
-            for u in req.allowed_nodes[i]:
-                res = node_resource(t, u)
-                key = (k, res)
-                d_max[key] = max(d_max.get(key, 0.0), d)
-                a_max[key] = a_max.get(key, 0.0) + d
-        for e in req.edges:
-            d = req.edge_demand[e]
-            for se in req.allowed_edges[e]:
-                res = edge_resource(*se)
-                key = (k, res)
-                d_max[key] = max(d_max.get(key, 0.0), d)
-                a_max[key] = a_max.get(key, 0.0) + d
-    return ResourceStats(d_max=d_max, a_max_upper=a_max)
+    """The ``ResourceStats`` of ``requests``, accumulated request by request."""
+    d_max = np.zeros(len(substrate.resources))
+    congestion = np.zeros(len(substrate.resources))
+    for req in requests:
+        demand, total = request_extremes(substrate, req)
+        np.maximum(d_max, demand, out=d_max)
+        ratio = np.divide(total, demand, out=np.zeros_like(total), where=demand > 0)
+        congestion += ratio * ratio
+    return ResourceStats(
+        demand_ratio=d_max / np.array(substrate.capacities), congestion=congestion
+    )

@@ -11,9 +11,12 @@ joint LP accepts fully (up to ``WEIGHT_TOL``) is certified without a solo
 LP: the joint solution restricted to its variables is feasible for its
 solo LP, because demands are nonnegative, so its solo maximum acceptance
 is at least as large. Only the remaining requests go through
-``preprocess_profit``; if it drops any, the joint LP is built and solved
-again over the kept ones. Either way the final joint model is the one
-built over exactly the requests that solo preprocessing would keep.
+``preprocess_profit``, which re-solves the joint LP just solved with the
+other requests' columns held at 0: the thread's HiGHS object still holds
+that LP, so each solo LP starts from the joint basis, and no solo model is
+built. If it drops any, the joint LP is built and solved again, cold, over
+the kept ones. Either way the final joint model is the one built over
+exactly the requests that solo preprocessing would keep.
 
 Reports serialize deterministically: keys are emitted in a fixed order
 and wall-clock timings are left out unless explicitly requested, so two
@@ -213,11 +216,7 @@ def run_pipeline(
         if uncertified:
             t0 = time.perf_counter()
             try:
-                _, _, dropped = preprocess_profit(
-                    instance.substrate,
-                    [requests[r] for r in uncertified],
-                    [orders[r] for r in uncertified],
-                )
+                _, _, dropped = preprocess_profit(model, index, uncertified)
             except Exception as err:
                 raise PipelineError("preprocess", str(err)) from err
             timings["preprocess"] = time.perf_counter() - t0
@@ -243,6 +242,8 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     decompositions: list[ConvexDecomposition] = []
+    # each entry's allocation, computed once by the check that validated it
+    allocations: list[list[dict]] = []
     decomposition_rows = []
     for r, (req, labeled) in enumerate(zip(requests, orders)):
         state = index.request_state(solution.values, r)
@@ -264,6 +265,7 @@ def run_pipeline(
                 f"invalid {check.invalid}",
             )
         decompositions.append(dec)
+        allocations.append(check.allocations)
         decomposition_rows.append(
             {
                 "name": req.name,
@@ -285,15 +287,17 @@ def run_pipeline(
     if config.variant == "profit":
         rounded = round_profit(
             instance.substrate, requests, decompositions, bounds, lp_objective,
-            config.seed, config.max_tries,
+            config.seed, config.max_tries, allocations,
         )
     else:
         pruned = []
+        pruned_allocations = []
         prune_rows = []
         try:
-            for req, dec in zip(requests, decompositions):
+            for req, dec, allocs in zip(requests, decompositions, allocations):
                 norm, prep = prune_costly_mappings(instance.substrate, req, dec)
                 pruned.append(norm)
+                pruned_allocations.append([allocs[k] for k in prep.kept])
                 prune_rows.append(
                     {
                         "name": req.name,
@@ -309,7 +313,7 @@ def run_pipeline(
         try:
             rounded = round_cost(
                 instance.substrate, requests, pruned, bounds, lp_objective,
-                config.seed, config.max_tries,
+                config.seed, config.max_tries, pruned_allocations,
             )
         except GuaranteeError as err:
             raise PipelineError("round", str(err)) from err

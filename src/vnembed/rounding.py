@@ -32,8 +32,10 @@ import numpy as np
 
 from .decomposition import ConvexDecomposition
 from .extraction import LabeledExtractionOrder
-from .formulations import build_novel
-from .lpmodel import solve
+# build_novel is not called here any more, but the benchmark's tracer
+# (perfbench/tracer.py) still hooks it under this module's name
+from .formulations import NovelVariableIndex, build_novel
+from .lpmodel import MAXIMIZE, LPModel, solve
 from .model import (
     EDGE,
     NODE,
@@ -132,38 +134,58 @@ def compute_bounds(
 
 
 def preprocess_profit(
-    substrate: SubstrateGraph,
-    requests: Sequence[Request],
-    labeled_orders: Sequence[LabeledExtractionOrder],
+    model: LPModel,
+    index: NovelVariableIndex,
+    candidates: Sequence[int],
 ) -> tuple[list[Request], list[LabeledExtractionOrder], list[str]]:
-    """Drop requests that cannot be fully accepted on their own.
+    """Drop the candidate requests that cannot be fully accepted on their own.
 
-    Each request is solved solo against the decomposable LP; anything with
-    maximum acceptance below 1 (up to tolerance) can never contribute a
-    full embedding and would only dilute the rounding probabilities. The
-    solo profit LP is always feasible (accept nothing), so a solver status
-    other than optimal is a failure and raises ``RuntimeError``.
+    ``model`` and ``index`` are a profit LP built by ``build_novel``, and
+    ``candidates`` are positions in ``index.requests``. A request with
+    maximum acceptance below 1 (up to tolerance) on its own can never
+    contribute a full embedding and would only dilute the rounding
+    probabilities; returned are the kept candidates, their orders, and the
+    dropped candidates' names.
 
-    ``run_pipeline`` calls it only for the requests its joint LP leaves
-    below full acceptance; a fully accepted one provably passes.
+    A request's solo LP is ``model`` with every other request's columns held
+    at 0 and only its own objective terms: its request-local rows are
+    homogeneous (right-hand side 0), so the other requests' rows hold at 0,
+    and a capacity row only loses their loads. Each candidate is solved so,
+    through ``solve``'s overrides; if the solver still holds ``model`` from
+    the solve just before, HiGHS re-solves from the basis it kept. The solo
+    LP is always feasible (accept nothing), so a status other than optimal
+    is a failure and raises ``RuntimeError``.
+
+    ``run_pipeline`` calls it with its solved joint LP, for the requests that
+    LP leaves below full acceptance; a fully accepted one provably passes.
     """
+    if model.sense != MAXIMIZE or model.num_variables != index.num_variables:
+        raise ValueError("profit preprocessing needs the profit LP of index")
+    starts = [cols.x for cols in index.columns] + [model.num_variables]
+    coefficients = np.zeros(model.num_variables)
+    coefficients[list(model.objective)] = list(model.objective.values())
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
     dropped: list[str] = []
-    for req, labeled in zip(requests, labeled_orders):
-        model, index = build_novel(substrate, [req], [labeled], "profit")
-        solution = solve(model)
+    for r in candidates:
+        req = index.requests[r]
+        own = slice(starts[r], starts[r + 1])
+        upper = np.zeros(model.num_variables)
+        upper[own] = 1.0
+        objective = np.zeros(model.num_variables)
+        objective[own] = coefficients[own]
+        solution = solve(model, upper=upper, objective=objective)
         if not solution.optimal:
             raise RuntimeError(
                 f"solo LP of request {req.name!r}: solver returned "
                 f"{solution.outcome}"
             )
-        acceptance = float(solution.values[index.columns[0].x])
+        acceptance = float(solution.values[index.columns[r].x])
         if acceptance < 1.0 - WEIGHT_TOL:
             dropped.append(req.name)
         else:
             kept_requests.append(req)
-            kept_orders.append(labeled)
+            kept_orders.append(index.orders[r])
     return kept_requests, kept_orders, dropped
 
 
@@ -261,9 +283,15 @@ def sample_entry(decomposition: ConvexDecomposition, draw: float) -> int | None:
     return idx if idx < len(decomposition.entries) else None
 
 
-def _check_max_tries(max_tries: int) -> None:
+def _check_inputs(requests, decompositions, max_tries, allocations) -> None:
+    if len(decompositions) != len(requests):
+        raise ValueError("one decomposition per request required")
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
+    if allocations is not None and [len(a) for a in allocations] != [
+        len(dec.entries) for dec in decompositions
+    ]:
+        raise ValueError("one allocation per decomposition entry required")
 
 
 def round_profit(
@@ -274,20 +302,21 @@ def round_profit(
     lp_optimum: float,
     seed: int,
     max_tries: int = MAX_TRIES_DEFAULT,
+    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None = None,
 ) -> RoundedSolution:
     """Sample until a draw meets all three criteria or tries run out.
 
     A draw embeds a request with probability equal to its decomposition's
     total weight. The fallback after ``max_tries`` unaccepted draws is the
     best-profit sample seen, flagged ``accepted=False``. Deterministic given
-    the seed.
+    the seed. ``allocations``, if given, holds the ``compute_allocations``
+    result of every entry of every decomposition, already checked; without
+    it each entry's mapping is checked and its allocation computed here.
     """
-    if len(decompositions) != len(requests):
-        raise ValueError("one decomposition per request required")
-    _check_max_tries(max_tries)
+    _check_inputs(requests, decompositions, max_tries, allocations)
     return _sample(
         substrate, requests, decompositions, bounds, lp_optimum, seed,
-        max_tries, "profit",
+        max_tries, "profit", allocations,
     )
 
 
@@ -300,6 +329,7 @@ def _sample(
     seed: int,
     max_tries: int,
     variant: str,
+    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None,
 ) -> RoundedSolution:
     """The sampling routine of both variants.
 
@@ -310,7 +340,8 @@ def _sample(
 
     Per request, a dense allocation matrix over ``substrate.resources``
     (one row per entry plus an all-zero row for "embed nothing") and a
-    vector of objective terms are built once. Tries then run in blocks:
+    vector of objective terms are built once, from ``allocations`` or, if
+    that is None, from ``compute_allocations`` of every entry. Tries then run in blocks:
     every request draws the block's uniforms, picks rows, and the rows are
     added in request order, so each objective and load is the same float
     sum a try-by-try loop gives. Utilization and the three margins follow
@@ -325,20 +356,19 @@ def _sample(
     columns = substrate.resource_column
     capacities = np.array(substrate.capacities)
     node_count = len(substrate.node_capacity)
-    allocations = []
+    if allocations is None:
+        allocations = [
+            [compute_allocations(substrate, req, entry.mapping) for entry in dec.entries]
+            for req, dec in zip(requests, decompositions)
+        ]
     load_rows = []
     terms = []
     cumulative = []
-    for req, dec in zip(requests, decompositions):
-        allocs = [
-            compute_allocations(substrate, req, entry.mapping)
-            for entry in dec.entries
-        ]
+    for req, dec, allocs in zip(requests, decompositions, allocations):
         rows = np.zeros((len(allocs) + 1, len(columns)))
         for k, alloc in enumerate(allocs):
             for res, amount in alloc.items():
                 rows[k, columns[res]] = amount
-        allocations.append(allocs)
         load_rows.append(rows)
         terms.append(np.array(
             [allocation_cost(substrate, a) if cost else req.profit for a in allocs]
@@ -451,6 +481,7 @@ class PruneReport:
     threshold: float
     surviving_weight: float
     removed: int
+    kept: tuple[int, ...]  # positions of the surviving entries, in order
 
 
 def prune_costly_mappings(
@@ -478,11 +509,10 @@ def prune_costly_mappings(
         entry.weight * c for entry, c in zip(decomposition.entries, costs)
     )
     threshold = 2.0 * cost_share
-    kept = [
-        entry
-        for entry, c in zip(decomposition.entries, costs)
-        if c <= threshold + ACCEPT_TOL
-    ]
+    positions = tuple(
+        k for k, c in enumerate(costs) if c <= threshold + ACCEPT_TOL
+    )
+    kept = [decomposition.entries[k] for k in positions]
     surviving = sum(entry.weight for entry in kept)
     if surviving < 0.5 - WEIGHT_TOL:
         raise GuaranteeError(
@@ -502,6 +532,7 @@ def prune_costly_mappings(
         threshold=threshold,
         surviving_weight=surviving,
         removed=len(decomposition.entries) - len(kept),
+        kept=positions,
     )
 
 
@@ -513,24 +544,24 @@ def round_cost(
     lp_cost: float,
     seed: int,
     max_tries: int = MAX_TRIES_DEFAULT,
+    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None = None,
 ) -> RoundedSolution:
     """Sample full embeddings from pruned decompositions.
 
     Every draw embeds all requests and provably costs at most twice the
     LP cost (checked, raising ``GuaranteeError``); acceptance only tests the
     load criteria. The fallback after ``max_tries`` unaccepted draws is the
-    lowest-cost sample seen, flagged ``accepted=False``.
+    lowest-cost sample seen, flagged ``accepted=False``. ``allocations`` is
+    as for ``round_profit``.
     """
-    if len(decompositions) != len(requests):
-        raise ValueError("one decomposition per request required")
+    _check_inputs(requests, decompositions, max_tries, allocations)
     for req, dec in zip(requests, decompositions):
         if not dec.entries:
             raise ValueError(
                 f"request {req.name!r} has an empty decomposition; "
                 "the cost variant must embed every request"
             )
-    _check_max_tries(max_tries)
     return _sample(
         substrate, requests, decompositions, bounds, lp_cost, seed, max_tries,
-        "cost",
+        "cost", allocations,
     )

@@ -9,9 +9,15 @@ builder hands HiGHS exactly what this one does, exports the same text and
 gives decomposition the same loads.
 
 ``run_highs`` is the HiGHS hand-off as it was before the arrays went to the
-bindings' array overload: a ``HighsLp`` filled from ``.tolist()`` copies.
-``tests/test_lp.py`` checks that ``lpmodel._run_highs`` returns what it
-does, bit for bit.
+bindings' array overload: a ``HighsLp`` filled from ``.tolist()`` copies,
+on a new HiGHS object per solve. ``tests/test_lp.py`` checks that
+``lpmodel._run_highs`` and ``lpmodel.solve``, which reuse one object per
+thread, return what it does, bit for bit.
+
+``preprocess_profit`` is profit preprocessing as it was before it re-solved
+the joint LP: one solo model built and solved per request.
+``tests/test_pipeline.py`` checks that the package keeps and drops the same
+requests.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.sparse import csc_array
 
+from vnembed import formulations, lpmodel
 from vnembed.extraction import LabeledExtractionOrder
 from vnembed.formulations import (
     BudgetExceededError,
@@ -39,6 +46,7 @@ from vnembed.model import (
     edge_resource,
     node_resource,
 )
+from vnembed.rounding import WEIGHT_TOL
 
 
 @dataclass
@@ -446,8 +454,13 @@ def request_loads(index: NovelVariableIndex, values: np.ndarray, r: int) -> dict
     return loads
 
 
-def run_highs(c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray) -> LPSolution:
-    """``lpmodel._run_highs`` through a ``HighsLp`` built from lists."""
+def run_highs(
+    c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray, then=None
+) -> LPSolution:
+    """``lpmodel._run_highs`` through a ``HighsLp`` built from lists, on a new
+    HiGHS object. With ``then = (cost, col_upper)``, the object afterwards
+    gets those costs and column upper bounds, every column at once, and runs
+    again from the basis it kept; the second run's result is returned."""
     num_row, num_col = matrix.shape
     lp = _highs.HighsLp()
     lp.num_col_ = num_col
@@ -474,6 +487,17 @@ def run_highs(c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray) -> LP
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
         )
+    solution = _run(highs)
+    if then is not None:
+        cost, col_upper = then
+        every = np.arange(num_col, dtype=np.int32)
+        highs.changeColsBounds(num_col, every, np.zeros(num_col), col_upper)
+        highs.changeColsCost(num_col, every, cost)
+        solution = _run(highs)
+    return solution
+
+
+def _run(highs) -> LPSolution:
     ran = highs.run() != _highs.HighsStatus.kError
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -489,3 +513,50 @@ def run_highs(c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray) -> LP
     elif ran and status == _highs.HighsModelStatus.kInfeasible:
         solution.status = "infeasible"
     return solution
+
+
+def solve_fresh(model, upper=None, objective=None) -> LPSolution:
+    """``lpmodel.solve`` on a new HiGHS object, without its primal check.
+
+    With ``upper`` or ``objective`` given, the object first solves ``model``
+    as it is and then re-solves it with the overrides: what ``solve`` does
+    when its thread's solver holds ``model`` from the solve just before.
+    """
+    c = lpmodel.objective_vector(model)
+    then = None
+    if upper is not None or objective is not None:
+        then = (
+            lpmodel.objective_vector(model, objective),
+            np.ones(model.num_variables) if upper is None else np.asarray(upper),
+        )
+    solution = run_highs(c, *lpmodel.constraint_matrix(model), then=then)
+    if solution.optimal and model.sense == MAXIMIZE:
+        solution.objective_value = -solution.objective_value
+    return solution
+
+
+def preprocess_profit(
+    substrate: SubstrateGraph,
+    requests: Sequence[Request],
+    labeled_orders: Sequence[LabeledExtractionOrder],
+) -> tuple[list[Request], list[LabeledExtractionOrder], list[str]]:
+    """``rounding.preprocess_profit`` as it was before it re-solved the joint
+    LP: each request's own profit LP built by ``build_novel`` and solved
+    cold. Returns the kept requests, their orders and the dropped names."""
+    kept_requests: list[Request] = []
+    kept_orders: list[LabeledExtractionOrder] = []
+    dropped: list[str] = []
+    for req, labeled in zip(requests, labeled_orders):
+        model, index = formulations.build_novel(substrate, [req], [labeled], "profit")
+        solution = lpmodel.solve(model)
+        if not solution.optimal:
+            raise RuntimeError(
+                f"solo LP of request {req.name!r}: solver returned "
+                f"{solution.outcome}"
+            )
+        if float(solution.values[index.columns[0].x]) < 1.0 - WEIGHT_TOL:
+            dropped.append(req.name)
+        else:
+            kept_requests.append(req)
+            kept_orders.append(labeled)
+    return kept_requests, kept_orders, dropped

@@ -26,7 +26,7 @@ from vnembed import (
     resource_stats,
     validate_instance,
 )
-from vnembed.model import edge_resource, node_resource
+from vnembed.model import edge_resource, node_resource, request_extremes
 from vnembed.scenarios import random_request, random_substrate, random_tree_graph
 
 
@@ -217,14 +217,74 @@ def test_collection_feasible_reports_utilization():
 def test_resource_stats_extremes():
     substrate = square_substrate()
     req = chain_request(substrate)
+    res_a = substrate.resource_column[node_resource("vm", "a")]
+    d_max, a_max_upper = request_extremes(substrate, req)
+    assert d_max[res_a] == 3.0
+    assert a_max_upper[res_a] == 5.0
     stats = resource_stats(substrate, [req])
-    res_a = node_resource("vm", "a")
-    assert stats.d_max[(0, res_a)] == 3.0
-    assert stats.a_max_upper[(0, res_a)] == 5.0
     assert stats.max_demand_ratio(substrate) == pytest.approx(3.0 / 10.0)
     # every node resource gets the same (5/3)^2 contribution from this request
     assert stats.congestion_sum(substrate, "node") == pytest.approx((5.0 / 3.0) ** 2)
     assert stats.congestion_sum(substrate, "edge") == pytest.approx(1.0)
+    # a second copy adds its contribution; the largest ratio stays
+    twice = resource_stats(substrate, [req, req])
+    assert twice.max_demand_ratio(substrate) == pytest.approx(3.0 / 10.0)
+    assert twice.congestion_sum(substrate, "node") == pytest.approx(
+        2 * (5.0 / 3.0) ** 2
+    )
+
+
+def _bounds_loop(substrate, requests) -> tuple[float, float, float]:
+    """Maximum demand ratio and node and edge congestion sums as dict loops
+    over the allowed hosts and substrate edges computed them."""
+    d_max: dict = {}
+    a_max: dict = {}
+    for k, req in enumerate(requests):
+        terms = [
+            (node_resource(req.node_type[i], u), req.node_demand[i])
+            for i in req.nodes for u in req.allowed_nodes[i]
+        ] + [
+            (edge_resource(*se), req.edge_demand[e])
+            for e in req.edges for se in req.allowed_edges[e]
+        ]
+        for res, d in terms:
+            d_max[(k, res)] = max(d_max.get((k, res), 0.0), d)
+            a_max[(k, res)] = a_max.get((k, res), 0.0) + d
+    ratio = 0.0
+    for (_, res), d in d_max.items():
+        ratio = max(ratio, d / substrate.capacity(res))
+    sums = []
+    for kind in ("node", "edge"):
+        per_resource: dict = {}
+        for (k, res), d in d_max.items():
+            if res[0] == kind and d > 0:
+                share = a_max[(k, res)] / d
+                per_resource[res] = per_resource.get(res, 0.0) + share * share
+        sums.append(max(per_resource.values(), default=0.0))
+    return ratio, sums[0], sums[1]
+
+
+def test_resource_stats_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpus):
+    rng = np.random.default_rng(3)
+    substrate = random_substrate(rng, 12)
+    crowd = [
+        random_request(rng, substrate, f"r{q}", *random_tree_graph(rng, 5))
+        for q in range(6)
+    ]
+    batches = [
+        (instance.substrate, instance.requests)
+        for instance in (*tiny_corpus, *tree_corpus, *cost_corpus)
+    ] + [(substrate, crowd), (substrate, [])]
+    for substrate, requests in batches:
+        stats = resource_stats(substrate, requests)
+        ours = (
+            stats.max_demand_ratio(substrate),
+            stats.congestion_sum(substrate, "node"),
+            stats.congestion_sum(substrate, "edge"),
+        )
+        # the same floats, not just close ones
+        assert ours == _bounds_loop(substrate, requests)
+        assert all(type(value) is float for value in ours)
 
 
 def test_instance_dict_round_trip_and_defaults():

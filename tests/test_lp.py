@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -337,10 +342,15 @@ def _equivalence_models(fig3, fig3_gadget, tiny_corpus, tree_corpus):
             yield build_novel(
                 instance.substrate, instance.requests, orders, objective
             )[0]
+    yield _bare_model()
+
+
+def _bare_model() -> LPModel:
+    """Three unconstrained columns, one of them priced negative."""
     bare = LPModel(sense=MAXIMIZE)
     for k, coef in enumerate((1.0, -2.0, 0.5)):
         bare.set_objective_coefficient(bare.add_variable(f"v{k}"), coef)
-    yield bare
+    return bare
 
 
 def test_direct_solve_matches_linprog(fig3, fig3_gadget, tiny_corpus, tree_corpus):
@@ -378,10 +388,13 @@ def test_solution_carries_solver_diagnostics(fig3):
 @pytest.mark.parametrize("variant", ["profit", "cost"])
 def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
     instance = scenario_instance(name)
-    model, _ = build_novel(
+    model, index = build_novel(
         instance.substrate, instance.requests, _orders(instance), variant
     )
     direct = solve(model)
+    upper, objective = _solo_overrides(model, index, 0)
+    solve(_bare_model())  # so that the override solve below passes the LP afresh
+    direct_override = solve(model, upper=upper, objective=objective)
     calls = []
 
     def counted(*args, **kwargs):
@@ -393,16 +406,18 @@ def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
     # as if the bindings were missing (scipy < 1.15)
     monkeypatch.setattr(vnembed.lpmodel, "_highs", None)
     fallback = solve(model)
-    assert len(calls) == 1
+    fallback_override = solve(model, upper=upper, objective=objective)
+    assert len(calls) == 2
     assert calls[0]["method"] == "highs"
-    assert fallback.status == direct.status
-    assert fallback.objective_value == direct.objective_value
-    assert fallback.iterations == direct.iterations
-    assert fallback.message
-    if direct.values is None:
-        assert fallback.values is None
-    else:
-        assert np.array_equal(fallback.values, direct.values)
+    for fallback, direct in ((fallback, direct), (fallback_override, direct_override)):
+        assert fallback.status == direct.status
+        assert fallback.objective_value == direct.objective_value
+        assert fallback.iterations == direct.iterations
+        assert fallback.message
+        if direct.values is None:
+            assert fallback.values is None
+        else:
+            assert np.array_equal(fallback.values, direct.values)
 
 
 def test_max_violation_matches_row_loop(fig3, fig3_gadget, tiny_corpus, tree_corpus):
@@ -547,6 +562,161 @@ def test_array_handoff_matches_the_list_handoff(
     assert statuses == {"optimal", "infeasible"}
 
 
+def _solo_overrides(model: LPModel, index, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``solve``'s overrides that turn a joint LP into request ``r``'s solo
+    LP: the other requests' columns held at 0, and only ``r``'s objective."""
+    starts = [cols.x for cols in index.columns] + [model.num_variables]
+    own = slice(starts[r], starts[r + 1])
+    upper = np.zeros(model.num_variables)
+    upper[own] = 1.0
+    objective = np.zeros(model.num_variables)
+    for col, coef in model.objective.items():
+        objective[col] = coef
+    objective[:own.start] = objective[own.stop:] = 0.0
+    return upper, objective
+
+
+def _malformed_model() -> LPModel:
+    """An LP HiGHS refuses to take: a coefficient beyond its matrix limit."""
+    model = LPModel()
+    a, b = model.add_variable("a"), model.add_variable("b")
+    model.add_constraint("huge", [(a, 1e300), (b, 1.0)], LE, 1.0)
+    model.set_objective_coefficient(a, 1.0)
+    return model
+
+
+def _isolation_steps(fig3, fig3_gadget, tiny_corpus, tree_corpus):
+    """``solve`` calls as ``(model, upper, objective)``. Per profit LP of the
+    corpora: a plain solve, an infeasible LP, a malformed one, the profit LP
+    again and then a re-solve of it with one request's solo overrides; the
+    next profit LP is passed cold after that re-solve."""
+    infeasible, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "cost")
+    malformed = _malformed_model()
+    steps = []
+    for instance in (
+        fig3_gadget, scenario_instance("halfwheel:4"), *tiny_corpus, *tree_corpus
+    ):
+        model, index = build_novel(
+            instance.substrate, instance.requests, _orders(instance), "profit"
+        )
+        upper, objective = _solo_overrides(model, index, len(index.requests) - 1)
+        steps += [
+            (model, None, None), (infeasible, None, None), (malformed, None, None),
+            (model, None, None), (model, upper, objective),
+        ]
+    return steps
+
+
+def _assert_same_solution(ours: LPSolution, reference: LPSolution) -> None:
+    assert ours.status == reference.status
+    assert ours.message == reference.message
+    assert ours.iterations == reference.iterations
+    assert ours.objective_value == reference.objective_value
+    if reference.values is None:
+        assert ours.values is None
+    else:
+        assert _same(ours.values, reference.values)
+
+
+def _run_steps(steps) -> list[LPSolution]:
+    return [solve(model, upper=upper, objective=obj) for model, upper, obj in steps]
+
+
+@pytest.mark.skipif(
+    vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
+)
+def test_reused_solver_matches_a_fresh_solver_per_solve(
+    fig3, fig3_gadget, tiny_corpus, tree_corpus
+):
+    # the thread's one HiGHS object returns what a new object returns, bit
+    # for bit, whatever it solved before: optimal, infeasible and malformed
+    # LPs, a re-solve in place, and a cold solve right after that re-solve
+    statuses = set()
+    resolved = 0
+    for model, upper, objective in _isolation_steps(
+        fig3, fig3_gadget, tiny_corpus, tree_corpus
+    ):
+        if upper is not None:
+            # the solver holds this model from the solve just before
+            assert vnembed.lpmodel._held(model) is not None
+            resolved += 1
+        ours = solve(model, upper=upper, objective=objective)
+        _assert_same_solution(ours, lp_reference.solve_fresh(model, upper, objective))
+        statuses.add(ours.status)
+    assert statuses == {"optimal", "infeasible", "error"}
+    assert resolved == 2 + len(tiny_corpus) + len(tree_corpus)
+
+
+@pytest.mark.skipif(
+    vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
+)
+def test_threads_solve_as_a_sequential_run(fig3, fig3_gadget, tiny_corpus, tree_corpus):
+    # more threads than cores, switching often: each keeps its own solver,
+    # so a re-solve in place never meets another thread's model
+    steps = _isolation_steps(fig3, fig3_gadget, tiny_corpus, tree_corpus)
+    sequential = _run_steps(steps)
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def run():
+        start.wait(timeout=60)
+        return _run_steps(steps)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = [pool.submit(run) for _ in range(threads)]
+            results = [run.result(timeout=300) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert len(result) == len(sequential)
+        for ours, reference in zip(result, sequential):
+            _assert_same_solution(ours, reference)
+
+
+def _solve_in_child(sender, model, upper, objective) -> None:
+    first = solve(model, upper=upper, objective=objective)
+    own = vnembed.lpmodel._slot.pid == os.getpid()
+    sender.send((own, [first, solve(model)]))
+    sender.close()
+
+
+@pytest.mark.skipif(
+    vnembed.lpmodel._highs is None or not hasattr(os, "fork"),
+    reason="scipy without HiGHS bindings, or no fork",
+)
+def test_forked_child_solves_with_its_own_solver():
+    instance = scenario_instance("halfwheel:4")
+    model, index = build_novel(
+        instance.substrate, instance.requests, _orders(instance), "profit"
+    )
+    upper, objective = _solo_overrides(model, index, 0)
+    solve(_bare_model())
+    passed_fresh = solve(model, upper=upper, objective=objective)
+    plain = solve(model)
+    in_place = solve(model, upper=upper, objective=objective)
+    # the parent's solver holds the model again; a child must not re-solve
+    # the copy of it that fork leaves behind
+    solve(model)
+    assert in_place.iterations != passed_fresh.iterations
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(
+        target=_solve_in_child, args=(sender, model, upper, objective)
+    )
+    child.start()
+    sender.close()
+    assert receiver.poll(120)
+    own, (first, second) = receiver.recv()
+    child.join(timeout=120)
+    assert child.exitcode == 0  # None while it still runs
+    assert own
+    _assert_same_solution(first, passed_fresh)
+    _assert_same_solution(second, plain)
+
+
 def _scipy_matrix(model: LPModel) -> csc_array:
     """The rows as scipy's ``csc_array``, with scipy summing the entries a
     row repeats for one column."""
@@ -612,8 +782,8 @@ def _off_model(monkeypatch, kind):
     name = "_run_highs" if vnembed.lpmodel._highs is not None else "_run_linprog"
     honest = getattr(vnembed.lpmodel, name)
 
-    def run(c, matrix, lower, upper):
-        solution = honest(c, matrix, lower, upper)
+    def run(c, matrix, lower, upper, col_upper=None):
+        solution = honest(c, matrix, lower, upper, col_upper)
         values = solution.values
         solution.values = {
             "row": np.ones_like(values),  # inside the box, outside the rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import lp_reference
+import vnembed.formulations
 import vnembed.pipeline
 import vnembed.rounding
 
@@ -27,7 +30,11 @@ from vnembed.formulations import build_novel, count_novel_variables
 from vnembed.instances import Instance
 from vnembed.lpmodel import LPSolution, solve
 from vnembed.rounding import preprocess_profit
-from vnembed.scenarios import scenario_instance
+from vnembed.scenarios import (
+    monte_carlo_instance,
+    scenario_instance,
+    tree_corpus,
+)
 
 
 def test_unknown_variant_fails_in_config(fig3):
@@ -127,7 +134,7 @@ def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
         calls.append(model)
         return solve(model)
 
-    def solo(model):
+    def solo(model, upper=None, objective=None):
         calls.append(model)
         return _broken(model)
 
@@ -136,6 +143,7 @@ def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
     with pytest.raises(PipelineError) as err:
         run_pipeline(fig3, PipelineConfig(variant="profit"))
     assert len(calls) == 2
+    assert calls[1] is calls[0]  # the solo LP re-solves the joint model
     assert err.value.stage == "preprocess"
     assert "solver returned error" in str(err.value)
 
@@ -148,7 +156,7 @@ def test_joint_lp_failure_stops_at_solve_lp(fig3_gadget, monkeypatch):
     assert "solver returned error" in str(err.value)
 
 
-def _timed_out(model):
+def _timed_out(model, upper=None, objective=None):
     return LPSolution(
         status="error", objective_value=None, values=None,
         message="Time limit reached",
@@ -207,7 +215,7 @@ def _cross_check(instance):
         min_width_order_search(Digraph.build(req.nodes, req.edges))
         for req in instance.requests
     ]
-    kept, kept_orders, dropped = preprocess_profit(
+    kept, kept_orders, dropped = lp_reference.preprocess_profit(
         instance.substrate, instance.requests, orders
     )
     assert [row["dropped"] for row in report.requests] == [
@@ -235,6 +243,102 @@ def test_joint_first_matches_preprocessing_every_request(corpus, request):
     dropped = [_cross_check(instance) for instance in instances]
     if corpus == "mixed":
         assert dropped == [["blocked"]] * 3
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _cactus_batch() -> list[Instance]:
+    """The 24 instances of the benchmark's ``cactus-profit`` batch, seed 1."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [op.instance for op in workloads.cactus_profit(1)]
+
+
+def _solo_corpus(name, request):
+    if name == "mixed":
+        return _mixed_instances()
+    if name == "fig3":
+        return [request.getfixturevalue("fig3")]
+    if name == "seed-sweep":
+        # the benchmark's seed-sweep batch: the rounding experiment's instances
+        return [*tree_corpus(30, seed=777), monte_carlo_instance()]
+    if name == "cactus":
+        return _cactus_batch()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    ["tiny_corpus", "tree_corpus", "cost_corpus", "fig3", "mixed", "seed-sweep",
+     "cactus"],
+)
+def test_solo_resolves_keep_what_solo_builds_keep(corpus, request):
+    # every request of every instance, re-solved in place from the solved
+    # joint LP, and (on the small corpora) passed afresh, must be kept or
+    # dropped as its own solo LP, built and solved cold, decides
+    decisions = set()
+    for instance in _solo_corpus(corpus, request):
+        orders = [
+            min_width_order_search(Digraph.build(req.nodes, req.edges))
+            for req in instance.requests
+        ]
+        reference = lp_reference.preprocess_profit(
+            instance.substrate, instance.requests, orders
+        )
+        model, index = build_novel(
+            instance.substrate, instance.requests, orders, "profit"
+        )
+        everyone = range(len(instance.requests))
+        assert solve(model).optimal
+        assert vnembed.lpmodel._held(model) is not None
+        in_place = preprocess_profit(model, index, everyone)
+        assert in_place == reference
+        if corpus not in ("seed-sweep", "cactus"):
+            solve(build_novel(instance.substrate, [], [], "profit")[0])
+            assert preprocess_profit(model, index, everyone) == reference
+        decisions.update(req.name in reference[2] for req in instance.requests)
+    if corpus == "mixed":
+        assert decisions == {True, False}
+
+
+def test_preprocessing_needs_the_profit_lp(fig3):
+    orders = [
+        min_width_order_search(Digraph.build(req.nodes, req.edges))
+        for req in fig3.requests
+    ]
+    model, index = build_novel(fig3.substrate, fig3.requests, orders, "cost")
+    with pytest.raises(ValueError, match="profit LP"):
+        preprocess_profit(model, index, [0])
+
+
+def test_pipeline_builds_no_solo_model(monkeypatch):
+    # preprocessing re-solves the joint model; the only builds are the joint
+    # LP over every request and, once requests are dropped, over the kept ones
+    built = []
+
+    def recorded(name, fn):
+        def wrapper(substrate, requests, *args, **kwargs):
+            built.append((name, len(requests)))
+            return fn(substrate, requests, *args, **kwargs)
+        return wrapper
+
+    for module in (vnembed.pipeline, vnembed.rounding, vnembed.formulations):
+        monkeypatch.setattr(
+            module, "build_novel",
+            recorded(module.__name__, vnembed.formulations.build_novel),
+        )
+    for instance in _mixed_instances():
+        built.clear()
+        report, _ = run_pipeline(instance, PipelineConfig(variant="profit", seed=1))
+        kept = sum(not row["dropped"] for row in report.requests)
+        assert kept < len(instance.requests)
+        assert built == [
+            ("vnembed.pipeline", len(instance.requests)),
+            ("vnembed.pipeline", kept),
+        ]
 
 
 def test_fully_accepted_batch_solves_one_lp(fig3_gadget, monkeypatch):

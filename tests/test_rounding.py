@@ -19,6 +19,7 @@ from vnembed import (
     SubstrateGraph,
     ValidMapping,
     bounds_from_parameters,
+    build_novel,
     check_tri_criteria,
     collection_feasible,
     compute_allocations,
@@ -201,8 +202,9 @@ def test_preprocess_drops_unservable_requests(fig3):
         min_width_order_search(Digraph.build(r.nodes, r.edges))
         for r in fig3.requests
     ]
+    model, index = build_novel(fig3.substrate, fig3.requests, orders, "profit")
     kept, kept_orders, dropped = preprocess_profit(
-        fig3.substrate, fig3.requests, orders
+        model, index, range(len(fig3.requests))
     )
     assert kept == []
     assert kept_orders == []
@@ -219,7 +221,8 @@ def test_preprocess_keeps_fully_servable_requests():
         profit=2.0,
     )
     order = min_width_order_search(Digraph.build(req.nodes, req.edges))
-    kept, kept_orders, dropped = preprocess_profit(substrate, [req], [order])
+    model, index = build_novel(substrate, [req], [order], "profit")
+    kept, kept_orders, dropped = preprocess_profit(model, index, [0])
     assert [r.name for r in kept] == ["pair"]
     assert kept_orders == [order]
     assert dropped == []
@@ -640,3 +643,59 @@ def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
         # tree requests have several entries, so accepted tries past the
         # first block occur as well
         assert late_accepts
+
+
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+def test_pipeline_hands_the_sampler_checked_allocations(
+    tree_corpus, variant, monkeypatch
+):
+    # the decomposition check validated every entry and computed its
+    # allocation; the sampler takes those and checks no mapping again, and
+    # rounds exactly as it does when it computes them itself
+    name = "round_profit" if variant == "profit" else "round_cost"
+    sampler = getattr(vnembed.pipeline, name)
+    captured = []
+
+    def capture(*args):
+        captured.append(args)
+        return sampler(*args)
+
+    checked = []
+    monkeypatch.setattr(vnembed.pipeline, name, capture)
+    monkeypatch.setattr(
+        vnembed.rounding, "compute_allocations",
+        lambda *args: checked.append(args) or compute_allocations(*args),
+    )
+    for instance in tree_corpus[:12]:
+        try:
+            run_pipeline(instance, PipelineConfig(variant=variant, seed=2))
+        except PipelineError as err:
+            assert err.infeasible, err
+    assert len(captured) >= 6
+    assert checked == []
+    for args in captured:
+        given = args[7]
+        assert [len(a) for a in given] == [len(dec.entries) for dec in args[2]]
+        got, own = sampler(*args), sampler(*args[:7])
+        assert got.records == own.records
+        assert got.selection == own.selection
+        assert list(got.utilization.items()) == list(own.utilization.items())
+        assert got.objective_value == own.objective_value
+    assert len(checked) == sum(len(dec.entries) for args in captured for dec in args[2])
+
+
+@pytest.mark.parametrize("sampler", [round_profit, round_cost])
+def test_sampler_checks_mappings_it_is_not_given_allocations_for(sampler):
+    substrate, req, _, _ = _single_mapping_setup()
+    off_request = ValidMapping(
+        node_map={"i": "u0", "j": "u0"}, edge_map={("i", "j"): (("u0", "u1"),)}
+    )
+    dec = ConvexDecomposition(
+        request_name="pair",
+        entries=[DecompositionEntry(weight=1.0, mapping=off_request)],
+    )
+    bounds = compute_bounds(substrate, [req], "profit")
+    with pytest.raises(ValueError, match="invalid mapping"):
+        sampler(substrate, [req], [dec], bounds, req.profit, 1)
+    with pytest.raises(ValueError, match="one allocation per decomposition entry"):
+        sampler(substrate, [req], [dec], bounds, req.profit, 1, 8, [[]])
