@@ -676,6 +676,81 @@ def test_threads_solve_as_a_sequential_run(fig3, fig3_gadget, tiny_corpus, tree_
             _assert_same_solution(ours, reference)
 
 
+def _pair_model(capacity: float) -> LPModel:
+    model = LPModel(sense=MAXIMIZE)
+    a, b = model.add_variable("a"), model.add_variable("b")
+    model.add_constraint("cap", [(a, 1.0), (b, 1.0)], LE, capacity)
+    model.set_objective_coefficient(a, 1.0)
+    model.set_objective_coefficient(b, 2.0)
+    return model
+
+
+def test_only_the_model_as_it_was_solved_is_resolved_in_place():
+    upper = np.array([1.0, 0.25])
+    first, second = _pair_model(1.0), _pair_model(0.5)
+    solve(first)
+    # the solver holds an LP of the same size, but not this model's
+    assert vnembed.lpmodel._held(second) is None
+    ours = solve(second, upper=upper)
+    assert ours.objective_value == 0.75
+    assert np.array_equal(ours.values, [0.25, 0.25])
+    # a model that grew since its solve is passed afresh too
+    solve(first)
+    first.add_constraint("b", [(1, 1.0)], LE, 0.125)
+    assert vnembed.lpmodel._held(first) is None
+    ours = solve(first, upper=upper)
+    assert ours.objective_value == 1.125
+    assert np.array_equal(ours.values, [0.875, 0.125])
+    # and so is one whose LP the solver dropped for an LP it refused
+    solve(second)
+    assert solve(_malformed_model()).status == "error"
+    assert vnembed.lpmodel._held(second) is None
+    assert solve(second, upper=upper).objective_value == 0.75
+
+
+def test_reused_solver_stays_silent(fig3_gadget, capfd):
+    # clearModel keeps the options, logging off among them; clear() would not
+    model, index = build_novel(
+        fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
+    )
+    upper, objective = _solo_overrides(model, index, 0)
+    for _ in range(2):
+        solve(model)
+        solve(model, upper=upper, objective=2 * objective)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(
+    vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
+)
+def test_rejected_change_is_an_error_and_the_next_solve_passes_afresh(
+    fig3_gadget, monkeypatch
+):
+    model, index = build_novel(
+        fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
+    )
+    upper, objective = _solo_overrides(model, index, 0)
+    honest = solve(model, upper=upper, objective=2 * objective)
+    solve(model)
+    real = vnembed.lpmodel._slot.highs
+
+    class Refusing:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def changeColsCost(self, *args):
+            return vnembed.lpmodel._highs.HighsStatus.kError
+
+    monkeypatch.setattr(vnembed.lpmodel._slot, "highs", Refusing())
+    refused = solve(model, upper=upper, objective=2 * objective)
+    assert refused.status == "error"
+    assert "rejected the changed column bounds or costs" in refused.message
+    assert vnembed.lpmodel._held(model) is None
+    monkeypatch.undo()
+    # the solver no longer counts as holding the model, so it is passed afresh
+    _assert_same_solution(solve(model, upper=upper, objective=2 * objective), honest)
+
+
 def _solve_in_child(sender, model, upper, objective) -> None:
     first = solve(model, upper=upper, objective=objective)
     own = vnembed.lpmodel._slot.pid == os.getpid()

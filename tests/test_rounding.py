@@ -32,6 +32,7 @@ from vnembed import (
     round_profit,
     run_pipeline,
 )
+from vnembed.instances import Instance
 from vnembed.model import EDGE, NODE
 from vnembed.rounding import (
     WEIGHT_TOL,
@@ -645,6 +646,44 @@ def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
         assert late_accepts
 
 
+def _pruned_instance() -> Instance:
+    """Three one-node requests on three hosts. The cost LP places a tenth of
+    request ``a`` on the costly host ``h2``, its first decomposition entry,
+    and pruning removes that entry."""
+    substrate = SubstrateGraph.build(
+        {"h1": {"vm": (1.9, 1.0)}, "h2": {"vm": (5.0, 100.0)}, "h3": {"vm": (1.0, 1.5)}},
+        {},
+    )
+    requests = tuple(
+        Request.build(name, {"i": ("vm", 1.0, ("h2", "h1", "h3"))}, {}, profit=1.0)
+        for name in "abc"
+    )
+    return Instance(name="pruned", substrate=substrate, requests=requests)
+
+
+def test_pruning_reports_the_surviving_positions():
+    instance = _pruned_instance()
+    report, _ = run_pipeline(instance, PipelineConfig(variant="cost", seed=1))
+    assert report.decomposition[0]["pruning"]["removed"] == 1
+    real = vnembed.pipeline.prune_costly_mappings
+    seen = []
+
+    def spy(substrate, req, dec):
+        norm, prep = real(substrate, req, dec)
+        seen.append((dec, norm, prep))
+        return norm, prep
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vnembed.pipeline, "prune_costly_mappings", spy)
+        run_pipeline(instance, PipelineConfig(variant="cost", seed=1))
+    assert seen[0][2].kept == (1,)
+    for dec, norm, prep in seen:
+        assert [dec.entries[k].mapping for k in prep.kept] == [
+            entry.mapping for entry in norm.entries
+        ]
+        assert prep.removed == len(dec.entries) - len(prep.kept)
+
+
 @pytest.mark.parametrize("variant", ["profit", "cost"])
 def test_pipeline_hands_the_sampler_checked_allocations(
     tree_corpus, variant, monkeypatch
@@ -666,7 +705,7 @@ def test_pipeline_hands_the_sampler_checked_allocations(
         vnembed.rounding, "compute_allocations",
         lambda *args: checked.append(args) or compute_allocations(*args),
     )
-    for instance in tree_corpus[:12]:
+    for instance in [*tree_corpus[:12], _pruned_instance()]:
         try:
             run_pipeline(instance, PipelineConfig(variant=variant, seed=2))
         except PipelineError as err:
@@ -674,8 +713,13 @@ def test_pipeline_hands_the_sampler_checked_allocations(
     assert len(captured) >= 6
     assert checked == []
     for args in captured:
-        given = args[7]
-        assert [len(a) for a in given] == [len(dec.entries) for dec in args[2]]
+        substrate, requests, decs, given = args[0], args[1], args[2], args[7]
+        assert [len(a) for a in given] == [len(dec.entries) for dec in decs]
+        for req, dec, allocs in zip(requests, decs, given):
+            assert allocs == [
+                compute_allocations(substrate, req, entry.mapping)
+                for entry in dec.entries
+            ]
         got, own = sampler(*args), sampler(*args[:7])
         assert got.records == own.records
         assert got.selection == own.selection
