@@ -430,6 +430,19 @@ def cmd_run(args) -> int:
     paths = args.instances
     if len(paths) > 1 and not args.out_dir:
         raise InstanceFormatError("multiple instances need --out-dir")
+    if args.out_dir:
+        single = [f"--{k} {v}" for k, v in (("out", args.out), ("csv", args.csv)) if v]
+        if single:
+            raise InstanceFormatError(
+                f"{' and '.join(single)} cannot be combined with --out-dir"
+            )
+        stems = [Path(path).stem for path in paths]
+        shared = [path for path, stem in zip(paths, stems) if stems.count(stem) > 1]
+        if shared:
+            raise InstanceFormatError(
+                f"instances share a file stem, so their reports in --out-dir "
+                f"would overwrite each other: {', '.join(shared)}"
+            )
     plan = []
     for path in paths:
         if args.out_dir:

@@ -16,6 +16,11 @@ The loop reads and drains a ``NovelState``'s residual, a private copy of
 the solution vector, by column number; the caller's solution is never
 changed, so several requests decompose from one vector.
 
+Each mapping is validated as it is extracted, and its entry carries its
+``compute_allocations`` result, from which verification, cost pruning and
+the sampler read loads and costs. ``verify_decomposition`` validates every
+entry again, so it also flags invalid entries built elsewhere.
+
 All comparisons use an epsilon of ``EPS``; residual acceptance below
 ``LOOP_EPS`` ends extraction (the leftover is far below the completeness
 tolerance of verification). Iterations that would produce a weight under
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .extraction import LabeledExtractionOrder
@@ -61,6 +66,7 @@ class DecompositionStuckError(DecompositionError):
 class DecompositionEntry:
     weight: float
     mapping: ValidMapping
+    allocation: dict[Resource, float]  # compute_allocations of mapping
 
 
 @dataclass
@@ -169,7 +175,8 @@ def _apply_extraction(
     mapping: ValidMapping,
     entries: list[DecompositionEntry],
 ) -> bool:
-    """Take the bottleneck weight, subtract it everywhere, record the entry.
+    """Validate the mapping, take the bottleneck weight, subtract it
+    everywhere, and record the entry with the mapping's allocation.
 
     Returns False for dust rounds that only cleared a near-zero variable.
     """
@@ -183,7 +190,10 @@ def _apply_extraction(
         return False
     for col in tracker.keys:
         residual[col] = _clamp(residual[col] - weight)
-    entries.append(DecompositionEntry(weight=weight, mapping=mapping))
+    entries.append(DecompositionEntry(
+        weight=weight, mapping=mapping,
+        allocation=_unchecked_allocations(request, mapping),
+    ))
     return True
 
 
@@ -326,16 +336,9 @@ def _value(state: NovelState, col: int | None) -> float:
 
 @dataclass
 class DecompositionCheck:
-    """What ``verify_decomposition`` found. ``allocations`` holds each valid
-    entry's ``compute_allocations`` result, in entry order; it is what was
-    checked, not part of the verdict, so it takes no part in comparisons."""
-
     completeness_error: float
     worst_overuse: float
     invalid: list[str]
-    allocations: list[dict[Resource, float]] = field(
-        default_factory=list, compare=False, repr=False
-    )
 
     @property
     def ok(self) -> bool:
@@ -354,17 +357,16 @@ def verify_decomposition(
     load_values: Mapping[Resource, float],
 ) -> DecompositionCheck:
     """Check completeness, per-resource domination by the LP loads, and
-    validity of every extracted mapping."""
+    validity of every entry's mapping. The loads of the valid entries are
+    summed from their ``allocation``; invalid entries are skipped."""
     invalid = []
-    allocations = []
     used: dict[Resource, float] = {}
     for idx, entry in enumerate(decomposition.entries):
         ok, why = check_valid_mapping(substrate, request, entry.mapping)
         if not ok:
             invalid.append(f"entry {idx}: {why}")
             continue
-        allocations.append(_unchecked_allocations(request, entry.mapping))
-        for res, amount in allocations[-1].items():
+        for res, amount in entry.allocation.items():
             used[res] = used.get(res, 0.0) + entry.weight * amount
     worst = 0.0
     for res, total in used.items():
@@ -373,5 +375,4 @@ def verify_decomposition(
         completeness_error=abs(decomposition.total_weight - x_value),
         worst_overuse=worst,
         invalid=invalid,
-        allocations=allocations,
     )

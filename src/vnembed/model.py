@@ -448,28 +448,14 @@ def allocation_cost(
 
 
 def collection_feasible(
-    substrate: SubstrateGraph,
-    embeddings: Sequence[tuple[Request, ValidMapping]],
-    node_slack: float = 1.0,
-    edge_slack: float = 1.0,
-    tol: float = 1e-9,
-    *,
-    allocations: Sequence[Mapping[Resource, float]] | None = None,
+    substrate: SubstrateGraph, allocations: Sequence[Mapping[Resource, float]]
 ) -> tuple[bool, dict[Resource, float]]:
-    """Check cumulative loads against (possibly slacked) capacities.
+    """Check the summed loads of ``allocations`` (``compute_allocations``
+    results of valid mappings) against capacities, up to a tolerance of 1e-9.
 
     Returns the verdict plus the utilization ``load / capacity`` of every
-    substrate resource, including untouched ones at 0. ``allocations``, if
-    given, holds each embedding's ``compute_allocations`` result in order;
-    the loads are then summed from it without rechecking the mappings.
+    substrate resource, including untouched ones at 0.
     """
-    if allocations is None:
-        allocations = [
-            compute_allocations(substrate, request, mapping)
-            for request, mapping in embeddings
-        ]
-    elif len(allocations) != len(embeddings):
-        raise ValueError("one allocation per embedding required")
     load: dict[Resource, float] = {res: 0.0 for res in substrate.resources}
     for alloc in allocations:
         for res, amount in alloc.items():
@@ -477,10 +463,7 @@ def collection_feasible(
     utilization = {
         res: load[res] / cap for res, cap in zip(load, substrate.capacities)
     }
-    ok = all(
-        utilization[res] <= (node_slack if res[0] == NODE else edge_slack) + tol
-        for res in load
-    )
+    ok = all(used <= 1.0 + 1e-9 for used in utilization.values())
     return ok, utilization
 
 

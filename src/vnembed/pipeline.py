@@ -43,8 +43,9 @@ from .model import (
     EDGE,
     NODE,
     ValidMapping,
+    allocation_cost,
     collection_feasible,
-    mapping_cost,
+    compute_allocations,
     validate_instance,
 )
 from .rounding import (
@@ -242,8 +243,6 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     decompositions: list[ConvexDecomposition] = []
-    # each entry's allocation, computed once by the check that validated it
-    allocations: list[list[dict]] = []
     decomposition_rows = []
     for r, (req, labeled) in enumerate(zip(requests, orders)):
         state = index.request_state(solution.values, r)
@@ -265,7 +264,6 @@ def run_pipeline(
                 f"invalid {check.invalid}",
             )
         decompositions.append(dec)
-        allocations.append(check.allocations)
         decomposition_rows.append(
             {
                 "name": req.name,
@@ -287,17 +285,15 @@ def run_pipeline(
     if config.variant == "profit":
         rounded = round_profit(
             instance.substrate, requests, decompositions, bounds, lp_objective,
-            config.seed, config.max_tries, allocations,
+            config.seed, config.max_tries,
         )
     else:
         pruned = []
-        pruned_allocations = []
         prune_rows = []
         try:
-            for req, dec, allocs in zip(requests, decompositions, allocations):
+            for req, dec in zip(requests, decompositions):
                 norm, prep = prune_costly_mappings(instance.substrate, req, dec)
                 pruned.append(norm)
-                pruned_allocations.append([allocs[k] for k in prep.kept])
                 prune_rows.append(
                     {
                         "name": req.name,
@@ -313,7 +309,7 @@ def run_pipeline(
         try:
             rounded = round_cost(
                 instance.substrate, requests, pruned, bounds, lp_objective,
-                config.seed, config.max_tries, pruned_allocations,
+                config.seed, config.max_tries,
             )
         except GuaranteeError as err:
             raise PipelineError("round", str(err)) from err
@@ -421,26 +417,28 @@ def _verify_rounding(
 ) -> None:
     """Recompute the rounded objective, loads and accept flag from the
     selection alone and raise ``PipelineError("verify", ...)`` on any
-    disagreement with what the sampler reported."""
+    disagreement with what the sampler reported. Each selected mapping is
+    validated and its allocation computed once, here; the cost objective
+    and the loads both derive from that allocation."""
     by_name = {req.name: req for req in requests}
-    embedded = []
+    allocations = []
     objective = 0.0
     for name, mapping in rounded.selection.items():
         if mapping is None:
             continue
         req = by_name[name]
-        embedded.append((req, mapping))
+        allocations.append(compute_allocations(instance.substrate, req, mapping))
         if variant == "profit":
             objective += req.profit
         else:
-            objective += mapping_cost(instance.substrate, req, mapping)
+            objective += allocation_cost(instance.substrate, allocations[-1])
     if abs(objective - rounded.objective_value) > CONSISTENCY_TOL:
         raise PipelineError(
             "verify",
             f"reported objective {rounded.objective_value:.8f} != recomputed "
             f"{objective:.8f}",
         )
-    _, utilization = collection_feasible(instance.substrate, embedded)
+    _, utilization = collection_feasible(instance.substrate, allocations)
     for res, v in utilization.items():
         if abs(v - rounded.utilization.get(res, 0.0)) > CONSISTENCY_TOL:
             raise PipelineError(

@@ -10,7 +10,9 @@ try embeds all requests at total cost at most twice the LP cost; only
 the load criteria remain random there. Both variants run one sampling
 routine; the variant only decides what a try adds to the objective, what
 leftover mass does, whether the cost cap is checked and which fallback
-counts as best.
+counts as best. Loads and costs come from each decomposition entry's
+``allocation``; the sampler validates no mapping itself, since every entry
+``decompose_novel`` returns was validated when it was extracted.
 
 Per-request randomness comes from independent PCG64 substreams seeded
 with ``(seed, request_index)``, so runs are reproducible per request
@@ -25,7 +27,7 @@ affect the outcome, so a run equals a try-by-try loop that stops there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,8 +47,6 @@ from .model import (
     ValidMapping,
     allocation_cost,
     collection_feasible,
-    compute_allocations,
-    mapping_cost,
     resource_stats,
 )
 
@@ -283,15 +283,11 @@ def sample_entry(decomposition: ConvexDecomposition, draw: float) -> int | None:
     return idx if idx < len(decomposition.entries) else None
 
 
-def _check_inputs(requests, decompositions, max_tries, allocations) -> None:
+def _check_inputs(requests, decompositions, max_tries) -> None:
     if len(decompositions) != len(requests):
         raise ValueError("one decomposition per request required")
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    if allocations is not None and [len(a) for a in allocations] != [
-        len(dec.entries) for dec in decompositions
-    ]:
-        raise ValueError("one allocation per decomposition entry required")
 
 
 def round_profit(
@@ -302,21 +298,18 @@ def round_profit(
     lp_optimum: float,
     seed: int,
     max_tries: int = MAX_TRIES_DEFAULT,
-    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None = None,
 ) -> RoundedSolution:
     """Sample until a draw meets all three criteria or tries run out.
 
     A draw embeds a request with probability equal to its decomposition's
-    total weight. The fallback after ``max_tries`` unaccepted draws is the
-    best-profit sample seen, flagged ``accepted=False``. Deterministic given
-    the seed. ``allocations``, if given, holds the ``compute_allocations``
-    result of every entry of every decomposition, already checked; without
-    it each entry's mapping is checked and its allocation computed here.
+    total weight; its loads are the picked entry's ``allocation``. The
+    fallback after ``max_tries`` unaccepted draws is the best-profit sample
+    seen, flagged ``accepted=False``. Deterministic given the seed.
     """
-    _check_inputs(requests, decompositions, max_tries, allocations)
+    _check_inputs(requests, decompositions, max_tries)
     return _sample(
         substrate, requests, decompositions, bounds, lp_optimum, seed,
-        max_tries, "profit", allocations,
+        max_tries, "profit",
     )
 
 
@@ -329,7 +322,6 @@ def _sample(
     seed: int,
     max_tries: int,
     variant: str,
-    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None,
 ) -> RoundedSolution:
     """The sampling routine of both variants.
 
@@ -340,8 +332,8 @@ def _sample(
 
     Per request, a dense allocation matrix over ``substrate.resources``
     (one row per entry plus an all-zero row for "embed nothing") and a
-    vector of objective terms are built once, from ``allocations`` or, if
-    that is None, from ``compute_allocations`` of every entry. Tries then run in blocks:
+    vector of objective terms are built once, from the entries'
+    ``allocation``. Tries then run in blocks:
     every request draws the block's uniforms, picks rows, and the rows are
     added in request order, so each objective and load is the same float
     sum a try-by-try loop gives. Utilization and the three margins follow
@@ -356,22 +348,20 @@ def _sample(
     columns = substrate.resource_column
     capacities = np.array(substrate.capacities)
     node_count = len(substrate.node_capacity)
-    if allocations is None:
-        allocations = [
-            [compute_allocations(substrate, req, entry.mapping) for entry in dec.entries]
-            for req, dec in zip(requests, decompositions)
-        ]
     load_rows = []
     terms = []
     cumulative = []
-    for req, dec, allocs in zip(requests, decompositions, allocations):
-        rows = np.zeros((len(allocs) + 1, len(columns)))
-        for k, alloc in enumerate(allocs):
-            for res, amount in alloc.items():
+    for req, dec in zip(requests, decompositions):
+        rows = np.zeros((len(dec.entries) + 1, len(columns)))
+        for k, entry in enumerate(dec.entries):
+            for res, amount in entry.allocation.items():
                 rows[k, columns[res]] = amount
         load_rows.append(rows)
         terms.append(np.array(
-            [allocation_cost(substrate, a) if cost else req.profit for a in allocs]
+            [
+                allocation_cost(substrate, entry.allocation) if cost else req.profit
+                for entry in dec.entries
+            ]
             + [0.0]
         ))
         cumulative.append(_cumulative_weights(dec))
@@ -446,7 +436,6 @@ def _sample(
         chosen = best_picks
 
     selection: dict[str, ValidMapping | None] = {}
-    embedded = []
     picked_allocations = []
     objective_value = 0.0
     for r, (req, dec) in enumerate(zip(requests, decompositions)):
@@ -454,14 +443,11 @@ def _sample(
         if pick == len(dec.entries):
             selection[req.name] = None
             continue
-        mapping = dec.entries[pick].mapping
-        selection[req.name] = mapping
-        embedded.append((req, mapping))
-        picked_allocations.append(allocations[r][pick])
+        entry = dec.entries[pick]
+        selection[req.name] = entry.mapping
+        picked_allocations.append(entry.allocation)
         objective_value += float(terms[r][pick])
-    _, utilization = collection_feasible(
-        substrate, embedded, allocations=picked_allocations
-    )
+    _, utilization = collection_feasible(substrate, picked_allocations)
     return RoundedSolution(
         variant=variant,
         selection=selection,
@@ -481,7 +467,6 @@ class PruneReport:
     threshold: float
     surviving_weight: float
     removed: int
-    kept: tuple[int, ...]  # positions of the surviving entries, in order
 
 
 def prune_costly_mappings(
@@ -491,10 +476,11 @@ def prune_costly_mappings(
 ) -> tuple[ConvexDecomposition, PruneReport]:
     """Drop entries costing more than twice the weighted average cost.
 
-    Requires total weight 1 (the cost LP pins acceptance to 1). At least
-    half the weight always survives (checked, raising ``GuaranteeError``);
-    weights are renormalized to sum to 1 so later sampling always embeds
-    the request.
+    Requires total weight 1 (the cost LP pins acceptance to 1). An entry's
+    cost is that of its ``allocation``. At least half the weight always
+    survives (checked, raising ``GuaranteeError``); weights are renormalized
+    to sum to 1 so later sampling always embeds the request, and surviving
+    entries keep their allocation.
     """
     total = decomposition.total_weight
     if abs(total - 1.0) > WEIGHT_TOL:
@@ -502,17 +488,17 @@ def prune_costly_mappings(
             f"request {request.name!r}: decomposition weight {total:.8f} != 1"
         )
     costs = [
-        mapping_cost(substrate, request, entry.mapping)
+        allocation_cost(substrate, entry.allocation)
         for entry in decomposition.entries
     ]
     cost_share = sum(
         entry.weight * c for entry, c in zip(decomposition.entries, costs)
     )
     threshold = 2.0 * cost_share
-    positions = tuple(
-        k for k, c in enumerate(costs) if c <= threshold + ACCEPT_TOL
-    )
-    kept = [decomposition.entries[k] for k in positions]
+    kept = [
+        entry for entry, c in zip(decomposition.entries, costs)
+        if c <= threshold + ACCEPT_TOL
+    ]
     surviving = sum(entry.weight for entry in kept)
     if surviving < 0.5 - WEIGHT_TOL:
         raise GuaranteeError(
@@ -522,7 +508,7 @@ def prune_costly_mappings(
     normalized = ConvexDecomposition(
         request_name=decomposition.request_name,
         entries=[
-            type(entry)(weight=entry.weight * scale, mapping=entry.mapping)
+            replace(entry, weight=entry.weight * scale)
             for entry in kept
         ],
     )
@@ -532,7 +518,6 @@ def prune_costly_mappings(
         threshold=threshold,
         surviving_weight=surviving,
         removed=len(decomposition.entries) - len(kept),
-        kept=positions,
     )
 
 
@@ -544,17 +529,16 @@ def round_cost(
     lp_cost: float,
     seed: int,
     max_tries: int = MAX_TRIES_DEFAULT,
-    allocations: Sequence[Sequence[Mapping[Resource, float]]] | None = None,
 ) -> RoundedSolution:
     """Sample full embeddings from pruned decompositions.
 
-    Every draw embeds all requests and provably costs at most twice the
-    LP cost (checked, raising ``GuaranteeError``); acceptance only tests the
-    load criteria. The fallback after ``max_tries`` unaccepted draws is the
-    lowest-cost sample seen, flagged ``accepted=False``. ``allocations`` is
-    as for ``round_profit``.
+    Every draw embeds all requests; a mapping costs what its entry's
+    ``allocation`` costs, and every draw provably costs at most twice the
+    LP cost (checked, raising ``GuaranteeError``). Acceptance only tests
+    the load criteria. The fallback after ``max_tries`` unaccepted draws is
+    the lowest-cost sample seen, flagged ``accepted=False``.
     """
-    _check_inputs(requests, decompositions, max_tries, allocations)
+    _check_inputs(requests, decompositions, max_tries)
     for req, dec in zip(requests, decompositions):
         if not dec.entries:
             raise ValueError(
@@ -563,5 +547,5 @@ def round_cost(
             )
     return _sample(
         substrate, requests, decompositions, bounds, lp_cost, seed, max_tries,
-        "cost", allocations,
+        "cost",
     )

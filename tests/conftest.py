@@ -8,6 +8,10 @@ got far enough to record anything itself.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from vnembed import scenarios
@@ -85,3 +89,14 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def cost_corpus():
     return scenarios.cost_corpus(20)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads

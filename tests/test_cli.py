@@ -563,3 +563,37 @@ def test_run_multi_instance_with_plot_data(tmp_path, capsys):
     assert rows[0] == "instance,request,metric,value"
     metrics = {line.split(",")[2] for line in rows[1:]}
     assert {"width", "lp_objective", "accepted"} <= metrics
+
+
+def test_run_rejects_instances_that_share_a_stem(tmp_path, capsys):
+    # both reports would land in out/x.report.json, the second over the first
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _generate(tmp_path / "a", "tree:3", stem="x")
+    b = _generate(tmp_path / "b", "tree:4", stem="x")
+    out_dir = tmp_path / "out"
+    plot = tmp_path / "p.csv"
+    code = main([
+        "run", str(a), str(b), "--jobs", "2", "--out-dir", str(out_dir),
+        "--plot-data", str(plot),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "share a file stem" in err
+    assert str(a) in err and str(b) in err
+    assert not out_dir.exists()
+    assert not plot.exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_run_rejects_single_outputs_with_out_dir(tmp_path, capsys, option):
+    path = _generate(tmp_path, "tree:3")
+    target = tmp_path / "single.out"
+    out_dir = tmp_path / "out"
+    code = main(["run", str(path), "--out-dir", str(out_dir), option, str(target)])
+    assert code == 2
+    assert f"{option} {target} cannot be combined with --out-dir" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+    assert not target.exists()

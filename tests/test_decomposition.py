@@ -270,10 +270,16 @@ def test_verifier_flags_tampering():
     broken = ValidMapping(node_map=dict(m1.node_map), edge_map=dict(m1.edge_map))
     broken.node_map["i"] = "v2"
     from vnembed.decomposition import ConvexDecomposition, DecompositionEntry
+    from vnembed.model import _unchecked_allocations
 
+    # compute_allocations rejects the mapping; verification ignores the
+    # allocation of an invalid entry
     bad = ConvexDecomposition(
         request_name=request.name,
-        entries=[DecompositionEntry(weight=1.0, mapping=broken)],
+        entries=[DecompositionEntry(
+            weight=1.0, mapping=broken,
+            allocation=_unchecked_allocations(request, broken),
+        )],
     )
     flagged = verify_decomposition(substrate, request, bad, 1.0, loads)
     assert flagged.invalid

@@ -193,25 +193,17 @@ def test_collection_feasible_reports_utilization():
     mapping = ValidMapping(
         node_map={"x": "a", "y": "b"}, edge_map={("x", "y"): (("a", "b"),)}
     )
-    ok, utilization = collection_feasible(substrate, [(req, mapping)] * 3)
+    alloc = compute_allocations(substrate, req, mapping)
+    ok, utilization = collection_feasible(substrate, [alloc] * 3)
     assert ok
     assert utilization[edge_resource("a", "b")] == pytest.approx(3.0 / 5.0)
     assert utilization[node_resource("vm", "a")] == pytest.approx(6.0 / 10.0)
     assert utilization[edge_resource("c", "d")] == 0.0
+    assert list(utilization) == list(substrate.resources)
 
     # a fourth copy pushes node b to 12/10
-    ok, _ = collection_feasible(substrate, [(req, mapping)] * 4)
+    ok, _ = collection_feasible(substrate, [alloc] * 4)
     assert not ok
-    ok, _ = collection_feasible(substrate, [(req, mapping)] * 4, node_slack=1.25)
-    assert ok
-
-    # precomputed allocations give the same loads without recomputing them
-    alloc = compute_allocations(substrate, req, mapping)
-    assert collection_feasible(
-        substrate, [(req, mapping)] * 3, allocations=[alloc] * 3
-    ) == (True, utilization)
-    with pytest.raises(ValueError, match="one allocation per embedding"):
-        collection_feasible(substrate, [(req, mapping)] * 3, allocations=[alloc])
 
 
 def test_resource_stats_extremes():

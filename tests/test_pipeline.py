@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
 import os
 import subprocess
@@ -245,18 +244,6 @@ def test_joint_first_matches_preprocessing_every_request(corpus, request):
         assert dropped == [["blocked"]] * 3
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _cactus_batch() -> list[Instance]:
-    """The 24 instances of the benchmark's ``cactus-profit`` batch, seed 1."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return [op.instance for op in workloads.cactus_profit(1)]
-
-
 def _solo_corpus(name, request):
     if name == "mixed":
         return _mixed_instances()
@@ -266,7 +253,9 @@ def _solo_corpus(name, request):
         # the benchmark's seed-sweep batch: the rounding experiment's instances
         return [*tree_corpus(30, seed=777), monte_carlo_instance()]
     if name == "cactus":
-        return _cactus_batch()
+        # the 24 instances of the benchmark's cactus-profit batch, seed 1
+        workloads = request.getfixturevalue("bench_workloads")
+        return [op.instance for op in workloads.cactus_profit(1)]
     return request.getfixturevalue(name)
 
 
@@ -372,7 +361,7 @@ def test_fully_accepted_batch_solves_one_lp(fig3_gadget, monkeypatch):
 
 def test_pruning_bound_violation_names_its_stage(fig3_gadget, monkeypatch):
     # negative costs break the averaging argument behind the bound
-    monkeypatch.setattr(vnembed.rounding, "mapping_cost", lambda *args: -1.0)
+    monkeypatch.setattr(vnembed.rounding, "allocation_cost", lambda *args: -1.0)
     with pytest.raises(PipelineError) as err:
         run_pipeline(fig3_gadget, PipelineConfig(variant="cost", seed=1))
     assert err.value.stage == "prune"
@@ -418,15 +407,18 @@ _COST_CAP_SCRIPT = """
 import sys
 from vnembed import (
     ConvexDecomposition, DecompositionEntry, GuaranteeError, Request,
-    SubstrateGraph, ValidMapping, bounds_from_parameters, round_cost,
+    SubstrateGraph, ValidMapping, bounds_from_parameters, compute_allocations,
+    round_cost,
 )
 assert sys.flags.optimize
 substrate = SubstrateGraph.build({"h": {"vm": (10.0, 3.0)}}, {})
 req = Request.build("p", {"i": ("vm", 1.0, ("h",))}, {}, profit=1.0)
+mapping = ValidMapping(node_map={"i": "h"}, edge_map={})
 dec = ConvexDecomposition(
     request_name="p",
     entries=[DecompositionEntry(
-        weight=1.0, mapping=ValidMapping(node_map={"i": "h"}, edge_map={}),
+        weight=1.0, mapping=mapping,
+        allocation=compute_allocations(substrate, req, mapping),
     )],
 )
 bounds = bounds_from_parameters("cost", 0.1, 0.1, 0.0, 1, 1)

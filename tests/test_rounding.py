@@ -7,7 +7,10 @@ import math
 
 import pytest
 
+import vnembed.decomposition
+import vnembed.model
 import vnembed.pipeline
+import vnembed.rounding
 from vnembed import (
     ConvexDecomposition,
     DecompositionEntry,
@@ -24,6 +27,7 @@ from vnembed import (
     collection_feasible,
     compute_allocations,
     compute_bounds,
+    decompose_novel,
     mapping_cost,
     min_width_order_search,
     preprocess_profit,
@@ -33,7 +37,9 @@ from vnembed import (
     run_pipeline,
 )
 from vnembed.instances import Instance
+from vnembed.lpmodel import solve
 from vnembed.model import EDGE, NODE
+from vnembed.scenarios import scenario_instance
 from vnembed.rounding import (
     WEIGHT_TOL,
     RoundedSolution,
@@ -125,12 +131,20 @@ def _cost_ladder():
     return substrate, req
 
 
-def _dec(pairs):
+def _entry(substrate, req, weight, mapping):
+    return DecompositionEntry(
+        weight=weight, mapping=mapping,
+        allocation=compute_allocations(substrate, req, mapping),
+    )
+
+
+def _dec(substrate, req, pairs):
+    """Entries placing ``req``'s single node ``i`` on each host."""
     return ConvexDecomposition(
         request_name="p",
         entries=[
-            DecompositionEntry(
-                weight=w, mapping=ValidMapping(node_map={"i": host}, edge_map={})
+            _entry(
+                substrate, req, w, ValidMapping(node_map={"i": host}, edge_map={})
             )
             for w, host in pairs
         ],
@@ -141,7 +155,7 @@ class TestPruning:
     def test_expensive_tail_beyond_twice_average_is_cut(self):
         substrate, req = _cost_ladder()
         pruned, report = prune_costly_mappings(
-            substrate, req, _dec([(0.9, "h1"), (0.1, "h100")])
+            substrate, req, _dec(substrate, req, [(0.9, "h1"), (0.1, "h100")])
         )
         assert report.cost_share == pytest.approx(10.9)
         assert report.threshold == pytest.approx(21.8)
@@ -154,7 +168,7 @@ class TestPruning:
     def test_balanced_pair_untouched(self):
         substrate, req = _cost_ladder()
         pruned, report = prune_costly_mappings(
-            substrate, req, _dec([(0.5, "h1"), (0.5, "h3")])
+            substrate, req, _dec(substrate, req, [(0.5, "h1"), (0.5, "h3")])
         )
         assert report.cost_share == pytest.approx(2.0)
         assert report.removed == 0
@@ -163,7 +177,7 @@ class TestPruning:
     def test_outlier_removed_and_weights_renormalized(self):
         substrate, req = _cost_ladder()
         pruned, report = prune_costly_mappings(
-            substrate, req, _dec([(0.6, "h1"), (0.4, "h10")])
+            substrate, req, _dec(substrate, req, [(0.6, "h1"), (0.4, "h10")])
         )
         assert report.cost_share == pytest.approx(4.6)
         assert report.threshold == pytest.approx(9.2)
@@ -176,12 +190,14 @@ class TestPruning:
     def test_partial_acceptance_is_an_error(self):
         substrate, req = _cost_ladder()
         with pytest.raises(ValueError, match="!= 1"):
-            prune_costly_mappings(substrate, req, _dec([(0.5, "h1"), (0.3, "h3")]))
+            prune_costly_mappings(
+                substrate, req, _dec(substrate, req, [(0.5, "h1"), (0.3, "h3")])
+            )
 
 
 class TestSampling:
     def test_draws_fall_into_cumulative_intervals(self):
-        dec = _dec([(0.3, "h1"), (0.2, "h3")])
+        dec = _dec(*_cost_ladder(), [(0.3, "h1"), (0.2, "h3")])
         assert sample_entry(dec, 0.0) == 0
         assert sample_entry(dec, 0.25) == 0
         assert sample_entry(dec, 0.3) == 1
@@ -242,7 +258,7 @@ def _single_mapping_setup():
         node_map={"i": "u0", "j": "u1"}, edge_map={("i", "j"): (("u0", "u1"),)}
     )
     dec = ConvexDecomposition(
-        request_name="pair", entries=[DecompositionEntry(weight=1.0, mapping=mapping)]
+        request_name="pair", entries=[_entry(substrate, req, 1.0, mapping)]
     )
     return substrate, req, mapping, dec
 
@@ -282,7 +298,7 @@ class TestProfitRounding:
         substrate, req, _, dec = _single_mapping_setup()
         half = ConvexDecomposition(
             request_name="pair",
-            entries=[DecompositionEntry(weight=0.5, mapping=dec.entries[0].mapping)],
+            entries=[dataclasses.replace(dec.entries[0], weight=0.5)],
         )
         bounds = compute_bounds(substrate, [req], "profit")
         runs = [
@@ -306,7 +322,7 @@ class TestProfitRounding:
         # half the draws embed nothing; the target is out of reach
         substrate, req = _cost_ladder()
         bounds = compute_bounds(substrate, [req], "profit")
-        dec = _dec([(0.5, "h1")])
+        dec = _dec(substrate, req, [(0.5, "h1")])
         out = round_profit(
             substrate, [req], [dec], bounds, 100.0, seed=1, max_tries=8
         )
@@ -339,7 +355,7 @@ class TestCostRounding:
         bounds = dataclasses.replace(
             compute_bounds(substrate, [req], "cost"), beta=0.0, gamma=0.0
         )
-        dec = _dec([(0.5, "h3"), (0.5, "h1")])
+        dec = _dec(substrate, req, [(0.5, "h3"), (0.5, "h1")])
         out = round_cost(substrate, [req], [dec], bounds, 3.0, seed=1, max_tries=8)
         assert not out.accepted
         assert out.tries_used == 8
@@ -451,12 +467,12 @@ class TestCostCapBoundary:
         )
         if alpha is not None:
             bounds = dataclasses.replace(bounds, alpha=alpha)
-        dec = _dec(list(zip(self.WEIGHTS, self.HOSTS)))
+        dec = _dec(substrate, req, list(zip(self.WEIGHTS, self.HOSTS)))
         return round_cost(substrate, [req], [dec], bounds, 10.0, seed, max_tries=9)
 
     def _seed_with(self, wanted):
         """First seed whose first nine picks start with ``wanted``."""
-        dec = _dec(list(zip(self.WEIGHTS, self.HOSTS)))
+        dec = _dec(*_cap_ladder(), list(zip(self.WEIGHTS, self.HOSTS)))
         for seed in range(10_000):
             (stream,) = request_streams(seed, 1)
             picks = [
@@ -523,7 +539,7 @@ def _reference_sample(
         return None
 
     def draw(attempt):
-        selection, embedded, loads, objective = {}, [], [], 0.0
+        selection, loads, objective = {}, [], 0.0
         for r, req in enumerate(requests):
             pick = scan(decompositions[r], streams[r].uniform())
             if pick is None and cost:
@@ -533,12 +549,11 @@ def _reference_sample(
                 continue
             mapping = decompositions[r].entries[pick].mapping
             selection[req.name] = mapping
-            embedded.append((req, mapping))
             loads.append(allocations[r][pick])
             objective += terms[r][pick]
         if cost and objective > cap:
             raise GuaranteeError(f"sampled cost {objective:.8f}")
-        _, utilization = collection_feasible(substrate, embedded, allocations=loads)
+        _, utilization = collection_feasible(substrate, loads)
         ok = check_tri_criteria(objective, utilization, bounds, lp_optimum, variant).ok
         worst = {
             kind: max(
@@ -661,10 +676,72 @@ def _pruned_instance() -> Instance:
     return Instance(name="pruned", substrate=substrate, requests=requests)
 
 
-def test_pruning_reports_the_surviving_positions():
-    instance = _pruned_instance()
-    report, _ = run_pipeline(instance, PipelineConfig(variant="cost", seed=1))
-    assert report.decomposition[0]["pruning"]["removed"] == 1
+
+
+def _decompositions(corpus, request):
+    """``(substrate, request, decomposition)`` for every decomposition the
+    pipeline makes on ``corpus``; the width-3 corpus is decomposed along
+    its own width-3 orders."""
+    if corpus == "width3_corpus":
+        out = []
+        for instance, labeled in request.getfixturevalue(corpus):
+            model, index = build_novel(
+                instance.substrate, instance.requests, [labeled], "profit"
+            )
+            state = index.request_state(solve(model).values, 0)
+            (req,) = instance.requests
+            out.append((
+                instance.substrate, req,
+                decompose_novel(instance.substrate, req, labeled, state),
+            ))
+        return out
+    if corpus == "seed-sweep":
+        ops = request.getfixturevalue("bench_workloads").seed_sweep(1)
+        instances, variant = [op.instance for op in ops[:16]], "profit"
+    elif corpus == "halfwheel":
+        instances = [scenario_instance(f"halfwheel:{n}") for n in (8, 9, 10)]
+        variant = "cost"
+    else:
+        instances = request.getfixturevalue(corpus)
+        variant = "cost" if corpus == "cost_corpus" else "profit"
+    real = vnembed.pipeline.decompose_novel
+    out = []
+
+    def spy(substrate, req, *args):
+        out.append((substrate, req, real(substrate, req, *args)))
+        return out[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vnembed.pipeline, "decompose_novel", spy)
+        for instance in instances:
+            try:
+                run_pipeline(instance, PipelineConfig(variant=variant, seed=1))
+            except PipelineError as err:
+                assert err.infeasible, err
+    return out
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    ["tiny_corpus", "tree_corpus", "cost_corpus", "width3_corpus", "seed-sweep",
+     "halfwheel"],
+)
+def test_every_entry_carries_its_allocation(corpus, request):
+    # what decompose_novel returns is exactly what compute_allocations gives
+    # for the entry's mapping: same resources, same order, same bits
+    decompositions = _decompositions(corpus, request)
+    entries = 0
+    for substrate, req, dec in decompositions:
+        for entry in dec.entries:
+            want = compute_allocations(substrate, req, entry.mapping)
+            assert [(res, v.hex()) for res, v in entry.allocation.items()] == [
+                (res, v.hex()) for res, v in want.items()
+            ]
+            entries += 1
+    assert entries >= len(decompositions) >= 3
+
+
+def test_pruning_keeps_the_surviving_allocations(monkeypatch):
     real = vnembed.pipeline.prune_costly_mappings
     seen = []
 
@@ -673,73 +750,73 @@ def test_pruning_reports_the_surviving_positions():
         seen.append((dec, norm, prep))
         return norm, prep
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vnembed.pipeline, "prune_costly_mappings", spy)
-        run_pipeline(instance, PipelineConfig(variant="cost", seed=1))
-    assert seen[0][2].kept == (1,)
+    monkeypatch.setattr(vnembed.pipeline, "prune_costly_mappings", spy)
+    run_pipeline(_pruned_instance(), PipelineConfig(variant="cost", seed=1))
+    dec, norm, prep = seen[0]
+    assert prep.removed == 1
+    assert [e.mapping for e in norm.entries] == [e.mapping for e in dec.entries[1:]]
     for dec, norm, prep in seen:
-        assert [dec.entries[k].mapping for k in prep.kept] == [
-            entry.mapping for entry in norm.entries
-        ]
-        assert prep.removed == len(dec.entries) - len(prep.kept)
+        # survivors are only reweighted: mapping and allocation stay as they are
+        originals = {id(entry.mapping): entry for entry in dec.entries}
+        assert len(norm.entries) == len(dec.entries) - prep.removed
+        for entry in norm.entries:
+            original = originals[id(entry.mapping)]
+            assert entry.allocation is original.allocation
+            assert entry.weight == pytest.approx(
+                original.weight / prep.surviving_weight
+            )
 
 
-@pytest.mark.parametrize("variant", ["profit", "cost"])
-def test_pipeline_hands_the_sampler_checked_allocations(
-    tree_corpus, variant, monkeypatch
-):
-    # the decomposition check validated every entry and computed its
-    # allocation; the sampler takes those and checks no mapping again, and
-    # rounds exactly as it does when it computes them itself
-    name = "round_profit" if variant == "profit" else "round_cost"
-    sampler = getattr(vnembed.pipeline, name)
-    captured = []
-
-    def capture(*args):
-        captured.append(args)
-        return sampler(*args)
-
-    checked = []
-    monkeypatch.setattr(vnembed.pipeline, name, capture)
-    monkeypatch.setattr(
-        vnembed.rounding, "compute_allocations",
-        lambda *args: checked.append(args) or compute_allocations(*args),
-    )
-    for instance in [*tree_corpus[:12], _pruned_instance()]:
-        try:
-            run_pipeline(instance, PipelineConfig(variant=variant, seed=2))
-        except PipelineError as err:
-            assert err.infeasible, err
-    assert len(captured) >= 6
-    assert checked == []
-    for args in captured:
-        substrate, requests, decs, given = args[0], args[1], args[2], args[7]
-        assert [len(a) for a in given] == [len(dec.entries) for dec in decs]
-        for req, dec, allocs in zip(requests, decs, given):
-            assert allocs == [
-                compute_allocations(substrate, req, entry.mapping)
-                for entry in dec.entries
-            ]
-        got, own = sampler(*args), sampler(*args[:7])
-        assert got.records == own.records
-        assert got.selection == own.selection
-        assert list(got.utilization.items()) == list(own.utilization.items())
-        assert got.objective_value == own.objective_value
-    assert len(checked) == sum(len(dec.entries) for args in captured for dec in args[2])
-
-
-@pytest.mark.parametrize("sampler", [round_profit, round_cost])
-def test_sampler_checks_mappings_it_is_not_given_allocations_for(sampler):
+def test_an_off_request_mapping_has_no_allocation():
     substrate, req, _, _ = _single_mapping_setup()
     off_request = ValidMapping(
         node_map={"i": "u0", "j": "u0"}, edge_map={("i", "j"): (("u0", "u1"),)}
     )
-    dec = ConvexDecomposition(
-        request_name="pair",
-        entries=[DecompositionEntry(weight=1.0, mapping=off_request)],
-    )
-    bounds = compute_bounds(substrate, [req], "profit")
     with pytest.raises(ValueError, match="invalid mapping"):
-        sampler(substrate, [req], [dec], bounds, req.profit, 1)
-    with pytest.raises(ValueError, match="one allocation per decomposition entry"):
-        sampler(substrate, [req], [dec], bounds, req.profit, 1, 8, [[]])
+        compute_allocations(substrate, req, off_request)
+
+
+def test_an_invalid_extracted_mapping_never_reaches_the_sampler(
+    fig3_gadget, monkeypatch
+):
+    # the sampler checks no mapping; the check at extraction stops it
+    monkeypatch.setattr(
+        vnembed.decomposition, "check_valid_mapping",
+        lambda *args: (False, "planted fault"),
+    )
+    monkeypatch.setattr(vnembed.pipeline, "round_cost", _never_called)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="cost", seed=1))
+    assert err.value.stage == "decompose"
+    assert "extracted mapping invalid: planted fault" in str(err.value)
+
+
+def _never_called(*args):
+    raise AssertionError("the sampler was reached")
+
+
+@pytest.mark.parametrize(
+    "workload, checks, allocations",
+    [("seed-sweep", 1640, 952), ("halfwheel-cost", 9, 6)],
+)
+def test_mappings_checked_and_allocated_per_pass(
+    workload, checks, allocations, bench_workloads, monkeypatch
+):
+    # each entry is checked and allocated at extraction, checked again by
+    # verification, and each selected mapping once more by the recheck;
+    # pruning and the sampler read the entries' allocations
+    calls = {"check_valid_mapping": 0, "_unchecked_allocations": 0}
+    for name in calls:
+        original = getattr(vnembed.model, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (vnembed.model, vnembed.decomposition):
+            monkeypatch.setattr(module, name, counted)
+    for op in bench_workloads.WORKLOADS[workload](1):
+        run_pipeline(op.instance, op.config)
+    assert calls == {
+        "check_valid_mapping": checks, "_unchecked_allocations": allocations
+    }
