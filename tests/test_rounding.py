@@ -776,6 +776,38 @@ def test_an_off_request_mapping_has_no_allocation():
         compute_allocations(substrate, req, off_request)
 
 
+@pytest.mark.parametrize("sampler", [round_profit, round_cost])
+def test_sampler_checks_mappings_it_is_not_given_allocations_for(
+    sampler, fig3_gadget, monkeypatch
+):
+    # the sampler reads each entry's allocation and checks no mapping itself;
+    # the real check at extraction is what keeps a mapping with no valid
+    # allocation (here one that leaves a request edge unmapped) from it
+    real = vnembed.decomposition._apply_extraction
+    broken = []
+
+    def drop_an_edge(substrate, request, state, tracker, mapping, entries):
+        if not broken:
+            first = next(iter(mapping.edge_map))
+            broken.append(first)
+            mapping = ValidMapping(
+                node_map=mapping.node_map,
+                edge_map={e: p for e, p in mapping.edge_map.items() if e != first},
+            )
+        return real(substrate, request, state, tracker, mapping, entries)
+
+    monkeypatch.setattr(vnembed.decomposition, "_apply_extraction", drop_an_edge)
+    monkeypatch.setattr(vnembed.pipeline, sampler.__name__, _never_called)
+    variant = "profit" if sampler is round_profit else "cost"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant=variant, seed=1))
+    assert err.value.stage == "decompose"
+    assert (
+        f"extracted mapping invalid: incomplete mapping: edge {broken[0]} is unmapped"
+        in str(err.value)
+    )
+
+
 def test_an_invalid_extracted_mapping_never_reaches_the_sampler(
     fig3_gadget, monkeypatch
 ):
