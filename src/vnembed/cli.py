@@ -385,8 +385,11 @@ def _config_from_args(args) -> PipelineConfig:
     )
 
 
-def _run_one(path: str, config: PipelineConfig,
-             out: str | None, csv_out: str | None) -> tuple[str, int, str]:
+def _run_one(
+    path: str, config: PipelineConfig, out: str | None, csv_out: str | None
+) -> tuple[str, int, str, dict | None]:
+    """Run one instance file; the last item is the report as written, or
+    None if the run failed."""
     try:
         instance = _load(path)
         report, rounded = run_pipeline(instance, config)
@@ -398,9 +401,10 @@ def _run_one(path: str, config: PipelineConfig,
         if csv_out:
             Path(csv_out).write_text(try_records_csv(rounded))
         code = EXIT_OK if rounded.accepted else EXIT_UNACCEPTED
-        return path, code, "accepted" if rounded.accepted else "unaccepted"
+        message = "accepted" if rounded.accepted else "unaccepted"
+        return path, code, message, json.loads(text)
     except Exception as err:  # per-instance isolation for --jobs
-        return path, _code_for(err), str(err)
+        return path, _code_for(err), str(err), None
 
 
 def _plot_rows(report_dict) -> list[tuple[str, str, str, str]]:
@@ -471,17 +475,15 @@ def cmd_run(args) -> int:
             results.append(_run_one(path, config, out, csv_out))
 
     if args.plot_data:
-        rows: list[tuple[str, str, str, str]] = []
-        for path, out, _ in plan:
-            if out and Path(out).exists():
-                rows.extend(_plot_rows(json.loads(Path(out).read_text())))
         with open(args.plot_data, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["instance", "request", "metric", "value"])
-            writer.writerows(rows)
+            for *_, report in results:
+                if report is not None:
+                    writer.writerows(_plot_rows(report))
 
     worst = EXIT_OK
-    for path, code, message in results:
+    for path, code, message, _ in results:
         if len(results) > 1:
             sys.stderr.write(f"{path}: exit {code} ({message})\n")
         elif code not in (EXIT_OK, EXIT_UNACCEPTED):

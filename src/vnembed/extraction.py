@@ -23,7 +23,10 @@ heuristic with two candidate orders per root: the BFS orientation, and a
 degree-ordered orientation that visits low-degree frontier nodes first and
 so leaves hubs (like a half wheel's center) for last. Both passes stop as
 soon as an order meets the lower bound of 1 (forests) or 2 (anything with
-an undirected cycle).
+an undirected cycle). Candidates are scored on node indices by the same
+core that ``label_order`` runs (``_label_masks`` and ``_group_masks``);
+only the first candidate and a strictly narrower winner are built as
+``ExtractionOrder``s and labeled.
 """
 
 from __future__ import annotations
@@ -99,13 +102,76 @@ class ExtractionOrder:
         return {i: tuple(v) for i, v in adj.items()}
 
 
-def _neighbor_sets(graph: RequestShaped) -> dict[str, set[str]]:
-    """Distinct neighbors of each node in the undirected view."""
-    neighbors: dict[str, set[str]] = {i: set() for i in graph.nodes}
-    for (a, b) in graph.edges:
+def _adjacency(
+    graph: RequestShaped,
+) -> tuple[dict[str, int], list[tuple[int, int]], list[list[int]]]:
+    """Node index, edge endpoints as indices, and each node's distinct
+    undirected neighbors in index order."""
+    index = {i: k for k, i in enumerate(graph.nodes)}
+    ends = [(index[a], index[b]) for (a, b) in graph.edges]
+    neighbors: list[set[int]] = [set() for _ in graph.nodes]
+    for a, b in ends:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    return neighbors
+    return index, ends, [sorted(s) for s in neighbors]
+
+
+def _bfs_rank(neighbors: list[list[int]], root: int) -> list[int]:
+    """Rank of each node in the BFS orientation from ``root``: its
+    ``(layer, index)`` key as one integer, or -1 if the search missed it."""
+    n = len(neighbors)
+    layer = [-1] * n
+    layer[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt: list[int] = []
+        for u in sorted(frontier):
+            for v in neighbors[u]:
+                if layer[v] < 0:
+                    layer[v] = layer[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return [lay * n + k if lay >= 0 else -1 for k, lay in enumerate(layer)]
+
+
+def _degree_rank(neighbors: list[list[int]], root: int) -> list[int]:
+    """Visit position of each node in the degree-ordered search from
+    ``root``, or -1 if the search missed it."""
+    position = [-1] * len(neighbors)
+    position[root] = 0
+    visited = 1
+    frontier = set(neighbors[root])
+    while frontier:
+        u = min(frontier, key=lambda v: (len(neighbors[v]), v))
+        frontier.remove(u)
+        position[u] = visited
+        visited += 1
+        frontier.update(v for v in neighbors[u] if position[v] < 0)
+    return position
+
+
+# A node ranking from the neighbor lists and a root index (-1: not reached)
+_Ranking = Callable[[list[list[int]], int], list[int]]
+
+
+def _ranked_flags(
+    graph: RequestShaped, adjacency, root: str, ranking: _Ranking
+) -> list[bool]:
+    """Reversal flags that point every edge from its lower-ranked endpoint
+    to the higher one.
+
+    ``ranking`` ranks the nodes a search from ``root`` reaches, the root
+    lowest and every other node above a neighbor, so the flags give a
+    valid order by construction. Raises if the search missed a node.
+    """
+    index, ends, neighbors = adjacency
+    if root not in index:
+        raise ExtractionError(f"root {root!r} is not a request node")
+    rank = ranking(neighbors, index[root])
+    if min(rank) < 0:
+        missing = sorted(i for i, r in zip(graph.nodes, rank) if r < 0)
+        raise ExtractionError(f"nodes unreachable from root: {missing}")
+    return [rank[a] > rank[b] for a, b in ends]
 
 
 def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
@@ -116,22 +182,8 @@ def build_extraction_order(graph: RequestShaped, root: str) -> ExtractionOrder:
     smaller ``(layer, index)`` key to the larger one. This always yields a
     valid order and keeps results reproducible.
     """
-    nodes = tuple(graph.nodes)
-    if root not in nodes:
-        raise ExtractionError(f"root {root!r} is not a request node")
-    index = {i: k for k, i in enumerate(nodes)}
-    neighbors = _neighbor_sets(graph)
-    layer = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt: list[str] = []
-        for u in sorted(frontier, key=index.__getitem__):
-            for v in sorted(neighbors[u], key=index.__getitem__):
-                if v not in layer:
-                    layer[v] = layer[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return _orient_by_rank(graph, root, {i: (layer[i], index[i]) for i in layer})
+    flags = _ranked_flags(graph, _adjacency(graph), root, _bfs_rank)
+    return _orient(graph, root, flags)
 
 
 def build_degree_order(graph: RequestShaped, root: str) -> ExtractionOrder:
@@ -143,34 +195,8 @@ def build_degree_order(graph: RequestShaped, root: str) -> ExtractionOrder:
     sequence is a linear order in which every non-root node has an earlier
     neighbor, so the result is always a valid order.
     """
-    nodes = tuple(graph.nodes)
-    if root not in nodes:
-        raise ExtractionError(f"root {root!r} is not a request node")
-    index = {i: k for k, i in enumerate(nodes)}
-    neighbors = _neighbor_sets(graph)
-    position = {root: 0}
-    frontier = set(neighbors[root])
-    while frontier:
-        u = min(frontier, key=lambda v: (len(neighbors[v]), index[v]))
-        frontier.remove(u)
-        position[u] = len(position)
-        frontier.update(v for v in neighbors[u] if v not in position)
-    return _orient_by_rank(graph, root, position)
-
-
-def _orient_by_rank(
-    graph: RequestShaped, root: str, rank: Mapping[str, object]
-) -> ExtractionOrder:
-    """Point every edge from its lower-ranked endpoint to the higher one.
-
-    ``rank`` holds the nodes a search from ``root`` reached, the root ranked
-    lowest and every other node above a neighbor, so the result is a valid
-    order by construction. Raises if the search missed a node.
-    """
-    if len(rank) != len(graph.nodes):
-        missing = sorted(set(graph.nodes) - set(rank))
-        raise ExtractionError(f"nodes unreachable from root: {missing}")
-    return _orient(graph, root, [rank[a] > rank[b] for (a, b) in graph.edges])
+    flags = _ranked_flags(graph, _adjacency(graph), root, _degree_rank)
+    return _orient(graph, root, flags)
 
 
 def _orient(
@@ -193,7 +219,7 @@ def orientation_from_flags(
     if len(reversed_flags) != len(graph.edges):
         raise ExtractionError("one reversal flag per edge required")
     order = _orient(graph, root, reversed_flags)
-    _OrderView(order)  # raises on an invalid order
+    _label_masks(order.nodes, *_order_ends(order))  # raises on an invalid order
     return order
 
 
@@ -215,71 +241,123 @@ class LabeledExtractionOrder:
     width: int
 
 
-class _OrderView:
-    """Index-level view of an order: descendant masks and immediate
-    dominators. Raises ``ExtractionError`` unless the order is valid."""
+def _order_ends(order: ExtractionOrder) -> tuple[int, list[int], list[int]]:
+    """Root, edge tails and edge heads of ``order`` as node indices."""
+    index = order.node_index
+    if order.root not in index:
+        raise ExtractionError(f"root {order.root!r} is not a request node")
+    tails = [index[e.tail] for e in order.edges]
+    heads = [index[e.head] for e in order.edges]
+    return index[order.root], tails, heads
 
-    def __init__(self, order: ExtractionOrder):
-        if order.root not in order.nodes:
-            raise ExtractionError(f"root {order.root!r} is not a request node")
-        index = order.node_index
-        n = len(order.nodes)
-        self.tails = [index[e.tail] for e in order.edges]
-        self.heads = [index[e.head] for e in order.edges]
-        succ: list[list[int]] = [[] for _ in range(n)]
-        self.pred: list[list[int]] = [[] for _ in range(n)]
-        for t, h in zip(self.tails, self.heads):
-            succ[t].append(h)
-            self.pred[h].append(t)
-        indeg = [len(p) for p in self.pred]
-        stack = [v for v in range(n) if indeg[v] == 0]
-        topo: list[int] = []
-        while stack:
-            u = stack.pop()
-            topo.append(u)
-            for v in succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        if len(topo) != n:
-            raise ExtractionError("orientation is not acyclic")
-        self.desc = [0] * n
-        for u in reversed(topo):
-            mask = 1 << u
-            for v in succ[u]:
-                mask |= self.desc[v]
-            self.desc[u] = mask
-        root = index[order.root]
-        if self.desc[root] != (1 << n) - 1:
-            missing = sorted(
-                order.nodes[k] for k in range(n) if not (self.desc[root] >> k) & 1
-            )
-            raise ExtractionError(f"nodes unreachable from root: {missing}")
-        # Every node is reachable from the root, so the root is the only
-        # source and comes first in ``topo``; each other node's immediate
-        # dominator is the deepest common dominator-tree ancestor of its
-        # predecessors, all of which precede it.
-        self.idom = [root] * n
-        depth = [0] * n
-        for v in topo[1:]:
-            d = self.pred[v][0]
-            for p in self.pred[v][1:]:
-                while d != p:
-                    if depth[d] >= depth[p]:
-                        d = self.idom[d]
-                    else:
-                        p = self.idom[p]
-            self.idom[v] = d
-            depth[v] = depth[d] + 1
 
-    def path_edges(self, i: int, j: int) -> list[int]:
-        """Edges lying on some i -> j path."""
-        di = self.desc[i]
-        return [
-            k
-            for k in range(len(self.tails))
-            if (di >> self.tails[k]) & 1 and (self.desc[self.heads[k]] >> j) & 1
+def _label_masks(
+    nodes: Sequence[str], root: int, tails: Sequence[int], heads: Sequence[int]
+) -> tuple[list[int], dict[int, int]]:
+    """Labels of the order whose edge ``k`` runs from node ``tails[k]`` to
+    node ``heads[k]``: one bitmask per edge (bit ``j`` for label ``j``) and
+    the label root of each label. Raises ``ExtractionError`` unless the
+    order is acyclic and reaches every node from ``root``.
+
+    An edge ``t -> h`` lies on a ``d -> j`` path exactly when ``d`` reaches
+    ``t`` and ``h`` reaches ``j``. So with ``below[t]`` the labels whose
+    root reaches ``t``, the edge's labels are ``below[t] & desc[h]``.
+    """
+    n = len(nodes)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for t, h in zip(tails, heads):
+        succ[t].append(h)
+        pred[h].append(t)
+    indeg = [len(p) for p in pred]
+    stack = [v for v in range(n) if indeg[v] == 0]
+    topo: list[int] = []
+    while stack:
+        u = stack.pop()
+        topo.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    if len(topo) != n:
+        raise ExtractionError("orientation is not acyclic")
+    desc = [0] * n
+    for u in reversed(topo):
+        mask = 1 << u
+        for v in succ[u]:
+            mask |= desc[v]
+        desc[u] = mask
+    if desc[root] != (1 << n) - 1:
+        missing = sorted(nodes[k] for k in range(n) if not (desc[root] >> k) & 1)
+        raise ExtractionError(f"nodes unreachable from root: {missing}")
+    # Every node is reachable from the root, so the root is the only
+    # source and comes first in ``topo``; each other node's immediate
+    # dominator is the deepest common dominator-tree ancestor of its
+    # predecessors, all of which precede it.
+    idom = [root] * n
+    depth = [0] * n
+    for v in topo[1:]:
+        d = pred[v][0]
+        for p in pred[v][1:]:
+            while d != p:
+                if depth[d] >= depth[p]:
+                    d = idom[d]
+                else:
+                    p = idom[p]
+        idom[v] = d
+        depth[v] = depth[d] + 1
+    label_roots = {j: idom[j] for j in range(n) if len(pred[j]) >= 2}
+    below = [0] * n
+    for j, d in label_roots.items():
+        below[d] |= 1 << j
+    for v in topo:
+        for p in pred[v]:
+            below[v] |= below[p]
+    return [below[t] & desc[h] for t, h in zip(tails, heads)], label_roots
+
+
+def _group_masks(
+    num_nodes: int, tails: Sequence[int], masks: Sequence[int]
+) -> list[list[tuple[list[int], int]]]:
+    """Each node's outgoing edges grouped by transitive label overlap, as
+    ``(edges, label mask)`` pairs. An unlabeled edge is a group alone."""
+    groups: list[list[tuple[list[int], int]]] = [[] for _ in range(num_nodes)]
+    for k, (t, lab) in enumerate(zip(tails, masks)):
+        if not lab:
+            groups[t].append(([k], 0))
+            continue
+        merged_edges = [k]
+        keep: list[tuple[list[int], int]] = []
+        for g_edges, g_lab in groups[t]:
+            if g_lab & lab:
+                merged_edges.extend(g_edges)
+                lab |= g_lab
+            else:
+                keep.append((g_edges, g_lab))
+        keep.append((merged_edges, lab))
+        groups[t] = keep
+    return groups
+
+
+def _groups_width(groups: list[list[tuple[list[int], int]]]) -> int:
+    return 1 + max((lab.bit_count() for g in groups for _, lab in g), default=0)
+
+
+def _names(nodes: Sequence[str], mask: int) -> tuple[str, ...]:
+    return tuple(v for j, v in enumerate(nodes) if mask >> j & 1)
+
+
+def _render_bags(
+    nodes: Sequence[str], groups: list[list[tuple[list[int], int]]]
+) -> dict[str, tuple[EdgeBag, ...]]:
+    bags = {}
+    for node, node_groups in zip(nodes, groups):
+        node_bags = [
+            EdgeBag(node, tuple(sorted(ge)), tuple(sorted(_names(nodes, lab))))
+            for ge, lab in node_groups
         ]
+        bags[node] = tuple(sorted(node_bags, key=lambda b: b.edges[0]))
+    return bags
 
 
 def compute_edge_bags(
@@ -289,31 +367,10 @@ def compute_edge_bags(
 
     Unlabeled edges form singleton bags with an empty label set.
     """
-    bags: dict[str, tuple[EdgeBag, ...]] = {}
-    for node in order.nodes:
-        groups: list[tuple[list[int], set[str]]] = []
-        for k in order.out_edges[node]:
-            lab = set(labels[k])
-            if not lab:
-                groups.append(([k], lab))
-                continue
-            merged_edges = [k]
-            keep: list[tuple[list[int], set[str]]] = []
-            for g_edges, g_labels in groups:
-                if g_labels & lab:
-                    merged_edges.extend(g_edges)
-                    lab |= g_labels
-                else:
-                    keep.append((g_edges, g_labels))
-            keep.append((merged_edges, lab))
-            groups = keep
-        node_bags = [
-            EdgeBag(node=node, edges=tuple(sorted(ge)), labels=tuple(sorted(gl)))
-            for ge, gl in groups
-        ]
-        node_bags.sort(key=lambda b: b.edges[0])
-        bags[node] = tuple(node_bags)
-    return bags
+    index = order.node_index
+    masks = [sum(1 << index[v] for v in set(lab)) for lab in labels]
+    tails = [index[e.tail] for e in order.edges]
+    return _render_bags(order.nodes, _group_masks(len(order.nodes), tails, masks))
 
 
 def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
@@ -336,25 +393,30 @@ def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
     fewer than two in-edges are targets of no confluence. Raises
     ``ExtractionError`` on an invalid order.
     """
-    view = _OrderView(order)
-    label_sets: list[set[int]] = [set() for _ in order.edges]
-    label_roots: dict[str, str] = {}
-    for j, preds in enumerate(view.pred):
-        if len(preds) < 2:
-            continue
-        d = view.idom[j]
-        for k in view.path_edges(d, j):
-            label_sets[k].add(j)
-        label_roots[order.nodes[j]] = order.nodes[d]
-    labels = tuple(tuple(order.nodes[j] for j in sorted(s)) for s in label_sets)
-    bags = compute_edge_bags(order, labels)
-    width = 1 + max(
-        (len(b.labels) for node_bags in bags.values() for b in node_bags),
-        default=0,
-    )
+    root, tails, heads = _order_ends(order)
+    nodes = order.nodes
+    masks, roots = _label_masks(nodes, root, tails, heads)
+    groups = _group_masks(len(nodes), tails, masks)
     return LabeledExtractionOrder(
-        order=order, labels=labels, bags=bags, label_roots=label_roots, width=width
+        order=order,
+        labels=tuple(_names(nodes, lab) for lab in masks),
+        bags=_render_bags(nodes, groups),
+        label_roots={nodes[j]: nodes[d] for j, d in roots.items()},
+        width=_groups_width(groups),
     )
+
+
+def _flags_width(
+    nodes: Sequence[str], root: int, ends: Sequence[tuple[int, int]],
+    reversed_flags: Sequence[bool],
+) -> int:
+    """Width of the order that ``reversed_flags`` make of the edges
+    ``ends``, without building it: what ``label_order`` would report.
+    Raises ``ExtractionError`` on an invalid order."""
+    tails = [b if flip else a for (a, b), flip in zip(ends, reversed_flags)]
+    heads = [a if flip else b for (a, b), flip in zip(ends, reversed_flags)]
+    masks, _ = _label_masks(nodes, root, tails, heads)
+    return _groups_width(_group_masks(len(nodes), tails, masks))
 
 
 def flow_labeling(order: ExtractionOrder) -> LabeledExtractionOrder:
@@ -380,23 +442,23 @@ def min_width_order_search(
     """Search for a low-width order.
 
     ``per-root-bfs`` is a heuristic in two passes over the candidate roots.
-    The first labels the BFS orientation (``build_extraction_order``) of
-    each root and keeps the first strictly narrowest. The second labels the
+    The first takes the BFS orientation (``build_extraction_order``) of
+    each root and keeps the first strictly narrowest. The second takes the
     degree-ordered orientation (``build_degree_order``) of each root, which
     replaces the best so far only if strictly narrower; so whenever BFS
     already finds the narrowest order of the two passes, that BFS order is
     the result. Both passes stop once the best order meets the lower bound
-    (see ``_width_floor``), which cannot change the result. ``exhaustive``
-    enumerates every valid orientation per candidate root and returns a
-    true minimum; it is only meant for small graphs and refuses oversized
-    searches.
+    (see ``_width_floor``), which cannot change the result. Only the first
+    root's BFS order and the winner are labeled; every other candidate is
+    scored on node indices. ``exhaustive`` enumerates every valid
+    orientation per candidate root and returns a true minimum; it is only
+    meant for small graphs and refuses oversized searches.
     """
     candidates = tuple(roots) if roots is not None else tuple(graph.nodes)
     if not candidates:
         raise ValueError("at least one candidate root required")
     if strategy == "per-root-bfs":
-        best = _per_root_pass(graph, candidates, build_extraction_order)
-        return _per_root_pass(graph, candidates, build_degree_order, best)
+        return _per_root_pass(graph, candidates, (_bfs_rank, _degree_rank))
     if strategy == "exhaustive":
         return _exhaustive_search(graph, candidates)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -416,25 +478,29 @@ def _width_floor(graph: RequestShaped) -> int:
 
 
 def _per_root_pass(
-    graph: RequestShaped,
-    roots: Sequence[str],
-    build: Callable[[RequestShaped, str], ExtractionOrder],
-    best: LabeledExtractionOrder | None = None,
+    graph: RequestShaped, roots: Sequence[str], rankings: Sequence[_Ranking]
 ) -> LabeledExtractionOrder:
-    """One pass of ``per-root-bfs``: label ``build(graph, root)`` for each
-    root in turn; an order replaces ``best`` only if strictly narrower.
-    Without a ``best`` the first root's order starts as best. Stops at the
-    width floor."""
+    """``per-root-bfs`` with one pass per ranking over ``roots``. The first
+    root's order under the first ranking is labeled and starts as best; any
+    other order is only scored, and replaces the best only if strictly
+    narrower. Stops at the width floor, and labels a strictly narrower
+    winner at the end: at most two labels, one where the first meets the
+    floor (every tree)."""
     floor = _width_floor(graph)
-    if best is None:
-        best, roots = label_order(build(graph, roots[0])), roots[1:]
-    for root in roots:
-        if best.width <= floor:
-            break
-        labeled = label_order(build(graph, root))
-        if labeled.width < best.width:
-            best = labeled
-    return best
+    adjacency = _adjacency(graph)
+    index, ends, _ = adjacency
+    flags = _ranked_flags(graph, adjacency, roots[0], rankings[0])
+    best = label_order(_orient(graph, roots[0], flags))
+    width, winner = best.width, None
+    for p, ranking in enumerate(rankings):
+        for root in roots[1:] if p == 0 else roots:
+            if width <= floor:
+                break
+            flags = _ranked_flags(graph, adjacency, root, ranking)
+            score = _flags_width(graph.nodes, index[root], ends, flags)
+            if score < width:
+                width, winner = score, (root, flags)
+    return best if winner is None else label_order(_orient(graph, *winner))
 
 
 # Cap on the edge-reversal flag vectors the exhaustive search would test,
@@ -455,8 +521,11 @@ def _exhaustive_search(
             f"exhaustive search would try {total} edge-reversal flag vectors "
             f"(limit {_EXHAUSTIVE_LIMIT}); use per-root-bfs"
         )
-    best: LabeledExtractionOrder | None = None
+    index, ends, _ = _adjacency(graph)
+    best: tuple[int, str, list[bool]] | None = None
     for root in roots:
+        if root not in index:
+            continue  # no orientation is rooted outside the graph
         # Edges at the root must point away from it: an edge into the root
         # would close a cycle with any path back out.
         forced: list[bool | None] = []
@@ -474,15 +543,14 @@ def _exhaustive_search(
             for k, flip in zip(free_ids, combo):
                 flags[k] = flip
             try:
-                order = orientation_from_flags(graph, root, flags)
+                width = _flags_width(graph.nodes, index[root], ends, flags)
             except ExtractionError:
                 continue
-            labeled = label_order(order)
-            if best is None or labeled.width < best.width:
-                best = labeled
+            if best is None or width < best[0]:
+                best = (width, root, flags)
     if best is None:
         raise ExtractionError("no valid orientation for any candidate root")
-    return best
+    return label_order(orientation_from_flags(graph, best[1], best[2]))
 
 
 def is_cactus(graph: RequestShaped) -> bool:

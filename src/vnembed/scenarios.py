@@ -15,12 +15,12 @@ import numpy as np
 
 from .extraction import (
     Digraph,
-    build_extraction_order,
     generate_half_wheel,
     generate_vc_gadget,
     is_cactus,
     label_order,
     LabeledExtractionOrder,
+    _bfs_rank,
     _per_root_pass,
 )
 from .instances import Instance, default_allowed_edges, default_allowed_nodes
@@ -463,7 +463,7 @@ def width3_corpus(
         graph = Digraph.build(nodes, edge_list)
         # the search's BFS pass alone: its degree pass would take some of
         # these requests to width 2 and thin out the width-3 coverage
-        labeled = _per_root_pass(graph, graph.nodes, build_extraction_order)
+        labeled = _per_root_pass(graph, graph.nodes, (_bfs_rank,))
         if labeled.width > 3:
             continue
         # placement restrictions keep the per-edge copy count small

@@ -565,6 +565,37 @@ def test_run_multi_instance_with_plot_data(tmp_path, capsys):
     assert {"width", "lp_objective", "accepted"} <= metrics
 
 
+def _plot_lines(path):
+    return path.read_text().splitlines()
+
+
+def test_run_plot_data_with_report_on_stdout(tmp_path, capsys):
+    path = _generate(tmp_path, "tree:3")
+    plot = tmp_path / "p.csv"
+    assert main(["run", str(path), "--plot-data", str(plot)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = _plot_lines(plot)
+    assert rows[0] == "instance,request,metric,value"
+    tries = report["rounding"]["tries_used"]
+    assert f"{report['instance']},-,tries_used,{tries}" in rows
+    assert len(rows) > 1 + len(report["requests"])
+
+
+def test_failed_run_plots_no_stale_report(tmp_path, capsys):
+    path = _generate(tmp_path, "tree:3")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "tree-3.report.json").exists()
+    plot = tmp_path / "p.csv"
+    code = main([
+        "run", str(path), "--out-dir", str(out_dir), "--var-budget", "1",
+        "--plot-data", str(plot),
+    ])
+    assert code == 2
+    assert "budget allows 1" in capsys.readouterr().err
+    assert _plot_lines(plot) == ["instance,request,metric,value"]
+
+
 def test_run_rejects_instances_that_share_a_stem(tmp_path, capsys):
     # both reports would land in out/x.report.json, the second over the first
     (tmp_path / "a").mkdir()

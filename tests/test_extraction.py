@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import collections
 import itertools
+from types import SimpleNamespace
 
+import extraction_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,12 @@ from vnembed import (
     min_width_order_search,
     orientation_from_flags,
 )
+from vnembed import extraction
 from vnembed.extraction import (
     ExtractionError,
     ExtractionOrder,
     OrientedEdge,
+    _bfs_rank,
     _per_root_pass,
     _width_floor,
     compute_edge_bags,
@@ -34,6 +38,7 @@ from vnembed.extraction import (
 from vnembed.scenarios import (
     VC_BASES,
     cactus_graph_corpus,
+    random_cactus_graph,
     random_tree_graph,
     scenario_instance,
 )
@@ -476,7 +481,7 @@ def test_search_never_wider_than_bfs(seed):
     found = min_width_order_search(g)
     assert found.width <= bfs.width
     assert found.width >= _width_floor(g)
-    assert _per_root_pass(g, g.nodes, build_extraction_order) == bfs
+    assert _per_root_pass(g, g.nodes, (_bfs_rank,)) == bfs
     if bfs.width == _width_floor(g):
         assert found == bfs
 
@@ -563,4 +568,143 @@ def test_width3_corpus_keeps_its_width_histogram(width3_corpus):
     widths = collections.Counter(labeled.width for _, labeled in width3_corpus)
     assert widths == {2: 42, 3: 8}
     for instance, labeled in width3_corpus:
-        assert labeled == _reference_bfs_search(_graph(instance.requests[0]))
+        graph = _graph(instance.requests[0])
+        assert labeled == _reference_bfs_search(graph)
+        assert labeled == reference.per_root_pass(
+            graph, graph.nodes, reference.build_extraction_order
+        )
+
+
+def _chorded_cacti(count=320, seed=20246):
+    """Random cacti with antiparallel pairs and chords added, so that they
+    reach widths and shapes beyond the cactus corpus."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        nodes, edges = random_cactus_graph(rng, int(rng.integers(3, 10)))
+        edge_list = list(edges)
+        for _ in range(int(rng.integers(0, 3))):
+            single = [e for e in edge_list if (e[1], e[0]) not in edge_list]
+            if single:
+                a, b = single[int(rng.integers(0, len(single)))]
+                edge_list.append((b, a))
+        for _ in range(int(rng.integers(0, 3))):
+            a, b = (str(v) for v in rng.choice(nodes, size=2, replace=False))
+            if (a, b) not in edge_list and (b, a) not in edge_list:
+                edge_list.append((a, b))
+        graphs.append(Digraph.build(nodes, edge_list))
+    return graphs
+
+
+def _search_corpus(family, request):
+    if family == "halfwheel":
+        return [generate_half_wheel(n) for n in range(2, 13)]
+    if family == "vc-gadget":
+        return [generate_vc_gadget(*base) for base in VC_BASES.values()]
+    if family == "named":
+        return [
+            _graph(scenario_instance(name).requests[0])
+            for name in ("servicechain", "virtualcluster:4", "fig3", "fig4")
+        ]
+    if family == "chorded-cacti":
+        return _chorded_cacti()
+    if family == "width3_corpus":
+        return [_graph(inst.requests[0]) for inst, _ in request.getfixturevalue(family)]
+    return [
+        _graph(r) for inst in request.getfixturevalue(family) for r in inst.requests
+    ]
+
+
+def _exhaustive_roots(graph, budget=256):
+    """Candidate roots, in node order, whose flag vectors fit the budget."""
+    roots, total = [], 0
+    for root in graph.nodes:
+        vectors = 1 << sum(root not in edge for edge in graph.edges)
+        if total + vectors <= budget:
+            roots.append(root)
+            total += vectors
+    return roots
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["halfwheel", "vc-gadget", "named", "chorded-cacti", "tree_corpus",
+     "tiny_corpus", "cost_corpus", "width3_corpus"],
+)
+def test_search_matches_the_object_building_reference(family, request):
+    graphs = _search_corpus(family, request)
+    exhaustive = 0
+    for g in graphs:
+        assert min_width_order_search(g) == reference.min_width_order_search(g)
+        roots = _exhaustive_roots(g)
+        if roots:
+            exhaustive += 1
+            assert min_width_order_search(
+                g, "exhaustive", roots
+            ) == reference.min_width_order_search(g, "exhaustive", roots)
+    assert exhaustive > 0
+    if family == "chorded-cacti":
+        assert len(graphs) >= 300
+        assert {min_width_order_search(g).width for g in graphs} >= {1, 2, 3}
+
+
+def test_exhaustive_search_matches_the_reference_on_every_root():
+    for g in [generate_half_wheel(n) for n in (4, 5)] + _chorded_cacti(12, 7):
+        assert min_width_order_search(
+            g, "exhaustive"
+        ) == reference.min_width_order_search(g, "exhaustive")
+
+
+def _raised(search, *args):
+    with pytest.raises((ExtractionError, ValueError)) as info:
+        search(*args)
+    return type(info.value), str(info.value)
+
+
+def test_search_errors_match_the_reference():
+    path = Digraph.build(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    split = Digraph.build(("a", "b", "c"), (("a", "b"),))
+    looped = SimpleNamespace(nodes=("a", "b"), edges=(("a", "b"), ("b", "b")))
+    cases = [
+        (split, "per-root-bfs", None),
+        (split, "exhaustive", None),
+        (path, "per-root-bfs", ["zz"]),
+        (path, "exhaustive", ["zz"]),
+        (generate_half_wheel(4), "per-root-bfs", ["w01", "zz"]),
+        (path, "per-root-bfs", []),
+        (path, "annealing", None),
+        (looped, "per-root-bfs", None),
+        (looped, "exhaustive", None),
+        (generate_half_wheel(12), "exhaustive", None),
+    ]
+    for graph, strategy, roots in cases:
+        assert _raised(min_width_order_search, graph, strategy, roots) == _raised(
+            reference.min_width_order_search, graph, strategy, roots
+        )
+    # a root that is not a node is never reached once the floor is met
+    assert min_width_order_search(path, roots=["a", "zz"]).width == 1
+    with pytest.raises(ExtractionError, match="self-loop on 'b'"):
+        Digraph.build(looped.nodes, looped.edges)
+
+
+def test_search_labels_at_most_two_orders(monkeypatch, tree_corpus):
+    calls = []
+    label = extraction.label_order
+
+    def counting(order):
+        calls.append(order.root)
+        return label(order)
+
+    monkeypatch.setattr(extraction, "label_order", counting)
+    for inst in tree_corpus:
+        for req in inst.requests:
+            calls.clear()
+            assert min_width_order_search(_graph(req)).width == 1
+            assert len(calls) == 1
+    labeled_twice = 0
+    for g in [generate_half_wheel(n) for n in range(2, 13)] + _chorded_cacti(100):
+        calls.clear()
+        min_width_order_search(g)
+        assert 1 <= len(calls) <= 2
+        labeled_twice += len(calls) == 2
+    assert labeled_twice > 0
