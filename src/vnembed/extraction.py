@@ -150,7 +150,6 @@ def _degree_rank(neighbors: list[list[int]], root: int) -> list[int]:
     return position
 
 
-# A node ranking from the neighbor lists and a root index (-1: not reached)
 _Ranking = Callable[[list[list[int]], int], list[int]]
 
 
@@ -158,12 +157,9 @@ def _ranked_flags(
     graph: RequestShaped, adjacency, root: str, ranking: _Ranking
 ) -> list[bool]:
     """Reversal flags that point every edge from its lower-ranked endpoint
-    to the higher one.
-
-    ``ranking`` ranks the nodes a search from ``root`` reaches, the root
-    lowest and every other node above a neighbor, so the flags give a
-    valid order by construction. Raises if the search missed a node.
-    """
+    to the higher one. ``ranking`` ranks the root lowest and every other
+    node above a neighbor, so the flags give a valid order by construction.
+    Raises if the search from ``root`` missed a node."""
     index, ends, neighbors = adjacency
     if root not in index:
         raise ExtractionError(f"root {root!r} is not a request node")
