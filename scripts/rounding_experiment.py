@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Empirical acceptance statistics for the randomized rounding stage.
 
-Runs the full pipeline over a batch of generated instances and a sweep of
-seeds, then reports how often the first draw was accepted, how many tries
-the rounding needed, and the rounded objective relative to the LP bound.
+Relaxes each instance of a generated batch once (``relax``: LP,
+decomposition, bounds and, under cost, pruning) and rounds that relaxation
+at a sweep of seeds (``round_relaxation``), then reports how often the
+first draw was accepted, how many tries the rounding needed, and the
+rounded objective relative to the LP bound. Each row equals what
+``run_pipeline`` gives for that instance and seed.
 Numbers here are diagnostics, not guarantees; the point is to see the
 tri-criteria margins on concrete instances rather than in the worst case.
 """
@@ -15,7 +18,7 @@ import csv
 import statistics
 import sys
 
-from vnembed import PipelineConfig, PipelineError, run_pipeline
+from vnembed import PipelineConfig, PipelineError, relax, round_relaxation
 from vnembed.scenarios import cost_corpus, monte_carlo_instance, tree_corpus
 
 
@@ -40,12 +43,16 @@ def main(argv=None) -> int:
     tries = []
     failures = 0
     for instance in batch(args.variant):
+        config = PipelineConfig(variant=args.variant, max_tries=args.max_tries)
+        try:
+            relaxation = relax(instance, config)
+        except PipelineError as err:
+            print(f"{instance.name}: {err}", file=sys.stderr)
+            failures += args.seeds
+            continue
         for seed in range(args.seeds):
-            config = PipelineConfig(
-                variant=args.variant, seed=seed, max_tries=args.max_tries
-            )
             try:
-                report, rounded = run_pipeline(instance, config)
+                report, rounded = round_relaxation(relaxation, seed, args.max_tries)
             except PipelineError as err:
                 print(f"{instance.name} seed {seed}: {err}", file=sys.stderr)
                 failures += 1

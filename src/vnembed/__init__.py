@@ -76,7 +76,15 @@ from .oracle import (
     enumerate_valid_mappings,
     solve_enumerative,
 )
-from .pipeline import PipelineConfig, PipelineError, RunReport, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PipelineError,
+    Relaxation,
+    RunReport,
+    relax,
+    round_relaxation,
+    run_pipeline,
+)
 from .rounding import (
     GuaranteeError,
     RoundedSolution,

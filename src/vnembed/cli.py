@@ -519,6 +519,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vnembed",
@@ -568,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="full pipeline, report the rounded solution")
     p.add_argument("instance")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
@@ -594,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="pipeline with full report, multi-instance")
     p.add_argument("instances", nargs="+")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)

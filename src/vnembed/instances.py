@@ -64,70 +64,98 @@ def _require(table: Any, key: str, where: str) -> Any:
     return table[key]
 
 
+def _list(table: Any, key: str, where: str) -> list | tuple:
+    value = _require(table, key, where)
+    if not isinstance(value, (list, tuple)):
+        raise InstanceFormatError(f"{key!r} in {where} must be a list, got {value!r}")
+    return value
+
+
+def _number(table: Any, key: str, where: str, default: float | None = None) -> float:
+    value = _require(table, key, where) if default is None else table.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(
+            f"{key!r} in {where} must be a number, got {value!r}"
+        ) from None
+
+
 def instance_from_dict(data: Any) -> Instance:
     sub = _require(data, "substrate", "instance")
     node_types: dict[str, dict[str, tuple[float, float]]] = {}
-    for entry in _require(sub, "nodes", "substrate"):
+    for entry in _list(sub, "nodes", "substrate"):
         nid = str(_require(entry, "id", "substrate node"))
         if nid in node_types:
             raise InstanceFormatError(f"duplicate substrate node {nid!r}")
         table: dict[str, tuple[float, float]] = {}
-        for spec in _require(entry, "types", f"substrate node {nid!r}"):
+        for spec in _list(entry, "types", f"substrate node {nid!r}"):
             t = str(_require(spec, "type", f"substrate node {nid!r}"))
             if t in table:
                 raise InstanceFormatError(f"node {nid!r} repeats type {t!r}")
+            where = f"type {t!r} at {nid!r}"
             table[t] = (
-                float(_require(spec, "capacity", f"type {t!r} at {nid!r}")),
-                float(spec.get("cost", 0.0)),
+                _number(spec, "capacity", where), _number(spec, "cost", where, 0.0)
             )
         node_types[nid] = table
     edges: dict[tuple[str, str], tuple[float, float]] = {}
-    for entry in _require(sub, "edges", "substrate"):
+    for entry in _list(sub, "edges", "substrate"):
         e = (str(_require(entry, "tail", "substrate edge")),
              str(_require(entry, "head", "substrate edge")))
         if e in edges:
             raise InstanceFormatError(f"duplicate substrate edge {e}")
+        where = f"substrate edge {e}"
         edges[e] = (
-            float(_require(entry, "capacity", f"substrate edge {e}")),
-            float(entry.get("cost", 0.0)),
+            _number(entry, "capacity", where), _number(entry, "cost", where, 0.0)
         )
     substrate = SubstrateGraph.build(node_types, edges)
 
     requests = []
     seen = set()
-    for rentry in _require(data, "requests", "instance"):
+    for rentry in _list(data, "requests", "instance"):
         rid = str(_require(rentry, "id", "request"))
         if rid in seen:
             raise InstanceFormatError(f"duplicate request id {rid!r}")
         seen.add(rid)
         node_specs: dict[str, tuple[str, float, tuple[str, ...]]] = {}
-        for nentry in _require(rentry, "nodes", f"request {rid!r}"):
+        for nentry in _list(rentry, "nodes", f"request {rid!r}"):
             i = str(_require(nentry, "id", f"request {rid!r} node"))
             if i in node_specs:
                 raise InstanceFormatError(f"request {rid!r} repeats node {i!r}")
-            t = str(_require(nentry, "type", f"request {rid!r} node {i!r}"))
-            demand = float(_require(nentry, "demand", f"request {rid!r} node {i!r}"))
-            allowed = nentry.get("allowed_nodes")
-            if allowed is None:
+            where = f"request {rid!r} node {i!r}"
+            t = str(_require(nentry, "type", where))
+            demand = _number(nentry, "demand", where)
+            if nentry.get("allowed_nodes") is None:
                 allowed = default_allowed_nodes(substrate, t, demand)
+            else:
+                allowed = _list(nentry, "allowed_nodes", where)
             node_specs[i] = (t, demand, tuple(str(u) for u in allowed))
         edge_specs: dict[tuple[str, str], tuple[float, tuple]] = {}
-        for eentry in _require(rentry, "edges", f"request {rid!r}"):
+        for eentry in _list(rentry, "edges", f"request {rid!r}"):
             e = (str(_require(eentry, "tail", f"request {rid!r} edge")),
                  str(_require(eentry, "head", f"request {rid!r} edge")))
             if e in edge_specs:
                 raise InstanceFormatError(f"request {rid!r} repeats edge {e}")
-            demand = float(_require(eentry, "demand", f"request {rid!r} edge {e}"))
-            allowed = eentry.get("allowed_edges")
-            if allowed is None:
+            where = f"request {rid!r} edge {e}"
+            demand = _number(eentry, "demand", where)
+            if eentry.get("allowed_edges") is None:
                 allowed_t = default_allowed_edges(substrate, demand)
             else:
+                allowed = _list(eentry, "allowed_edges", where)
+                if not all(
+                    isinstance(pair, (list, tuple)) and len(pair) == 2
+                    for pair in allowed
+                ):
+                    raise InstanceFormatError(
+                        f"'allowed_edges' in {where} must list [tail, head] "
+                        f"pairs, got {allowed!r}"
+                    )
                 allowed_t = tuple((str(a), str(b)) for a, b in allowed)
             edge_specs[e] = (demand, allowed_t)
         requests.append(
             Request.build(
                 rid, node_specs, edge_specs,
-                profit=float(rentry.get("profit", 1.0)),
+                profit=_number(rentry, "profit", f"request {rid!r}", 1.0),
             )
         )
     return Instance(

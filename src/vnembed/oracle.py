@@ -18,9 +18,9 @@ from .model import (
     Resource,
     SubstrateGraph,
     ValidMapping,
+    allocation_cost,
     check_valid_mapping,
     compute_allocations,
-    mapping_cost,
 )
 
 DEFAULT_MAPPING_CAP = 100_000
@@ -137,24 +137,23 @@ def solve_enumerative(
     if relaxation not in ("lp", "ip"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     enums = [enumerate_valid_mappings(substrate, req, cap=cap) for req in requests]
-    if relaxation == "lp":
-        return _enumerative_lp(substrate, requests, enums, objective)
-    return _enumerative_ip(substrate, requests, enums, objective)
+    allocations = [
+        [compute_allocations(substrate, req, m) for m in enum.mappings]
+        for req, enum in zip(requests, enums)
+    ]
+    solver = _enumerative_lp if relaxation == "lp" else _enumerative_ip
+    return solver(substrate, requests, enums, allocations, objective)
 
 
-def _enumerative_lp(substrate, requests, enums, objective):
+def _enumerative_lp(substrate, requests, enums, allocations, objective):
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
     weight_vars: list[list[int]] = []
-    allocations: list[list[dict[Resource, float]]] = []
     for r, enum in enumerate(enums):
         vs = [
             model.add_variable(f"f_r{r}_k{k}")
             for k in range(len(enum.mappings))
         ]
         weight_vars.append(vs)
-        allocations.append(
-            [compute_allocations(substrate, requests[r], m) for m in enum.mappings]
-        )
         sense = EQ if objective == "cost" else LE
         model.add_constraint(
             f"choose_r{r}", [(v, 1.0) for v in vs], sense, 1.0
@@ -164,11 +163,7 @@ def _enumerative_lp(substrate, requests, enums, objective):
                 model.set_objective_coefficient(v, requests[r].profit)
             else:
                 model.set_objective_coefficient(
-                    v,
-                    sum(
-                        substrate.cost(res) * amt
-                        for res, amt in allocations[r][k].items()
-                    ),
+                    v, allocation_cost(substrate, allocations[r][k])
                 )
     for kr, res in enumerate(substrate.resources):
         coeffs = []
@@ -196,14 +191,10 @@ def _enumerative_lp(substrate, requests, enums, objective):
     )
 
 
-def _enumerative_ip(substrate, requests, enums, objective):
-    allocations = [
-        [compute_allocations(substrate, requests[r], m) for m in enum.mappings]
-        for r, enum in enumerate(enums)
-    ]
+def _enumerative_ip(substrate, requests, enums, allocations, objective):
     costs = [
-        [mapping_cost(substrate, requests[r], m) for m in enum.mappings]
-        for r, enum in enumerate(enums)
+        [allocation_cost(substrate, alloc) for alloc in request_allocations]
+        for request_allocations in allocations
     ]
     capacity = {res: substrate.capacity(res) for res in substrate.resources}
     n = len(requests)

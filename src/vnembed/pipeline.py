@@ -5,6 +5,12 @@ profit preprocessing, convex decomposition, cost pruning, randomized
 rounding, verification. Failures surface as ``PipelineError`` carrying
 the stage name.
 
+The pipeline splits at the first random draw. ``relax`` runs every stage
+up to and including pruning and returns a ``Relaxation``; none of it
+depends on the seed. ``round_relaxation`` samples it at one seed, rechecks
+the result and builds the report, so a seed sweep relaxes once and rounds
+many times. ``run_pipeline`` is the two in a row.
+
 The profit variant drops every request that cannot be fully accepted on
 its own, but solves the joint LP over all requests first. A request the
 joint LP accepts fully (up to ``WEIGHT_TOL``) is certified without a solo
@@ -42,6 +48,7 @@ from .lpmodel import BACKEND, LPModel, LPSolution, solve
 from .model import (
     EDGE,
     NODE,
+    Request,
     ValidMapping,
     allocation_cost,
     collection_feasible,
@@ -153,17 +160,40 @@ def try_records_csv(solution: RoundedSolution) -> str:
     return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class Relaxation:
+    """The seed-free result of ``relax``: kept requests, their decompositions
+    (pruned under cost), LP objective, bounds, and those stages' report rows
+    and timings. ``round_relaxation`` never changes it."""
+
+    instance: Instance
+    variant: str
+    requests: tuple[Request, ...]
+    decompositions: tuple[ConvexDecomposition, ...]
+    lp_objective: float
+    bounds: RoundingBounds
+    request_rows: tuple[dict[str, Any], ...]
+    lp_row: dict[str, Any]
+    decomposition_rows: tuple[dict[str, Any], ...]
+    timings: dict[str, float] = field(compare=False)
+
+
 def run_pipeline(
     instance: Instance, config: PipelineConfig
 ) -> tuple[RunReport, RoundedSolution]:
     """Run every stage on one instance; returns the report plus the raw
     rounded solution (whose try records feed the diagnostics CSV)."""
+    return round_relaxation(relax(instance, config), config.seed, config.max_tries)
+
+
+def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
+    """Every stage before the first random draw: validate, width search,
+    the joint LP with profit preprocessing, decomposition, bounds and cost
+    pruning. The whole config is checked first, but its ``seed`` and
+    ``max_tries`` are left to ``round_relaxation``."""
     if config.variant not in ("profit", "cost"):
         raise PipelineError("config", f"unknown variant {config.variant!r}")
-    if config.max_tries < 1:
-        raise PipelineError(
-            "config", f"max_tries must be at least 1, got {config.max_tries}"
-        )
+    _check_rounding_args(config.seed, config.max_tries)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -282,41 +312,60 @@ def run_pipeline(
         raise PipelineError("bounds", str(err)) from err
 
     t0 = time.perf_counter()
-    if config.variant == "profit":
-        rounded = round_profit(
-            instance.substrate, requests, decompositions, bounds, lp_objective,
-            config.seed, config.max_tries,
-        )
-    else:
-        pruned = []
-        prune_rows = []
+    if config.variant == "cost":
         try:
-            for req, dec in zip(requests, decompositions):
-                norm, prep = prune_costly_mappings(instance.substrate, req, dec)
-                pruned.append(norm)
-                prune_rows.append(
-                    {
-                        "name": req.name,
-                        "cost_share": round(prep.cost_share, 9),
-                        "surviving_weight": round(prep.surviving_weight, 9),
-                        "removed": prep.removed,
-                    }
+            for r, (req, row) in enumerate(zip(requests, decomposition_rows)):
+                decompositions[r], prep = prune_costly_mappings(
+                    instance.substrate, req, decompositions[r]
                 )
+                row["pruning"] = {
+                    "name": req.name,
+                    "cost_share": round(prep.cost_share, 9),
+                    "surviving_weight": round(prep.surviving_weight, 9),
+                    "removed": prep.removed,
+                }
         except (ValueError, GuaranteeError) as err:
             raise PipelineError("prune", str(err)) from err
-        for row, extra in zip(decomposition_rows, prune_rows):
-            row["pruning"] = extra
-        try:
-            rounded = round_cost(
-                instance.substrate, requests, pruned, bounds, lp_objective,
-                config.seed, config.max_tries,
-            )
-        except GuaranteeError as err:
-            raise PipelineError("round", str(err)) from err
+    # pruning counts toward the round stage, which sampling completes
     timings["round"] = time.perf_counter() - t0
 
+    return Relaxation(
+        instance=instance,
+        variant=config.variant,
+        requests=tuple(requests),
+        decompositions=tuple(decompositions),
+        lp_objective=lp_objective,
+        bounds=bounds,
+        request_rows=tuple(request_rows),
+        lp_row=lp_row,
+        decomposition_rows=tuple(decomposition_rows),
+        timings=timings,
+    )
+
+
+def round_relaxation(
+    relaxation: Relaxation, seed: int, max_tries: int = MAX_TRIES_DEFAULT
+) -> tuple[RunReport, RoundedSolution]:
+    """Sample ``relaxation`` with ``seed``, recheck the result and report
+    it. Every mutable part of the report is new, so one relaxation can be
+    rounded at many seeds."""
+    _check_rounding_args(seed, max_tries)
+    instance, bounds = relaxation.instance, relaxation.bounds
+    sampler = round_profit if relaxation.variant == "profit" else round_cost
+    timings = dict(relaxation.timings)
+    t0 = time.perf_counter()
+    try:
+        rounded = sampler(
+            instance.substrate, relaxation.requests, relaxation.decompositions,
+            bounds, relaxation.lp_objective, seed, max_tries,
+        )
+    except GuaranteeError as err:
+        raise PipelineError("round", str(err)) from err
+    timings["round"] += time.perf_counter() - t0
+
     _verify_rounding(
-        instance, requests, rounded, config.variant, bounds, lp_objective
+        instance, relaxation.requests, rounded, relaxation.variant, bounds,
+        relaxation.lp_objective,
     )
 
     rounding_row = {
@@ -334,10 +383,10 @@ def run_pipeline(
     return RunReport(
         version=__version__,
         instance_name=instance.name,
-        variant=config.variant,
-        seed=config.seed,
-        requests=request_rows,
-        lp=lp_row,
+        variant=relaxation.variant,
+        seed=seed,
+        requests=_fresh(relaxation.request_rows),
+        lp=dict(relaxation.lp_row),
         bounds={
             "epsilon": round(bounds.epsilon, 12),
             "delta_nodes": round(bounds.delta_nodes, 12),
@@ -346,7 +395,7 @@ def run_pipeline(
             "beta": round(bounds.beta, 12),
             "gamma": round(bounds.gamma, 12),
         },
-        decomposition=decomposition_rows,
+        decomposition=_fresh(relaxation.decomposition_rows),
         rounding=rounding_row,
         timings=timings,
     ), rounded
@@ -385,6 +434,24 @@ def _solve_joint(
     if not solution.optimal:
         raise PipelineError("solve-lp", f"solver returned {solution.outcome}")
     return model, index, solution
+
+
+def _check_rounding_args(seed: int, max_tries: int) -> None:
+    if max_tries < 1:
+        raise PipelineError(
+            "config", f"max_tries must be at least 1, got {max_tries}"
+        )
+    if seed < 0:
+        raise PipelineError("config", f"seed must be nonnegative, got {seed}")
+
+
+def _fresh(rows: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
+    """New report rows equal to ``rows``; a row nests at most one dict of
+    scalars (``pruning``)."""
+    return [
+        {k: dict(v) if isinstance(v, dict) else v for k, v in row.items()}
+        for row in rows
+    ]
 
 
 def _apply_overrides(

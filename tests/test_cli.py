@@ -465,6 +465,61 @@ def test_max_tries_below_one_is_a_usage_error(tmp_path, capsys, command, value):
     assert "--max-tries: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["round", "run"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    path = _generate(tmp_path, "tree:3")
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), "--seed", "-1"])
+    assert err.value.code == 2
+    assert "--seed: must be nonnegative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    [
+        (("substrate", "nodes", 0, "types", 0, "capacity"), None,
+         "'capacity' in type 'vm' at 'u1' must be a number, got None"),
+        (("requests", 0, "nodes", 0, "allowed_nodes"), 5,
+         "'allowed_nodes' in request 'triangle' node 'i' must be a list, got 5"),
+        (("substrate", "edges"), 5, "'edges' in substrate must be a list, got 5"),
+        (("requests", 0, "profit"), [1],
+         "'profit' in request 'triangle' must be a number, got [1]"),
+        (("requests", 0, "edges", 0, "allowed_edges"), [5],
+         "'allowed_edges' in request 'triangle' edge ('i', 'j') must list "
+         "[tail, head] pairs, got [5]"),
+    ],
+    ids=[
+        "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
+        "allowed-edges-int",
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_malformed_fields_are_input_errors(
+    tmp_path, capsys, command, path, value, fragment
+):
+    data = json.loads(_generate(tmp_path, "fig3").read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    assert main([command, str(broken)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_numbers_in_strings_stay_accepted(tmp_path, capsys):
+    # whatever float() reads is still a number
+    data = json.loads(_generate(tmp_path, "fig3-cost-gadget").read_text())
+    data["substrate"]["nodes"][0]["types"][0]["cost"] = "1e1"
+    data["requests"][0]["profit"] = " 2 "
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    instance = load_instance(path)
+    assert instance.requests[0].profit == 2.0
+    assert main(["validate", str(path)]) == 0
+
+
 def test_round_infeasible_cost_exits_three(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["round", str(path), "--variant", "cost"]) == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -23,11 +24,14 @@ from vnembed import (
     Request,
     SubstrateGraph,
     min_width_order_search,
+    relax,
+    round_relaxation,
     run_pipeline,
 )
 from vnembed.formulations import build_novel, count_novel_variables
 from vnembed.instances import Instance
 from vnembed.lpmodel import LPSolution, solve
+from vnembed.pipeline import try_records_csv
 from vnembed.rounding import preprocess_profit
 from vnembed.scenarios import (
     monte_carlo_instance,
@@ -438,3 +442,91 @@ def test_cost_cap_check_survives_optimized_python():
     )
     assert result.returncode == 0, result.stderr
     assert "caught: sampled cost 3.00000000 exceeds twice the LP cost" in result.stdout
+
+
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+@pytest.mark.parametrize(
+    "corpus", ["fig3", "fig3_gadget", "tiny_corpus", "tree_corpus", "cost_corpus"]
+)
+def test_rounding_a_relaxation_is_running_the_pipeline(corpus, variant, request):
+    instances = request.getfixturevalue(corpus)
+    if isinstance(instances, Instance):
+        instances = [instances]
+    config = PipelineConfig(variant=variant, seed=9, max_tries=128)
+    rounded = 0
+    for instance in instances:
+        try:
+            relaxation = relax(instance, config)
+        except PipelineError as err:
+            assert err.infeasible, err
+            with pytest.raises(PipelineError, match="infeasible"):
+                run_pipeline(instance, config)
+            continue
+        for seed in range(4):
+            want, want_rounded = run_pipeline(
+                instance, dataclasses.replace(config, seed=seed, max_tries=16)
+            )
+            got, got_rounded = round_relaxation(relaxation, seed, 16)
+            assert got.to_json() == want.to_json()
+            assert try_records_csv(got_rounded) == try_records_csv(want_rounded)
+            assert got.timings.keys() == want.timings.keys()
+            rounded += 1
+    # fig3's cost LP is infeasible: both paths stop at solve-lp
+    assert rounded or (corpus, variant) == ("fig3", "cost")
+
+
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+def test_one_relaxation_rounds_again_and_again(fig3_gadget, variant):
+    relaxation = relax(fig3_gadget, PipelineConfig(variant=variant))
+    before = (copy.deepcopy(relaxation), dict(relaxation.timings))
+    first, first_rounded = round_relaxation(relaxation, 1)
+    want = (first.to_json(include_timings=False), try_records_csv(first_rounded))
+    # nothing the first report holds belongs to the relaxation or to a
+    # later report
+    for row in first.requests + first.decomposition:
+        for value in row.values():
+            if isinstance(value, dict):
+                value.clear()
+        row.clear()
+    first.lp.clear()
+    first.bounds.clear()
+    first.timings.clear()
+    round_relaxation(relaxation, 2)
+    again, again_rounded = round_relaxation(relaxation, 1)
+    assert (again.to_json(), try_records_csv(again_rounded)) == want
+    assert (relaxation, relaxation.timings) == before
+    assert relaxation.timings["round"] < again.timings["round"]
+
+
+def test_seed_and_tries_leave_the_relaxation_alone(fig3_gadget):
+    for variant in ("profit", "cost"):
+        config = PipelineConfig(variant=variant)
+        relaxation = relax(fig3_gadget, config)
+        for other in (
+            dataclasses.replace(config, seed=5),
+            dataclasses.replace(config, max_tries=3),
+        ):
+            assert relax(fig3_gadget, other) == relaxation
+        assert relax(fig3_gadget, dataclasses.replace(config, beta=9.0)) != relaxation
+
+
+def test_negative_seed_fails_in_config_before_any_stage(fig3_gadget, monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    empty = Instance(name="empty", substrate=fig3_gadget.substrate, requests=())
+    relaxation = relax(fig3_gadget, PipelineConfig())
+    monkeypatch.setattr(vnembed.pipeline, "validate_instance", no_stage)
+    for instance in (fig3_gadget, empty):
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(instance, PipelineConfig(seed=-1))
+        assert err.value.stage == "config"
+        assert str(err.value) == "[config] seed must be nonnegative, got -1"
+    for seed, max_tries, message in (
+        (-1, 16, "seed must be nonnegative, got -1"),
+        (0, 0, "max_tries must be at least 1, got 0"),
+    ):
+        with pytest.raises(PipelineError) as err:
+            round_relaxation(relaxation, seed, max_tries)
+        assert err.value.stage == "config"
+        assert message in str(err.value)

@@ -32,6 +32,7 @@ from vnembed import (
     min_width_order_search,
     preprocess_profit,
     prune_costly_mappings,
+    relax,
     round_cost,
     round_profit,
     run_pipeline,
@@ -582,44 +583,29 @@ def _reference_sample(
     return result
 
 
-def _pipeline_rounding_inputs(instances, variant):
-    """The arguments ``run_pipeline`` hands to the sampler, per instance."""
-    captured = []
-
-    def capture(*args):
-        captured.append(args[:5])
-        raise _Captured
-
-    name = "round_profit" if variant == "profit" else "round_cost"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vnembed.pipeline, name, capture)
-        for instance in instances:
-            try:
-                run_pipeline(instance, PipelineConfig(variant=variant))
-            except _Captured:
-                pass
-            except PipelineError as err:
-                assert err.infeasible, err
-    return captured
-
-
-class _Captured(Exception):
-    pass
+def _rounding_inputs(instances, variant):
+    """The arguments ``round_relaxation`` hands to the sampler, per instance:
+    under cost, the decompositions are already pruned."""
+    inputs = []
+    for instance in instances:
+        try:
+            relaxation = relax(instance, PipelineConfig(variant=variant))
+        except PipelineError as err:
+            assert err.infeasible, err
+            continue
+        inputs.append((
+            instance.substrate, relaxation.requests, relaxation.decompositions,
+            relaxation.bounds, relaxation.lp_objective,
+        ))
+    return inputs
 
 
 @pytest.mark.parametrize("variant", ["profit", "cost"])
 @pytest.mark.parametrize("corpus", ["tiny_corpus", "tree_corpus"])
 def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
-    inputs = _pipeline_rounding_inputs(request.getfixturevalue(corpus), variant)
+    inputs = _rounding_inputs(request.getfixturevalue(corpus), variant)
     assert len(inputs) >= 10
     sampler = round_profit if variant == "profit" else round_cost
-    if variant == "cost":
-        # the pipeline rounds pruned decompositions under the cost variant
-        inputs = [
-            (sub, reqs, [prune_costly_mappings(sub, q, d)[0] for q, d in zip(reqs, decs)],
-             bounds, lp)
-            for sub, reqs, decs, bounds, lp in inputs
-        ]
     compared = fallbacks = late_accepts = 0
     for substrate, requests, decs, bounds, lp in inputs:
         # a probe run without acceptance shows each try's worst loads; a
