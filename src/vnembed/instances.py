@@ -15,10 +15,13 @@ Top-level document shape:
       }]
     }
 
-Omitted ``allowed_nodes`` expands to every substrate node offering the
-type with enough capacity for the demand; omitted ``allowed_edges`` to
-every substrate edge with enough capacity. Serialization always writes
-the expanded lists, so parse -> dump -> parse is the identity.
+Ids, types, edge endpoints and the entries of ``allowed_nodes`` and
+``allowed_edges`` are strings or integers; an integer reads as its
+decimal string. Omitted ``allowed_nodes`` expands to every substrate node
+offering the type with enough capacity for the demand; omitted
+``allowed_edges`` to every substrate edge with enough capacity.
+Serialization always writes the expanded lists, so parse -> dump -> parse
+is the identity.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ def _list(table: Any, key: str, where: str) -> list | tuple:
     return value
 
 
+def _id(value: Any, key: str, where: str) -> str:
+    """``value`` as a name: ids, types and endpoints are strings or integers
+    (not booleans)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InstanceFormatError(
+            f"{key!r} in {where} must be a string or an integer, got {value!r}"
+        )
+    return str(value)
+
+
+def _name(table: Any, key: str, where: str) -> str:
+    return _id(_require(table, key, where), key, where)
+
+
 def _number(table: Any, key: str, where: str, default: float | None = None) -> float:
     value = _require(table, key, where) if default is None else table.get(key, default)
     try:
@@ -85,12 +102,12 @@ def instance_from_dict(data: Any) -> Instance:
     sub = _require(data, "substrate", "instance")
     node_types: dict[str, dict[str, tuple[float, float]]] = {}
     for entry in _list(sub, "nodes", "substrate"):
-        nid = str(_require(entry, "id", "substrate node"))
+        nid = _name(entry, "id", "substrate node")
         if nid in node_types:
             raise InstanceFormatError(f"duplicate substrate node {nid!r}")
         table: dict[str, tuple[float, float]] = {}
         for spec in _list(entry, "types", f"substrate node {nid!r}"):
-            t = str(_require(spec, "type", f"substrate node {nid!r}"))
+            t = _name(spec, "type", f"substrate node {nid!r}")
             if t in table:
                 raise InstanceFormatError(f"node {nid!r} repeats type {t!r}")
             where = f"type {t!r} at {nid!r}"
@@ -100,8 +117,8 @@ def instance_from_dict(data: Any) -> Instance:
         node_types[nid] = table
     edges: dict[tuple[str, str], tuple[float, float]] = {}
     for entry in _list(sub, "edges", "substrate"):
-        e = (str(_require(entry, "tail", "substrate edge")),
-             str(_require(entry, "head", "substrate edge")))
+        e = (_name(entry, "tail", "substrate edge"),
+             _name(entry, "head", "substrate edge"))
         if e in edges:
             raise InstanceFormatError(f"duplicate substrate edge {e}")
         where = f"substrate edge {e}"
@@ -113,27 +130,28 @@ def instance_from_dict(data: Any) -> Instance:
     requests = []
     seen = set()
     for rentry in _list(data, "requests", "instance"):
-        rid = str(_require(rentry, "id", "request"))
+        rid = _name(rentry, "id", "request")
         if rid in seen:
             raise InstanceFormatError(f"duplicate request id {rid!r}")
         seen.add(rid)
         node_specs: dict[str, tuple[str, float, tuple[str, ...]]] = {}
         for nentry in _list(rentry, "nodes", f"request {rid!r}"):
-            i = str(_require(nentry, "id", f"request {rid!r} node"))
+            i = _name(nentry, "id", f"request {rid!r} node")
             if i in node_specs:
                 raise InstanceFormatError(f"request {rid!r} repeats node {i!r}")
             where = f"request {rid!r} node {i!r}"
-            t = str(_require(nentry, "type", where))
+            t = _name(nentry, "type", where)
             demand = _number(nentry, "demand", where)
             if nentry.get("allowed_nodes") is None:
                 allowed = default_allowed_nodes(substrate, t, demand)
             else:
                 allowed = _list(nentry, "allowed_nodes", where)
-            node_specs[i] = (t, demand, tuple(str(u) for u in allowed))
+            hosts = tuple(_id(u, "allowed_nodes", where) for u in allowed)
+            node_specs[i] = (t, demand, hosts)
         edge_specs: dict[tuple[str, str], tuple[float, tuple]] = {}
         for eentry in _list(rentry, "edges", f"request {rid!r}"):
-            e = (str(_require(eentry, "tail", f"request {rid!r} edge")),
-                 str(_require(eentry, "head", f"request {rid!r} edge")))
+            e = (_name(eentry, "tail", f"request {rid!r} edge"),
+                 _name(eentry, "head", f"request {rid!r} edge"))
             if e in edge_specs:
                 raise InstanceFormatError(f"request {rid!r} repeats edge {e}")
             where = f"request {rid!r} edge {e}"
@@ -150,7 +168,10 @@ def instance_from_dict(data: Any) -> Instance:
                         f"'allowed_edges' in {where} must list [tail, head] "
                         f"pairs, got {allowed!r}"
                     )
-                allowed_t = tuple((str(a), str(b)) for a, b in allowed)
+                allowed_t = tuple(
+                    (_id(a, "allowed_edges", where), _id(b, "allowed_edges", where))
+                    for a, b in allowed
+                )
             edge_specs[e] = (demand, allowed_t)
         requests.append(
             Request.build(

@@ -24,18 +24,15 @@ reported as an error.
 
 Each thread keeps one HiGHS object, made on its first solve with
 ``linprog``'s options; the slot also records the process id, so a forked
-worker makes its own instead of using a copy of its parent's. A plain
-``solve(model)`` clears the object's model and passes the LP afresh, which
-gives the same point and iteration count as a new object. ``solve`` also
-takes column upper bounds and an objective that override the model's. If
-the thread's solver holds that very model from the solve just before, the
-overrides are applied to it in place and HiGHS re-solves from the basis it
-kept; otherwise the model is passed afresh with the overrides. Nothing
-else is kept between solves.
+worker makes its own instead of using a copy of its parent's. Every solve
+clears the object's model and passes the LP afresh, which gives the same
+point and iteration count as a new object; nothing else is kept between
+solves.
 
 The bindings are loaded from their file, ``scipy/optimize/_highspy/_core``
-plus the interpreter's extension suffix, after importing only the root
-``scipy`` package: importing ``scipy.optimize`` would pull in
+plus the interpreter's extension suffix, in the folder that
+``importlib.util.find_spec`` names for ``scipy``, without importing any
+scipy package: importing ``scipy.optimize`` would pull in
 ``scipy.linalg``, ``scipy.sparse`` and more, and cost most of a cold
 start. The module is registered in ``sys.modules`` under its own name, so
 a later ``import scipy.optimize`` reuses it (a second load would register
@@ -51,7 +48,6 @@ import importlib.util
 import os
 import sys
 import threading
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -64,9 +60,10 @@ def _load_highs():
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = Path(scipy.origin).parent / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_core{suffix}"
         if path.is_file():
@@ -280,81 +277,42 @@ def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray
 
 
 def primal_violation(
-    matrix: CscMatrix,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    values: np.ndarray,
-    col_upper: np.ndarray | float = 1.0,
+    matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray, values: np.ndarray
 ) -> float:
-    """Largest violation of ``values`` against the column bounds (0 to
-    ``col_upper``) or the rows (0 if none; NaN if a value or a row sum is
-    NaN)."""
+    """Largest violation of ``values`` against the unit box or the rows (0 if
+    none; NaN if a value or a row sum is NaN)."""
     lhs = matrix @ values
-    parts = ([0.0], -values, values - col_upper, lhs - upper, lower - lhs)
+    parts = ([0.0], -values, values - 1.0, lhs - upper, lower - lhs)
     return float(np.max(np.concatenate(parts)))
 
 
-def objective_vector(
-    model: LPModel, objective: np.ndarray | None = None
-) -> np.ndarray:
-    """The cost vector HiGHS minimizes: the model's objective, or
-    ``objective`` (one coefficient per column) in its place, negated for
+def objective_vector(model: LPModel) -> np.ndarray:
+    """The cost vector HiGHS minimizes: the model's objective, negated for
     ``MAXIMIZE``."""
-    if objective is None:
-        c = np.zeros(model.num_variables)
-        c[list(model.objective)] = list(model.objective.values())
-    else:
-        c = np.array(objective, dtype=float)
+    c = np.zeros(model.num_variables)
+    c[list(model.objective)] = list(model.objective.values())
     return -c if model.sense == MAXIMIZE else c
 
 
-def solve(
-    model: LPModel,
-    upper: np.ndarray | None = None,
-    objective: np.ndarray | None = None,
-) -> LPSolution:
+def solve(model: LPModel) -> LPSolution:
     """Solve with HiGHS; a status other than optimal carries no values.
 
     The objective is minimized as given, or negated for ``MAXIMIZE``, over
     the unit box, with HiGHS' dual simplex after presolve (the options of
-    ``linprog(method="highs")``). ``upper`` (one bound per column, within
-    [0, 1]) and ``objective`` (one coefficient per column) replace the
-    columns' upper bounds and the model's objective for this solve only.
-    With either given, and this thread's solver still holding ``model``
-    from the solve just before, they are applied to that LP and HiGHS
-    re-solves from the basis it kept. An optimal point that violates the
-    model, under the bounds solved for, by more than ``PRIMAL_TOLERANCE``
-    is reported as an ``error``.
+    ``linprog(method="highs")``). An optimal point that violates the model
+    by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
     """
-    n = model.num_variables
-    col_upper = None if upper is None else _override(upper, n, "upper")
-    if col_upper is not None and not np.all((col_upper >= 0.0) & (col_upper <= 1.0)):
-        raise ValueError("column upper bounds must lie in [0, 1]")
-    if objective is not None:
-        objective = _override(objective, n, "objective")
-    if n == 0:
+    if model.num_variables == 0:
         # With no variables every row reads ``0 <sense> rhs``.
         _, _, _, eq, rhs = model.rows()
         if np.any(np.where(eq, rhs != 0.0, rhs < 0.0)):
             return LPSolution(status="infeasible", objective_value=None, values=None)
         return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
-    c = objective_vector(model, objective)
-    held = None if upper is None and objective is None else _held(model)
-    if held is not None:
-        matrix, lower, row_upper = held.matrix, held.lower, held.upper
-        solution = _rerun(held, c, col_upper)
-    else:
-        matrix, lower, row_upper = constraint_matrix(model)
-        run = _run_highs if _highs is not None else _run_linprog
-        solution = run(c, matrix, lower, row_upper, col_upper)
-        held = _slot.held
-        if held is not None and held.matrix is matrix:
-            held.model, held.size = weakref.ref(model), _size(model)
+    matrix, lower, upper = constraint_matrix(model)
+    run = _run_highs if _highs is not None else _run_linprog
+    solution = run(objective_vector(model), matrix, lower, upper)
     if solution.optimal:
-        violation = primal_violation(
-            matrix, lower, row_upper, solution.values,
-            1.0 if col_upper is None else col_upper,
-        )
+        violation = primal_violation(matrix, lower, upper, solution.values)
         if not violation <= PRIMAL_TOLERANCE:
             return LPSolution(
                 status="error", objective_value=None, values=None,
@@ -367,43 +325,14 @@ def solve(
     return solution
 
 
-def _override(values, n: int, what: str) -> np.ndarray:
-    """A copy of one override of ``solve``, checked: ``n`` finite floats."""
-    values = np.array(values, dtype=float)
-    if values.shape != (n,) or not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} needs {n} finite values, one per column")
-    return values
-
-
-@dataclass(eq=False)
-class _Held:
-    """The LP a thread's solver holds: the arrays it was passed, and the
-    costs and column upper bounds in force since. ``model`` and ``size``
-    name the model it came from, and how large that was then."""
-
-    matrix: CscMatrix
-    lower: np.ndarray
-    upper: np.ndarray
-    cost: np.ndarray
-    col_upper: np.ndarray
-    model: weakref.ref | None = None
-    size: tuple[int, int, int] = (0, 0, 0)
-
-
 class _Slot(threading.local):
-    """One thread's HiGHS object, the process that made it, and what it
-    holds."""
+    """One thread's HiGHS object and the process that made it."""
 
     pid: int | None = None
     highs = None
-    held: _Held | None = None
 
 
 _slot = _Slot()
-
-
-def _size(model: LPModel) -> tuple[int, int, int]:
-    return model.num_variables, model.num_rows, model.num_nonzeros
 
 
 def _solver():
@@ -416,34 +345,18 @@ def _solver():
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("log_to_console", False)
         highs.setOptionValue("highs_debug_level", 0)
-        _slot.pid, _slot.highs, _slot.held = os.getpid(), highs, None
+        _slot.pid, _slot.highs = os.getpid(), highs
     return _slot.highs
 
 
-def _held(model: LPModel) -> _Held | None:
-    """What this thread's solver holds, if that is ``model`` as it is now
-    (never while solves go through ``linprog``)."""
-    held = _slot.held if _slot.pid == os.getpid() and _highs is not None else None
-    if held is None or held.model is None or held.model() is not model:
-        return None
-    return held if held.size == _size(model) else None
-
-
 def _run_highs(
-    c: np.ndarray,
-    matrix: CscMatrix,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    col_upper: np.ndarray | None = None,
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
 ) -> LPSolution:
-    """Minimize ``c @ x`` over ``0 <= x <= col_upper`` (the unit box if
-    None) and ``lower <= matrix @ x <= upper`` through the bundled HiGHS
-    bindings, on this thread's solver with its previous model cleared."""
+    """Minimize ``c @ x`` over the unit box and ``lower <= matrix @ x <= upper``
+    through the bundled HiGHS bindings, on this thread's solver with its
+    previous model cleared."""
     num_row, num_col = matrix.shape
-    if col_upper is None:
-        col_upper = np.ones(num_col)
     highs = _solver()
-    _slot.held = None
     # clearModel keeps the options; clear() would reset them
     highs.clearModel()
     # the array overload reads int32 indices, each column's start (no end
@@ -451,7 +364,7 @@ def _run_highs(
     passed = highs.passModel(
         num_col, num_row, len(matrix.data),
         int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
-        c, np.zeros(num_col), col_upper, lower, upper,
+        c, np.zeros(num_col), np.ones(num_col), lower, upper,
         matrix.indptr[:-1].astype(np.int32), matrix.indices.astype(np.int32),
         matrix.data, np.zeros(num_col, dtype=np.int32),
     )
@@ -460,38 +373,6 @@ def _run_highs(
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
         )
-    _slot.held = _Held(matrix, lower, upper, c, col_upper)
-    return _result(highs)
-
-
-def _rerun(held: _Held, c: np.ndarray, col_upper: np.ndarray | None) -> LPSolution:
-    """Give the LP this thread's solver holds the costs ``c`` and the column
-    upper bounds ``col_upper`` (the unit box if None), changing only the
-    columns that differ, and re-solve from the basis HiGHS kept."""
-    highs = _slot.highs
-    if col_upper is None:
-        col_upper = np.ones(len(c))
-    changed = np.flatnonzero(col_upper != held.col_upper)
-    bounds_set = not changed.size or highs.changeColsBounds(
-        changed.size, changed.astype(np.int32), np.zeros(changed.size),
-        col_upper[changed],
-    ) != _highs.HighsStatus.kError
-    changed = np.flatnonzero(c != held.cost)
-    costs_set = not changed.size or highs.changeColsCost(
-        changed.size, changed.astype(np.int32), c[changed]
-    ) != _highs.HighsStatus.kError
-    if not (bounds_set and costs_set):
-        _slot.held = None
-        return LPSolution(
-            status="error", objective_value=None, values=None,
-            message="HiGHS rejected the changed column bounds or costs",
-        )
-    held.cost, held.col_upper = c, col_upper
-    return _result(highs)
-
-
-def _result(highs) -> LPSolution:
-    """The outcome of ``highs.run()`` on the LP the object holds."""
     ran = highs.run() != _highs.HighsStatus.kError
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -518,11 +399,7 @@ def linprog(*args, **kwargs):
 
 
 def _run_linprog(
-    c: np.ndarray,
-    matrix: CscMatrix,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    col_upper: np.ndarray | None = None,
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
 ) -> LPSolution:
     """``_run_highs`` through ``linprog``, for scipy without the bindings."""
     from scipy.sparse import csc_array
@@ -536,10 +413,7 @@ def _run_linprog(
         b_ub=upper[:num_le] if num_le else None,
         A_eq=rows[num_le:] if num_eq else None,
         b_eq=upper[num_le:] if num_eq else None,
-        bounds=(
-            (0.0, 1.0) if col_upper is None
-            else np.column_stack((np.zeros(len(c)), col_upper))
-        ),
+        bounds=(0.0, 1.0),
         method="highs",
     )
     status = {0: "optimal", 2: "infeasible"}.get(res.status, "error")

@@ -17,12 +17,10 @@ joint LP accepts fully (up to ``WEIGHT_TOL``) is certified without a solo
 LP: the joint solution restricted to its variables is feasible for its
 solo LP, because demands are nonnegative, so its solo maximum acceptance
 is at least as large. Only the remaining requests go through
-``preprocess_profit``, which re-solves the joint LP just solved with the
-other requests' columns held at 0: the thread's HiGHS object still holds
-that LP, so each solo LP starts from the joint basis, and no solo model is
-built. If it drops any, the joint LP is built and solved again, cold, over
-the kept ones. Either way the final joint model is the one built over
-exactly the requests that solo preprocessing would keep.
+``preprocess_profit``, which builds and solves each one's solo LP. If it
+drops any, the joint LP is built and solved again over the kept ones.
+Either way the final joint model is the one built over exactly the
+requests that solo preprocessing would keep.
 
 Reports serialize deterministically: keys are emitted in a fixed order
 and wall-clock timings are left out unless explicitly requested, so two

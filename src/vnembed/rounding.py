@@ -34,8 +34,6 @@ import numpy as np
 
 from .decomposition import ConvexDecomposition
 from .extraction import LabeledExtractionOrder
-# build_novel is not called here any more, but the benchmark's tracer
-# (perfbench/tracer.py) still hooks it under this module's name
 from .formulations import NovelVariableIndex, build_novel
 from .lpmodel import MAXIMIZE, LPModel, solve
 from .model import (
@@ -147,45 +145,33 @@ def preprocess_profit(
     probabilities; returned are the kept candidates, their orders, and the
     dropped candidates' names.
 
-    A request's solo LP is ``model`` with every other request's columns held
-    at 0 and only its own objective terms: its request-local rows are
-    homogeneous (right-hand side 0), so the other requests' rows hold at 0,
-    and a capacity row only loses their loads. Each candidate is solved so,
-    through ``solve``'s overrides; if the solver still holds ``model`` from
-    the solve just before, HiGHS re-solves from the basis it kept. The solo
-    LP is always feasible (accept nothing), so a status other than optimal
-    is a failure and raises ``RuntimeError``.
+    Each candidate's solo LP, its own profit LP over ``index.substrate``, is
+    built by ``build_novel`` and solved. It is always feasible (accept
+    nothing), so a status other than optimal is a failure and raises
+    ``RuntimeError``.
 
-    ``run_pipeline`` calls it with its solved joint LP, for the requests that
-    LP leaves below full acceptance; a fully accepted one provably passes.
+    ``relax`` calls it with its solved joint LP, for the requests that LP
+    leaves below full acceptance; a fully accepted one provably passes.
     """
     if model.sense != MAXIMIZE or model.num_variables != index.num_variables:
         raise ValueError("profit preprocessing needs the profit LP of index")
-    starts = [cols.x for cols in index.columns] + [model.num_variables]
-    coefficients = np.zeros(model.num_variables)
-    coefficients[list(model.objective)] = list(model.objective.values())
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
     dropped: list[str] = []
     for r in candidates:
-        req = index.requests[r]
-        own = slice(starts[r], starts[r + 1])
-        upper = np.zeros(model.num_variables)
-        upper[own] = 1.0
-        objective = np.zeros(model.num_variables)
-        objective[own] = coefficients[own]
-        solution = solve(model, upper=upper, objective=objective)
+        req, order = index.requests[r], index.orders[r]
+        solo, solo_index = build_novel(index.substrate, [req], [order], "profit")
+        solution = solve(solo)
         if not solution.optimal:
             raise RuntimeError(
                 f"solo LP of request {req.name!r}: solver returned "
                 f"{solution.outcome}"
             )
-        acceptance = float(solution.values[index.columns[r].x])
-        if acceptance < 1.0 - WEIGHT_TOL:
+        if float(solution.values[solo_index.columns[0].x]) < 1.0 - WEIGHT_TOL:
             dropped.append(req.name)
         else:
             kept_requests.append(req)
-            kept_orders.append(index.orders[r])
+            kept_orders.append(order)
     return kept_requests, kept_orders, dropped
 
 

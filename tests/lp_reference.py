@@ -14,8 +14,8 @@ on a new HiGHS object per solve. ``tests/test_lp.py`` checks that
 ``lpmodel._run_highs`` and ``lpmodel.solve``, which reuse one object per
 thread, return what it does, bit for bit.
 
-``preprocess_profit`` is profit preprocessing as it was before it re-solved
-the joint LP: one solo model built and solved per request.
+``preprocess_profit`` is profit preprocessing of every request of a list,
+without a joint LP: one solo model built and solved per request.
 ``tests/test_pipeline.py`` checks that the package keeps and drops the same
 requests.
 """
@@ -455,12 +455,10 @@ def request_loads(index: NovelVariableIndex, values: np.ndarray, r: int) -> dict
 
 
 def run_highs(
-    c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray, then=None
+    c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray
 ) -> LPSolution:
     """``lpmodel._run_highs`` through a ``HighsLp`` built from lists, on a new
-    HiGHS object. With ``then = (cost, col_upper)``, the object afterwards
-    gets those costs and column upper bounds, every column at once, and runs
-    again from the basis it kept; the second run's result is returned."""
+    HiGHS object."""
     num_row, num_col = matrix.shape
     lp = _highs.HighsLp()
     lp.num_col_ = num_col
@@ -487,17 +485,6 @@ def run_highs(
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
         )
-    solution = _run(highs)
-    if then is not None:
-        cost, col_upper = then
-        every = np.arange(num_col, dtype=np.int32)
-        highs.changeColsBounds(num_col, every, np.zeros(num_col), col_upper)
-        highs.changeColsCost(num_col, every, cost)
-        solution = _run(highs)
-    return solution
-
-
-def _run(highs) -> LPSolution:
     ran = highs.run() != _highs.HighsStatus.kError
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -515,21 +502,10 @@ def _run(highs) -> LPSolution:
     return solution
 
 
-def solve_fresh(model, upper=None, objective=None) -> LPSolution:
-    """``lpmodel.solve`` on a new HiGHS object, without its primal check.
-
-    With ``upper`` or ``objective`` given, the object first solves ``model``
-    as it is and then re-solves it with the overrides: what ``solve`` does
-    when its thread's solver holds ``model`` from the solve just before.
-    """
+def solve_fresh(model) -> LPSolution:
+    """``lpmodel.solve`` on a new HiGHS object, without its primal check."""
     c = lpmodel.objective_vector(model)
-    then = None
-    if upper is not None or objective is not None:
-        then = (
-            lpmodel.objective_vector(model, objective),
-            np.ones(model.num_variables) if upper is None else np.asarray(upper),
-        )
-    solution = run_highs(c, *lpmodel.constraint_matrix(model), then=then)
+    solution = run_highs(c, *lpmodel.constraint_matrix(model))
     if solution.optimal and model.sense == MAXIMIZE:
         solution.objective_value = -solution.objective_value
     return solution
@@ -540,9 +516,9 @@ def preprocess_profit(
     requests: Sequence[Request],
     labeled_orders: Sequence[LabeledExtractionOrder],
 ) -> tuple[list[Request], list[LabeledExtractionOrder], list[str]]:
-    """``rounding.preprocess_profit`` as it was before it re-solved the joint
-    LP: each request's own profit LP built by ``build_novel`` and solved
-    cold. Returns the kept requests, their orders and the dropped names."""
+    """``rounding.preprocess_profit`` over every request, with no joint LP:
+    each request's own profit LP built by ``build_novel`` and solved.
+    Returns the kept requests, their orders and the dropped names."""
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
     dropped: list[str] = []

@@ -487,10 +487,37 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
         (("requests", 0, "edges", 0, "allowed_edges"), [5],
          "'allowed_edges' in request 'triangle' edge ('i', 'j') must list "
          "[tail, head] pairs, got [5]"),
+        (("requests", 0, "id"), None,
+         "'id' in request must be a string or an integer, got None"),
+        (("requests", 0, "nodes", 0, "id"), [1],
+         "'id' in request 'triangle' node must be a string or an integer, "
+         "got [1]"),
+        (("requests", 0, "nodes", 0, "type"), None,
+         "'type' in request 'triangle' node 'i' must be a string or an "
+         "integer, got None"),
+        (("requests", 0, "edges", 0, "head"), {},
+         "'head' in request 'triangle' edge must be a string or an integer, "
+         "got {}"),
+        (("requests", 0, "nodes", 0, "allowed_nodes"), ["u1", None],
+         "'allowed_nodes' in request 'triangle' node 'i' must be a string or "
+         "an integer, got None"),
+        (("requests", 0, "edges", 0, "allowed_edges"), [["u1", 1.5]],
+         "'allowed_edges' in request 'triangle' edge ('i', 'j') must be a "
+         "string or an integer, got 1.5"),
+        (("substrate", "nodes", 0, "id"), True,
+         "'id' in substrate node must be a string or an integer, got True"),
+        (("substrate", "nodes", 0, "types", 0, "type"), 1.5,
+         "'type' in substrate node 'u1' must be a string or an integer, "
+         "got 1.5"),
+        (("substrate", "edges", 0, "tail"), None,
+         "'tail' in substrate edge must be a string or an integer, got None"),
     ],
     ids=[
         "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
-        "allowed-edges-int",
+        "allowed-edges-int", "request-id-null", "request-node-id-list",
+        "request-node-type-null", "request-edge-head-dict",
+        "allowed-nodes-entry-null", "allowed-edges-entry-float",
+        "substrate-node-id-bool", "substrate-type-float", "substrate-tail-null",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -517,6 +544,26 @@ def test_numbers_in_strings_stay_accepted(tmp_path, capsys):
     path.write_text(json.dumps(data))
     instance = load_instance(path)
     assert instance.requests[0].profit == 2.0
+    assert main(["validate", str(path)]) == 0
+
+
+def test_integer_ids_stay_accepted(tmp_path, capsys):
+    # an integer id reads as its decimal string, wherever a name is expected
+    def renamed(value):
+        if isinstance(value, dict):
+            return {key: renamed(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [renamed(item) for item in value]
+        return 1 if value == "u1" else value
+
+    data = renamed(json.loads(_generate(tmp_path, "fig3").read_text()))
+    data["requests"][0]["id"] = 7
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps(data))
+    instance = load_instance(path)
+    assert instance.substrate.nodes[0] == "1"
+    assert instance.requests[0].name == "7"
+    assert instance.requests[0].allowed_nodes["i"] == ("1", "u4")
     assert main(["validate", str(path)]) == 0
 
 

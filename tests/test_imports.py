@@ -8,6 +8,7 @@ interpreter, since this one has loaded all of scipy already.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -95,7 +96,11 @@ def test_loader_reuses_the_registered_module():
 
 
 def test_loader_finds_none_in_a_scipy_without_bindings(monkeypatch, tmp_path):
-    # a scipy folder that holds no bindings, as before 1.15
+    # a scipy folder that holds no bindings, as before 1.15; find_spec
+    # returns the spec of a package already in sys.modules
     monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    spec = importlib.util.spec_from_file_location(
+        "scipy", tmp_path / "__init__.py", submodule_search_locations=[str(tmp_path)]
+    )
+    monkeypatch.setattr(scipy, "__spec__", spec)
     assert lpmodel._load_highs() is None

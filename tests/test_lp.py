@@ -388,13 +388,10 @@ def test_solution_carries_solver_diagnostics(fig3):
 @pytest.mark.parametrize("variant", ["profit", "cost"])
 def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
     instance = scenario_instance(name)
-    model, index = build_novel(
+    model, _ = build_novel(
         instance.substrate, instance.requests, _orders(instance), variant
     )
     direct = solve(model)
-    upper, objective = _solo_overrides(model, index, 0)
-    solve(_bare_model())  # so that the override solve below passes the LP afresh
-    direct_override = solve(model, upper=upper, objective=objective)
     calls = []
 
     def counted(*args, **kwargs):
@@ -406,18 +403,16 @@ def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
     # as if the bindings were missing (scipy < 1.15)
     monkeypatch.setattr(vnembed.lpmodel, "_highs", None)
     fallback = solve(model)
-    fallback_override = solve(model, upper=upper, objective=objective)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert calls[0]["method"] == "highs"
-    for fallback, direct in ((fallback, direct), (fallback_override, direct_override)):
-        assert fallback.status == direct.status
-        assert fallback.objective_value == direct.objective_value
-        assert fallback.iterations == direct.iterations
-        assert fallback.message
-        if direct.values is None:
-            assert fallback.values is None
-        else:
-            assert np.array_equal(fallback.values, direct.values)
+    assert fallback.status == direct.status
+    assert fallback.objective_value == direct.objective_value
+    assert fallback.iterations == direct.iterations
+    assert fallback.message
+    if direct.values is None:
+        assert fallback.values is None
+    else:
+        assert np.array_equal(fallback.values, direct.values)
 
 
 def test_max_violation_matches_row_loop(fig3, fig3_gadget, tiny_corpus, tree_corpus):
@@ -562,20 +557,6 @@ def test_array_handoff_matches_the_list_handoff(
     assert statuses == {"optimal", "infeasible"}
 
 
-def _solo_overrides(model: LPModel, index, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``solve``'s overrides that turn a joint LP into request ``r``'s solo
-    LP: the other requests' columns held at 0, and only ``r``'s objective."""
-    starts = [cols.x for cols in index.columns] + [model.num_variables]
-    own = slice(starts[r], starts[r + 1])
-    upper = np.zeros(model.num_variables)
-    upper[own] = 1.0
-    objective = np.zeros(model.num_variables)
-    for col, coef in model.objective.items():
-        objective[col] = coef
-    objective[:own.start] = objective[own.stop:] = 0.0
-    return upper, objective
-
-
 def _malformed_model() -> LPModel:
     """An LP HiGHS refuses to take: a coefficient beyond its matrix limit."""
     model = LPModel()
@@ -586,24 +567,18 @@ def _malformed_model() -> LPModel:
 
 
 def _isolation_steps(fig3, fig3_gadget, tiny_corpus, tree_corpus):
-    """``solve`` calls as ``(model, upper, objective)``. Per profit LP of the
-    corpora: a plain solve, an infeasible LP, a malformed one, the profit LP
-    again and then a re-solve of it with one request's solo overrides; the
-    next profit LP is passed cold after that re-solve."""
+    """Models to solve in a row. Per profit LP of the corpora: the LP, an
+    infeasible LP, a malformed one, and the profit LP again."""
     infeasible, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "cost")
     malformed = _malformed_model()
     steps = []
     for instance in (
         fig3_gadget, scenario_instance("halfwheel:4"), *tiny_corpus, *tree_corpus
     ):
-        model, index = build_novel(
+        model, _ = build_novel(
             instance.substrate, instance.requests, _orders(instance), "profit"
         )
-        upper, objective = _solo_overrides(model, index, len(index.requests) - 1)
-        steps += [
-            (model, None, None), (infeasible, None, None), (malformed, None, None),
-            (model, None, None), (model, upper, objective),
-        ]
+        steps += [model, infeasible, malformed, model]
     return steps
 
 
@@ -618,10 +593,6 @@ def _assert_same_solution(ours: LPSolution, reference: LPSolution) -> None:
         assert _same(ours.values, reference.values)
 
 
-def _run_steps(steps) -> list[LPSolution]:
-    return [solve(model, upper=upper, objective=obj) for model, upper, obj in steps]
-
-
 @pytest.mark.skipif(
     vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
 )
@@ -629,22 +600,13 @@ def test_reused_solver_matches_a_fresh_solver_per_solve(
     fig3, fig3_gadget, tiny_corpus, tree_corpus
 ):
     # the thread's one HiGHS object returns what a new object returns, bit
-    # for bit, whatever it solved before: optimal, infeasible and malformed
-    # LPs, a re-solve in place, and a cold solve right after that re-solve
+    # for bit, whatever it solved before: optimal, infeasible and malformed LPs
     statuses = set()
-    resolved = 0
-    for model, upper, objective in _isolation_steps(
-        fig3, fig3_gadget, tiny_corpus, tree_corpus
-    ):
-        if upper is not None:
-            # the solver holds this model from the solve just before
-            assert vnembed.lpmodel._held(model) is not None
-            resolved += 1
-        ours = solve(model, upper=upper, objective=objective)
-        _assert_same_solution(ours, lp_reference.solve_fresh(model, upper, objective))
+    for model in _isolation_steps(fig3, fig3_gadget, tiny_corpus, tree_corpus):
+        ours = solve(model)
+        _assert_same_solution(ours, lp_reference.solve_fresh(model))
         statuses.add(ours.status)
     assert statuses == {"optimal", "infeasible", "error"}
-    assert resolved == 2 + len(tiny_corpus) + len(tree_corpus)
 
 
 @pytest.mark.skipif(
@@ -652,15 +614,15 @@ def test_reused_solver_matches_a_fresh_solver_per_solve(
 )
 def test_threads_solve_as_a_sequential_run(fig3, fig3_gadget, tiny_corpus, tree_corpus):
     # more threads than cores, switching often: each keeps its own solver,
-    # so a re-solve in place never meets another thread's model
+    # so no solve meets another thread's model
     steps = _isolation_steps(fig3, fig3_gadget, tiny_corpus, tree_corpus)
-    sequential = _run_steps(steps)
+    sequential = [solve(model) for model in steps]
     threads = 4
     start = threading.Barrier(threads)
 
     def run():
         start.wait(timeout=60)
-        return _run_steps(steps)
+        return [solve(model) for model in steps]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -676,85 +638,20 @@ def test_threads_solve_as_a_sequential_run(fig3, fig3_gadget, tiny_corpus, tree_
             _assert_same_solution(ours, reference)
 
 
-def _pair_model(capacity: float) -> LPModel:
-    model = LPModel(sense=MAXIMIZE)
-    a, b = model.add_variable("a"), model.add_variable("b")
-    model.add_constraint("cap", [(a, 1.0), (b, 1.0)], LE, capacity)
-    model.set_objective_coefficient(a, 1.0)
-    model.set_objective_coefficient(b, 2.0)
-    return model
-
-
-def test_only_the_model_as_it_was_solved_is_resolved_in_place():
-    upper = np.array([1.0, 0.25])
-    first, second = _pair_model(1.0), _pair_model(0.5)
-    solve(first)
-    # the solver holds an LP of the same size, but not this model's
-    assert vnembed.lpmodel._held(second) is None
-    ours = solve(second, upper=upper)
-    assert ours.objective_value == 0.75
-    assert np.array_equal(ours.values, [0.25, 0.25])
-    # a model that grew since its solve is passed afresh too
-    solve(first)
-    first.add_constraint("b", [(1, 1.0)], LE, 0.125)
-    assert vnembed.lpmodel._held(first) is None
-    ours = solve(first, upper=upper)
-    assert ours.objective_value == 1.125
-    assert np.array_equal(ours.values, [0.875, 0.125])
-    # and so is one whose LP the solver dropped for an LP it refused
-    solve(second)
-    assert solve(_malformed_model()).status == "error"
-    assert vnembed.lpmodel._held(second) is None
-    assert solve(second, upper=upper).objective_value == 0.75
-
-
 def test_reused_solver_stays_silent(fig3_gadget, capfd):
     # clearModel keeps the options, logging off among them; clear() would not
-    model, index = build_novel(
+    model, _ = build_novel(
         fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
     )
-    upper, objective = _solo_overrides(model, index, 0)
-    for _ in range(2):
+    for _ in range(3):
         solve(model)
-        solve(model, upper=upper, objective=2 * objective)
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.skipif(
-    vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
-)
-def test_rejected_change_is_an_error_and_the_next_solve_passes_afresh(
-    fig3_gadget, monkeypatch
-):
-    model, index = build_novel(
-        fig3_gadget.substrate, fig3_gadget.requests, _orders(fig3_gadget), "profit"
-    )
-    upper, objective = _solo_overrides(model, index, 0)
-    honest = solve(model, upper=upper, objective=2 * objective)
-    solve(model)
-    real = vnembed.lpmodel._slot.highs
-
-    class Refusing:
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-        def changeColsCost(self, *args):
-            return vnembed.lpmodel._highs.HighsStatus.kError
-
-    monkeypatch.setattr(vnembed.lpmodel._slot, "highs", Refusing())
-    refused = solve(model, upper=upper, objective=2 * objective)
-    assert refused.status == "error"
-    assert "rejected the changed column bounds or costs" in refused.message
-    assert vnembed.lpmodel._held(model) is None
-    monkeypatch.undo()
-    # the solver no longer counts as holding the model, so it is passed afresh
-    _assert_same_solution(solve(model, upper=upper, objective=2 * objective), honest)
-
-
-def _solve_in_child(sender, model, upper, objective) -> None:
-    first = solve(model, upper=upper, objective=objective)
+def _solve_in_child(sender, models) -> None:
+    solutions = [solve(model) for model in models]
     own = vnembed.lpmodel._slot.pid == os.getpid()
-    sender.send((own, [first, solve(model)]))
+    sender.send((own, solutions))
     sender.close()
 
 
@@ -762,34 +659,29 @@ def _solve_in_child(sender, model, upper, objective) -> None:
     vnembed.lpmodel._highs is None or not hasattr(os, "fork"),
     reason="scipy without HiGHS bindings, or no fork",
 )
-def test_forked_child_solves_with_its_own_solver():
+def test_forked_child_solves_with_its_own_solver(fig3):
     instance = scenario_instance("halfwheel:4")
-    model, index = build_novel(
+    model, _ = build_novel(
         instance.substrate, instance.requests, _orders(instance), "profit"
     )
-    upper, objective = _solo_overrides(model, index, 0)
-    solve(_bare_model())
-    passed_fresh = solve(model, upper=upper, objective=objective)
-    plain = solve(model)
-    in_place = solve(model, upper=upper, objective=objective)
-    # the parent's solver holds the model again; a child must not re-solve
-    # the copy of it that fork leaves behind
-    solve(model)
-    assert in_place.iterations != passed_fresh.iterations
+    infeasible, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "cost")
+    models = [model, infeasible, model]
+    # the parent's solver holds a model; a child must make its own solver
+    # instead of using the copy of the parent's that fork leaves behind
+    expected = [solve(m) for m in models]
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(
-        target=_solve_in_child, args=(sender, model, upper, objective)
-    )
+    child = context.Process(target=_solve_in_child, args=(sender, models))
     child.start()
     sender.close()
     assert receiver.poll(120)
-    own, (first, second) = receiver.recv()
+    own, solutions = receiver.recv()
     child.join(timeout=120)
     assert child.exitcode == 0  # None while it still runs
     assert own
-    _assert_same_solution(first, passed_fresh)
-    _assert_same_solution(second, plain)
+    assert len(solutions) == len(expected)
+    for ours, reference in zip(solutions, expected):
+        _assert_same_solution(ours, reference)
 
 
 def _scipy_matrix(model: LPModel) -> csc_array:
@@ -857,8 +749,8 @@ def _off_model(monkeypatch, kind):
     name = "_run_highs" if vnembed.lpmodel._highs is not None else "_run_linprog"
     honest = getattr(vnembed.lpmodel, name)
 
-    def run(c, matrix, lower, upper, col_upper=None):
-        solution = honest(c, matrix, lower, upper, col_upper)
+    def run(c, matrix, lower, upper):
+        solution = honest(c, matrix, lower, upper)
         values = solution.values
         solution.values = {
             "row": np.ones_like(values),  # inside the box, outside the rows

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import lp_reference
-import vnembed.formulations
 import vnembed.pipeline
 import vnembed.rounding
 
@@ -30,7 +29,7 @@ from vnembed import (
 )
 from vnembed.formulations import build_novel, count_novel_variables
 from vnembed.instances import Instance
-from vnembed.lpmodel import LPSolution, solve
+from vnembed.lpmodel import LPSolution, solve, write_lp
 from vnembed.pipeline import try_records_csv
 from vnembed.rounding import preprocess_profit
 from vnembed.scenarios import (
@@ -137,7 +136,7 @@ def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
         calls.append(model)
         return solve(model)
 
-    def solo(model, upper=None, objective=None):
+    def solo(model):
         calls.append(model)
         return _broken(model)
 
@@ -146,7 +145,10 @@ def test_solo_lp_failure_surfaces_in_preprocess(fig3, monkeypatch):
     with pytest.raises(PipelineError) as err:
         run_pipeline(fig3, PipelineConfig(variant="profit"))
     assert len(calls) == 2
-    assert calls[1] is calls[0]  # the solo LP re-solves the joint model
+    # the solo LP is a model of its own; fig3 has one request, so it is
+    # the joint LP built again
+    assert calls[1] is not calls[0]
+    assert write_lp(calls[1]) == write_lp(calls[0])
     assert err.value.stage == "preprocess"
     assert "solver returned error" in str(err.value)
 
@@ -159,7 +161,7 @@ def test_joint_lp_failure_stops_at_solve_lp(fig3_gadget, monkeypatch):
     assert "solver returned error" in str(err.value)
 
 
-def _timed_out(model, upper=None, objective=None):
+def _timed_out(model):
     return LPSolution(
         status="error", objective_value=None, values=None,
         message="Time limit reached",
@@ -269,9 +271,9 @@ def _solo_corpus(name, request):
      "cactus"],
 )
 def test_solo_resolves_keep_what_solo_builds_keep(corpus, request):
-    # every request of every instance, re-solved in place from the solved
-    # joint LP, and (on the small corpora) passed afresh, must be kept or
-    # dropped as its own solo LP, built and solved cold, decides
+    # every request of every instance, its solo LP solved by
+    # preprocess_profit from the joint LP's index, must be kept or dropped
+    # as the reference, building solo LPs from the request list alone, decides
     decisions = set()
     for instance in _solo_corpus(corpus, request):
         orders = [
@@ -284,14 +286,9 @@ def test_solo_resolves_keep_what_solo_builds_keep(corpus, request):
         model, index = build_novel(
             instance.substrate, instance.requests, orders, "profit"
         )
-        everyone = range(len(instance.requests))
-        assert solve(model).optimal
-        assert vnembed.lpmodel._held(model) is not None
-        in_place = preprocess_profit(model, index, everyone)
-        assert in_place == reference
-        if corpus not in ("seed-sweep", "cactus"):
-            solve(build_novel(instance.substrate, [], [], "profit")[0])
-            assert preprocess_profit(model, index, everyone) == reference
+        assert preprocess_profit(model, index, range(len(instance.requests))) == (
+            reference
+        )
         decisions.update(req.name in reference[2] for req in instance.requests)
     if corpus == "mixed":
         assert decisions == {True, False}
@@ -307,31 +304,49 @@ def test_preprocessing_needs_the_profit_lp(fig3):
         preprocess_profit(model, index, [0])
 
 
-def test_pipeline_builds_no_solo_model(monkeypatch):
-    # preprocessing re-solves the joint model; the only builds are the joint
-    # LP over every request and, once requests are dropped, over the kept ones
+def test_pipeline_builds_one_solo_model_per_uncertified_request(
+    fig3, tiny_corpus, monkeypatch
+):
+    # one solo build per request the joint LP leaves below acceptance 1,
+    # over that request alone, and none for a request the joint LP
+    # certifies; the joint LP is built over every request and, once
+    # requests are dropped, again over the kept ones
     built = []
 
-    def recorded(name, fn):
+    def recorded(module):
+        real = module.build_novel
+
         def wrapper(substrate, requests, *args, **kwargs):
-            built.append((name, len(requests)))
-            return fn(substrate, requests, *args, **kwargs)
+            built.append((module, [req.name for req in requests]))
+            return real(substrate, requests, *args, **kwargs)
         return wrapper
 
-    for module in (vnembed.pipeline, vnembed.rounding, vnembed.formulations):
-        monkeypatch.setattr(
-            module, "build_novel",
-            recorded(module.__name__, vnembed.formulations.build_novel),
+    for module in (vnembed.pipeline, vnembed.rounding):
+        monkeypatch.setattr(module, "build_novel", recorded(module))
+    counts = []
+    for instance in [fig3, *tiny_corpus, *_mixed_instances()]:
+        names = [req.name for req in instance.requests]
+        orders = [
+            min_width_order_search(Digraph.build(req.nodes, req.edges))
+            for req in instance.requests
+        ]
+        model, index = build_novel(
+            instance.substrate, instance.requests, orders, "profit"
         )
-    for instance in _mixed_instances():
+        values = solve(model).values
+        uncertified = [
+            [name] for r, name in enumerate(names)
+            if values[index.columns[r].x] < 1.0 - vnembed.rounding.WEIGHT_TOL
+        ]
         built.clear()
         report, _ = run_pipeline(instance, PipelineConfig(variant="profit", seed=1))
-        kept = sum(not row["dropped"] for row in report.requests)
-        assert kept < len(instance.requests)
-        assert built == [
-            ("vnembed.pipeline", len(instance.requests)),
-            ("vnembed.pipeline", kept),
-        ]
+        kept = [row["name"] for row in report.requests if not row["dropped"]]
+        solo = [requests for module, requests in built if module is vnembed.rounding]
+        joint = [requests for module, requests in built if module is vnembed.pipeline]
+        assert solo == uncertified
+        assert joint == [names] + ([kept] if kept != names else [])
+        counts.append(len(solo))
+    assert 0 in counts and max(counts) > 1
 
 
 def test_fully_accepted_batch_solves_one_lp(fig3_gadget, monkeypatch):
