@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--variant", choices=("profit", "cost"), default="profit")
     p.add_argument("--relaxation", choices=("lp", "ip"), default="ip")
-    p.add_argument("--cap", type=int, default=DEFAULT_MAPPING_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_MAPPING_CAP)
     common(p)
     p.set_defaults(fn=cmd_exact)
 

@@ -4,11 +4,18 @@
 brute force; ``solve_enumerative`` optimizes over those enumerations, as a
 linear relaxation or exactly. Both exist to cross-check the scalable
 pipeline and are only intended for instances with a handful of nodes.
+
+Enumerations keep at most ``cap`` mappings per request, and ``cap`` must
+be at least 1. An enumeration is ``truncated`` only when the request has
+a valid mapping beyond the first ``cap``; one with exactly ``cap``
+mappings is complete. A solve over a truncated enumeration optimizes over
+the kept mappings only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,9 +25,9 @@ from .model import (
     Resource,
     SubstrateGraph,
     ValidMapping,
+    _unchecked_allocations,
     allocation_cost,
     check_valid_mapping,
-    compute_allocations,
 )
 
 DEFAULT_MAPPING_CAP = 100_000
@@ -60,17 +67,8 @@ def _simple_paths(
     return out
 
 
-def enumerate_valid_mappings(
-    substrate: SubstrateGraph, request: Request, cap: int = DEFAULT_MAPPING_CAP
-) -> MappingEnumeration:
-    """All valid mappings of one request, capped and order-stable.
-
-    Node placements are enumerated lexicographically; per edge, all simple
-    paths through the allowed substrate edges. Capacity interplay between
-    requests is not part of validity, so no load checks happen here.
-    """
-    mappings: list[ValidMapping] = []
-    truncated = False
+def _valid_mappings(substrate: SubstrateGraph, request: Request):
+    """Yield every valid mapping of one request, checked, in a stable order."""
     path_cache: dict[tuple, list] = {}
     placements = itertools.product(
         *(request.allowed_nodes[i] for i in request.nodes)
@@ -78,35 +76,44 @@ def enumerate_valid_mappings(
     for combo in placements:
         node_map = dict(zip(request.nodes, combo))
         edge_choices: list[list[tuple[tuple[str, str], ...]]] = []
-        feasible = True
         for e in request.edges:
             key = (e, node_map[e[0]], node_map[e[1]])
             if key not in path_cache:
                 path_cache[key] = _simple_paths(
                     request.allowed_edges[e], node_map[e[0]], node_map[e[1]]
                 )
-            options = path_cache[key]
-            if not options:
-                feasible = False
+            if not path_cache[key]:
                 break
-            edge_choices.append(options)
-        if not feasible:
-            continue
-        for path_combo in itertools.product(*edge_choices):
-            mapping = ValidMapping(
-                node_map=dict(node_map),
-                edge_map=dict(zip(request.edges, path_combo)),
-            )
-            ok, why = check_valid_mapping(substrate, request, mapping)
-            if not ok:
-                raise RuntimeError(f"enumerated mapping invalid: {why}")
-            mappings.append(mapping)
-            if len(mappings) >= cap:
-                truncated = True
-                break
-        if truncated:
-            break
-    return MappingEnumeration(request=request, mappings=mappings, truncated=truncated)
+            edge_choices.append(path_cache[key])
+        else:
+            for path_combo in itertools.product(*edge_choices):
+                mapping = ValidMapping(
+                    node_map=dict(node_map),
+                    edge_map=dict(zip(request.edges, path_combo)),
+                )
+                ok, why = check_valid_mapping(substrate, request, mapping)
+                if not ok:
+                    raise RuntimeError(f"enumerated mapping invalid: {why}")
+                yield mapping
+
+
+def enumerate_valid_mappings(
+    substrate: SubstrateGraph, request: Request, cap: int = DEFAULT_MAPPING_CAP
+) -> MappingEnumeration:
+    """All valid mappings of one request, at most ``cap`` of them, order-stable.
+
+    Node placements are enumerated lexicographically; per edge, all simple
+    paths through the allowed substrate edges. Capacity interplay between
+    requests is not part of validity, so no load checks happen here.
+    ``truncated`` is set only when a valid mapping beyond the first ``cap``
+    exists; that mapping is not kept. ``cap`` must be at least 1.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    mappings = list(itertools.islice(_valid_mappings(substrate, request), cap + 1))
+    return MappingEnumeration(
+        request=request, mappings=mappings[:cap], truncated=len(mappings) > cap
+    )
 
 
 @dataclass
@@ -137,15 +144,21 @@ def solve_enumerative(
     if relaxation not in ("lp", "ip"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     enums = [enumerate_valid_mappings(substrate, req, cap=cap) for req in requests]
+    # the enumerator has just validated every mapping
     allocations = [
-        [compute_allocations(substrate, req, m) for m in enum.mappings]
+        [_unchecked_allocations(req, m) for m in enum.mappings]
         for req, enum in zip(requests, enums)
     ]
+    values = [
+        [req.profit if objective == "profit" else allocation_cost(substrate, a)
+         for a in request_allocations]
+        for req, request_allocations in zip(requests, allocations)
+    ]
     solver = _enumerative_lp if relaxation == "lp" else _enumerative_ip
-    return solver(substrate, requests, enums, allocations, objective)
+    return solver(substrate, enums, allocations, values, objective)
 
 
-def _enumerative_lp(substrate, requests, enums, allocations, objective):
+def _enumerative_lp(substrate, enums, allocations, values, objective):
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
     weight_vars: list[list[int]] = []
     for r, enum in enumerate(enums):
@@ -158,13 +171,8 @@ def _enumerative_lp(substrate, requests, enums, allocations, objective):
         model.add_constraint(
             f"choose_r{r}", [(v, 1.0) for v in vs], sense, 1.0
         )
-        for k, v in enumerate(vs):
-            if objective == "profit":
-                model.set_objective_coefficient(v, requests[r].profit)
-            else:
-                model.set_objective_coefficient(
-                    v, allocation_cost(substrate, allocations[r][k])
-                )
+        for v, value in zip(vs, values[r]):
+            model.set_objective_coefficient(v, value)
     for kr, res in enumerate(substrate.resources):
         coeffs = []
         for r, vs in enumerate(weight_vars):
@@ -191,88 +199,60 @@ def _enumerative_lp(substrate, requests, enums, allocations, objective):
     )
 
 
-def _enumerative_ip(substrate, requests, enums, allocations, objective):
-    costs = [
-        [allocation_cost(substrate, alloc) for alloc in request_allocations]
-        for request_allocations in allocations
+def _enumerative_ip(substrate, enums, allocations, values, objective):
+    # Depth-first branch and bound maximizing sign * value. A request's
+    # options are its mappings, plus embedding nothing under profit; the
+    # bound adds each remaining request's best signed term.
+    sign = 1.0 if objective == "profit" else -1.0
+    options = [
+        list(zip(itertools.count(), request_allocations, request_values))
+        for request_allocations, request_values in zip(allocations, values)
     ]
+    if objective == "profit":
+        for request_options in options:
+            request_options.append((None, {}, 0.0))
+    best_terms = [
+        max((sign * term for _, _, term in opts), default=-math.inf)
+        for opts in options
+    ]
+    suffix = list(itertools.accumulate(reversed(best_terms), initial=0.0))[::-1]
     capacity = {res: substrate.capacity(res) for res in substrate.resources}
-    n = len(requests)
+    n = len(options)
     best_value: float | None = None
     best_pick: list[int | None] | None = None
-    # Bounds for pruning: remaining best-case contribution per suffix.
-    if objective == "profit":
-        suffix = [0.0] * (n + 1)
-        for r in range(n - 1, -1, -1):
-            suffix[r] = suffix[r + 1] + (
-                requests[r].profit if enums[r].mappings else 0.0
-            )
-    else:
-        suffix = [0.0] * (n + 1)
-        for r in range(n - 1, -1, -1):
-            cheapest = min(costs[r], default=float("inf"))
-            suffix[r] = suffix[r + 1] + cheapest
-
     load: dict[Resource, float] = {}
     pick: list[int | None] = [None] * n
 
-    def fits(alloc: dict[Resource, float]) -> bool:
-        return all(
-            load.get(res, 0.0) + amt <= capacity[res] + 1e-9
-            for res, amt in alloc.items()
-        )
-
-    def place(alloc: dict[Resource, float], sign: float) -> None:
-        for res, amt in alloc.items():
-            load[res] = load.get(res, 0.0) + sign * amt
-
     def recurse(r: int, value: float) -> None:
         nonlocal best_value, best_pick
-        if objective == "profit":
-            if best_value is not None and value + suffix[r] <= best_value + 1e-12:
-                return
-        else:
-            if best_value is not None and value + suffix[r] >= best_value - 1e-12:
-                return
-        if r == n:
-            if best_value is None or (
-                value > best_value if objective == "profit" else value < best_value
-            ):
-                best_value = value
-                best_pick = list(pick)
+        if best_value is not None and (
+            sign * value + suffix[r] <= sign * best_value + 1e-12
+        ):
             return
-        if objective == "profit":
-            for k, m in enumerate(enums[r].mappings):
-                if fits(allocations[r][k]):
-                    place(allocations[r][k], 1.0)
-                    pick[r] = k
-                    recurse(r + 1, value + requests[r].profit)
-                    pick[r] = None
-                    place(allocations[r][k], -1.0)
-            recurse(r + 1, value)  # skip the request
-        else:
-            for k, m in enumerate(enums[r].mappings):
-                if fits(allocations[r][k]):
-                    place(allocations[r][k], 1.0)
-                    pick[r] = k
-                    recurse(r + 1, value + costs[r][k])
-                    pick[r] = None
-                    place(allocations[r][k], -1.0)
+        if r == n:
+            best_value = value
+            best_pick = list(pick)
+            return
+        for k, alloc, term in options[r]:
+            if all(
+                load.get(res, 0.0) + amt <= capacity[res] + 1e-9
+                for res, amt in alloc.items()
+            ):
+                for res, amt in alloc.items():
+                    load[res] = load.get(res, 0.0) + amt
+                pick[r] = k
+                recurse(r + 1, value + term)
+                for res, amt in alloc.items():
+                    load[res] = load.get(res, 0.0) - amt
 
     recurse(0, 0.0)
-    if objective == "cost" and best_pick is None:
+    if best_pick is None:
         return EnumerativeSolution(
             status="infeasible", objective_value=None, assignment=[], enumerations=enums
         )
-    if best_pick is None:
-        best_value = 0.0
-        best_pick = [None] * n
-    assignment = [
-        [] if best_pick[r] is None else [(1.0, best_pick[r])] for r in range(n)
-    ]
     return EnumerativeSolution(
         status="optimal",
         objective_value=best_value,
-        assignment=assignment,
+        assignment=[[] if k is None else [(1.0, k)] for k in best_pick],
         enumerations=enums,
     )

@@ -17,8 +17,6 @@ from .extraction import (
     Digraph,
     generate_half_wheel,
     generate_vc_gadget,
-    is_cactus,
-    label_order,
     LabeledExtractionOrder,
     _bfs_rank,
     _per_root_pass,

@@ -398,6 +398,21 @@ def test_exact_truncation_asks_for_higher_cap(tmp_path, capsys):
     assert "raise --cap" in capsys.readouterr().err
 
 
+def test_exact_cap_equal_to_the_count_is_complete(tmp_path, capsys):
+    # the gadget's request has exactly one mapping
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    assert main(["exact", str(path), "--variant", "cost", "--cap", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["num_mappings"] == [1]
+
+
+def test_exact_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    with pytest.raises(SystemExit) as err:
+        main(["exact", str(path), "--cap", "0"])
+    assert err.value.code == 2
+    assert "--cap: must be at least 1" in capsys.readouterr().err
+
+
 def test_round_profit_writes_report_and_csv(tmp_path, capsys):
     path = _generate(tmp_path, "tree:3")
     csv_path = tmp_path / "tries.csv"

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
+import numpy as np
 import pytest
 
 import vnembed.oracle
 from vnembed import (
     Request,
     SubstrateGraph,
+    compute_allocations,
     enumerate_valid_mappings,
     mapping_cost,
     solve_enumerative,
@@ -73,6 +78,13 @@ def test_cap_truncates_and_flags():
     cut = enumerate_valid_mappings(substrate, req, cap=1)
     assert cut.truncated
     assert len(cut.mappings) == 1
+    # a cap equal to the count enumerates everything: nothing is cut off
+    exact = enumerate_valid_mappings(substrate, req, cap=3)
+    assert not exact.truncated
+    assert exact.mappings == full.mappings
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            enumerate_valid_mappings(substrate, req, cap=cap)
 
 
 def test_exact_profit_is_zero_without_mappings(fig3):
@@ -117,6 +129,83 @@ def test_cost_variant_infeasible_when_requests_cannot_coexist():
         sol = solve_enumerative(substrate, requests, "cost", relaxation)
         assert sol.status == "infeasible"
         assert sol.objective_value is None
+
+
+def _option_tables(instance, objective):
+    """Per request, the loads (one row per option, one column per resource)
+    and values of its options: its mappings, plus nothing under profit."""
+    substrate = instance.substrate
+    tables = []
+    for req in instance.requests:
+        mappings = enumerate_valid_mappings(substrate, req).mappings
+        # under profit, a last all-zero row embeds nothing
+        loads = np.zeros(
+            (len(mappings) + (objective == "profit"), len(substrate.resources))
+        )
+        values = np.zeros(len(loads))
+        for k, m in enumerate(mappings):
+            for res, amount in compute_allocations(substrate, req, m).items():
+                loads[k, substrate.resource_column[res]] += amount
+            values[k] = (
+                req.profit if objective == "profit"
+                else mapping_cost(substrate, req, m)
+            )
+        tables.append((loads, values))
+    return tables
+
+
+def _brute_force_best(tables, capacities, objective):
+    """Best selection over the product of every request's options whose
+    loads fit ``capacities`` (1e-9 slack); None if none fits.
+
+    Loops over the product of all requests but the last and checks the
+    last request's options against each partial selection at once.
+    """
+    limit = np.asarray(capacities) + 1e-9
+    pick = max if objective == "profit" else min
+    *head, (last_loads, last_values) = tables
+    best = None
+    for selection in itertools.product(*(zip(*table) for table in head)):
+        load = sum((row for row, _ in selection), np.zeros(len(limit)))
+        fits = np.all(load + last_loads <= limit, axis=1)
+        if fits.any():
+            value = sum(v for _, v in selection) + pick(last_values[fits])
+            best = value if best is None else pick(best, value)
+    return best
+
+
+def _with_capacity(instance, capacity):
+    """The instance with every capacity set to ``capacity``."""
+    substrate = dataclasses.replace(
+        instance.substrate,
+        node_capacity=dict.fromkeys(instance.substrate.node_capacity, capacity),
+        edge_capacity=dict.fromkeys(instance.substrate.edge_capacity, capacity),
+    )
+    return dataclasses.replace(instance, substrate=substrate)
+
+
+@pytest.mark.parametrize("objective", ["profit", "cost"])
+def test_integral_search_matches_brute_force(tiny_corpus, objective):
+    # the corpus as drawn fits every selection; with demands in [0.2, 0.8],
+    # capacities of 1 and 0.7 make requests contend, so the search prunes,
+    # skips requests and, for cost, may find no selection at all
+    infeasible = 0
+    for instance in tiny_corpus:
+        tables = _option_tables(instance, objective)
+        for variant in (
+            instance, _with_capacity(instance, 1.0), _with_capacity(instance, 0.7)
+        ):
+            sol = solve_enumerative(
+                variant.substrate, variant.requests, objective, "ip"
+            )
+            best = _brute_force_best(tables, variant.substrate.capacities, objective)
+            if best is None:
+                assert sol.status == "infeasible", variant.name
+                infeasible += 1
+                continue
+            assert sol.status == "optimal", variant.name
+            assert sol.objective_value == pytest.approx(best, rel=0, abs=1e-9)
+    assert (infeasible > 0) == (objective == "cost")
 
 
 def test_unknown_modes_rejected(fig3):
