@@ -251,7 +251,7 @@ def cmd_decompose(args) -> int:
     )
     raw = payload["values"]
     if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) for v in raw
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
     ):
         raise InstanceFormatError("solution 'values' must be a flat list of numbers")
     values = np.asarray(raw, dtype=float)

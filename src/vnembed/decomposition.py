@@ -149,20 +149,6 @@ def _positive_choice(values: Sequence[tuple[str, float]]) -> str | None:
     return None
 
 
-class _Extraction:
-    """Bookkeeping for one extraction pass: the covered columns, in the
-    order they were first covered."""
-
-    def __init__(self):
-        self.keys: list[int] = []
-        self.seen: set[int] = set()
-
-    def cover(self, key: int) -> None:
-        if key not in self.seen:
-            self.seen.add(key)
-            self.keys.append(key)
-
-
 def _clamp(v: float) -> float:
     return 0.0 if v < EPS else v
 
@@ -171,12 +157,13 @@ def _apply_extraction(
     substrate: SubstrateGraph,
     request: Request,
     state: NovelState,
-    tracker: _Extraction,
+    covered: dict[int, None],
     mapping: ValidMapping,
     entries: list[DecompositionEntry],
 ) -> bool:
-    """Validate the mapping, take the bottleneck weight, subtract it
-    everywhere, and record the entry with the mapping's allocation.
+    """Validate the mapping, take the bottleneck weight over the ``covered``
+    columns, subtract it from each, and record the entry with the mapping's
+    allocation.
 
     Returns False for dust rounds that only cleared a near-zero variable.
     """
@@ -184,11 +171,11 @@ def _apply_extraction(
     if not ok:
         raise DecompositionError(f"extracted mapping invalid: {why}")
     residual = state.residual
-    weight = min(residual[col] for col in tracker.keys)
+    weight = min(residual[col] for col in covered)
     if weight <= WEIGHT_FLOOR:
-        residual[min(tracker.keys, key=residual.__getitem__)] = 0.0
+        residual[min(covered, key=residual.__getitem__)] = 0.0
         return False
-    for col in tracker.keys:
+    for col in covered:
         residual[col] = _clamp(residual[col] - weight)
     entries.append(DecompositionEntry(
         weight=weight, mapping=mapping,
@@ -228,8 +215,8 @@ def decompose_novel(
         rounds += 1
         if rounds > max_rounds:
             raise DecompositionStuckError("extraction makes no progress")
-        tracker = _Extraction()
-        tracker.cover(cols.x)
+        # the columns this pass covers, in the order first covered
+        covered = {cols.x: None}
         root = order.root
         u0 = _positive_choice(
             [(u, residual[cols.y[(root, u)]]) for u in request.allowed_nodes[root]]
@@ -257,7 +244,7 @@ def decompose_novel(
                     )
                 for l, v in zip(bag.labels, assign):
                     node_map.setdefault(l, v)
-                tracker.cover(cols.gamma[(i, bi, assign, u)])
+                covered[cols.gamma[(i, bi, assign, u)]] = None
                 for k in bag.edges:
                     oe = order.edges[k]
                     e = oe.original
@@ -287,11 +274,11 @@ def decompose_novel(
                         endpoint = u
                     node_map.setdefault(j, endpoint)
                     edge_map[e] = tuple(path)
-                    tracker.cover(cols.sub_x[(k, mu)])
+                    covered[cols.sub_x[(k, mu)]] = None
                     for n in e:
-                        tracker.cover(cols.sub_y[(k, mu, n, node_map[n])])
+                        covered[cols.sub_y[(k, mu, n, node_map[n])]] = None
                     for se in path:
-                        tracker.cover(flows[se])
+                        covered[flows[se]] = None
                     pending_in[j] -= 1
                     if pending_in[j] == 0:
                         queue.append(j)
@@ -300,9 +287,9 @@ def decompose_novel(
                 "extraction order does not reach every request edge"
             )
         for i in request.nodes:
-            tracker.cover(cols.y[(i, node_map[i])])
+            covered[cols.y[(i, node_map[i])]] = None
         mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
-        _apply_extraction(substrate, request, state, tracker, mapping, entries)
+        _apply_extraction(substrate, request, state, covered, mapping, entries)
     return ConvexDecomposition(request_name=request.name, entries=entries)
 
 

@@ -29,8 +29,10 @@ labeled endpoint, and so the flow row its host variable enters, differs
 between copies. The builder records each pattern once with the copies'
 row and column starts, expands all of them into the model's flat row
 buffers in a few array operations, and drops every row no variable
-enters. Names are not part of the build: the model renders them from the
-``RequestColumns`` only when it is exported.
+enters. No name is formatted during the build: each block of rows is
+reserved with a renderer and the raw keys it needs, and the model renders
+those, and the variables' names from the ``RequestColumns``, only when it
+is exported.
 
 The builder returns a ``NovelVariableIndex`` with the labeled orders and one
 ``RequestColumns`` per request, which maps every variable to its column.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -231,20 +232,24 @@ def build_novel(
         if objective == "profit":
             model.set_objective_coefficient(x, requests[r].profit)
         else:
-            rows.tile([rows.reserve(1, rhs=1.0)], [0], [x], [0], 1.0)
+            accept = rows.reserve(1, _block_rows, "r{}_accept", 1, None, r, rhs=1.0)
+            rows.tile([accept], [0], [x], [0], 1.0)
 
     # One capacity row per resource some request loads, summing
     # ``demand * variable`` over all requests; the cost objective prices
     # the same terms, resource by resource.
     resources = substrate.resources
-    first = rows.reserve(len(resources), rhs=substrate.capacities, eq=False)
+    first = rows.reserve(
+        len(resources), _block_rows, "cap_res{m}", len(resources), None,
+        rhs=substrate.capacities, eq=False,
+    )
     for res, cols, demand in index.loads:
         loaded = demand != 0
         rows.tile(
             [first], res[loaded].tolist(), [0], cols[loaded].tolist(),
             demand[loaded].tolist(),
         )
-    rows.into(model)
+    kept = rows.into(model)
     if objective == "cost" and requests:
         res, cols, demand = (np.concatenate(part) for part in zip(*index.loads))
         by_resource = np.argsort(res, kind="stable")
@@ -254,7 +259,7 @@ def build_novel(
         model.objective.update(
             zip(cols[by_resource][priced].tolist(), coef[priced].tolist())
         )
-    model.namer = functools.partial(_names, index, objective)
+    model.namer = functools.partial(_names, index, rows.names, kept)
     index.num_variables = model.num_variables
     return model, index
 
@@ -262,14 +267,17 @@ def build_novel(
 class _RowBuffer:
     """Rows of a model under construction, numbered in their final order.
 
-    ``reserve`` numbers the next candidate rows. ``tile`` records a pattern
-    of entries repeated over copies: copy ``m`` puts coefficient
+    ``reserve`` numbers the next candidate rows and records how to name
+    them: a renderer and its arguments, which on export, given the
+    substrate's node index first, return one name per row. ``tile`` records
+    a pattern of entries repeated over copies: copy ``m`` puts coefficient
     ``vals[l]`` into row ``row_starts[m] + row_offsets[l]`` and column
     ``col_starts[m] + col_offsets[l]``, for every ``l``. ``into`` expands
     all patterns with a few array operations, sorts the entries by row,
     stably, so each row keeps its entries in the order they were recorded,
     and appends every candidate row that received an entry: a row no
-    variable enters is never emitted.
+    variable enters is never emitted. It returns which candidate rows it
+    kept.
     """
 
     def __init__(self):
@@ -283,15 +291,22 @@ class _RowBuffer:
         self.vals: list[float] = []  # per pattern entry
         # (first row, count, rhs, is ==) of the rows given a right-hand side
         self.bounds: list[tuple[int, int, float | Sequence[float], bool]] = []
+        self.names: list[tuple] = []  # per reserve: (renderer, *arguments)
 
     def reserve(
-        self, count: int, rhs: float | Sequence[float] | None = None, eq: bool = True
+        self,
+        count: int,
+        *names,
+        rhs: float | Sequence[float] | None = None,
+        eq: bool = True,
     ) -> int:
-        """Number ``count`` rows and return the first one. They read
-        ``== 0`` unless ``rhs`` (one value, or one per row) is given, with
-        sense ``==`` or, for ``eq=False``, ``<=``."""
+        """Number ``count`` rows, named by ``names`` (a renderer and its
+        arguments), and return the first one. They read ``== 0`` unless
+        ``rhs`` (one value, or one per row) is given, with sense ``==`` or,
+        for ``eq=False``, ``<=``."""
         first = self.count
         self.count += count
+        self.names.append(names)
         if rhs is not None:
             self.bounds.append((first, count, rhs, eq))
         return first
@@ -307,7 +322,7 @@ class _RowBuffer:
         self.col_offsets += col_offsets
         self.vals += [vals] * len(row_offsets) if isinstance(vals, float) else vals
 
-    def into(self, model: LPModel) -> None:
+    def into(self, model: LPModel) -> np.ndarray:
         copies, widths, row_starts, col_starts, row_offsets, col_offsets = (
             np.fromiter(part, dtype=np.intp, count=len(part))
             for part in (
@@ -333,6 +348,7 @@ class _RowBuffer:
             eq[first:first + count] = is_eq
         kept = lengths > 0
         model.add_rows(cols[by_row], vals[by_row], lengths[kept], eq[kept], rhs[kept])
+        return kept
 
 
 @dataclass
@@ -377,6 +393,7 @@ def _add_request(
     order = labeled.order
     hosts = req.allowed_nodes
     sidx = substrate.node_index
+    nidx = req.node_index
     res_index = substrate.resource_column
     # where each host's flow row lies among a sub-LP copy's rows
     flow_row = {i: [2 + sidx[u] for u in hosts[i]] for i in req.nodes}
@@ -432,7 +449,7 @@ def _add_request(
             [c for f in cp.firsts for c in range(f + 1, f + z0)],
         ))
 
-        row0 = rows.reserve(len(mus) * per_copy)
+        row0 = rows.reserve(len(mus) * per_copy, _copy_rows, r, k, e, nidx, mus)
         row0 = range(row0, row0 + len(mus) * per_copy, per_copy)
         # the embed rows, each closed by sub_x, then the flows' tails and heads
         rows.tile(
@@ -468,7 +485,7 @@ def _add_request(
 
     # Acceptance is carried by the root's host distribution.
     root = order.root
-    row = rows.reserve(1)
+    row = rows.reserve(1, _block_rows, "r{}_root", 1, None, r)
     h = len(hosts[root])
     rows.tile(
         [row], [0] * (h + 1), [0], [*range(ystart[root], ystart[root] + h), x],
@@ -481,7 +498,10 @@ def _add_request(
         h = range(len(hosts[i]))
         for k, e in enumerate(req.edges):
             if i in e:
-                row = rows.reserve(len(h))
+                row = rows.reserve(
+                    len(h), _block_rows, "r{}_link_n{}_e{}_s{s}", 1, hosts[i],
+                    r, nidx[i], k,
+                )
                 rows.tile([row], h, [ystart[i]], h, 1.0)
                 cp = copies[k]
                 cp.tile_hosts(rows, i, [row] * len(cp.mus), h, -1.0)
@@ -496,7 +516,11 @@ def _add_request(
             gammas = range(g0, g0 + len(assigns) * len(h), len(h))
             for ke in bag.edges:
                 cp = copies[ke]
-                row = rows.reserve(len(cp.mus) * len(h))
+                row = rows.reserve(
+                    len(cp.mus) * len(h), _block_rows,
+                    "r{}_bagout_n{}_b{}_e{}_m{m}_s{s}", len(cp.mus), hosts[node],
+                    r, nidx[node], bi, ke,
+                )
                 blocks = range(row, row + len(cp.mus) * len(h), len(h))
                 cp.tile_hosts(rows, node, blocks, h, 1.0)
                 copy_of = {mu: m for m, mu in enumerate(cp.mus)}
@@ -517,7 +541,11 @@ def _add_request(
                 shared = [q for q, l in enumerate(cp.labels) if l in bag.labels]
                 keys = [tuple(mu[q] for q in shared) for mu in cp.mus]
                 rank = {key: m for m, key in enumerate(sorted(set(keys)))}
-                row = rows.reserve(len(rank) * len(h))
+                row = rows.reserve(
+                    len(rank) * len(h), _block_rows,
+                    "r{}_bagin_n{}_e{}_b{}_m{m}_s{s}", len(rank), hosts[node],
+                    r, nidx[node], ke, bi,
+                )
                 blocks = [row + rank[key] * len(h) for key in keys]
                 cp.tile_hosts(rows, node, blocks, h, 1.0)
                 g0, assigns = bags[(node, bi)]
@@ -531,28 +559,50 @@ def _add_request(
                 )
 
 
+def _copy_tag(sidx, r, k, mu) -> str:
+    """Name prefix of the copy of edge ``k`` of request ``r`` under ``mu``."""
+    return f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
+
+
+def _copy_rows(sidx, r, k, e, nidx, mus) -> list[str]:
+    """Row names of the sub-LP copies of edge ``k`` (``e``) of request
+    ``r``: per copy, the embed rows of both endpoints, then one flow row
+    per substrate node."""
+    names = []
+    for mu in mus:
+        tag = _copy_tag(sidx, r, k, mu)
+        names += [f"{tag}_embed_n{nidx[n]}" for n in e]
+        names += [f"{tag}_flow_s{w}" for w in range(len(sidx))]
+    return names
+
+
+def _block_rows(sidx, template, blocks, hosts, *fields) -> list[str]:
+    """``blocks`` row names, or with ``hosts`` ``blocks`` blocks of one per
+    host: ``template`` filled with ``fields``, the block number ``m`` and
+    the host's substrate index ``s``."""
+    if hosts is None:
+        return [template.format(*fields, m=m) for m in range(blocks)]
+    return [
+        template.format(*fields, m=m, s=sidx[u]) for m in range(blocks) for u in hosts
+    ]
+
+
 def _names(
-    index: NovelVariableIndex, objective: str
+    index: NovelVariableIndex, row_names: list[tuple], kept: np.ndarray
 ) -> tuple[list[str], list[str]]:
-    """Variable and row names of a ``build_novel`` model, rendered from its
-    ``RequestColumns`` in column and row order."""
+    """Variable and row names of a ``build_novel`` model. The variables' are
+    rendered from its ``RequestColumns``, the rows' by the renderers
+    ``_RowBuffer.reserve`` recorded, less the rows ``into`` did not keep."""
     substrate = index.substrate
     sidx = substrate.node_index
     seidx = substrate.edge_index
     variables = [""] * index.num_variables
-    rows: list[str] = []
-    for r, (req, labeled, cols) in enumerate(
-        zip(index.requests, index.orders, index.columns)
-    ):
+    for r, (req, cols) in enumerate(zip(index.requests, index.columns)):
         nidx = req.node_index
-        hosts = req.allowed_nodes
         variables[cols.x] = f"r{r}_x"
         for (i, u), c in cols.y.items():
             variables[c] = f"r{r}_y_n{nidx[i]}_s{sidx[u]}"
-        tags = {
-            (k, mu): f"r{r}_e{k}m" + "_".join(str(sidx[u]) for u in mu)
-            for k, mu in cols.sub_x
-        }
+        tags = {(k, mu): _copy_tag(sidx, r, k, mu) for k, mu in cols.sub_x}
         for key, c in cols.sub_x.items():
             variables[c] = f"{tags[key]}_x"
         for (k, mu, n, u), c in cols.sub_y.items():
@@ -565,52 +615,8 @@ def _names(
             numbers = bag_numbers.setdefault((node, bi), {})
             mi = numbers.setdefault(assign, len(numbers))
             variables[c] = f"r{r}_g_n{nidx[node]}_b{bi}_m{mi}_s{sidx[u]}"
-
-        for (k, mu), tag in tags.items():
-            e = req.edges[k]
-            touched = {w for se in req.allowed_edges[e] for w in se}
-            rows.extend(f"{tag}_embed_n{nidx[n]}" for n in e)
-            rows.extend(
-                f"{tag}_flow_s{sidx[w]}"
-                for w in substrate.nodes
-                if w in touched or any((k, mu, n, w) in cols.sub_y for n in e)
-            )
-        rows.append(f"r{r}_root")
-        for i in req.nodes:
-            for k, e in enumerate(req.edges):
-                if i in e:
-                    rows.extend(
-                        f"r{r}_link_n{nidx[i]}_e{k}_s{sidx[u]}" for u in hosts[i]
-                    )
-        copies = [
-            math.prod(len(hosts[l]) for l in labels) for labels in labeled.labels
-        ]
-        order = labeled.order
-        for node in order.nodes:
-            for bi, bag in enumerate(labeled.bags[node]):
-                rows.extend(
-                    f"r{r}_bagout_n{nidx[node]}_b{bi}_e{ke}_m{m}_s{sidx[u]}"
-                    for ke in bag.edges
-                    for m in range(copies[ke])
-                    for u in hosts[node]
-                )
-        for node in order.nodes:
-            for ke in order.in_edges[node] if labeled.bags[node] else ():
-                for bi, bag in enumerate(labeled.bags[node]):
-                    shared = [l for l in labeled.labels[ke] if l in bag.labels]
-                    placements = math.prod(len(hosts[l]) for l in shared)
-                    rows.extend(
-                        f"r{r}_bagin_n{nidx[node]}_e{ke}_b{bi}_m{mi}_s{sidx[u]}"
-                        for mi in range(placements if copies[ke] else 0)
-                        for u in hosts[node]
-                    )
-        if objective == "cost":
-            rows.append(f"r{r}_accept")
-    loaded = set()
-    for res, _, demand in index.loads:
-        loaded.update(res[demand != 0].tolist())
-    rows.extend(f"cap_res{k}" for k in sorted(loaded))
-    return variables, rows
+    rows = [name for render, *args in row_names for name in render(sidx, *args)]
+    return variables, list(itertools.compress(rows, kept))
 
 
 def embed_mapping(

@@ -90,12 +90,12 @@ def _name(table: Any, key: str, where: str) -> str:
 
 def _number(table: Any, key: str, where: str, default: float | None = None) -> float:
     value = _require(table, key, where) if default is None else table.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InstanceFormatError(
-            f"{key!r} in {where} must be a number, got {value!r}"
-        ) from None
+    if not isinstance(value, bool):  # float() would read true as 1.0
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InstanceFormatError(f"{key!r} in {where} must be a number, got {value!r}")
 
 
 def instance_from_dict(data: Any) -> Instance:

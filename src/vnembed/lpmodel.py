@@ -8,9 +8,8 @@ Nothing is stored per variable or per row, and columns and rows keep their
 insertion order, so solver inputs and exported files are reproducible.
 
 Names exist for export only. ``write_lp`` renders them through the model's
-``namer`` (set by a builder that adds columns and rows in bulk) and the
-names given to ``add_variable`` and ``add_constraint``; nothing on the
-solve path formats a name.
+``namer``, which its builder sets; a model without one exports empty names.
+Nothing on the build or solve path formats a name.
 
 ``solve`` assembles the rows as CSC arrays (``<=`` rows first, then ``==``
 rows, each in insertion order) and hands them to scipy's bundled HiGHS
@@ -50,7 +49,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,12 +103,9 @@ class Row(NamedTuple):
 class LPModel:
     """Linear program over variables in [0, 1], with rows in flat buffers.
 
-    ``add_columns`` and ``add_rows`` append in bulk; ``add_variable`` and
-    ``add_constraint`` append one named column or row. Coefficients
-    reference variables by index. Duplicate explicit variable names are
-    rejected to keep exported files unambiguous. ``namer`` returns the
-    names of the columns and rows added in bulk, in order, and is called
-    only on export.
+    ``add_columns`` and ``add_rows`` append in bulk, and coefficients
+    reference variables by index. ``namer`` returns the name of every
+    column and every row, in order, and is called only on export.
     """
 
     sense: str = MINIMIZE
@@ -124,8 +120,6 @@ class LPModel:
     _lengths: list[np.ndarray] = field(default_factory=list, init=False)
     _eq: list[np.ndarray] = field(default_factory=list, init=False)
     _rhs: list[np.ndarray] = field(default_factory=list, init=False)
-    _var_names: dict[str, int] = field(default_factory=dict, init=False)
-    _row_names: dict[int, str] = field(default_factory=dict, init=False)
 
     def add_columns(self, count: int) -> int:
         """Append ``count`` unnamed columns; returns the first one's index."""
@@ -144,26 +138,6 @@ class LPModel:
         self.num_rows += len(self._lengths[-1])
         self.num_nonzeros += len(self._cols[-1])
 
-    def add_variable(self, name: str) -> int:
-        if name in self._var_names:
-            raise ValueError(f"duplicate variable name {name!r}")
-        self._var_names[name] = self.add_columns(1)
-        return self._var_names[name]
-
-    def add_constraint(
-        self,
-        name: str,
-        coefficients: Sequence[tuple[int, float]],
-        sense: str,
-        rhs: float,
-    ) -> None:
-        if sense not in (LE, EQ):
-            raise ValueError(f"unknown sense {sense!r}")
-        self._row_names[self.num_rows] = name
-        cols = [col for col, _ in coefficients]
-        vals = [coef for _, coef in coefficients]
-        self.add_rows(cols, vals, [len(cols)], [sense == EQ], [rhs])
-
     def set_objective_coefficient(self, var: int, coefficient: float) -> None:
         if coefficient:
             self.objective[var] = self.objective.get(var, 0.0) + coefficient
@@ -180,14 +154,9 @@ class LPModel:
 
     def names(self) -> tuple[list[str], list[str]]:
         """Every column's and every row's name, for export."""
-        variables, rows = self.namer() if self.namer is not None else ([], [])
-        variables += [""] * (self.num_variables - len(variables))
-        rows += [""] * (self.num_rows - len(rows))
-        for name, var in self._var_names.items():
-            variables[var] = name
-        for row, name in self._row_names.items():
-            rows[row] = name
-        return variables, rows
+        if self.namer is None:
+            return [""] * self.num_variables, [""] * self.num_rows
+        return self.namer()
 
     @property
     def constraints(self) -> list[Row]:

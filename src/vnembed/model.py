@@ -481,7 +481,7 @@ class ResourceStats:
     demand_ratio: np.ndarray
     congestion: np.ndarray
 
-    def max_demand_ratio(self, substrate: SubstrateGraph) -> float:
+    def max_demand_ratio(self) -> float:
         """Largest demand to capacity ratio over all requests and resources."""
         return float(self.demand_ratio.max(initial=0.0))
 

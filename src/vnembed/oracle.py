@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPModel, solve
+from .lpmodel import MAXIMIZE, MINIMIZE, LPModel, solve
 from .model import (
     Request,
     Resource,
@@ -159,29 +159,30 @@ def solve_enumerative(
 
 
 def _enumerative_lp(substrate, enums, allocations, values, objective):
+    # One weight column per mapping, request after request. A choose row per
+    # request sums its weights to at most 1 (profit) or exactly 1 (cost);
+    # a capacity row per loaded resource sums the weighted demands.
     model = LPModel(sense=MAXIMIZE if objective == "profit" else MINIMIZE)
-    weight_vars: list[list[int]] = []
-    for r, enum in enumerate(enums):
-        vs = [
-            model.add_variable(f"f_r{r}_k{k}")
-            for k in range(len(enum.mappings))
-        ]
-        weight_vars.append(vs)
-        sense = EQ if objective == "cost" else LE
-        model.add_constraint(
-            f"choose_r{r}", [(v, 1.0) for v in vs], sense, 1.0
-        )
-        for v, value in zip(vs, values[r]):
-            model.set_objective_coefficient(v, value)
-    for kr, res in enumerate(substrate.resources):
-        coeffs = []
-        for r, vs in enumerate(weight_vars):
-            for k, v in enumerate(vs):
-                amt = allocations[r][k].get(res)
-                if amt:
-                    coeffs.append((v, amt))
-        if coeffs:
-            model.add_constraint(f"cap_res{kr}", coeffs, LE, substrate.capacity(res))
+    counts = [len(enum.mappings) for enum in enums]
+    firsts = [model.add_columns(count) for count in counts]
+    weight_vars = [range(first, first + n) for first, n in zip(firsts, counts)]
+    terms = itertools.chain.from_iterable(values)
+    model.objective = {v: term for v, term in enumerate(terms) if term}
+    cols: dict[Resource, list[int]] = {res: [] for res in substrate.resources}
+    amts: dict[Resource, list[float]] = {res: [] for res in substrate.resources}
+    for v, alloc in enumerate(itertools.chain.from_iterable(allocations)):
+        for res, amt in alloc.items():
+            if amt:
+                cols[res].append(v)
+                amts[res].append(amt)
+    loaded = [res for res in substrate.resources if cols[res]]
+    model.add_rows(
+        [*range(model.num_variables), *(v for res in loaded for v in cols[res])],
+        [1.0] * model.num_variables + [a for res in loaded for a in amts[res]],
+        counts + [len(cols[res]) for res in loaded],
+        [objective == "cost"] * len(enums) + [False] * len(loaded),
+        [1.0] * len(enums) + [substrate.capacity(res) for res in loaded],
+    )
     sol = solve(model)
     if not sol.optimal:
         return EnumerativeSolution(

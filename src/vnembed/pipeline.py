@@ -245,7 +245,7 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
         if uncertified:
             t0 = time.perf_counter()
             try:
-                _, _, dropped = preprocess_profit(model, index, uncertified)
+                _, _, dropped = preprocess_profit(index, uncertified)
             except Exception as err:
                 raise PipelineError("preprocess", str(err)) from err
             timings["preprocess"] = time.perf_counter() - t0

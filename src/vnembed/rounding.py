@@ -35,7 +35,7 @@ import numpy as np
 from .decomposition import ConvexDecomposition
 from .extraction import LabeledExtractionOrder
 from .formulations import NovelVariableIndex, build_novel
-from .lpmodel import MAXIMIZE, LPModel, solve
+from .lpmodel import solve
 from .model import (
     EDGE,
     NODE,
@@ -123,7 +123,7 @@ def compute_bounds(
         types.update(req.referenced_types)
     return bounds_from_parameters(
         variant,
-        stats.max_demand_ratio(substrate),
+        stats.max_demand_ratio(),
         stats.congestion_sum(substrate, NODE),
         stats.congestion_sum(substrate, EDGE),
         len(substrate.nodes),
@@ -132,29 +132,24 @@ def compute_bounds(
 
 
 def preprocess_profit(
-    model: LPModel,
-    index: NovelVariableIndex,
-    candidates: Sequence[int],
+    index: NovelVariableIndex, candidates: Sequence[int]
 ) -> tuple[list[Request], list[LabeledExtractionOrder], list[str]]:
     """Drop the candidate requests that cannot be fully accepted on their own.
 
-    ``model`` and ``index`` are a profit LP built by ``build_novel``, and
-    ``candidates`` are positions in ``index.requests``. A request with
-    maximum acceptance below 1 (up to tolerance) on its own can never
-    contribute a full embedding and would only dilute the rounding
-    probabilities; returned are the kept candidates, their orders, and the
-    dropped candidates' names.
+    ``index`` comes from ``build_novel``, and ``candidates`` are positions
+    in ``index.requests``. A request with maximum acceptance below 1 (up to
+    tolerance) on its own can never contribute a full embedding and would
+    only dilute the rounding probabilities; returned are the kept
+    candidates, their orders, and the dropped candidates' names.
 
     Each candidate's solo LP, its own profit LP over ``index.substrate``, is
     built by ``build_novel`` and solved. It is always feasible (accept
     nothing), so a status other than optimal is a failure and raises
     ``RuntimeError``.
 
-    ``relax`` calls it with its solved joint LP, for the requests that LP
+    ``relax`` calls it with its joint LP's index, for the requests that LP
     leaves below full acceptance; a fully accepted one provably passes.
     """
-    if model.sense != MAXIMIZE or model.num_variables != index.num_variables:
-        raise ValueError("profit preprocessing needs the profit LP of index")
     kept_requests: list[Request] = []
     kept_orders: list[LabeledExtractionOrder] = []
     dropped: list[str] = []

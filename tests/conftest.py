@@ -8,6 +8,7 @@ got far enough to record anything itself.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -84,6 +85,21 @@ def width3_corpus():
 @pytest.fixture(scope="session")
 def tiny_corpus():
     return scenarios.tiny_corpus(20)
+
+
+@pytest.fixture(scope="session")
+def with_capacity():
+    """A function: the instance with every capacity set to ``capacity``."""
+
+    def scaled(instance, capacity):
+        substrate = dataclasses.replace(
+            instance.substrate,
+            node_capacity=dict.fromkeys(instance.substrate.node_capacity, capacity),
+            edge_capacity=dict.fromkeys(instance.substrate.edge_capacity, capacity),
+        )
+        return dataclasses.replace(instance, substrate=substrate)
+
+    return scaled
 
 
 @pytest.fixture(scope="session")

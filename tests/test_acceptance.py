@@ -28,6 +28,7 @@ from vnembed import (
     dump_instance,
     enumerate_valid_mappings,
     label_order,
+    mapping_cost,
     min_width_order_search,
     orientation_from_flags,
     prune_costly_mappings,
@@ -166,39 +167,68 @@ def test_criterion_3_novel_decomposition(gate, width3_corpus):
     )
 
 
+def _capacity_free_optimum(instance, reference, objective):
+    """The enumerative LP's optimum with the capacity rows dropped: every
+    request with a mapping fully accepted (profit), or each on its cheapest
+    mapping (cost)."""
+    pairs = list(zip(instance.requests, reference.enumerations))
+    if objective == "profit":
+        return sum(req.profit for req, enum in pairs if enum.mappings)
+    return sum(
+        min(mapping_cost(instance.substrate, req, m) for m in enum.mappings)
+        for req, enum in pairs
+    )
+
+
+def _differ(a, b):
+    return abs(a - b) > 1e-5 * max(1.0, abs(a), abs(b))
+
+
 @pytest.mark.criterion(4, "relaxation matches mapping enumeration")
-def test_criterion_4_lp_equality(gate, tiny_corpus):
+def test_criterion_4_lp_equality(gate, tiny_corpus, with_capacity):
+    # as drawn, no capacity of the corpus binds, so the comparison also runs
+    # with every capacity set to 0.7 and to 0.5, where requests contend
     problems = []
-    compared = 0
-    for instance in tiny_corpus:
-        orders = _labeled_orders(instance)
-        for objective in ("profit", "cost"):
-            reference = solve_enumerative(
-                instance.substrate, instance.requests, objective=objective
-            )
-            assert not any(e.truncated for e in reference.enumerations)
-            model, _ = build_novel(
-                instance.substrate, instance.requests, orders, objective
-            )
-            ours = solve(model)
-            if reference.status != ours.status:
-                problems.append(
-                    f"{instance.name}/{objective}: {reference.status} vs {ours.status}"
+    tallies = []  # per capacity: (label, compared, binding)
+    for capacity in (None, 0.7, 0.5):
+        compared = binding = 0
+        for drawn in tiny_corpus:
+            instance = drawn if capacity is None else with_capacity(drawn, capacity)
+            orders = _labeled_orders(instance)
+            for objective in ("profit", "cost"):
+                where = f"{instance.name}/{objective}/c={capacity or 'drawn'}"
+                reference = solve_enumerative(
+                    instance.substrate, instance.requests, objective=objective
                 )
-                continue
-            if reference.status != "optimal":
-                continue
-            a, b = reference.objective_value, ours.objective_value
-            if abs(a - b) > 1e-5 * max(1.0, abs(a), abs(b)):
-                problems.append(f"{instance.name}/{objective}: {a} vs {b}")
-            compared += 1
+                assert not any(e.truncated for e in reference.enumerations)
+                model, _ = build_novel(
+                    instance.substrate, instance.requests, orders, objective
+                )
+                ours = solve(model)
+                if reference.status != ours.status:
+                    problems.append(f"{where}: {reference.status} vs {ours.status}")
+                    continue
+                if reference.status != "optimal":
+                    continue
+                a, b = reference.objective_value, ours.objective_value
+                if _differ(a, b):
+                    problems.append(f"{where}: {a} vs {b}")
+                compared += 1
+                free = _capacity_free_optimum(instance, reference, objective)
+                binding += _differ(a, free)
+        tallies.append((capacity or "drawn", compared, binding))
     if len(tiny_corpus) != 20:
         problems.append(f"{len(tiny_corpus)} instances, expected 20")
+    if not any(binding for _, _, binding in tallies):
+        problems.append("no compared LP has a binding capacity")
+    compared = sum(n for _, n, _ in tallies)
+    detail = ", ".join(f"c={c} {b}/{n}" for c, n, b in tallies)
     gate(
         4,
         "relaxation matches mapping enumeration",
         not problems,
-        "; ".join(problems[:3]) or f"{compared} objective comparisons equal",
+        "; ".join(problems[:3])
+        or f"{compared} objective comparisons equal; binding capacity in {detail}",
     )
 
 

@@ -312,8 +312,10 @@ def test_decompose_rejects_unknown_formulation(tmp_path, capsys):
         (lambda values: [float("nan")] + values[1:], 2),
         (lambda values: [float("inf")] + values[1:], 2),
         (lambda values: [-v for v in values], 2),
+        # the same numbers, with every 0 and 1 written as a JSON boolean
+        (lambda values: [bool(v) if v in (0.0, 1.0) else v for v in values], 2),
     ],
-    ids=["valid", "nan", "infinity", "negated"],
+    ids=["valid", "nan", "infinity", "negated", "booleans"],
 )
 def test_decompose_rejects_values_off_the_model(tmp_path, capsys, tamper, code):
     path, sol, payload = _gadget_solution(tmp_path, capsys)
@@ -526,6 +528,10 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
          "got 1.5"),
         (("substrate", "edges", 0, "tail"), None,
          "'tail' in substrate edge must be a string or an integer, got None"),
+        (("substrate", "nodes", 0, "types", 0, "capacity"), True,
+         "'capacity' in type 'vm' at 'u1' must be a number, got True"),
+        (("requests", 0, "nodes", 0, "demand"), False,
+         "'demand' in request 'triangle' node 'i' must be a number, got False"),
     ],
     ids=[
         "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
@@ -533,6 +539,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
         "request-node-type-null", "request-edge-head-dict",
         "allowed-nodes-entry-null", "allowed-edges-entry-float",
         "substrate-node-id-bool", "substrate-type-float", "substrate-tail-null",
+        "capacity-bool", "demand-bool",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -28,7 +28,6 @@ from vnembed.decomposition import (
     DecompositionError,
     DecompositionStuckError,
     _apply_extraction,
-    _Extraction,
 )
 from vnembed.formulations import NovelState, RequestColumns
 from vnembed.scenarios import tiny_corpus, tree_corpus, width3_corpus
@@ -177,15 +176,13 @@ def test_dust_round_clears_without_emitting():
     state = NovelState(
         RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 5e-10], {}
     )
-    tracker = _Extraction()
-    tracker.cover(state.columns.x)
-    tracker.cover(state.columns.y[("i", "v1")])
+    covered = dict.fromkeys([state.columns.x, state.columns.y[("i", "v1")]])
     entries = []
     emitted = _apply_extraction(
         substrate,
         solo,
         state,
-        tracker,
+        covered,
         ValidMapping(node_map={"i": "v1"}, edge_map={}),
         entries,
     )

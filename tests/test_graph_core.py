@@ -214,13 +214,13 @@ def test_resource_stats_extremes():
     assert d_max[res_a] == 3.0
     assert a_max_upper[res_a] == 5.0
     stats = resource_stats(substrate, [req])
-    assert stats.max_demand_ratio(substrate) == pytest.approx(3.0 / 10.0)
+    assert stats.max_demand_ratio() == pytest.approx(3.0 / 10.0)
     # every node resource gets the same (5/3)^2 contribution from this request
     assert stats.congestion_sum(substrate, "node") == pytest.approx((5.0 / 3.0) ** 2)
     assert stats.congestion_sum(substrate, "edge") == pytest.approx(1.0)
     # a second copy adds its contribution; the largest ratio stays
     twice = resource_stats(substrate, [req, req])
-    assert twice.max_demand_ratio(substrate) == pytest.approx(3.0 / 10.0)
+    assert twice.max_demand_ratio() == pytest.approx(3.0 / 10.0)
     assert twice.congestion_sum(substrate, "node") == pytest.approx(
         2 * (5.0 / 3.0) ** 2
     )
@@ -270,7 +270,7 @@ def test_resource_stats_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpu
     for substrate, requests in batches:
         stats = resource_stats(substrate, requests)
         ours = (
-            stats.max_demand_ratio(substrate),
+            stats.max_demand_ratio(),
             stats.congestion_sum(substrate, "node"),
             stats.congestion_sum(substrate, "edge"),
         )

@@ -195,7 +195,7 @@ def test_every_variable_lies_in_the_unit_interval(fig3):
     # the solver keeps every variable in [0, 1] without rows saying so
     for sense, reached in ((MAXIMIZE, 1.0), (MINIMIZE, 0.0)):
         model = LPModel(sense=sense)
-        model.set_objective_coefficient(model.add_variable("free"), 1.0)
+        model.set_objective_coefficient(model.add_columns(1), 1.0)
         sol = solve(model)
         assert sol.status == "optimal"
         assert sol.values.tolist() == [reached]
@@ -246,18 +246,10 @@ def test_lp_text_export(fig3):
 )
 def test_model_without_variables_checks_its_rows(sense, rhs, status):
     model = LPModel()
-    model.add_constraint("row", [], sense, rhs)
+    model.add_rows([], [], [0], [sense == EQ], [rhs])
     sol = solve(model)
     assert sol.status == status
     assert sol.objective_value == (0.0 if status == "optimal" else None)
-
-
-def test_add_constraint_rejects_other_senses():
-    model = LPModel()
-    x = model.add_variable("x")
-    with pytest.raises(ValueError, match="unknown sense"):
-        model.add_constraint("row", [(x, 1.0)], ">=", 0.5)
-    assert model.constraints == []
 
 
 def test_unknown_objective_rejected(fig3):
@@ -349,7 +341,7 @@ def _bare_model() -> LPModel:
     """Three unconstrained columns, one of them priced negative."""
     bare = LPModel(sense=MAXIMIZE)
     for k, coef in enumerate((1.0, -2.0, 0.5)):
-        bare.set_objective_coefficient(bare.add_variable(f"v{k}"), coef)
+        bare.set_objective_coefficient(bare.add_columns(1), coef)
     return bare
 
 
@@ -560,8 +552,8 @@ def test_array_handoff_matches_the_list_handoff(
 def _malformed_model() -> LPModel:
     """An LP HiGHS refuses to take: a coefficient beyond its matrix limit."""
     model = LPModel()
-    a, b = model.add_variable("a"), model.add_variable("b")
-    model.add_constraint("huge", [(a, 1e300), (b, 1.0)], LE, 1.0)
+    a = model.add_columns(2)
+    model.add_rows([a, a + 1], [1e300, 1.0], [2], [False], [1.0])
     model.set_objective_coefficient(a, 1.0)
     return model
 
@@ -707,13 +699,14 @@ def _repeating_model() -> LPModel:
     """Rows that list one column several times; the sums depend on the
     order of the additions, and one of them is zero."""
     model = LPModel()
-    for name in ("a", "b", "c"):
-        model.add_variable(name)
-    model.add_constraint("eq", [(1, 0.1), (0, 1.0), (1, 0.2), (1, 0.3)], EQ, 0.6)
-    model.add_constraint(
-        "le", [(2, 1.0), (0, 1e16), (2, -1.0), (0, 1.0), (0, -1e16)], LE, 1.0
+    model.add_columns(3)
+    model.add_rows(
+        [1, 0, 1, 1] + [2, 0, 2, 0, 0] + [2],
+        [0.1, 1.0, 0.2, 0.3] + [1.0, 1e16, -1.0, 1.0, -1e16] + [-0.0],
+        [4, 5, 1],
+        [True, False, False],  # rows "eq", "le" and "single"
+        [0.6, 1.0, 0.0],
     )
-    model.add_constraint("single", [(2, -0.0)], LE, 0.0)
     return model
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -174,18 +173,8 @@ def _brute_force_best(tables, capacities, objective):
     return best
 
 
-def _with_capacity(instance, capacity):
-    """The instance with every capacity set to ``capacity``."""
-    substrate = dataclasses.replace(
-        instance.substrate,
-        node_capacity=dict.fromkeys(instance.substrate.node_capacity, capacity),
-        edge_capacity=dict.fromkeys(instance.substrate.edge_capacity, capacity),
-    )
-    return dataclasses.replace(instance, substrate=substrate)
-
-
 @pytest.mark.parametrize("objective", ["profit", "cost"])
-def test_integral_search_matches_brute_force(tiny_corpus, objective):
+def test_integral_search_matches_brute_force(tiny_corpus, with_capacity, objective):
     # the corpus as drawn fits every selection; with demands in [0.2, 0.8],
     # capacities of 1 and 0.7 make requests contend, so the search prunes,
     # skips requests and, for cost, may find no selection at all
@@ -193,7 +182,7 @@ def test_integral_search_matches_brute_force(tiny_corpus, objective):
     for instance in tiny_corpus:
         tables = _option_tables(instance, objective)
         for variant in (
-            instance, _with_capacity(instance, 1.0), _with_capacity(instance, 0.7)
+            instance, with_capacity(instance, 1.0), with_capacity(instance, 0.7)
         ):
             sol = solve_enumerative(
                 variant.substrate, variant.requests, objective, "ip"

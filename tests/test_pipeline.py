@@ -283,25 +283,30 @@ def test_solo_resolves_keep_what_solo_builds_keep(corpus, request):
         reference = lp_reference.preprocess_profit(
             instance.substrate, instance.requests, orders
         )
-        model, index = build_novel(
+        _, index = build_novel(
             instance.substrate, instance.requests, orders, "profit"
         )
-        assert preprocess_profit(model, index, range(len(instance.requests))) == (
-            reference
-        )
+        assert preprocess_profit(index, range(len(instance.requests))) == reference
         decisions.update(req.name in reference[2] for req in instance.requests)
     if corpus == "mixed":
         assert decisions == {True, False}
 
 
-def test_preprocessing_needs_the_profit_lp(fig3):
-    orders = [
-        min_width_order_search(Digraph.build(req.nodes, req.edges))
-        for req in fig3.requests
-    ]
-    model, index = build_novel(fig3.substrate, fig3.requests, orders, "cost")
-    with pytest.raises(ValueError, match="profit LP"):
-        preprocess_profit(model, index, [0])
+def test_preprocessing_reads_only_the_index(fig3, fig3_gadget):
+    # each solo LP is built from the index's request and order, so an index
+    # built for either objective gives the same decision
+    for instance in (fig3, fig3_gadget):
+        orders = [
+            min_width_order_search(Digraph.build(req.nodes, req.edges))
+            for req in instance.requests
+        ]
+        decisions = []
+        for objective in ("profit", "cost"):
+            _, index = build_novel(
+                instance.substrate, instance.requests, orders, objective
+            )
+            decisions.append(preprocess_profit(index, [0]))
+        assert decisions[0] == decisions[1]
 
 
 def test_pipeline_builds_one_solo_model_per_uncertified_request(

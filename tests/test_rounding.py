@@ -220,10 +220,8 @@ def test_preprocess_drops_unservable_requests(fig3):
         min_width_order_search(Digraph.build(r.nodes, r.edges))
         for r in fig3.requests
     ]
-    model, index = build_novel(fig3.substrate, fig3.requests, orders, "profit")
-    kept, kept_orders, dropped = preprocess_profit(
-        model, index, range(len(fig3.requests))
-    )
+    _, index = build_novel(fig3.substrate, fig3.requests, orders, "profit")
+    kept, kept_orders, dropped = preprocess_profit(index, range(len(fig3.requests)))
     assert kept == []
     assert kept_orders == []
     assert dropped == [r.name for r in fig3.requests]
@@ -239,8 +237,8 @@ def test_preprocess_keeps_fully_servable_requests():
         profit=2.0,
     )
     order = min_width_order_search(Digraph.build(req.nodes, req.edges))
-    model, index = build_novel(substrate, [req], [order], "profit")
-    kept, kept_orders, dropped = preprocess_profit(model, index, [0])
+    _, index = build_novel(substrate, [req], [order], "profit")
+    kept, kept_orders, dropped = preprocess_profit(index, [0])
     assert [r.name for r in kept] == ["pair"]
     assert kept_orders == [order]
     assert dropped == []
@@ -772,7 +770,7 @@ def test_sampler_checks_mappings_it_is_not_given_allocations_for(
     real = vnembed.decomposition._apply_extraction
     broken = []
 
-    def drop_an_edge(substrate, request, state, tracker, mapping, entries):
+    def drop_an_edge(substrate, request, state, covered, mapping, entries):
         if not broken:
             first = next(iter(mapping.edge_map))
             broken.append(first)
@@ -780,7 +778,7 @@ def test_sampler_checks_mappings_it_is_not_given_allocations_for(
                 node_map=mapping.node_map,
                 edge_map={e: p for e, p in mapping.edge_map.items() if e != first},
             )
-        return real(substrate, request, state, tracker, mapping, entries)
+        return real(substrate, request, state, covered, mapping, entries)
 
     monkeypatch.setattr(vnembed.decomposition, "_apply_extraction", drop_an_edge)
     monkeypatch.setattr(vnembed.pipeline, sampler.__name__, _never_called)
