@@ -21,12 +21,12 @@ disjoint paths. ``label_order`` spells this out.
 Finding a minimum-width order is NP-hard, so the default search is a
 heuristic with two candidate orders per root: the BFS orientation, and a
 degree-ordered orientation that visits low-degree frontier nodes first and
-so leaves hubs (like a half wheel's center) for last. Both passes stop as
-soon as an order meets the lower bound of 1 (forests) or 2 (anything with
-an undirected cycle). Candidates are scored on node indices by the same
-core that ``label_order`` runs (``_label_masks`` and ``_group_masks``);
-only the first candidate and a strictly narrower winner are built as
-``ExtractionOrder``s and labeled.
+so leaves hubs (like a half wheel's center) for last. Both strategies run
+one loop (``_narrowest``) over candidates scored on node indices by
+``_score``, the core of ``label_order``; the first strictly narrowest
+wins. The loop stops once a candidate meets the lower bound of 1
+(forests) or 2 (anything with an undirected cycle), and only the winner
+is built as an ``ExtractionOrder`` and rendered from its score.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 
 class RequestShaped(Protocol):
@@ -389,30 +389,33 @@ def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
     fewer than two in-edges are targets of no confluence. Raises
     ``ExtractionError`` on an invalid order.
     """
-    root, tails, heads = _order_ends(order)
+    return _render(order, _score(order.nodes, *_order_ends(order)))
+
+
+_Score = tuple[list[int], dict[int, int], list[list[tuple[list[int], int]]]]
+
+
+def _score(
+    nodes: Sequence[str], root: int, tails: Sequence[int], heads: Sequence[int]
+) -> _Score:
+    """Label masks, label roots and bag groups of an order on node indices:
+    what ``label_order`` computes. Raises ``ExtractionError`` on an invalid
+    order."""
+    masks, label_roots = _label_masks(nodes, root, tails, heads)
+    return masks, label_roots, _group_masks(len(nodes), tails, masks)
+
+
+def _render(order: ExtractionOrder, score: _Score) -> LabeledExtractionOrder:
+    """``order`` labeled from its score, in node names."""
     nodes = order.nodes
-    masks, roots = _label_masks(nodes, root, tails, heads)
-    groups = _group_masks(len(nodes), tails, masks)
+    masks, label_roots, groups = score
     return LabeledExtractionOrder(
         order=order,
         labels=tuple(_names(nodes, lab) for lab in masks),
         bags=_render_bags(nodes, groups),
-        label_roots={nodes[j]: nodes[d] for j, d in roots.items()},
+        label_roots={nodes[j]: nodes[d] for j, d in label_roots.items()},
         width=_groups_width(groups),
     )
-
-
-def _flags_width(
-    nodes: Sequence[str], root: int, ends: Sequence[tuple[int, int]],
-    reversed_flags: Sequence[bool],
-) -> int:
-    """Width of the order that ``reversed_flags`` make of the edges
-    ``ends``, without building it: what ``label_order`` would report.
-    Raises ``ExtractionError`` on an invalid order."""
-    tails = [b if flip else a for (a, b), flip in zip(ends, reversed_flags)]
-    heads = [a if flip else b for (a, b), flip in zip(ends, reversed_flags)]
-    masks, _ = _label_masks(nodes, root, tails, heads)
-    return _groups_width(_group_masks(len(nodes), tails, masks))
 
 
 def flow_labeling(order: ExtractionOrder) -> LabeledExtractionOrder:
@@ -437,27 +440,28 @@ def min_width_order_search(
 ) -> LabeledExtractionOrder:
     """Search for a low-width order.
 
-    ``per-root-bfs`` is a heuristic in two passes over the candidate roots.
-    The first takes the BFS orientation (``build_extraction_order``) of
-    each root and keeps the first strictly narrowest. The second takes the
-    degree-ordered orientation (``build_degree_order``) of each root, which
-    replaces the best so far only if strictly narrower; so whenever BFS
-    already finds the narrowest order of the two passes, that BFS order is
-    the result. Both passes stop once the best order meets the lower bound
-    (see ``_width_floor``), which cannot change the result. Only the first
-    root's BFS order and the winner are labeled; every other candidate is
-    scored on node indices. ``exhaustive`` enumerates every valid
-    orientation per candidate root and returns a true minimum; it is only
-    meant for small graphs and refuses oversized searches.
+    Both strategies score candidate orders on node indices and return the
+    first strictly narrowest, stopping once a candidate meets the lower
+    bound (see ``_width_floor``), which cannot change the result. Only
+    that winner is labeled. ``per-root-bfs`` is a heuristic: its
+    candidates are the BFS orientation (``build_extraction_order``) of each
+    root, then the degree-ordered orientation (``build_degree_order``) of
+    each root, so whenever BFS already finds the narrowest order of the
+    two, that BFS order is the result. ``exhaustive`` tries every
+    edge-reversal flag vector per candidate root, skips the invalid ones
+    and returns a true minimum; it is only meant for small graphs and
+    refuses oversized searches.
     """
     candidates = tuple(roots) if roots is not None else tuple(graph.nodes)
     if not candidates:
         raise ValueError("at least one candidate root required")
     if strategy == "per-root-bfs":
-        return _per_root_pass(graph, candidates, (_bfs_rank, _degree_rank))
-    if strategy == "exhaustive":
-        return _exhaustive_search(graph, candidates)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        scored = _ranked_candidates(graph, candidates, (_bfs_rank, _degree_rank))
+    elif strategy == "exhaustive":
+        scored = _exhaustive_candidates(graph, candidates)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _narrowest(graph, scored)
 
 
 def _width_floor(graph: RequestShaped) -> int:
@@ -473,80 +477,75 @@ def _width_floor(graph: RequestShaped) -> int:
     return 1 if len(graph.edges) < len(graph.nodes) else 2
 
 
-def _per_root_pass(
-    graph: RequestShaped, roots: Sequence[str], rankings: Sequence[_Ranking]
+def _narrowest(
+    graph: RequestShaped, candidates: Iterable[tuple[str, list[bool], _Score]]
 ) -> LabeledExtractionOrder:
-    """``per-root-bfs`` with one pass per ranking over ``roots``. The first
-    root's order under the first ranking is labeled and starts as best; any
-    other order is only scored, and replaces the best only if strictly
-    narrower. Stops at the width floor, and labels a strictly narrower
-    winner at the end: at most two labels, one where the first meets the
-    floor (every tree)."""
+    """The first strictly narrowest of the scored ``(root, reversal flags,
+    score)`` candidates, rendered. Stops at the width floor."""
     floor = _width_floor(graph)
-    adjacency = _adjacency(graph)
-    index, ends, _ = adjacency
-    flags = _ranked_flags(graph, adjacency, roots[0], rankings[0])
-    best = label_order(_orient(graph, roots[0], flags))
-    width, winner = best.width, None
-    for p, ranking in enumerate(rankings):
-        for root in roots[1:] if p == 0 else roots:
+    best = None
+    for root, flags, score in candidates:
+        width = _groups_width(score[2])
+        if best is None or width < best[0]:
+            best = (width, root, flags, score)
             if width <= floor:
                 break
+    if best is None:
+        raise ExtractionError("no valid orientation for any candidate root")
+    _, root, flags, score = best
+    return _render(_orient(graph, root, flags), score)
+
+
+def _ranked_candidates(
+    graph: RequestShaped, roots: Sequence[str], rankings: Sequence[_Ranking]
+) -> Iterator[tuple[str, list[bool], _Score]]:
+    """Each ranking's orientation of each root, ranking by ranking, scored
+    lazily. Errors of ``_ranked_flags`` and ``_score`` propagate."""
+    adjacency = _adjacency(graph)
+    index, ends, _ = adjacency
+    for ranking in rankings:
+        for root in roots:
             flags = _ranked_flags(graph, adjacency, root, ranking)
-            score = _flags_width(graph.nodes, index[root], ends, flags)
-            if score < width:
-                width, winner = score, (root, flags)
-    return best if winner is None else label_order(_orient(graph, *winner))
+            tails = [b if flip else a for (a, b), flip in zip(ends, flags)]
+            heads = [a if flip else b for (a, b), flip in zip(ends, flags)]
+            yield root, flags, _score(graph.nodes, index[root], tails, heads)
 
 
 # Cap on the edge-reversal flag vectors the exhaustive search would test,
-# summed over the candidate roots: 2**k for a root that k edges miss.
+# summed over the candidate roots in the graph: 2**k for a root k edges miss.
 _EXHAUSTIVE_LIMIT = 1 << 20
 
 
-def _exhaustive_search(
+def _exhaustive_candidates(
     graph: RequestShaped, roots: Sequence[str]
-) -> LabeledExtractionOrder:
-    total = 0
-    edge_list = list(graph.edges)
-    for root in roots:
-        free = sum(1 for (a, b) in edge_list if root not in (a, b))
-        total += 1 << free
+) -> Iterator[tuple[str, list[bool], _Score]]:
+    """Every edge-reversal flag vector of each candidate root in the graph,
+    scored lazily; vectors that give an invalid order are skipped. Refuses
+    up front if the vectors would exceed ``_EXHAUSTIVE_LIMIT``."""
+    index, ends, _ = _adjacency(graph)
+    in_graph = [(root, index[root]) for root in roots if root in index]
+    total = sum(1 << sum(r not in e for e in ends) for _, r in in_graph)
     if total > _EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive search would try {total} edge-reversal flag vectors "
             f"(limit {_EXHAUSTIVE_LIMIT}); use per-root-bfs"
         )
-    index, ends, _ = _adjacency(graph)
-    best: tuple[int, str, list[bool]] | None = None
-    for root in roots:
-        if root not in index:
-            continue  # no orientation is rooted outside the graph
+    for root, r in in_graph:
         # Edges at the root must point away from it: an edge into the root
         # would close a cycle with any path back out.
-        forced: list[bool | None] = []
-        free_ids = []
-        for k, (a, b) in enumerate(edge_list):
-            if a == root:
-                forced.append(False)
-            elif b == root:
-                forced.append(True)
-            else:
-                forced.append(None)
-                free_ids.append(k)
+        forced = [False if a == r else True if b == r else None for a, b in ends]
+        free_ids = [k for k, flip in enumerate(forced) if flip is None]
         for combo in itertools.product((False, True), repeat=len(free_ids)):
             flags = list(forced)
             for k, flip in zip(free_ids, combo):
                 flags[k] = flip
+            tails = [b if flip else a for (a, b), flip in zip(ends, flags)]
+            heads = [a if flip else b for (a, b), flip in zip(ends, flags)]
             try:
-                width = _flags_width(graph.nodes, index[root], ends, flags)
+                score = _score(graph.nodes, r, tails, heads)
             except ExtractionError:
                 continue
-            if best is None or width < best[0]:
-                best = (width, root, flags)
-    if best is None:
-        raise ExtractionError("no valid orientation for any candidate root")
-    return label_order(orientation_from_flags(graph, best[1], best[2]))
+            yield root, flags, score
 
 
 def is_cactus(graph: RequestShaped) -> bool:

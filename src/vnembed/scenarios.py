@@ -19,7 +19,8 @@ from .extraction import (
     generate_vc_gadget,
     LabeledExtractionOrder,
     _bfs_rank,
-    _per_root_pass,
+    _narrowest,
+    _ranked_candidates,
 )
 from .instances import Instance, default_allowed_edges, default_allowed_nodes
 from .model import Request, SubstrateGraph
@@ -459,9 +460,12 @@ def width3_corpus(
             pick = cand[int(rng.integers(0, len(cand)))]
             edge_list.append((pick[1], pick[0]))
         graph = Digraph.build(nodes, edge_list)
-        # the search's BFS pass alone: its degree pass would take some of
-        # these requests to width 2 and thin out the width-3 coverage
-        labeled = _per_root_pass(graph, graph.nodes, (_bfs_rank,))
+        # the search's BFS candidates alone: its degree-ordered ones would
+        # take some of these requests to width 2 and thin out the width-3
+        # coverage
+        labeled = _narrowest(
+            graph, _ranked_candidates(graph, graph.nodes, (_bfs_rank,))
+        )
         if labeled.width > 3:
             continue
         # placement restrictions keep the per-edge copy count small

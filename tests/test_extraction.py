@@ -28,7 +28,8 @@ from vnembed.extraction import (
     ExtractionOrder,
     OrientedEdge,
     _bfs_rank,
-    _per_root_pass,
+    _narrowest,
+    _ranked_candidates,
     _width_floor,
     compute_edge_bags,
     generate_half_wheel,
@@ -481,7 +482,7 @@ def test_search_never_wider_than_bfs(seed):
     found = min_width_order_search(g)
     assert found.width <= bfs.width
     assert found.width >= _width_floor(g)
-    assert _per_root_pass(g, g.nodes, (_bfs_rank,)) == bfs
+    assert _narrowest(g, _ranked_candidates(g, g.nodes, (_bfs_rank,))) == bfs
     if bfs.width == _width_floor(g):
         assert found == bfs
 
@@ -649,7 +650,8 @@ def test_search_matches_the_object_building_reference(family, request):
 
 
 def test_exhaustive_search_matches_the_reference_on_every_root():
-    for g in [generate_half_wheel(n) for n in (4, 5)] + _chorded_cacti(12, 7):
+    # up to half-wheel 8, where the width floor is reached late
+    for g in [generate_half_wheel(n) for n in range(4, 9)] + _chorded_cacti(12, 7):
         assert min_width_order_search(
             g, "exhaustive"
         ) == reference.min_width_order_search(g, "exhaustive")
@@ -688,23 +690,48 @@ def test_search_errors_match_the_reference():
 
 
 def test_search_labels_at_most_two_orders(monkeypatch, tree_corpus):
+    # every search renders exactly one order: the winner
     calls = []
-    label = extraction.label_order
+    render = extraction._render
 
-    def counting(order):
+    def counting(order, score):
         calls.append(order.root)
-        return label(order)
+        return render(order, score)
 
-    monkeypatch.setattr(extraction, "label_order", counting)
+    monkeypatch.setattr(extraction, "_render", counting)
     for inst in tree_corpus:
         for req in inst.requests:
             calls.clear()
             assert min_width_order_search(_graph(req)).width == 1
             assert len(calls) == 1
-    labeled_twice = 0
     for g in [generate_half_wheel(n) for n in range(2, 13)] + _chorded_cacti(100):
         calls.clear()
-        min_width_order_search(g)
-        assert 1 <= len(calls) <= 2
-        labeled_twice += len(calls) == 2
-    assert labeled_twice > 0
+        found = min_width_order_search(g)
+        assert calls == [found.order.root]
+
+
+def test_exhaustive_search_stops_at_the_width_floor(monkeypatch):
+    # half-wheel 8 has 41,088 flag vectors over its roots: 128 at the hub
+    # (node 0), then 8,192 at w01 (node 1), whose 8,129th vector is the
+    # first of width 2; nothing after it is scored
+    scored_roots = []
+    label_masks = extraction._label_masks
+
+    def counting(nodes, root, tails, heads):
+        scored_roots.append(root)
+        return label_masks(nodes, root, tails, heads)
+
+    g = generate_half_wheel(8)
+    expected = reference.min_width_order_search(g, "exhaustive")
+    monkeypatch.setattr(extraction, "_label_masks", counting)
+    assert min_width_order_search(g, "exhaustive") == expected
+    assert collections.Counter(scored_roots) == {0: 128, 1: 8129}
+    assert expected.width == 2 and expected.order.root == "w01"
+
+
+def test_exhaustive_limit_counts_only_request_nodes():
+    # "nope" is no node; counted, its 2**21 vectors would break the limit
+    wheel = generate_half_wheel(11)
+    found = min_width_order_search(wheel, "exhaustive", roots=["c", "nope"])
+    assert found == min_width_order_search(wheel, "exhaustive", roots=["c"])
+    assert found.width == 6
