@@ -43,7 +43,6 @@ from .formulations import (
     build_novel,
     count_novel_variables,
     embed_mapping,
-    max_violation,
 )
 from .instances import (
     Instance,
@@ -55,7 +54,7 @@ from .instances import (
     load_instance,
     loads_instance,
 )
-from .lpmodel import LPModel, LPSolution, solve, write_lp
+from .lpmodel import LPModel, LPSolution, max_violation, solve, write_lp
 from .model import (
     Request,
     SubstrateGraph,

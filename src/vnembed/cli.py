@@ -28,14 +28,14 @@ from .extraction import (
     min_width_order_search,
     orientation_from_flags,
 )
-from .formulations import BudgetExceededError, build_novel, flow_orders, max_violation
+from .formulations import BudgetExceededError, build_novel, flow_orders
 from .instances import (
     Instance,
     InstanceFormatError,
     dumps_instance,
     load_instance,
 )
-from .lpmodel import solve, write_lp
+from .lpmodel import max_violation, solve, write_lp
 from .model import validate_instance
 from .oracle import DEFAULT_MAPPING_CAP, solve_enumerative
 from .pipeline import (

@@ -50,13 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .extraction import LabeledExtractionOrder, build_extraction_order, flow_labeling
-from .lpmodel import (
-    MAXIMIZE,
-    MINIMIZE,
-    LPModel,
-    constraint_matrix,
-    primal_violation,
-)
+from .lpmodel import MAXIMIZE, MINIMIZE, LPModel
 from .model import (
     Request,
     Resource,
@@ -647,8 +641,3 @@ def embed_mapping(
             assign = tuple(mapping.node_map[l] for l in bag.labels)
             vec[cols.gamma[(node, bi, assign, mapping.node_map[node])]] = 1.0
     return vec
-
-
-def max_violation(model: LPModel, values: np.ndarray) -> float:
-    """Largest row or unit-box violation of a candidate point."""
-    return primal_violation(*constraint_matrix(model), values)

@@ -11,11 +11,24 @@ Names exist for export only. ``write_lp`` renders them through the model's
 ``namer``, which its builder sets; a model without one exports empty names.
 Nothing on the build or solve path formats a name.
 
-``solve`` assembles the rows as CSC arrays (``<=`` rows first, then ``==``
-rows, each in insertion order) and hands them to scipy's bundled HiGHS
-bindings directly, through the module-level ``_run_highs``. It passes the
-arrays and sets the options exactly as ``linprog(method="highs")`` does, so
-both return the same solution vector bit for bit, but it skips
+``solve`` first folds the model's alias rows (``fold_aliases``). The
+builders tie many columns to one other column with a row ``x_a - x_b = 0``
+(a sub-LP copy to its global host or bag column), and HiGHS would spend
+most of its presolve removing them. The columns such rows link form
+classes; each class keeps one column, the one with the most entries in the
+row buffers (the lowest index on a tie), and the solver sees the survivors
+and every other row. Which column survives decides which optimal vertex
+HiGHS returns: keeping the lowest index of each class instead moved
+enough points that the ``seed-sweep`` benchmark's accepted runs fell from 8
+to 0 of 128, while this rule keeps them at 8. Change it only after
+measuring that again. Each column then takes its survivor's value, and the
+primal check reads the model's own rows, alias rows included.
+
+``solve`` assembles the folded rows as CSC arrays (``<=`` rows first, then
+``==`` rows, each in insertion order) and hands them to scipy's bundled
+HiGHS bindings directly, through the module-level ``_run_highs``. It passes
+the arrays and sets the options exactly as ``linprog(method="highs")`` does,
+so both return the same solution vector bit for bit, but it skips
 ``linprog``'s input cleaning, option validation and per-column marginal
 loop, none of which the package reads. An optimal point that breaks a
 bound or a row by more than ``linprog``'s own post-check allows is
@@ -37,7 +50,7 @@ start. The module is registered in ``sys.modules`` under its own name, so
 a later ``import scipy.optimize`` reuses it (a second load would register
 its types twice); scipy reaches it through ``from`` imports, which find it
 there. scipy releases before 1.15 ship no such file; there ``solve`` hands
-the same rows to ``linprog``, which is imported on that path only.
+the same folded rows to ``linprog``, which is imported on that path only.
 """
 
 from __future__ import annotations
@@ -200,15 +213,6 @@ class CscMatrix(NamedTuple):
     data: np.ndarray
     shape: tuple[int, int]
 
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        """``self @ values``. Each row's products are added in column order,
-        the order of scipy's CSC product, so the sums are the same floats."""
-        col_of = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        sums = np.bincount(
-            self.indices, weights=self.data * values[col_of], minlength=self.shape[0]
-        )
-        return sums.astype(float, copy=False)  # integer zeros if no entries
-
 
 def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray]:
     """All rows as one CSC matrix with their lower and upper bounds.
@@ -245,13 +249,16 @@ def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray
     return matrix, lower, upper
 
 
-def primal_violation(
-    matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray, values: np.ndarray
-) -> float:
-    """Largest violation of ``values`` against the unit box or the rows (0 if
-    none; NaN if a value or a row sum is NaN)."""
-    lhs = matrix @ values
-    parts = ([0.0], -values, values - 1.0, lhs - upper, lower - lhs)
+def max_violation(model: LPModel, values: np.ndarray) -> float:
+    """Largest violation of ``values`` against the unit box or the model's
+    rows (0 if none; NaN if a value or a row sum is NaN)."""
+    cols, vals, lengths, eq, rhs = model.rows()
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    lhs = np.bincount(row_of, weights=vals * values[cols], minlength=len(lengths))
+    lhs = lhs.astype(float, copy=False)  # integer zeros if no entries
+    parts = (
+        [0.0], -values, values - 1.0, lhs - rhs, np.where(eq, rhs - lhs, -np.inf)
+    )
     return float(np.max(np.concatenate(parts)))
 
 
@@ -263,13 +270,79 @@ def objective_vector(model: LPModel) -> np.ndarray:
     return -c if model.sense == MAXIMIZE else c
 
 
+def fold_aliases(model: LPModel) -> tuple[LPModel, np.ndarray]:
+    """The model with its alias rows folded away, and each column's column
+    in it.
+
+    An alias row is an ``==`` row of two entries, +1 and -1 on two distinct
+    columns, with right-hand side 0. The columns that alias rows link form
+    classes, and each class keeps one column: the one with the most entries
+    in the row buffers (alias rows included), the lowest index on a tie.
+    Survivors keep their order. The alias rows go; every other row keeps
+    its place and names survivors, with a column it now names twice summed
+    by ``constraint_matrix`` as any repeat is. A class's objective
+    coefficients add up on its survivor. A model without alias rows is
+    returned as it is.
+    """
+    cols, vals, lengths, eq, rhs = model.rows()
+    n = model.num_variables
+    first = np.cumsum(lengths) - lengths
+    pair = np.flatnonzero(eq & (lengths == 2) & (rhs == 0.0))
+    head = first[pair]
+    tail = head + 1
+    alias = (
+        (cols[head] != cols[tail])
+        & (np.abs(vals[head]) == 1.0)
+        & (vals[head] == -vals[tail])
+    )
+    if not alias.any():
+        return model, np.arange(n)
+    a, b = cols[head[alias]], cols[tail[alias]]
+    # label each column with its class's lowest index: hook the higher of
+    # two roots under the lower, then jump pointers until every path is flat
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    # the survivor has the highest score: most entries, then lowest index
+    score = np.bincount(cols, minlength=n) * n + (n - 1 - np.arange(n))
+    best = np.zeros(n, dtype=score.dtype)
+    np.maximum.at(best, root, score)
+    survivor = (n - 1 - best % n)[root]
+    survives = survivor == np.arange(n)
+    column = (np.cumsum(survives) - 1)[survivor]
+    folded = LPModel(sense=model.sense)
+    folded.add_columns(int(np.count_nonzero(survives)))
+    keep = np.ones(len(lengths), dtype=bool)
+    keep[pair[alias]] = False
+    entries = np.repeat(keep, lengths)
+    folded.add_rows(
+        column[cols[entries]], vals[entries], lengths[keep], eq[keep], rhs[keep]
+    )
+    objective = np.bincount(
+        column[list(model.objective)], weights=list(model.objective.values()),
+        minlength=folded.num_variables,
+    )
+    nonzero = np.flatnonzero(objective)
+    folded.objective = dict(zip(nonzero.tolist(), objective[nonzero].tolist()))
+    return folded, column
+
+
 def solve(model: LPModel) -> LPSolution:
     """Solve with HiGHS; a status other than optimal carries no values.
 
     The objective is minimized as given, or negated for ``MAXIMIZE``, over
     the unit box, with HiGHS' dual simplex after presolve (the options of
-    ``linprog(method="highs")``). An optimal point that violates the model
-    by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
+    ``linprog(method="highs")``). The solver sees the model with its alias
+    rows folded away (``fold_aliases``), and every column takes its
+    survivor's value. An optimal point that violates the model's own rows
+    or box by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
     """
     if model.num_variables == 0:
         # With no variables every row reads ``0 <sense> rhs``.
@@ -277,11 +350,12 @@ def solve(model: LPModel) -> LPSolution:
         if np.any(np.where(eq, rhs != 0.0, rhs < 0.0)):
             return LPSolution(status="infeasible", objective_value=None, values=None)
         return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
-    matrix, lower, upper = constraint_matrix(model)
+    folded, column = fold_aliases(model)
     run = _run_highs if _highs is not None else _run_linprog
-    solution = run(objective_vector(model), matrix, lower, upper)
+    solution = run(objective_vector(folded), *constraint_matrix(folded))
     if solution.optimal:
-        violation = primal_violation(matrix, lower, upper, solution.values)
+        solution.values = solution.values[column]
+        violation = max_violation(model, solution.values)
         if not violation <= PRIMAL_TOLERANCE:
             return LPSolution(
                 status="error", objective_value=None, values=None,

@@ -38,6 +38,7 @@ from vnembed import (
     solve,
     write_lp,
 )
+from vnembed.decomposition import decompose_novel, verify_decomposition
 from vnembed.formulations import BudgetExceededError, flow_orders
 from vnembed.lpmodel import (
     EQ,
@@ -47,6 +48,7 @@ from vnembed.lpmodel import (
     LPModel,
     LPSolution,
     constraint_matrix,
+    fold_aliases,
     objective_vector,
 )
 from vnembed.scenarios import scenario_instance, tiny_corpus
@@ -273,7 +275,9 @@ def test_acceptance_fraction_bounded():
 
 
 def _linprog_reference(model: LPModel) -> LPSolution:
-    """The earlier solve: one CSR block per sense, handed to ``linprog``."""
+    """The earlier solve: one CSR block per sense, handed to ``linprog``,
+    on the model with its alias rows folded away as ``solve`` folds them."""
+    model, column = fold_aliases(model)
     n = model.num_variables
     c = np.zeros(n)
     for idx, coef in model.objective.items():
@@ -305,7 +309,9 @@ def _linprog_reference(model: LPModel) -> LPSolution:
     objective = float(res.fun)
     if model.sense == MAXIMIZE:
         objective = -objective
-    return LPSolution(status=status, objective_value=objective, values=res.x)
+    return LPSolution(
+        status=status, objective_value=objective, values=res.x[column]
+    )
 
 
 def _max_violation_loop(model: LPModel, values: np.ndarray) -> float:
@@ -712,22 +718,30 @@ def _repeating_model() -> LPModel:
 
 def test_matrix_and_product_match_scipy(fig3, fig3_gadget, tiny_corpus, tree_corpus):
     rng = np.random.default_rng(13)
+    repeating = _repeating_model()
     models = [
         *_equivalence_models(fig3, fig3_gadget, tiny_corpus, tree_corpus),
-        _repeating_model(),
+        repeating,
     ]
     for model in models:
-        matrix, _, _ = constraint_matrix(model)
+        matrix, lower, upper = constraint_matrix(model)
         reference = _scipy_matrix(model)
         assert matrix.shape == reference.shape
         assert _same(matrix.indptr, reference.indptr)
         assert _same(matrix.indices, reference.indices)
         assert _same(matrix.data, reference.data)
+        if model is repeating:
+            continue  # its row sums depend on the order of the additions
         for values in (
             rng.uniform(-1.0, 1.0, model.num_variables),
             rng.uniform(0.0, 1.0, model.num_variables) * 1e8,
         ):
-            assert _same(matrix @ values, reference @ values)
+            # the primal check sums the row buffers, not the matrix
+            lhs = reference @ values
+            parts = ([0.0], -values, values - 1.0, lhs - upper, lower - lhs)
+            assert max_violation(model, values) == pytest.approx(
+                float(np.max(np.concatenate(parts))), rel=1e-12
+            )
     # summed in insertion order into one entry per (row, column), zeros kept
     matrix, _, _ = constraint_matrix(_repeating_model())
     # (rows: "le", "single", then "eq")
@@ -737,10 +751,15 @@ def test_matrix_and_product_match_scipy(fig3, fig3_gadget, tiny_corpus, tree_cor
     assert math.copysign(1.0, matrix.data[-1]) == -1.0
 
 
+def _solver_entry():
+    """The name ``solve`` hands its arrays to, and that function."""
+    name = "_run_highs" if vnembed.lpmodel._highs is not None else "_run_linprog"
+    return name, getattr(vnembed.lpmodel, name)
+
+
 def _off_model(monkeypatch, kind):
     """Make the solve path report optimal with a point moved off the model."""
-    name = "_run_highs" if vnembed.lpmodel._highs is not None else "_run_linprog"
-    honest = getattr(vnembed.lpmodel, name)
+    name, honest = _solver_entry()
 
     def run(c, matrix, lower, upper):
         solution = honest(c, matrix, lower, upper)
@@ -786,3 +805,178 @@ def test_optimal_point_within_tolerance_stays_optimal(fig3_gadget, monkeypatch):
     assert solution.optimal
     assert solution.objective_value == honest.objective_value
     assert np.array_equal(solution.values, honest.values + 1e-5)
+
+
+def _rows_model(num_columns, rows, objective=()) -> LPModel:
+    """A minimizing model from ``(entries, sense, rhs)`` rows, each entry a
+    ``(column, coefficient)`` pair, and ``(column, coefficient)`` costs."""
+    model = LPModel()
+    model.add_columns(num_columns)
+    model.add_rows(
+        [col for entries, _, _ in rows for col, _ in entries],
+        [coef for entries, _, _ in rows for _, coef in entries],
+        [len(entries) for entries, _, _ in rows],
+        [sense == EQ for _, sense, _ in rows],
+        [rhs for _, _, rhs in rows],
+    )
+    for col, coef in objective:
+        model.set_objective_coefficient(col, coef)
+    return model
+
+
+def test_alias_chains_and_cycles_fold_onto_their_densest_column():
+    model = _rows_model(
+        10,
+        [
+            ([(0, 1.0), (2, -1.0)], EQ, 0.0),  # the chain 0 - 2 - 3 - 5
+            ([(5, 1.0), (1, 1.0)], LE, 1.0),
+            ([(2, -1.0), (3, 1.0)], EQ, 0.0),
+            ([(6, 1.0), (7, -1.0)], EQ, 0.0),  # the cycle 6 - 7 - 8
+            ([(5, 1.0), (4, 0.5)], LE, 0.75),
+            ([(7, 1.0), (8, -1.0)], EQ, 0.0),
+            ([(5, 1.0), (3, -1.0)], EQ, 0.0),
+            ([(8, -1.0), (6, 1.0)], EQ, 0.0),
+            ([(8, 1.0), (7, 1.0), (1, 1.0)], LE, 1.5),
+        ],
+        objective=[(0, 1.0), (3, 2.0), (4, 0.5), (8, -1.0), (6, -0.25), (9, 1.0)],
+    )
+    folded, column = fold_aliases(model)
+    # the chain keeps 5 (3 entries) over its lowest index 0; the cycle keeps
+    # 7, the lower of its two columns of 3 entries; 1, 4 and 9 stand alone
+    assert folded.num_variables == 5  # 1, 4, 5, 7, 9 in their order
+    assert column.tolist() == [2, 0, 2, 2, 1, 2, 3, 3, 3, 4]
+    cols, vals, lengths, eq, rhs = folded.rows()
+    assert cols.tolist() == [2, 0, 2, 1, 3, 3, 0]
+    assert vals.tolist() == [1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0]
+    assert lengths.tolist() == [2, 2, 3]
+    assert eq.tolist() == [False, False, False]
+    assert rhs.tolist() == [1.0, 0.75, 1.5]
+    assert folded.sense == model.sense
+    assert folded.objective == {1: 0.5, 2: 3.0, 3: -1.25, 4: 1.0}
+    solution = solve(model)
+    assert solution.optimal
+    assert solution.objective_value == -0.9375
+    assert solution.values.tolist() == [0.0] * 6 + [0.75] * 3 + [0.0]
+
+
+@pytest.mark.parametrize(
+    "entries, sense, rhs",
+    [
+        ([(0, 1.0), (1, -2.0)], EQ, 0.0),
+        ([(0, 1.0), (1, -1.0)], EQ, 0.5),
+        ([(0, 1.0), (1, -1.0)], LE, 0.0),
+        ([(0, 1.0), (0, -1.0)], EQ, 0.0),
+    ],
+    ids=["coefficients", "rhs", "sense", "one-column"],
+)
+def test_other_two_term_rows_are_not_aliases(entries, sense, rhs):
+    model = _rows_model(2, [(entries, sense, rhs)], objective=[(0, -1.0)])
+    folded, column = fold_aliases(model)
+    assert folded is model
+    assert column.tolist() == [0, 1]
+
+
+def test_aliased_pair_in_one_row_keeps_a_zero_entry():
+    # x0 = x1 folds x0 - x1 + x2 <= 1 onto x0 twice: the +1 and -1 sum to an
+    # explicit zero, as constraint_matrix keeps any sum of repeated entries
+    model = _rows_model(
+        3,
+        [
+            ([(0, 1.0), (1, -1.0), (2, 1.0)], LE, 1.0),
+            ([(1, 1.0), (0, -1.0)], EQ, 0.0),
+        ],
+    )
+    folded, column = fold_aliases(model)
+    assert column.tolist() == [0, 0, 1]  # a tie at 2 entries: 0 survives
+    matrix, lower, upper = constraint_matrix(folded)
+    assert matrix.indptr.tolist() == [0, 1, 2]
+    assert matrix.indices.tolist() == [0, 0]
+    assert matrix.data.tolist() == [0.0, 1.0]
+    assert lower.tolist() == [-np.inf] and upper.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("name", ["fig3-cost-gadget", "halfwheel:4"])
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+def test_model_without_alias_rows_reaches_the_solver_unchanged(
+    name, variant, monkeypatch
+):
+    instance = scenario_instance(name)
+    built, _ = build_novel(
+        instance.substrate, instance.requests, _orders(instance), variant
+    )
+    # every two-term ``== 0`` row doubled: the same LP, but no alias rows
+    cols, vals, lengths, eq, rhs = built.rows()
+    pair = eq & (lengths == 2) & (rhs == 0.0)
+    model = LPModel(sense=built.sense, objective=dict(built.objective))
+    model.add_columns(built.num_variables)
+    model.add_rows(
+        cols, vals * np.repeat(np.where(pair, 2.0, 1.0), lengths), lengths, eq, rhs
+    )
+    assert pair.any() and fold_aliases(model)[0] is model
+    entry, run = _solver_entry()
+    passed = []
+
+    def recording(*args):
+        passed.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(vnembed.lpmodel, entry, recording)
+    ours = solve(model)
+    (c, matrix, lower, upper), = passed
+    expected = constraint_matrix(model)
+    assert _same(c, objective_vector(model))
+    assert matrix.shape == expected[0].shape
+    for got, want in zip(
+        (*matrix[:3], lower, upper), (*expected[0][:3], *expected[1:])
+    ):
+        assert _same(got, want)
+    direct = run(objective_vector(model), *expected)
+    assert ours.optimal and direct.optimal
+    sign = -1.0 if model.sense == MAXIMIZE else 1.0
+    assert ours.objective_value == sign * direct.objective_value
+    assert ours.iterations == direct.iterations
+    assert _same(ours.values, direct.values)
+
+
+@pytest.mark.parametrize("capacity", [None, 0.7, 0.5], ids=["drawn", "c0.7", "c0.5"])
+def test_folded_solve_matches_the_unfolded_lp(
+    capacity, fig3, fig3_gadget, tiny_corpus, tree_corpus, cost_corpus,
+    with_capacity,
+):
+    # the fold is a fast path: the unfolded arrays solved directly reach the
+    # same status and optimum, and the point solve expands satisfies the
+    # model as built and decomposes for every request
+    _, run = _solver_entry()
+    instances = [
+        *tiny_corpus, *tree_corpus, *cost_corpus, fig3, fig3_gadget,
+        *(scenario_instance(f"halfwheel:{k}") for k in range(2, 9)),
+    ]
+    statuses, folded = set(), 0
+    for instance in instances:
+        if capacity is not None:
+            instance = with_capacity(instance, capacity)
+        orders = _orders(instance)
+        for objective in ("profit", "cost"):
+            model, index = build_novel(
+                instance.substrate, instance.requests, orders, objective
+            )
+            folded += fold_aliases(model)[0].num_variables < model.num_variables
+            ours = solve(model)
+            direct = run(objective_vector(model), *constraint_matrix(model))
+            assert ours.status == direct.status
+            statuses.add(ours.status)
+            if not ours.optimal:
+                continue
+            sign = -1.0 if model.sense == MAXIMIZE else 1.0
+            assert ours.objective_value == pytest.approx(
+                sign * direct.objective_value, rel=1e-9
+            )
+            assert max_violation(model, ours.values) <= 1e-9
+            for r, req in enumerate(instance.requests):
+                state = index.request_state(ours.values, r)
+                x, loads = state.x, dict(state.a)
+                dec = decompose_novel(instance.substrate, req, index.orders[r], state)
+                check = verify_decomposition(instance.substrate, req, dec, x, loads)
+                assert check.ok, (instance.name, objective, req.name, check)
+    assert statuses == {"optimal", "infeasible"}
+    assert folded == 2 * len(instances)

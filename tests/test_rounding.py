@@ -813,7 +813,7 @@ def _never_called(*args):
 
 @pytest.mark.parametrize(
     "workload, checks, allocations",
-    [("seed-sweep", 1640, 952), ("halfwheel-cost", 9, 6)],
+    [("seed-sweep", 1624, 944), ("halfwheel-cost", 9, 6)],
 )
 def test_mappings_checked_and_allocated_per_pass(
     workload, checks, allocations, bench_workloads, monkeypatch
