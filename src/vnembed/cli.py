@@ -5,6 +5,13 @@ generate, run. All outputs are JSON (or CSV for per-try diagnostics) to
 stdout or ``--out``. Exit codes: 0 success, 2 validation or input
 failure (a variable-budget overrun included), 3 LP infeasible, 4
 rounding unaccepted, 5 internal error.
+
+Each instance is validated once, by ``pipeline.require_valid``: the
+stage commands call it first, ``round`` and ``run`` through
+``run_pipeline``. On an invalid instance, ``round`` and the stage
+commands print the issues JSON that ``validate`` prints, to stdout or
+``--out``. ``run`` prints the failed checks, ``[validate] code:
+message; ...``, on stderr instead.
 """
 
 from __future__ import annotations
@@ -36,12 +43,13 @@ from .instances import (
     load_instance,
 )
 from .lpmodel import max_violation, solve, write_lp
-from .model import validate_instance
+from .model import ValidationReport, validate_instance
 from .oracle import DEFAULT_MAPPING_CAP, solve_enumerative
 from .pipeline import (
     PipelineConfig,
     PipelineError,
     mapping_to_dict,
+    require_valid,
     run_pipeline,
     try_records_csv,
 )
@@ -72,31 +80,19 @@ def _emit_json(data, out: str | None) -> None:
 
 def _load(path: str) -> Instance:
     instance = load_instance(path)
-    report = validate_instance(instance.substrate, instance.requests)
-    if not report.ok:
-        raise _Invalid(report)
+    require_valid(instance)
     return instance
 
 
-class _Invalid(Exception):
-    def __init__(self, report):
-        super().__init__("instance failed validation")
-        self.report = report
+def _issues(report: ValidationReport) -> dict:
+    issues = [{"code": i.code, "message": i.message} for i in report.issues]
+    return {"ok": report.ok, "issues": issues}
 
 
 def cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     report = validate_instance(instance.substrate, instance.requests)
-    _emit_json(
-        {
-            "ok": report.ok,
-            "issues": [
-                {"code": issue.code, "message": issue.message}
-                for issue in report.issues
-            ],
-        },
-        args.out,
-    )
+    _emit_json(_issues(report), args.out)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -286,16 +282,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_round(args) -> int:
-    instance = _load(args.instance)
-    config = PipelineConfig(
-        variant=args.variant,
-        seed=args.seed,
-        max_tries=args.max_tries,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-    )
-    report, rounded = run_pipeline(instance, config)
+    report, rounded = run_pipeline(load_instance(args.instance), _config(args))
     _emit_json(
         {
             "variant": rounded.variant,
@@ -372,32 +359,30 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args) -> PipelineConfig:
+def _config(args) -> PipelineConfig:
+    """The pipeline options of ``round`` and ``run``; ``round`` declares
+    neither ``--var-budget`` nor ``--include-timings``."""
     return PipelineConfig(
         variant=args.variant,
         seed=args.seed,
         max_tries=args.max_tries,
-        var_budget=args.var_budget,
+        var_budget=getattr(args, "var_budget", None),
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
-        include_timings=args.include_timings,
+        include_timings=getattr(args, "include_timings", False),
     )
 
 
 def _run_one(
-    path: str, config: PipelineConfig, out: str | None, csv_out: str | None
+    config: PipelineConfig, path: str, out: str | None, csv_out: str | None
 ) -> tuple[str, int, str, dict | None]:
     """Run one instance file; the last item is the report as written, or
     None if the run failed."""
     try:
-        instance = _load(path)
-        report, rounded = run_pipeline(instance, config)
+        report, rounded = run_pipeline(load_instance(path), config)
         text = report.to_json(include_timings=config.include_timings)
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(text, out)
         if csv_out:
             Path(csv_out).write_text(try_records_csv(rounded))
         code = EXIT_OK if rounded.accepted else EXIT_UNACCEPTED
@@ -430,10 +415,11 @@ def _plot_rows(report_dict) -> list[tuple[str, str, str, str]]:
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args)
+    config = _config(args)
     paths = args.instances
     if len(paths) > 1 and not args.out_dir:
         raise InstanceFormatError("multiple instances need --out-dir")
+    plan = [(path, args.out, args.csv) for path in paths]
     if args.out_dir:
         single = [f"--{k} {v}" for k, v in (("out", args.out), ("csv", args.csv)) if v]
         if single:
@@ -447,32 +433,22 @@ def cmd_run(args) -> int:
                 f"instances share a file stem, so their reports in --out-dir "
                 f"would overwrite each other: {', '.join(shared)}"
             )
-    plan = []
-    for path in paths:
-        if args.out_dir:
-            stem = Path(path).stem
-            out = str(Path(args.out_dir) / f"{stem}.report.json")
-            csv_out = str(Path(args.out_dir) / f"{stem}.tries.csv")
-        else:
-            out = args.out
-            csv_out = args.csv
-        plan.append((path, out, csv_out))
-    if args.out_dir:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir = Path(args.out_dir)
+        plan = [
+            (path, str(out_dir / f"{stem}.report.json"),
+             str(out_dir / f"{stem}.tries.csv"))
+            for path, stem in zip(paths, stems)
+        ]
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
     jobs = min(args.jobs, len(plan))
     if jobs > 1:
         # a forked pool starts all its workers at the first submit
         with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
-            futures = [
-                pool.submit(_run_one, path, config, out, csv_out)
-                for path, out, csv_out in plan
-            ]
+            futures = [pool.submit(_run_one, config, *task) for task in plan]
             results = [f.result() for f in futures]
     else:
-        for path, out, csv_out in plan:
-            results.append(_run_one(path, config, out, csv_out))
+        results = [_run_one(config, *task) for task in plan]
 
     if args.plot_data:
         with open(args.plot_data, "w", newline="") as fh:
@@ -494,8 +470,6 @@ def cmd_run(args) -> int:
 
 
 def _code_for(err: Exception) -> int:
-    if isinstance(err, _Invalid):
-        return EXIT_INVALID
     if isinstance(err, PipelineError):
         # a budget overrun is the user's limit, not a fault of the program
         if err.stage == "validate" or isinstance(err.__cause__, BudgetExceededError):
@@ -538,6 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write output here instead of stdout")
 
+    def pipeline_options(p):
+        p.add_argument("--variant", choices=("profit", "cost"), default="profit")
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
+        p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--gamma", type=float, default=None)
+
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("instance")
     common(p)
@@ -574,12 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("round", help="full pipeline, report the rounded solution")
     p.add_argument("instance")
-    p.add_argument("--variant", choices=("profit", "cost"), default="profit")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    pipeline_options(p)
     p.add_argument("--csv", help="write per-try diagnostics CSV here")
     common(p)
     p.set_defaults(fn=cmd_round)
@@ -600,12 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="pipeline with full report, multi-instance")
     p.add_argument("instances", nargs="+")
-    p.add_argument("--variant", choices=("profit", "cost"), default="profit")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--max-tries", type=_positive_int, default=MAX_TRIES_DEFAULT)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    pipeline_options(p)
     p.add_argument("--var-budget", type=_positive_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out-dir", help="per-instance reports land here")
@@ -626,20 +598,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _Invalid as err:
-        _emit_json(
-            {
-                "ok": False,
-                "issues": [
-                    {"code": issue.code, "message": issue.message}
-                    for issue in err.report.issues
-                ],
-            },
-            getattr(args, "out", None),
-        )
-        return EXIT_INVALID
     except Exception as err:
-        sys.stderr.write(f"error: {err}\n")
+        if isinstance(err, PipelineError) and err.report is not None:
+            # an invalid instance prints the report ``validate`` prints
+            _emit_json(_issues(err.report), args.out)
+        else:
+            sys.stderr.write(f"error: {err}\n")
         return _code_for(err)
 
 

@@ -549,67 +549,41 @@ def _exhaustive_candidates(
 
 
 def is_cactus(graph: RequestShaped) -> bool:
-    """True iff every biconnected block of the undirected multigraph view is
-    a single edge or a simple cycle. Antiparallel edge pairs count as
-    two-edge cycles."""
-    nodes = list(graph.nodes)
-    index = {u: k for k, u in enumerate(nodes)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    """True iff no edge of the undirected multigraph view (antiparallel
+    pairs are two-edge cycles) lies on two cycles. Every cycle is a sum of
+    those each edge off a BFS forest closes with its tree path, so the graph
+    is a cactus iff those tree paths share no edge."""
+    index = {u: k for k, u in enumerate(graph.nodes)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in index]
     for eid, (a, b) in enumerate(graph.edges):
         adj[index[a]].append((index[b], eid))
         adj[index[b]].append((index[a], eid))
-    disc = [-1] * len(nodes)
-    low = [0] * len(nodes)
-    timer = 0
-    edge_stack: list[int] = []
-    blocks: list[list[int]] = []
-
-    for start in range(len(nodes)):
-        if disc[start] != -1:
+    depth = [-1] * len(adj)
+    up = [(-1, -1)] * len(adj)  # each node's BFS parent and the edge to it
+    for start in range(len(adj)):
+        if depth[start] >= 0:
             continue
-        # Iterative DFS; each frame is (node, parent edge id, adjacency pos).
-        stack = [(start, -1, 0)]
-        disc[start] = low[start] = timer
-        timer += 1
-        while stack:
-            u, pe, pos = stack.pop()
-            if pos < len(adj[u]):
-                stack.append((u, pe, pos + 1))
-                v, eid = adj[u][pos]
-                if eid == pe:
-                    continue
-                if disc[v] == -1:
-                    edge_stack.append(eid)
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, eid, 0))
-                elif disc[v] < disc[u]:
-                    edge_stack.append(eid)
-                    low[u] = min(low[u], disc[v])
-            else:
-                if pe != -1:
-                    tail = next(
-                        w for w, eid2 in adj[u] if eid2 == pe
-                    )
-                    low[tail] = min(low[tail], low[u])
-                    if low[u] >= disc[tail]:
-                        block = []
-                        while True:
-                            eid2 = edge_stack.pop()
-                            block.append(eid2)
-                            if eid2 == pe:
-                                break
-                        blocks.append(block)
-    for block in blocks:
-        if len(block) == 1:
+        depth[start] = 0
+        queue = [start]
+        for u in queue:
+            for v, eid in adj[u]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    up[v] = (u, eid)
+                    queue.append(v)
+    tree = {eid for _, eid in up}
+    used: set[int] = set()
+    for eid, (a, b) in enumerate(graph.edges):
+        if eid in tree:
             continue
-        members = set()
-        for eid in block:
-            a, b = graph.edges[eid]
-            members.add(a)
-            members.add(b)
-        if len(block) != len(members):
-            return False
+        u, v = index[a], index[b]
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, step = up[u]
+            if step in used:
+                return False
+            used.add(step)
     return True
 
 

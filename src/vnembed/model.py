@@ -98,20 +98,6 @@ class SubstrateGraph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
-    def out_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        adj: dict[str, list[tuple[str, str]]] = {u: [] for u in self.nodes}
-        for e in self.edges:
-            adj[e[0]].append(e)
-        return {u: tuple(v) for u, v in adj.items()}
-
-    @cached_property
-    def in_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        adj: dict[str, list[tuple[str, str]]] = {u: [] for u in self.nodes}
-        for e in self.edges:
-            adj[e[1]].append(e)
-        return {u: tuple(v) for u, v in adj.items()}
-
-    @cached_property
     def resources(self) -> tuple[Resource, ...]:
         """All resources, node resources first, in index order."""
         node_part = [

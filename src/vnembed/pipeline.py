@@ -3,7 +3,8 @@
 Stages: validate, width analysis, joint LP construction and solve,
 profit preprocessing, convex decomposition, cost pruning, randomized
 rounding, verification. Failures surface as ``PipelineError`` carrying
-the stage name.
+the stage name. ``require_valid`` is the validate stage alone, shared with
+the CLI, so an invalid instance is one error that carries its report.
 
 The pipeline splits at the first random draw. ``relax`` runs every stage
 up to and including pruning and returns a ``Relaxation``; none of it
@@ -47,6 +48,7 @@ from .model import (
     EDGE,
     NODE,
     Request,
+    ValidationReport,
     ValidMapping,
     allocation_cost,
     collection_feasible,
@@ -71,10 +73,28 @@ CONSISTENCY_TOL = 1e-6
 
 
 class PipelineError(Exception):
-    def __init__(self, stage: str, message: str, *, infeasible: bool = False):
+    """A stage failed; ``report`` is set only by a failed ``validate``."""
+
+    def __init__(
+        self, stage: str, message: str, *, infeasible: bool = False,
+        report: ValidationReport | None = None,
+    ):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
         self.infeasible = infeasible
+        self.report = report
+
+
+def require_valid(instance: Instance) -> None:
+    """Raise ``PipelineError("validate", ...)`` with the report attached
+    unless ``validate_instance`` finds no issue."""
+    report = validate_instance(instance.substrate, instance.requests)
+    if not report.ok:
+        raise PipelineError(
+            "validate",
+            "; ".join(f"{issue.code}: {issue.message}" for issue in report.issues),
+            report=report,
+        )
 
 
 @dataclass(frozen=True)
@@ -195,13 +215,8 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    report = validate_instance(instance.substrate, instance.requests)
+    require_valid(instance)
     timings["validate"] = time.perf_counter() - t0
-    if not report.ok:
-        raise PipelineError(
-            "validate",
-            "; ".join(f"{issue.code}: {issue.message}" for issue in report.issues),
-        )
 
     t0 = time.perf_counter()
     labeled_orders: list[LabeledExtractionOrder] = []

@@ -10,17 +10,17 @@ oracle-checkable instances, costed instances).
 from __future__ import annotations
 
 import zlib
+from typing import Callable
 
 import numpy as np
 
 from .extraction import (
     Digraph,
+    LabeledExtractionOrder,
+    build_extraction_order,
     generate_half_wheel,
     generate_vc_gadget,
-    LabeledExtractionOrder,
-    _bfs_rank,
-    _narrowest,
-    _ranked_candidates,
+    label_order,
 )
 from .instances import Instance, default_allowed_edges, default_allowed_nodes
 from .model import Request, SubstrateGraph
@@ -204,34 +204,33 @@ def _seeded_graph_instance(kind: str, n: int) -> Instance:
     return Instance(name=f"{kind}:{n}", substrate=substrate, requests=(request,))
 
 
+# Every fixture under its listed name: ``<n>`` takes a positive integer,
+# ``<base>`` a key of ``VC_BASES``, a name without ``:`` no argument.
+_FIXTURES: dict[str, Callable[..., Instance]] = {
+    "fig3": lambda: _fig3(False),
+    "fig3-cost-gadget": lambda: _fig3(True),
+    "fig4": _fig4,
+    "halfwheel:<n>": _half_wheel_instance,
+    "vc-gadget:<base>": _vc_gadget_instance,
+    "cactus:<n>": lambda n: _seeded_graph_instance("cactus", n),
+    "tree:<n>": lambda n: _seeded_graph_instance("tree", n),
+    "servicechain": _service_chain,
+    "virtualcluster:<n>": _virtual_cluster,
+}
+SCENARIO_NAMES = tuple(_FIXTURES)
+
+
 def scenario_instance(name: str) -> Instance:
     """Resolve a fixture name, e.g. ``fig3`` or ``halfwheel:8``."""
     base, _, arg = name.partition(":")
-    if base == "fig3" and not arg:
-        return _fig3(False)
-    if base == "fig3-cost-gadget" and not arg:
-        return _fig3(True)
-    if base == "fig4" and not arg:
-        return _fig4()
-    if base == "halfwheel":
-        return _half_wheel_instance(_positive_int(arg, name))
-    if base == "vc-gadget" and arg:
-        return _vc_gadget_instance(arg)
-    if base == "cactus":
-        return _seeded_graph_instance("cactus", _positive_int(arg, name))
-    if base == "tree":
-        return _seeded_graph_instance("tree", _positive_int(arg, name))
-    if base == "servicechain" and not arg:
-        return _service_chain()
-    if base == "virtualcluster":
-        return _virtual_cluster(_positive_int(arg, name))
+    for listed, build in _FIXTURES.items():
+        if listed == base and not arg:
+            return build()
+        if listed == f"{base}:<n>":
+            return build(_positive_int(arg, name))
+        if listed == f"{base}:<base>" and arg:
+            return build(arg)
     raise ValueError(f"unknown scenario {name!r}")
-
-
-SCENARIO_NAMES = (
-    "fig3", "fig3-cost-gadget", "fig4", "halfwheel:<n>", "vc-gadget:<base>",
-    "cactus:<n>", "tree:<n>", "servicechain", "virtualcluster:<n>",
-)
 
 
 def _positive_int(arg: str, name: str) -> int:
@@ -460,11 +459,12 @@ def width3_corpus(
             pick = cand[int(rng.integers(0, len(cand)))]
             edge_list.append((pick[1], pick[0]))
         graph = Digraph.build(nodes, edge_list)
-        # the search's BFS candidates alone: its degree-ordered ones would
-        # take some of these requests to width 2 and thin out the width-3
-        # coverage
-        labeled = _narrowest(
-            graph, _ranked_candidates(graph, graph.nodes, (_bfs_rank,))
+        # the first narrowest BFS order: the search's degree-ordered
+        # candidates would take some of these requests to width 2 and thin
+        # out the width-3 coverage
+        labeled = min(
+            (label_order(build_extraction_order(graph, root)) for root in graph.nodes),
+            key=lambda candidate: candidate.width,
         )
         if labeled.width > 3:
             continue

@@ -17,9 +17,11 @@ from vnembed import (
     dump_instance,
     load_instance,
     run_pipeline,
+    validate_instance,
 )
 import vnembed.cli
 import vnembed.oracle
+import vnembed.pipeline
 from vnembed.cli import main
 from vnembed.instances import Instance
 from vnembed.lpmodel import LPSolution
@@ -50,12 +52,35 @@ def test_validate_roundtrip(tmp_path, capsys):
     assert report == {"ok": True, "issues": []}
 
 
-def test_validate_flags_broken_instances(tmp_path, capsys):
-    path = _generate(tmp_path, "fig3")
-    data = json.loads(path.read_text())
+def _broken_fig3(tmp_path):
+    """fig3 with a negative node capacity and a negative profit."""
+    data = json.loads(_generate(tmp_path, "fig3").read_text())
     data["substrate"]["nodes"][0]["types"][0]["capacity"] = -1.0
+    data["requests"][0]["profit"] = -2.0
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(data))
+    return broken
+
+
+# every command that validates its instance before it does its work; the
+# decompose entry is completed with a solution file of the intact fig3
+STAGE_COMMANDS = [["round"], ["width"], ["solve-lp"], ["decompose"], ["exact"]]
+
+
+def _stage_argv(tmp_path, command, instance):
+    argv = [command[0], str(instance), *command[1:]]
+    if command[0] == "decompose":
+        solution = tmp_path / "fig3-solution.json"
+        if not solution.exists():
+            fig3 = _generate(tmp_path, "fig3", stem="fig3-intact")
+            assert main(["solve-lp", str(fig3), "--solution-out", str(solution),
+                         "--out", str(tmp_path / "fig3-lp.json")]) == 0
+        argv.insert(2, str(solution))
+    return argv
+
+
+def test_validate_flags_broken_instances(tmp_path, capsys):
+    broken = _broken_fig3(tmp_path)
     assert main(["validate", str(broken)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert not report["ok"]
@@ -91,12 +116,69 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, path, value, code
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(data))
     assert main(["validate", str(broken)]) == 2
-    report = json.loads(capsys.readouterr().out)
+    issues = capsys.readouterr().out
+    report = json.loads(issues)
     assert code in {issue["code"] for issue in report["issues"]}
     with pytest.raises(PipelineError) as err:
         run_pipeline(load_instance(broken), PipelineConfig())
     assert err.value.stage == "validate"
-    assert main(["round", str(broken)]) == 2
+    assert code in {issue.code for issue in err.value.report.issues}
+    # the stage commands print validate's report, byte for byte
+    for command in STAGE_COMMANDS:
+        assert main(_stage_argv(tmp_path, command, broken)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (issues, ""), command
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS, ids=lambda c: c[0])
+def test_stage_commands_write_the_issues_to_out(tmp_path, capsys, command):
+    broken = _broken_fig3(tmp_path)
+    assert main(["validate", str(broken), "--out", str(tmp_path / "v.json")]) == 2
+    out = tmp_path / "out.json"
+    argv = _stage_argv(tmp_path, command, broken)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == (tmp_path / "v.json").read_text()
+
+
+def test_run_names_the_failed_checks_of_an_invalid_instance(tmp_path, capsys):
+    broken = _broken_fig3(tmp_path)
+    assert main(["run", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [validate] bad-capacity: ")
+    assert "; bad-profit: " in captured.err
+
+
+def test_run_batch_names_the_failed_checks_of_an_invalid_instance(
+    tmp_path, capsys
+):
+    good = _generate(tmp_path, "tree:3")
+    broken = _broken_fig3(tmp_path)
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(good), str(broken), "--out-dir", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"{good}: exit 0 (accepted)"
+    assert lines[1].startswith(f"{broken}: exit 2 ([validate] bad-capacity: ")
+    assert "; bad-profit: " in lines[1]
+    assert (out_dir / "tree-3.report.json").exists()
+    assert not (out_dir / "broken.report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["round", "run"])
+def test_round_and_run_validate_once(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def counting(substrate, requests):
+        calls.append(len(requests))
+        return validate_instance(substrate, requests)
+
+    for module in (vnembed.cli, vnembed.pipeline):
+        monkeypatch.setattr(module, "validate_instance", counting)
+    path = _generate(tmp_path, "tree:3")
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [1]
 
 
 def test_width_reports_orders(tmp_path, capsys):
