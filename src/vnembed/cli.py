@@ -3,8 +3,8 @@
 Subcommands: validate, width, solve-lp, decompose, round, exact,
 generate, run. All outputs are JSON (or CSV for per-try diagnostics) to
 stdout or ``--out``. Exit codes: 0 success, 2 validation or input
-failure (a variable-budget overrun included), 3 LP infeasible, 4
-rounding unaccepted, 5 internal error.
+failure (a variable-budget overrun and an unreadable or unwritable path
+included), 3 LP infeasible, 4 rounding unaccepted, 5 internal error.
 
 Each instance is validated once, by ``pipeline.require_valid``: the
 stage commands call it first, ``round`` and ``run`` through
@@ -20,6 +20,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -221,6 +222,10 @@ def cmd_solve_lp(args) -> int:
 def cmd_decompose(args) -> int:
     instance = _load(args.instance)
     payload = json.loads(Path(args.solution).read_text())
+    if not isinstance(payload, dict):
+        raise InstanceFormatError(
+            f"solution file must hold a JSON object, got {reprlib.repr(payload)}"
+        )
     for key in ("formulation", "variant", "values"):
         if key not in payload:
             raise InstanceFormatError(f"solution file lacks {key!r}")
@@ -479,7 +484,7 @@ def _code_for(err: Exception) -> int:
         return EXIT_INTERNAL
     input_errors = (
         InstanceFormatError, ExtractionError, BudgetExceededError, ValueError,
-        FileNotFoundError,
+        OSError,
     )
     if isinstance(err, input_errors):
         return EXIT_INVALID

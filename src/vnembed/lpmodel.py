@@ -1,38 +1,38 @@
 """A small LP container and its HiGHS solve.
 
 Every LP of the package has variables in [0, 1] and ``<=`` or ``==`` rows,
-so that is all a model can hold. A model stores its rows in flat buffers:
-one of column indices and one of coefficients, holding the rows' entries
-back to back, plus each row's length, sense flag and right-hand side.
-Nothing is stored per variable or per row, and columns and rows keep their
+so that is all a model can hold. A model stores its rows in five flat
+arrays, which its builder sets in one ``add_rows`` call: column indices and
+coefficients, holding the rows' entries back to back, plus each row's
+length, sense flag and right-hand side. Columns and rows keep their
 insertion order, so solver inputs and exported files are reproducible.
 
 Names exist for export only. ``write_lp`` renders them through the model's
 ``namer``, which its builder sets; a model without one exports empty names.
 Nothing on the build or solve path formats a name.
 
-``solve`` first folds the model's alias rows (``fold_aliases``). The
-builders tie many columns to one other column with a row ``x_a - x_b = 0``
-(a sub-LP copy to its global host or bag column), and HiGHS would spend
-most of its presolve removing them. The columns such rows link form
-classes; each class keeps one column, the one with the most entries in the
-row buffers (the lowest index on a tie), and the solver sees the survivors
-and every other row. Which column survives decides which optimal vertex
-HiGHS returns: keeping the lowest index of each class instead moved
-enough points that the ``seed-sweep`` benchmark's accepted runs fell from 8
-to 0 of 128, while this rule keeps them at 8. Change it only after
-measuring that again. Each column then takes its survivor's value, and the
-primal check reads the model's own rows, alias rows included.
+``solve`` folds the model's alias rows on the way to HiGHS. The builders
+tie many columns to one other column with a row ``x_a - x_b = 0`` (a
+sub-LP copy to its global host or bag column), and HiGHS would spend most
+of its presolve removing them. The columns such rows link form classes;
+each class keeps one column, the one with the most entries in the row
+arrays (the lowest index on a tie). The fold is a column map applied to
+the solver's arrays (``fold_aliases``, ``solver_input``), not a second
+model. Which column survives decides which optimal vertex HiGHS returns:
+keeping the lowest index of each class instead moved enough points that
+the ``seed-sweep`` benchmark's accepted runs fell from 8 to 0 of 128,
+while this rule keeps them at 8. Change it only after measuring that
+again. Each column then takes its survivor's value, and the primal check
+reads the model's own rows, alias rows included.
 
-``solve`` assembles the folded rows as CSC arrays (``<=`` rows first, then
-``==`` rows, each in insertion order) and hands them to scipy's bundled
-HiGHS bindings directly, through the module-level ``_run_highs``. It passes
-the arrays and sets the options exactly as ``linprog(method="highs")`` does,
-so both return the same solution vector bit for bit, but it skips
-``linprog``'s input cleaning, option validation and per-column marginal
-loop, none of which the package reads. An optimal point that breaks a
-bound or a row by more than ``linprog``'s own post-check allows is
-reported as an error.
+The solver gets the rows as CSC arrays (``<=`` rows first, then ``==``
+rows, each in insertion order) through scipy's bundled HiGHS bindings,
+called directly by the module-level ``_run_highs``. It passes the arrays
+and sets the options exactly as ``linprog(method="highs")`` does, so both
+return the same solution vector bit for bit, but it skips ``linprog``'s
+input cleaning, option validation and per-column marginal loop, none of
+which the package reads. An optimal point that breaks a bound or a row by
+more than ``linprog``'s own post-check allows is reported as an error.
 
 Each thread keeps one HiGHS object, made on its first solve with
 ``linprog``'s options; the slot also records the process id, so a forked
@@ -112,9 +112,13 @@ class Row(NamedTuple):
     rhs: float
 
 
+# a model's row arrays before ``add_rows``, with the types ``add_rows`` keeps
+_NO_ROWS = tuple(np.zeros(0, kind) for kind in (np.intp, float, np.intp, bool, float))
+
+
 @dataclass(eq=False)
 class LPModel:
-    """Linear program over variables in [0, 1], with rows in flat buffers.
+    """Linear program over variables in [0, 1], with rows in flat arrays.
 
     ``add_columns`` and ``add_rows`` append in bulk, and coefficients
     reference variables by index. ``namer`` returns the name of every
@@ -125,14 +129,15 @@ class LPModel:
     objective: dict[int, float] = field(default_factory=dict)
     namer: Callable[[], tuple[list[str], list[str]]] | None = None
     num_variables: int = field(default=0, init=False)
-    num_rows: int = field(default=0, init=False)
-    num_nonzeros: int = field(default=0, init=False)
-    # appended chunks, joined into one array each on first read
-    _cols: list[np.ndarray] = field(default_factory=list, init=False)
-    _vals: list[np.ndarray] = field(default_factory=list, init=False)
-    _lengths: list[np.ndarray] = field(default_factory=list, init=False)
-    _eq: list[np.ndarray] = field(default_factory=list, init=False)
-    _rhs: list[np.ndarray] = field(default_factory=list, init=False)
+    _rows: tuple[np.ndarray, ...] = field(default=_NO_ROWS, init=False)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._rows[2])
+
+    @property
+    def num_nonzeros(self) -> int:
+        return len(self._rows[0])
 
     def add_columns(self, count: int) -> int:
         """Append ``count`` unnamed columns; returns the first one's index."""
@@ -143,27 +148,22 @@ class LPModel:
         """Append rows given as arrays: ``cols`` and ``vals`` hold their
         entries back to back, ``lengths`` each row's entry count, ``eq`` its
         sense (true for ``==``) and ``rhs`` its right-hand side."""
-        self._cols.append(np.asarray(cols, dtype=np.intp))
-        self._vals.append(np.asarray(vals, dtype=float))
-        self._lengths.append(np.asarray(lengths, dtype=np.intp))
-        self._eq.append(np.asarray(eq, dtype=bool))
-        self._rhs.append(np.asarray(rhs, dtype=float))
-        self.num_rows += len(self._lengths[-1])
-        self.num_nonzeros += len(self._cols[-1])
+        rows = tuple(
+            np.asarray(new, dtype=old.dtype)
+            for new, old in zip((cols, vals, lengths, eq, rhs), self._rows)
+        )
+        if self.num_rows:
+            rows = tuple(map(np.concatenate, zip(self._rows, rows)))
+        self._rows = rows
 
     def set_objective_coefficient(self, var: int, coefficient: float) -> None:
         if coefficient:
             self.objective[var] = self.objective.get(var, 0.0) + coefficient
 
     def rows(self) -> tuple[np.ndarray, ...]:
-        """The row buffers: columns, coefficients, lengths, ``==`` flags and
-        right-hand sides, each one array in insertion order."""
-        buffers = (self._cols, self._vals, self._lengths, self._eq, self._rhs)
-        if len(self._lengths) != 1:
-            self.add_rows([], [], [], [], [])  # types an empty model's buffers
-            for chunks in buffers:
-                chunks[:] = [np.concatenate(chunks)]
-        return tuple(chunks[0] for chunks in buffers)
+        """The row arrays: columns, coefficients, lengths, ``==`` flags and
+        right-hand sides, each in insertion order."""
+        return self._rows
 
     def names(self) -> tuple[list[str], list[str]]:
         """Every column's and every row's name, for export."""
@@ -173,7 +173,7 @@ class LPModel:
 
     @property
     def constraints(self) -> list[Row]:
-        """A read-only view of every row, rendered from the buffers."""
+        """A read-only view of every row, rendered from the row arrays."""
         cols, vals, lengths, eq, rhs = self.rows()
         ends = np.cumsum(lengths).tolist()
         pairs = list(zip(cols.tolist(), vals.tolist()))
@@ -223,7 +223,11 @@ def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray
     one column are summed in insertion order into one, and kept even when
     the sum is zero.
     """
-    cols, vals, lengths, eq, rhs = model.rows()
+    return _csc(*model.rows(), model.num_variables)
+
+
+def _csc(cols, vals, lengths, eq, rhs, num_columns):
+    """``constraint_matrix`` of the given row arrays over ``num_columns``."""
     order = np.argsort(eq, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
@@ -238,14 +242,11 @@ def constraint_matrix(model: LPModel) -> tuple[CscMatrix, np.ndarray, np.ndarray
     for i in np.flatnonzero(~last).tolist():  # a row repeats a column
         vals[i + 1] += vals[i]
     by_column, vals = by_column[last], vals[last]
-    indptr = np.zeros(model.num_variables + 1, dtype=np.intp)
-    np.cumsum(
-        np.bincount(cols[by_column], minlength=model.num_variables), out=indptr[1:]
-    )
+    indptr = np.zeros(num_columns + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols[by_column], minlength=num_columns), out=indptr[1:])
     upper = rhs[order]
     lower = np.where(eq[order], upper, -np.inf)
-    shape = (len(order), model.num_variables)
-    matrix = CscMatrix(indptr, row_of[by_column], vals, shape)
+    matrix = CscMatrix(indptr, row_of[by_column], vals, (len(order), num_columns))
     return matrix, lower, upper
 
 
@@ -270,19 +271,16 @@ def objective_vector(model: LPModel) -> np.ndarray:
     return -c if model.sense == MAXIMIZE else c
 
 
-def fold_aliases(model: LPModel) -> tuple[LPModel, np.ndarray]:
-    """The model with its alias rows folded away, and each column's column
-    in it.
+def fold_aliases(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's column in the LP with its alias rows folded away, and
+    which rows are alias rows.
 
     An alias row is an ``==`` row of two entries, +1 and -1 on two distinct
     columns, with right-hand side 0. The columns that alias rows link form
     classes, and each class keeps one column: the one with the most entries
-    in the row buffers (alias rows included), the lowest index on a tie.
-    Survivors keep their order. The alias rows go; every other row keeps
-    its place and names survivors, with a column it now names twice summed
-    by ``constraint_matrix`` as any repeat is. A class's objective
-    coefficients add up on its survivor. A model without alias rows is
-    returned as it is.
+    in the row arrays (alias rows included), the lowest index on a tie.
+    Survivors keep their order. In a model without alias rows every column
+    keeps its index.
     """
     cols, vals, lengths, eq, rhs = model.rows()
     n = model.num_variables
@@ -295,8 +293,8 @@ def fold_aliases(model: LPModel) -> tuple[LPModel, np.ndarray]:
         & (np.abs(vals[head]) == 1.0)
         & (vals[head] == -vals[tail])
     )
-    if not alias.any():
-        return model, np.arange(n)
+    alias_rows = np.zeros(len(lengths), dtype=bool)
+    alias_rows[pair[alias]] = True
     a, b = cols[head[alias]], cols[tail[alias]]
     # label each column with its class's lowest index: hook the higher of
     # two roots under the lower, then jump pointers until every path is flat
@@ -315,23 +313,29 @@ def fold_aliases(model: LPModel) -> tuple[LPModel, np.ndarray]:
     best = np.zeros(n, dtype=score.dtype)
     np.maximum.at(best, root, score)
     survivor = (n - 1 - best % n)[root]
-    survives = survivor == np.arange(n)
-    column = (np.cumsum(survives) - 1)[survivor]
-    folded = LPModel(sense=model.sense)
-    folded.add_columns(int(np.count_nonzero(survives)))
-    keep = np.ones(len(lengths), dtype=bool)
-    keep[pair[alias]] = False
+    column = (np.cumsum(survivor == np.arange(n)) - 1)[survivor]
+    return column, alias_rows
+
+
+def solver_input(model: LPModel):
+    """``(column, c, matrix, lower, upper)``: the map of ``fold_aliases``,
+    then the folded LP's ``objective_vector`` and ``constraint_matrix``.
+
+    The alias rows go, and the other rows name survivors; a column a row
+    now names twice is summed as any repeat is. A class's objective adds up
+    on its survivor before ``MAXIMIZE`` negates it, so zeros stay ``-0.0``.
+    """
+    column, alias_rows = fold_aliases(model)
+    cols, vals, lengths, eq, rhs = model.rows()
+    size = int(column.max(initial=-1)) + 1
+    weights = list(model.objective.values())
+    c = np.bincount(column[list(model.objective)], weights=weights, minlength=size)
+    if model.sense == MAXIMIZE:
+        c = -c
+    keep = ~alias_rows
     entries = np.repeat(keep, lengths)
-    folded.add_rows(
-        column[cols[entries]], vals[entries], lengths[keep], eq[keep], rhs[keep]
-    )
-    objective = np.bincount(
-        column[list(model.objective)], weights=list(model.objective.values()),
-        minlength=folded.num_variables,
-    )
-    nonzero = np.flatnonzero(objective)
-    folded.objective = dict(zip(nonzero.tolist(), objective[nonzero].tolist()))
-    return folded, column
+    arrays = (column[cols[entries]], vals[entries], lengths[keep], eq[keep], rhs[keep])
+    return column, c, *_csc(*arrays, size)
 
 
 def solve(model: LPModel) -> LPSolution:
@@ -339,8 +343,8 @@ def solve(model: LPModel) -> LPSolution:
 
     The objective is minimized as given, or negated for ``MAXIMIZE``, over
     the unit box, with HiGHS' dual simplex after presolve (the options of
-    ``linprog(method="highs")``). The solver sees the model with its alias
-    rows folded away (``fold_aliases``), and every column takes its
+    ``linprog(method="highs")``). The solver sees the LP with its alias
+    rows folded away (``solver_input``), and every column takes its
     survivor's value. An optimal point that violates the model's own rows
     or box by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
     """
@@ -350,9 +354,9 @@ def solve(model: LPModel) -> LPSolution:
         if np.any(np.where(eq, rhs != 0.0, rhs < 0.0)):
             return LPSolution(status="infeasible", objective_value=None, values=None)
         return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
-    folded, column = fold_aliases(model)
+    column, *arrays = solver_input(model)
     run = _run_highs if _highs is not None else _run_linprog
-    solution = run(objective_vector(folded), *constraint_matrix(folded))
+    solution = run(*arrays)
     if solution.optimal:
         solution.values = solution.values[column]
         violation = max_violation(model, solution.values)
@@ -472,11 +476,11 @@ def _run_linprog(
 
 def write_lp(model: LPModel) -> str:
     """Render the model in the common LP text format for external checks."""
-    variables, row_names = model.names()
+    variables = model.names()[0]
 
-    def expr(cols, vals) -> str:
+    def expr(pairs) -> str:
         terms = []
-        for col, coef in zip(cols, vals):
+        for col, coef in pairs:
             if coef < 0:
                 terms.append(f"- {-coef!r} {variables[col]}")
             else:
@@ -485,17 +489,11 @@ def write_lp(model: LPModel) -> str:
         return " ".join(terms) if terms else "0"
 
     lines = ["Maximize" if model.sense == MAXIMIZE else "Minimize"]
-    lines.append(" obj: " + expr(model.objective, model.objective.values()))
+    lines.append(" obj: " + expr(model.objective.items()))
     lines.append("Subject To")
-    cols, vals, lengths, eq, rhs = model.rows()
-    cols, vals = cols.tolist(), vals.tolist()
-    end = 0
-    for name, length, is_eq, value in zip(
-        row_names, lengths.tolist(), eq.tolist(), rhs.tolist()
-    ):
-        start, end = end, end + length
-        terms = expr(cols[start:end], vals[start:end])
-        lines.append(f" {name}: {terms} {'=' if is_eq else '<='} {value!r}")
+    for row in model.constraints:
+        sense = "=" if row.sense == EQ else "<="
+        lines.append(f" {row.name}: {expr(row.coefficients)} {sense} {row.rhs!r}")
     lines.append("Bounds")
     lines.extend(f" 0.0 <= {name} <= 1.0" for name in variables)
     lines.append("End")

@@ -175,10 +175,6 @@ class Request:
         return {i: k for k, i in enumerate(self.nodes)}
 
     @cached_property
-    def edge_index(self) -> dict[tuple[str, str], int]:
-        return {e: k for k, e in enumerate(self.edges)}
-
-    @cached_property
     def referenced_types(self) -> tuple[str, ...]:
         return tuple(sorted({self.node_type[i] for i in self.nodes}))
 

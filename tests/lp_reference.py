@@ -12,8 +12,9 @@ gives decomposition the same loads.
 bindings' array overload: a ``HighsLp`` filled from ``.tolist()`` copies,
 on a new HiGHS object per solve. ``tests/test_lp.py`` checks that
 ``lpmodel._run_highs`` and ``lpmodel.solve``, which reuse one object per
-thread, return what it does, bit for bit; ``solve_fresh`` folds the alias
-rows through ``lpmodel.fold_aliases`` first, as ``solve`` does.
+thread, return what it does, bit for bit; ``solve_fresh`` solves the arrays
+of ``lpmodel.solver_input``, with the alias rows folded away, as ``solve``
+does.
 
 ``preprocess_profit`` is profit preprocessing of every request of a list,
 without a joint LP: one solo model built and solved per request.
@@ -507,9 +508,8 @@ def solve_fresh(model) -> LPSolution:
     """``lpmodel.solve`` on a new HiGHS object, without its primal check:
     the model with its alias rows folded away, solved, and each column
     given its survivor's value."""
-    folded, column = lpmodel.fold_aliases(model)
-    c = lpmodel.objective_vector(folded)
-    solution = run_highs(c, *lpmodel.constraint_matrix(folded))
+    column, *arrays = lpmodel.solver_input(model)
+    solution = run_highs(*arrays)
     if solution.optimal:
         solution.values = solution.values[column]
         if model.sense == MAXIMIZE:

@@ -371,6 +371,39 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys, values):
     assert "values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [5, "formulation variant values", ["formulation", "variant", "values"]],
+    ids=["number", "string", "list"],
+)
+def test_decompose_rejects_a_solution_that_is_no_object(tmp_path, capsys, payload):
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    sol = tmp_path / "solution.json"
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    err = capsys.readouterr().err
+    assert f"solution file must hold a JSON object, got {payload!r}" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+@pytest.mark.parametrize("command", ["width", "run", "decompose"])
+def test_input_path_that_is_no_file_is_an_input_error(
+    tmp_path, capsys, command, kind
+):
+    # a directory fails as a missing file does, for an instance and for a
+    # solution file
+    unreadable = tmp_path / "inputs"
+    if kind == "directory":
+        unreadable.mkdir()
+    argv = [command, str(unreadable)]
+    if command == "decompose":
+        argv = [command, str(_generate(tmp_path, "fig3")), str(unreadable)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(unreadable) in captured.err
+    assert captured.out == ""
+
+
 def _gadget_solution(tmp_path, capsys):
     path = _generate(tmp_path, "fig3-cost-gadget")
     sol = tmp_path / "solution.json"

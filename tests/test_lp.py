@@ -50,6 +50,7 @@ from vnembed.lpmodel import (
     constraint_matrix,
     fold_aliases,
     objective_vector,
+    solver_input,
 )
 from vnembed.scenarios import scenario_instance, tiny_corpus
 
@@ -276,14 +277,19 @@ def test_acceptance_fraction_bounded():
 
 def _linprog_reference(model: LPModel) -> LPSolution:
     """The earlier solve: one CSR block per sense, handed to ``linprog``,
-    on the model with its alias rows folded away as ``solve`` folds them."""
-    model, column = fold_aliases(model)
-    n = model.num_variables
+    on the LP with its alias rows folded away as ``solve`` folds them."""
+    column, alias_rows = fold_aliases(model)
+    n = int(column.max(initial=-1)) + 1
     c = np.zeros(n)
     for idx, coef in model.objective.items():
-        c[idx] = coef
+        c[column[idx]] += coef
     if model.sense == MAXIMIZE:
         c = -c
+    kept = [
+        con._replace(coefficients=[(column[i], coef) for i, coef in con.coefficients])
+        for con, alias in zip(model.constraints, alias_rows)
+        if not alias
+    ]
 
     def matrix(rows):
         if not rows:
@@ -297,8 +303,8 @@ def _linprog_reference(model: LPModel) -> LPSolution:
         mat = csr_matrix((data, (ri, ci)), shape=(len(rows), n))
         return mat, np.array([con.rhs for con in rows])
 
-    a_ub, b_ub = matrix([con for con in model.constraints if con.sense == LE])
-    a_eq, b_eq = matrix([con for con in model.constraints if con.sense == EQ])
+    a_ub, b_ub = matrix([con for con in kept if con.sense == LE])
+    a_eq, b_eq = matrix([con for con in kept if con.sense == EQ])
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0),
         method="highs",
@@ -807,6 +813,36 @@ def test_optimal_point_within_tolerance_stays_optimal(fig3_gadget, monkeypatch):
     assert np.array_equal(solution.values, honest.values + 1e-5)
 
 
+def _solve_recording(model, monkeypatch):
+    """``solve(model)``, and the ``(c, matrix, lower, upper)`` it handed
+    the solver."""
+    entry, run = _solver_entry()
+    passed = []
+
+    def recording(*args):
+        passed.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(vnembed.lpmodel, entry, recording)
+    solution = solve(model)
+    monkeypatch.setattr(vnembed.lpmodel, entry, run)
+    (arrays,) = passed
+    return solution, arrays
+
+
+def _assert_unfolded_input(arrays, model):
+    """``arrays`` are ``model``'s cost vector, matrix and row bounds as
+    built, bit for bit."""
+    c, matrix, lower, upper = arrays
+    expected, expected_lower, expected_upper = constraint_matrix(model)
+    assert _same(c, objective_vector(model))
+    assert matrix.shape == expected.shape
+    for got, want in zip(
+        (*matrix[:3], lower, upper), (*expected[:3], expected_lower, expected_upper)
+    ):
+        assert _same(got, want)
+
+
 def _rows_model(num_columns, rows, objective=()) -> LPModel:
     """A minimizing model from ``(entries, sense, rhs)`` rows, each entry a
     ``(column, coefficient)`` pair, and ``(column, coefficient)`` costs."""
@@ -840,19 +876,23 @@ def test_alias_chains_and_cycles_fold_onto_their_densest_column():
         ],
         objective=[(0, 1.0), (3, 2.0), (4, 0.5), (8, -1.0), (6, -0.25), (9, 1.0)],
     )
-    folded, column = fold_aliases(model)
+    column, alias_rows = fold_aliases(model)
     # the chain keeps 5 (3 entries) over its lowest index 0; the cycle keeps
     # 7, the lower of its two columns of 3 entries; 1, 4 and 9 stand alone
-    assert folded.num_variables == 5  # 1, 4, 5, 7, 9 in their order
     assert column.tolist() == [2, 0, 2, 2, 1, 2, 3, 3, 3, 4]
-    cols, vals, lengths, eq, rhs = folded.rows()
-    assert cols.tolist() == [2, 0, 2, 1, 3, 3, 0]
-    assert vals.tolist() == [1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0]
-    assert lengths.tolist() == [2, 2, 3]
-    assert eq.tolist() == [False, False, False]
-    assert rhs.tolist() == [1.0, 0.75, 1.5]
-    assert folded.sense == model.sense
-    assert folded.objective == {1: 0.5, 2: 3.0, 3: -1.25, 4: 1.0}
+    assert np.flatnonzero(~alias_rows).tolist() == [1, 4, 8]
+    # the solver gets the LP over the 5 survivors (1, 4, 5, 7, 9 in their
+    # order), with the other rows in their order and the objective summed
+    folded = _rows_model(
+        5,
+        [
+            ([(2, 1.0), (0, 1.0)], LE, 1.0),
+            ([(2, 1.0), (1, 0.5)], LE, 0.75),
+            ([(3, 1.0), (3, 1.0), (0, 1.0)], LE, 1.5),
+        ],
+        objective=[(1, 0.5), (2, 3.0), (3, -1.25), (4, 1.0)],
+    )
+    _assert_unfolded_input(solver_input(model)[1:], folded)
     solution = solve(model)
     assert solution.optimal
     assert solution.objective_value == -0.9375
@@ -871,9 +911,10 @@ def test_alias_chains_and_cycles_fold_onto_their_densest_column():
 )
 def test_other_two_term_rows_are_not_aliases(entries, sense, rhs):
     model = _rows_model(2, [(entries, sense, rhs)], objective=[(0, -1.0)])
-    folded, column = fold_aliases(model)
-    assert folded is model
+    column, alias_rows = fold_aliases(model)
     assert column.tolist() == [0, 1]
+    assert alias_rows.tolist() == [False]
+    _assert_unfolded_input(solver_input(model)[1:], model)
 
 
 def test_aliased_pair_in_one_row_keeps_a_zero_entry():
@@ -886,13 +927,30 @@ def test_aliased_pair_in_one_row_keeps_a_zero_entry():
             ([(1, 1.0), (0, -1.0)], EQ, 0.0),
         ],
     )
-    folded, column = fold_aliases(model)
+    column, alias_rows = fold_aliases(model)
     assert column.tolist() == [0, 0, 1]  # a tie at 2 entries: 0 survives
-    matrix, lower, upper = constraint_matrix(folded)
+    assert alias_rows.tolist() == [False, True]
+    _, _, matrix, lower, upper = solver_input(model)
     assert matrix.indptr.tolist() == [0, 1, 2]
     assert matrix.indices.tolist() == [0, 0]
     assert matrix.data.tolist() == [0.0, 1.0]
     assert lower.tolist() == [-np.inf] and upper.tolist() == [1.0]
+
+
+def test_folded_maximize_costs_keep_negative_zeros(fig3, monkeypatch):
+    # the class sums are negated after the fold, so every zero cost reaches
+    # the solver as -0.0, as a negated zero vector has it; negating before
+    # the sum would turn them into +0.0
+    model, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "profit")
+    assert model.sense == MAXIMIZE
+    solution, (c, matrix, _, _) = _solve_recording(model, monkeypatch)
+    assert solution.optimal
+    column, _ = fold_aliases(model)
+    assert matrix.shape[1] == len(c) < model.num_variables
+    zero = c == 0.0
+    assert zero.any() and np.signbit(c[zero]).all()
+    negated_first = np.bincount(column, weights=objective_vector(model))
+    assert not np.signbit(negated_first[zero]).any()
 
 
 @pytest.mark.parametrize("name", ["fig3-cost-gadget", "halfwheel:4"])
@@ -912,25 +970,13 @@ def test_model_without_alias_rows_reaches_the_solver_unchanged(
     model.add_rows(
         cols, vals * np.repeat(np.where(pair, 2.0, 1.0), lengths), lengths, eq, rhs
     )
-    assert pair.any() and fold_aliases(model)[0] is model
-    entry, run = _solver_entry()
-    passed = []
-
-    def recording(*args):
-        passed.append(args)
-        return run(*args)
-
-    monkeypatch.setattr(vnembed.lpmodel, entry, recording)
-    ours = solve(model)
-    (c, matrix, lower, upper), = passed
-    expected = constraint_matrix(model)
-    assert _same(c, objective_vector(model))
-    assert matrix.shape == expected[0].shape
-    for got, want in zip(
-        (*matrix[:3], lower, upper), (*expected[0][:3], *expected[1:])
-    ):
-        assert _same(got, want)
-    direct = run(objective_vector(model), *expected)
+    column, alias_rows = fold_aliases(model)
+    assert pair.any() and not alias_rows.any()
+    assert column.tolist() == list(range(model.num_variables))
+    ours, arrays = _solve_recording(model, monkeypatch)
+    _assert_unfolded_input(arrays, model)
+    _, run = _solver_entry()
+    direct = run(*arrays)
     assert ours.optimal and direct.optimal
     sign = -1.0 if model.sense == MAXIMIZE else 1.0
     assert ours.objective_value == sign * direct.objective_value
@@ -960,7 +1006,7 @@ def test_folded_solve_matches_the_unfolded_lp(
             model, index = build_novel(
                 instance.substrate, instance.requests, orders, objective
             )
-            folded += fold_aliases(model)[0].num_variables < model.num_variables
+            folded += fold_aliases(model)[0].max() + 1 < model.num_variables
             ours = solve(model)
             direct = run(objective_vector(model), *constraint_matrix(model))
             assert ours.status == direct.status
