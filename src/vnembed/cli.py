@@ -11,7 +11,8 @@ stage commands call it first, ``round`` and ``run`` through
 ``run_pipeline``. On an invalid instance, ``round`` and the stage
 commands print the issues JSON that ``validate`` prints, to stdout or
 ``--out``. ``run`` prints the failed checks, ``[validate] code:
-message; ...``, on stderr instead.
+message; ...``, on stderr instead. ``decompose`` runs the pipeline's
+``decompose_solution``, so it prints only verified decompositions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .decomposition import decompose_novel
 from .extraction import (
     Digraph,
     ExtractionError,
@@ -49,6 +49,7 @@ from .oracle import DEFAULT_MAPPING_CAP, solve_enumerative
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    decompose_solution,
     mapping_to_dict,
     require_valid,
     run_pipeline,
@@ -268,20 +269,17 @@ def cmd_decompose(args) -> int:
         raise InstanceFormatError(
             f"solution 'values' violate the model by {violation:.3g}"
         )
-    out_rows = []
-    for r, req in enumerate(instance.requests):
-        state = index.request_state(values, r)
-        dec = decompose_novel(instance.substrate, req, index.orders[r], state)
-        out_rows.append(
-            {
-                "request": req.name,
-                "entries": [
-                    {"weight": entry.weight, **mapping_to_dict(entry.mapping)}
-                    for entry in dec.entries
-                ],
-                "total_weight": dec.total_weight,
-            }
-        )
+    out_rows = [
+        {
+            "request": req.name,
+            "entries": [
+                {"weight": entry.weight, **mapping_to_dict(entry.mapping)}
+                for entry in dec.entries
+            ],
+            "total_weight": dec.total_weight,
+        }
+        for req, (dec, _) in zip(instance.requests, decompose_solution(index, values))
+    ]
     _emit_json(out_rows, args.out)
     return EXIT_OK
 

@@ -15,11 +15,12 @@ Top-level document shape:
       }]
     }
 
-Ids, types, edge endpoints and the entries of ``allowed_nodes`` and
-``allowed_edges`` are strings or integers; an integer reads as its
-decimal string. Omitted ``allowed_nodes`` expands to every substrate node
-offering the type with enough capacity for the demand; omitted
-``allowed_edges`` to every substrate edge with enough capacity.
+The name, ids, types, edge endpoints and the entries of ``allowed_nodes``
+and ``allowed_edges`` are strings or integers; an integer reads as its
+decimal string, and a null name as no name. Omitted ``allowed_nodes``
+expands to every substrate node offering the type with enough capacity
+for the demand; omitted ``allowed_edges`` to every substrate edge with
+enough capacity.
 Serialization always writes the expanded lists, so parse -> dump -> parse
 is the identity.
 """
@@ -179,8 +180,9 @@ def instance_from_dict(data: Any) -> Instance:
                 profit=_number(rentry, "profit", f"request {rid!r}", 1.0),
             )
         )
+    name = data.get("name")
     return Instance(
-        name=str(data.get("name", "")),
+        name="" if name is None else _id(name, "name", "instance"),
         substrate=substrate,
         requests=tuple(requests),
     )

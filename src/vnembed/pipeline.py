@@ -1,10 +1,13 @@
 """End-to-end embedding pipeline and its report.
 
 Stages: validate, width analysis, joint LP construction and solve,
-profit preprocessing, convex decomposition, cost pruning, randomized
-rounding, verification. Failures surface as ``PipelineError`` carrying
-the stage name. ``require_valid`` is the validate stage alone, shared with
-the CLI, so an invalid instance is one error that carries its report.
+profit preprocessing, convex decomposition, bounds, cost pruning,
+randomized rounding, verification. Each runs in ``_stage``, which times
+it and turns any failure inside it into a ``PipelineError`` naming the
+stage, and the request where the stage runs per request. Two stages are
+shared with the CLI: ``require_valid``, so an invalid instance is one
+error that carries its report, and ``decompose_solution``, which verifies
+each decomposition against the LP point it came from.
 
 The pipeline splits at the first random draw. ``relax`` runs every stage
 up to and including pruning and returns a ``Relaxation``; none of it
@@ -30,18 +33,27 @@ runs with the same instance and seed produce byte-identical JSON.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from ._version import __version__
-from .decomposition import ConvexDecomposition, decompose_novel, verify_decomposition
+from .decomposition import (
+    ConvexDecomposition,
+    DecompositionCheck,
+    DecompositionError,
+    decompose_novel,
+    verify_decomposition,
+)
 from .extraction import Digraph, LabeledExtractionOrder, min_width_order_search
-from .formulations import BudgetExceededError, NovelVariableIndex, build_novel
+from .formulations import NovelVariableIndex, build_novel
 from .instances import Instance
 from .lpmodel import BACKEND, LPModel, LPSolution, solve
 from .model import (
@@ -58,7 +70,6 @@ from .model import (
 from .rounding import (
     MAX_TRIES_DEFAULT,
     WEIGHT_TOL,
-    GuaranteeError,
     RoundedSolution,
     RoundingBounds,
     check_tri_criteria,
@@ -214,21 +225,17 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
     _check_rounding_args(config.seed, config.max_tries)
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    require_valid(instance)
-    timings["validate"] = time.perf_counter() - t0
+    with _stage("validate", timings):
+        require_valid(instance)
 
-    t0 = time.perf_counter()
-    labeled_orders: list[LabeledExtractionOrder] = []
-    for req in instance.requests:
-        graph = Digraph.build(req.nodes, req.edges)
-        try:
-            labeled_orders.append(
-                min_width_order_search(graph, strategy=config.order_strategy)
-            )
-        except Exception as err:
-            raise PipelineError("width", f"request {req.name!r}: {err}") from err
-    timings["width"] = time.perf_counter() - t0
+    orders: list[LabeledExtractionOrder] = []
+    with _stage("width", timings):
+        for req in instance.requests:
+            with _stage("width", request=req.name):
+                graph = Digraph.build(req.nodes, req.edges)
+                orders.append(
+                    min_width_order_search(graph, strategy=config.order_strategy)
+                )
 
     request_rows = [
         {
@@ -239,11 +246,10 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
             "width": labeled.width,
             "dropped": False,
         }
-        for req, labeled in zip(instance.requests, labeled_orders)
+        for req, labeled in zip(instance.requests, orders)
     ]
 
     requests = list(instance.requests)
-    orders = list(labeled_orders)
     model, index, solution = _solve_joint(
         instance, requests, orders, config, timings
     )
@@ -258,12 +264,8 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
         ]
         timings["preprocess"] = 0.0
         if uncertified:
-            t0 = time.perf_counter()
-            try:
+            with _stage("preprocess", timings):
                 _, _, dropped = preprocess_profit(index, uncertified)
-            except Exception as err:
-                raise PipelineError("preprocess", str(err)) from err
-            timings["preprocess"] = time.perf_counter() - t0
             if dropped:
                 for row in request_rows:
                     row["dropped"] = row["name"] in dropped
@@ -284,63 +286,41 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
         "constraints": model.num_rows,
     }
 
-    t0 = time.perf_counter()
-    decompositions: list[ConvexDecomposition] = []
-    decomposition_rows = []
-    for r, (req, labeled) in enumerate(zip(requests, orders)):
-        state = index.request_state(solution.values, r)
-        x_value = state.x
-        try:
-            dec = decompose_novel(instance.substrate, req, labeled, state)
-        except Exception as err:
-            raise PipelineError(
-                "decompose", f"request {req.name!r}: {err}"
-            ) from err
-        check = verify_decomposition(
-            instance.substrate, req, dec, x_value, state.a
-        )
-        if not check.ok:
-            raise PipelineError(
-                "decompose",
-                f"request {req.name!r}: completeness error "
-                f"{check.completeness_error:.3g}, overuse {check.worst_overuse:.3g}, "
-                f"invalid {check.invalid}",
-            )
-        decompositions.append(dec)
-        decomposition_rows.append(
-            {
-                "name": req.name,
-                "entries": len(dec.entries),
-                "total_weight": round(dec.total_weight, 9),
-                "completeness_error": round(check.completeness_error, 12),
-                "worst_overuse": round(check.worst_overuse, 12),
-            }
-        )
-    timings["decompose"] = time.perf_counter() - t0
+    with _stage("decompose", timings):
+        checked = decompose_solution(index, solution.values)
+    decompositions = [dec for dec, _ in checked]
+    decomposition_rows = [
+        {
+            "name": req.name,
+            "entries": len(dec.entries),
+            "total_weight": round(dec.total_weight, 9),
+            "completeness_error": round(check.completeness_error, 12),
+            "worst_overuse": round(check.worst_overuse, 12),
+        }
+        for req, (dec, check) in zip(requests, checked)
+    ]
 
-    try:
-        bounds = compute_bounds(instance.substrate, requests, config.variant)
-        bounds = _apply_overrides(bounds, config)
-    except ValueError as err:
-        raise PipelineError("bounds", str(err)) from err
+    with _stage("bounds"):
+        overrides = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma}
+        bounds = dataclasses.replace(
+            compute_bounds(instance.substrate, requests, config.variant),
+            **{key: value for key, value in overrides.items() if value is not None},
+        )
 
-    t0 = time.perf_counter()
-    if config.variant == "cost":
-        try:
-            for r, (req, row) in enumerate(zip(requests, decomposition_rows)):
-                decompositions[r], prep = prune_costly_mappings(
-                    instance.substrate, req, decompositions[r]
-                )
-                row["pruning"] = {
-                    "name": req.name,
-                    "cost_share": round(prep.cost_share, 9),
-                    "surviving_weight": round(prep.surviving_weight, 9),
-                    "removed": prep.removed,
-                }
-        except (ValueError, GuaranteeError) as err:
-            raise PipelineError("prune", str(err)) from err
     # pruning counts toward the round stage, which sampling completes
-    timings["round"] = time.perf_counter() - t0
+    with _stage("round", timings):
+        if config.variant == "cost":
+            with _stage("prune"):
+                for r, (req, row) in enumerate(zip(requests, decomposition_rows)):
+                    decompositions[r], prep = prune_costly_mappings(
+                        instance.substrate, req, decompositions[r]
+                    )
+                    row["pruning"] = {
+                        "name": req.name,
+                        "cost_share": round(prep.cost_share, 9),
+                        "surviving_weight": round(prep.surviving_weight, 9),
+                        "removed": prep.removed,
+                    }
 
     return Relaxation(
         instance=instance,
@@ -356,6 +336,29 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
     )
 
 
+def decompose_solution(
+    index: NovelVariableIndex, values: np.ndarray
+) -> list[tuple[ConvexDecomposition, DecompositionCheck]]:
+    """Peel each request's part of the LP point ``values`` into weighted
+    valid mappings and verify them against that point. Raises
+    ``PipelineError("decompose", ...)`` naming the request unless every
+    check passes; ``relax`` and ``vnembed decompose`` both run it."""
+    checked = []
+    for r, req in enumerate(index.requests):
+        with _stage("decompose", request=req.name):
+            state = index.request_state(values, r)
+            x_value = state.x  # decompose_novel drains the residual it reads
+            dec = decompose_novel(index.substrate, req, index.orders[r], state)
+            check = verify_decomposition(index.substrate, req, dec, x_value, state.a)
+            if not check.ok:
+                raise DecompositionError(
+                    f"completeness error {check.completeness_error:.3g}, "
+                    f"overuse {check.worst_overuse:.3g}, invalid {check.invalid}"
+                )
+        checked.append((dec, check))
+    return checked
+
+
 def round_relaxation(
     relaxation: Relaxation, seed: int, max_tries: int = MAX_TRIES_DEFAULT
 ) -> tuple[RunReport, RoundedSolution]:
@@ -366,20 +369,16 @@ def round_relaxation(
     instance, bounds = relaxation.instance, relaxation.bounds
     sampler = round_profit if relaxation.variant == "profit" else round_cost
     timings = dict(relaxation.timings)
-    t0 = time.perf_counter()
-    try:
+    with _stage("round", timings):
         rounded = sampler(
             instance.substrate, relaxation.requests, relaxation.decompositions,
             bounds, relaxation.lp_objective, seed, max_tries,
         )
-    except GuaranteeError as err:
-        raise PipelineError("round", str(err)) from err
-    timings["round"] += time.perf_counter() - t0
-
-    _verify_rounding(
-        instance, relaxation.requests, rounded, relaxation.variant, bounds,
-        relaxation.lp_objective,
-    )
+    with _stage("verify"):
+        _verify_rounding(
+            instance, relaxation.requests, rounded, relaxation.variant, bounds,
+            relaxation.lp_objective,
+        )
 
     rounding_row = {
         "accepted": rounded.accepted,
@@ -423,22 +422,13 @@ def _solve_joint(
 ) -> tuple[LPModel, NovelVariableIndex, LPSolution]:
     """Build and solve the decomposable LP over ``requests``; the time spent
     adds to the ``build-lp`` and ``solve-lp`` stages."""
-    t0 = time.perf_counter()
-    try:
+    with _stage("build-lp", timings):
         model, index = build_novel(
-            instance.substrate,
-            requests,
-            orders,
-            config.variant,
+            instance.substrate, requests, orders, config.variant,
             var_budget=config.var_budget,
         )
-    except BudgetExceededError as err:
-        raise PipelineError("build-lp", str(err)) from err
-    t1 = time.perf_counter()
-    solution = solve(model)
-    t2 = time.perf_counter()
-    timings["build-lp"] = timings.get("build-lp", 0.0) + t1 - t0
-    timings["solve-lp"] = timings.get("solve-lp", 0.0) + t2 - t1
+    with _stage("solve-lp", timings):
+        solution = solve(model)
     if solution.status == "infeasible":
         raise PipelineError(
             "solve-lp", "LP infeasible (cost variant cannot embed all requests)",
@@ -447,6 +437,26 @@ def _solve_joint(
     if not solution.optimal:
         raise PipelineError("solve-lp", f"solver returned {solution.outcome}")
     return model, index, solution
+
+
+@contextlib.contextmanager
+def _stage(
+    name: str, timings: dict[str, float] | None = None, request: str | None = None
+) -> Iterator[None]:
+    """Run a block as stage ``name``: add its run time to ``timings[name]``
+    if ``timings`` is given, and re-raise any exception but a
+    ``PipelineError`` as ``PipelineError(name, ...)`` from it, naming
+    ``request`` if given."""
+    start = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as err:
+        where = f"request {request!r}: " if request is not None else ""
+        raise PipelineError(name, f"{where}{err}") from err
+    if timings is not None:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 def _check_rounding_args(seed: int, max_tries: int) -> None:
@@ -465,19 +475,6 @@ def _fresh(rows: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
         {k: dict(v) if isinstance(v, dict) else v for k, v in row.items()}
         for row in rows
     ]
-
-
-def _apply_overrides(
-    bounds: RoundingBounds, config: PipelineConfig
-) -> RoundingBounds:
-    updates = {}
-    if config.alpha is not None:
-        updates["alpha"] = config.alpha
-    if config.beta is not None:
-        updates["beta"] = config.beta
-    if config.gamma is not None:
-        updates["gamma"] = config.gamma
-    return dataclasses.replace(bounds, **updates) if updates else bounds
 
 
 def _worst(utilization: dict, kind: str) -> float:

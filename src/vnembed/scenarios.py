@@ -224,7 +224,7 @@ def scenario_instance(name: str) -> Instance:
     """Resolve a fixture name, e.g. ``fig3`` or ``halfwheel:8``."""
     base, _, arg = name.partition(":")
     for listed, build in _FIXTURES.items():
-        if listed == base and not arg:
+        if listed == name:
             return build()
         if listed == f"{base}:<n>":
             return build(_positive_int(arg, name))

@@ -23,6 +23,7 @@ import vnembed.cli
 import vnembed.oracle
 import vnembed.pipeline
 from vnembed.cli import main
+from vnembed.decomposition import DecompositionCheck
 from vnembed.instances import Instance
 from vnembed.lpmodel import LPSolution
 
@@ -41,8 +42,10 @@ def test_generate_list_names(capsys):
 
 
 def test_generate_unknown_scenario(capsys):
-    assert main(["generate", "no-such-scenario"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # a fixture that takes no argument does not take an empty one either
+    for name in ("no-such-scenario", "fig3:"):
+        assert main(["generate", name]) == 2
+        assert capsys.readouterr().err == f"error: unknown scenario {name!r}\n"
 
 
 def test_validate_roundtrip(tmp_path, capsys):
@@ -446,6 +449,29 @@ def test_decompose_rejects_values_off_the_model(tmp_path, capsys, tamper, code):
         assert "values" in captured.err
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_decompose_prints_only_verified_decompositions(
+    tmp_path, capsys, monkeypatch, to_file
+):
+    path, sol, _ = _gadget_solution(tmp_path, capsys)
+    failed = DecompositionCheck(
+        completeness_error=0.25, worst_overuse=0.0, invalid=[]
+    )
+    monkeypatch.setattr(
+        vnembed.pipeline, "verify_decomposition", lambda *args: failed
+    )
+    out = tmp_path / "decomposition.json"
+    argv = ["decompose", str(path), str(sol)] + (["--out", str(out)] * to_file)
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    assert captured.err == (
+        "error: [decompose] request 'triangle': completeness error 0.25, "
+        "overuse 0, invalid []\n"
+    )
+
+
 def test_exact_on_restricted_triangle(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["exact", str(path)]) == 0
@@ -647,6 +673,12 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
          "'capacity' in type 'vm' at 'u1' must be a number, got True"),
         (("requests", 0, "nodes", 0, "demand"), False,
          "'demand' in request 'triangle' node 'i' must be a number, got False"),
+        (("name",), {"a": 1},
+         "'name' in instance must be a string or an integer, got {'a': 1}"),
+        (("name",), [1],
+         "'name' in instance must be a string or an integer, got [1]"),
+        (("name",), True,
+         "'name' in instance must be a string or an integer, got True"),
     ],
     ids=[
         "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
@@ -654,7 +686,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
         "request-node-type-null", "request-edge-head-dict",
         "allowed-nodes-entry-null", "allowed-edges-entry-float",
         "substrate-node-id-bool", "substrate-type-float", "substrate-tail-null",
-        "capacity-bool", "demand-bool",
+        "capacity-bool", "demand-bool", "name-dict", "name-list", "name-bool",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -702,6 +734,19 @@ def test_integer_ids_stay_accepted(tmp_path, capsys):
     assert instance.requests[0].name == "7"
     assert instance.requests[0].allowed_nodes["i"] == ("1", "u4")
     assert main(["validate", str(path)]) == 0
+
+
+def test_null_name_reads_as_no_name(tmp_path):
+    data = json.loads(_generate(tmp_path, "fig3").read_text())
+    data["name"] = None
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(data))
+    instance = load_instance(path)
+    assert instance.name == ""
+    dump_instance(instance, path)
+    del data["name"]
+    assert json.loads(path.read_text()) == data
+    assert load_instance(path) == instance
 
 
 def test_round_infeasible_cost_exits_three(tmp_path, capsys):

@@ -123,6 +123,61 @@ def test_timings_are_opt_in(fig3_gadget):
     } <= set(with_timings["timings"])
 
 
+@pytest.mark.parametrize(
+    "instance, variant, timed",
+    [
+        ("fig3_gadget", "profit", {"preprocess"}),
+        ("fig3", "profit", {"preprocess"}),
+        ("fig3_gadget", "cost", set()),
+    ],
+    ids=["gadget-profit", "fig3-profit", "gadget-cost"],
+)
+def test_timing_keys_are_the_timed_stages(instance, variant, timed, request):
+    # fig3 drops its only request, so nothing is decomposed, but the
+    # decompose stage is still timed; bounds and verify never are
+    report, _ = run_pipeline(
+        request.getfixturevalue(instance),
+        PipelineConfig(variant=variant, seed=1),
+    )
+    assert set(report.timings) == timed | {
+        "validate", "width", "build-lp", "solve-lp", "decompose", "round",
+    }
+
+
+@pytest.mark.parametrize(
+    "callee, stage, instance, variant",
+    [
+        ("min_width_order_search", "width", "fig3_gadget", "profit"),
+        ("build_novel", "build-lp", "fig3_gadget", "profit"),
+        ("solve", "solve-lp", "fig3_gadget", "profit"),
+        # fig3's request needs its solo LP; the gadget's joint LP accepts it
+        ("preprocess_profit", "preprocess", "fig3", "profit"),
+        ("decompose_novel", "decompose", "fig3_gadget", "profit"),
+        ("compute_bounds", "bounds", "fig3_gadget", "profit"),
+        ("prune_costly_mappings", "prune", "fig3_gadget", "cost"),
+        ("round_profit", "round", "fig3_gadget", "profit"),
+    ],
+)
+def test_every_stage_names_its_failure(
+    callee, stage, instance, variant, request, monkeypatch
+):
+    injected = RuntimeError(f"{callee} failed")
+
+    def fail(*args, **kwargs):
+        raise injected
+
+    monkeypatch.setattr(vnembed.pipeline, callee, fail)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(
+            request.getfixturevalue(instance), PipelineConfig(variant=variant)
+        )
+    assert err.value.stage == stage
+    assert err.value.__cause__ is injected
+    # the stages that run per request name the request
+    where = "request 'triangle': " if stage in ("width", "decompose") else ""
+    assert str(err.value) == f"[{stage}] {where}{injected}"
+
+
 def _broken(model):
     return LPSolution(status="error", objective_value=None, values=None)
 
