@@ -66,7 +66,6 @@ from .model import (
     edge_resource,
     mapping_cost,
     node_resource,
-    resource_stats,
     validate_instance,
 )
 from .oracle import (

@@ -12,7 +12,9 @@ stage commands call it first, ``round`` and ``run`` through
 commands print the issues JSON that ``validate`` prints, to stdout or
 ``--out``. ``run`` prints the failed checks, ``[validate] code:
 message; ...``, on stderr instead. ``decompose`` runs the pipeline's
-``decompose_solution``, so it prints only verified decompositions.
+``decompose_solution``, so it prints only verified decompositions; a
+point that fails to decompose while off the model by more than
+``decomposition.EPS`` is an input error.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .decomposition import EPS
 from .extraction import (
     Digraph,
     ExtractionError,
@@ -269,6 +272,15 @@ def cmd_decompose(args) -> int:
         raise InstanceFormatError(
             f"solution 'values' violate the model by {violation:.3g}"
         )
+    try:
+        checked = decompose_solution(index, values)
+    except PipelineError as err:
+        if violation > EPS:  # extraction compares at EPS, not POINT_TOL
+            raise InstanceFormatError(
+                f"solution 'values' violate the model by {violation:.3g}, more "
+                f"than decomposition tolerates ({EPS:g}): {err}"
+            ) from err
+        raise
     out_rows = [
         {
             "request": req.name,
@@ -278,7 +290,7 @@ def cmd_decompose(args) -> int:
             ],
             "total_weight": dec.total_weight,
         }
-        for req, (dec, _) in zip(instance.requests, decompose_solution(index, values))
+        for req, (dec, _) in zip(instance.requests, checked)
     ]
     _emit_json(out_rows, args.out)
     return EXIT_OK

@@ -7,6 +7,9 @@ demanding edges together with placement and routing restrictions. A valid
 mapping places every request node on an allowed substrate node and routes
 every request edge along an allowed substrate path.
 
+The demand statistics behind the rounding bounds are taken by
+``rounding.compute_bounds``, in one pass per request.
+
 Node and edge identifiers are strings externally. All internal orderings
 are lexicographic on those identifiers, so that every derived structure
 (variable blocks, iteration order, reports) is reproducible.
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 # Resources are tagged tuples: ("node", node_type, node_id) for the typed
 # capacity of a substrate node, ("edge", tail, head) for edge bandwidth.
@@ -448,74 +449,3 @@ def collection_feasible(
     ok = all(used <= 1.0 + 1e-9 for used in utilization.values())
     return ok, utilization
 
-
-@dataclass(frozen=True)
-class ResourceStats:
-    """Extremal demand statistics of a batch of requests, one entry per
-    resource of ``substrate.resources``.
-
-    ``demand_ratio[j]`` is the largest single demand any request may place
-    on resource ``j``, over its capacity. ``congestion[j]`` sums
-    ``(a_max_upper / d_max) ** 2`` (see ``request_extremes``) over the
-    requests, in order, that may place a positive demand there.
-    """
-
-    demand_ratio: np.ndarray
-    congestion: np.ndarray
-
-    def max_demand_ratio(self) -> float:
-        """Largest demand to capacity ratio over all requests and resources."""
-        return float(self.demand_ratio.max(initial=0.0))
-
-    def congestion_sum(self, substrate: SubstrateGraph, kind: str) -> float:
-        """Max over resources of ``kind`` (node or edge) of ``congestion``."""
-        nodes = len(substrate.node_capacity)
-        part = {NODE: slice(None, nodes), EDGE: slice(nodes, None)}[kind]
-        return float(self.congestion[part].max(initial=0.0))
-
-
-def request_extremes(
-    substrate: SubstrateGraph, request: Request
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per resource of ``substrate.resources``: ``d_max``, the largest single
-    demand ``request`` may place there, and ``a_max_upper``, the sum of all
-    demands that may touch it, which bounds the total allocation any one
-    valid mapping can put there. Both are 0 where the request cannot reach.
-
-    The demands are added in the request's node and edge order, as a loop
-    over its allowed hosts and substrate edges would add them.
-    """
-    columns = substrate.resource_column
-    where: list[int] = []
-    demand: list[float] = []
-    for i in request.nodes:
-        t = request.node_type[i]
-        allowed = request.allowed_nodes[i]
-        where += [columns[node_resource(t, u)] for u in allowed]
-        demand += [request.node_demand[i]] * len(allowed)
-    for e in request.edges:
-        allowed = request.allowed_edges[e]
-        where += [columns[edge_resource(*se)] for se in allowed]
-        demand += [request.edge_demand[e]] * len(allowed)
-    where_array = np.array(where, dtype=np.intp)
-    demand_array = np.array(demand, dtype=float)
-    d_max = np.zeros(len(columns))
-    np.maximum.at(d_max, where_array, demand_array)
-    a_max = np.bincount(where_array, weights=demand_array, minlength=len(columns))
-    return d_max, a_max.astype(float, copy=False)  # integer zeros if no terms
-
-
-def resource_stats(
-    substrate: SubstrateGraph, requests: Sequence[Request]
-) -> ResourceStats:
-    """The ``ResourceStats`` of ``requests``, accumulated request by request."""
-    d_max = np.zeros(len(substrate.resources))
-    congestion = np.zeros(len(substrate.resources))
-    for req in requests:
-        demand, total = request_extremes(substrate, req)
-        np.maximum(d_max, demand, out=d_max)
-        ratio = np.divide(total, demand, out=np.zeros_like(total), where=demand > 0)
-        congestion += ratio * ratio
-    return ResourceStats(
-        demand_ratio=d_max / np.array(substrate.capacities), congestion=congestion
-    )

@@ -4,10 +4,11 @@ Stages: validate, width analysis, joint LP construction and solve,
 profit preprocessing, convex decomposition, bounds, cost pruning,
 randomized rounding, verification. Each runs in ``_stage``, which times
 it and turns any failure inside it into a ``PipelineError`` naming the
-stage, and the request where the stage runs per request. Two stages are
-shared with the CLI: ``require_valid``, so an invalid instance is one
-error that carries its report, and ``decompose_solution``, which verifies
-each decomposition against the LP point it came from.
+stage, and the request where the stage runs per request; it also logs
+each run as one DEBUG record. Two stages are shared with the CLI:
+``require_valid``, so an invalid instance is one error that carries its
+report, and ``decompose_solution``, which verifies each decomposition
+against the LP point it came from.
 
 The pipeline splits at the first random draw. ``relax`` runs every stage
 up to and including pruning and returns a ``Relaxation``; none of it
@@ -38,6 +39,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -81,6 +83,8 @@ from .rounding import (
 )
 
 CONSISTENCY_TOL = 1e-6
+
+_LOG = logging.getLogger(__name__)
 
 
 class PipelineError(Exception):
@@ -446,17 +450,28 @@ def _stage(
     """Run a block as stage ``name``: add its run time to ``timings[name]``
     if ``timings`` is given, and re-raise any exception but a
     ``PipelineError`` as ``PipelineError(name, ...)`` from it, naming
-    ``request`` if given."""
+    ``request`` if given. Each run logs one DEBUG record on ``_LOG`` with
+    ``stage``, ``request``, ``seconds`` and ``failure`` (or None) attributes."""
     start = time.perf_counter()
+    failure = None
     try:
         yield
-    except PipelineError:
+    except PipelineError as err:
+        failure = err
         raise
     except Exception as err:
         where = f"request {request!r}: " if request is not None else ""
-        raise PipelineError(name, f"{where}{err}") from err
+        failure = PipelineError(name, f"{where}{err}")
+        raise failure from err
+    finally:
+        seconds = time.perf_counter() - start
+        event = dict(stage=name, request=request, seconds=seconds, failure=failure)
+        _LOG.debug(
+            "stage %(stage)s, request %(request)s: %(seconds).6f s, failure "
+            "%(failure)s", event, extra=event,
+        )
     if timings is not None:
-        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+        timings[name] = timings.get(name, 0.0) + seconds
 
 
 def _check_rounding_args(seed: int, max_tries: int) -> None:

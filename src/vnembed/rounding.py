@@ -14,6 +14,10 @@ counts as best. Loads and costs come from each decomposition entry's
 ``allocation``; the sampler validates no mapping itself, since every entry
 ``decompose_novel`` returns was validated when it was extracted.
 
+``compute_bounds`` alone derives the bounds' epsilon and node and edge
+congestion sums, in one pass per request over its allowed hosts and
+substrate edges.
+
 Per-request randomness comes from independent PCG64 substreams seeded
 with ``(seed, request_index)``, so runs are reproducible per request
 regardless of how many other requests exist. Tries are evaluated in
@@ -37,7 +41,6 @@ from .extraction import LabeledExtractionOrder
 from .formulations import NovelVariableIndex, build_novel
 from .lpmodel import solve
 from .model import (
-    EDGE,
     NODE,
     Request,
     Resource,
@@ -45,7 +48,8 @@ from .model import (
     ValidMapping,
     allocation_cost,
     collection_feasible,
-    resource_stats,
+    edge_resource,
+    node_resource,
 )
 
 ACCEPT_TOL = 1e-9
@@ -112,20 +116,49 @@ def bounds_from_parameters(
 
 
 def compute_bounds(
-    substrate: SubstrateGraph,
-    requests: Sequence[Request],
-    variant: str,
+    substrate: SubstrateGraph, requests: Sequence[Request], variant: str
 ) -> RoundingBounds:
-    """Derive tri-criteria targets from instance statistics."""
-    stats = resource_stats(substrate, requests)
-    types = set()
+    """Derive the tri-criteria targets of ``requests`` on ``substrate``.
+
+    Per request and resource, ``peak`` is the largest single demand the
+    request may place there and ``total`` the sum, in node then edge order,
+    of all its demands that may touch it, which bounds what one valid
+    mapping puts there. epsilon is the largest ``peak / capacity``; a
+    resource's congestion sums ``(total / peak) ** 2`` over the requests,
+    in order, with a positive peak there, and delta_nodes and delta_edges
+    are its maxima over node and edge resources (0 for an empty batch).
+    """
+    columns = substrate.resource_column
+    largest = np.zeros(len(columns))
+    congestion = np.zeros(len(columns))
+    types: set[str] = set()
     for req in requests:
+        where: list[int] = []
+        demand: list[float] = []
+        for i in req.nodes:
+            allowed = req.allowed_nodes[i]
+            where += [columns[node_resource(req.node_type[i], u)] for u in allowed]
+            demand += [req.node_demand[i]] * len(allowed)
+        for e in req.edges:
+            allowed = req.allowed_edges[e]
+            where += [columns[edge_resource(*se)] for se in allowed]
+            demand += [req.edge_demand[e]] * len(allowed)
+        where_array = np.array(where, dtype=np.intp)
+        demand_array = np.array(demand, dtype=float)
+        peak = np.zeros(len(columns))
+        np.maximum.at(peak, where_array, demand_array)
+        total = np.bincount(where_array, weights=demand_array, minlength=len(columns))
+        np.maximum(largest, peak, out=largest)
+        reach = peak > 0
+        share = total[reach] / peak[reach]
+        congestion[reach] += share * share
         types.update(req.referenced_types)
+    nodes = len(substrate.node_capacity)
     return bounds_from_parameters(
         variant,
-        stats.max_demand_ratio(),
-        stats.congestion_sum(substrate, NODE),
-        stats.congestion_sum(substrate, EDGE),
+        float((largest / np.array(substrate.capacities)).max(initial=0.0)),
+        float(congestion[:nodes].max(initial=0.0)),
+        float(congestion[nodes:].max(initial=0.0)),
         len(substrate.nodes),
         len(types),
     )

@@ -6,6 +6,7 @@ import concurrent.futures
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
 from vnembed import (
@@ -447,6 +448,33 @@ def test_decompose_rejects_values_off_the_model(tmp_path, capsys, tamper, code):
         assert row["total_weight"] == pytest.approx(payload["objective"], abs=1e-6)
     else:
         assert "values" in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_names_a_point_too_far_off_the_model_to_decompose(
+    tmp_path, capsys, seed
+):
+    # noise below POINT_TOL passes the file check but leaves the point off
+    # the model by more than extraction's EPS, so it cannot be peeled apart
+    path = _generate(tmp_path, "fig3-cost-gadget")
+    sol = tmp_path / "solution.json"
+    argv = ["solve-lp", str(path), "--variant", "cost", "--solution-out", str(sol)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["decompose", str(path), str(sol)]) == 0
+    capsys.readouterr()
+    payload = json.loads(sol.read_text())
+    values = np.array(payload["values"])
+    positive = values > 0
+    noise = np.random.default_rng(seed).uniform(-5e-7, 5e-7, positive.sum())
+    values[positive] += noise
+    payload["values"] = values.tolist()
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solution 'values' violate the model by ")
+    assert "[decompose] request 'triangle': " in captured.err
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

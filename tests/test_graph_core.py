@@ -18,15 +18,15 @@ from vnembed import (
     check_valid_mapping,
     collection_feasible,
     compute_allocations,
+    compute_bounds,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
     mapping_cost,
-    resource_stats,
     validate_instance,
 )
-from vnembed.model import edge_resource, node_resource, request_extremes
+from vnembed.model import edge_resource, node_resource
 from vnembed.scenarios import random_request, random_substrate, random_tree_graph
 
 
@@ -206,24 +206,21 @@ def test_collection_feasible_reports_utilization():
     assert not ok
 
 
-def test_resource_stats_extremes():
+def test_compute_bounds_extremes():
     substrate = square_substrate()
     req = chain_request(substrate)
-    res_a = substrate.resource_column[node_resource("vm", "a")]
-    d_max, a_max_upper = request_extremes(substrate, req)
-    assert d_max[res_a] == 3.0
-    assert a_max_upper[res_a] == 5.0
-    stats = resource_stats(substrate, [req])
-    assert stats.max_demand_ratio() == pytest.approx(3.0 / 10.0)
-    # every node resource gets the same (5/3)^2 contribution from this request
-    assert stats.congestion_sum(substrate, "node") == pytest.approx((5.0 / 3.0) ** 2)
-    assert stats.congestion_sum(substrate, "edge") == pytest.approx(1.0)
+    # the largest demand on node a is y's 3.0 of capacity 10
+    once = compute_bounds(substrate, [req], "profit")
+    assert once.epsilon == pytest.approx(3.0 / 10.0)
+    # every node resource gets the same (5/3)^2 contribution from this
+    # request: demands 2 + 3 may touch it, the largest single one is 3
+    assert once.delta_nodes == pytest.approx((5.0 / 3.0) ** 2)
+    assert once.delta_edges == pytest.approx(1.0)
     # a second copy adds its contribution; the largest ratio stays
-    twice = resource_stats(substrate, [req, req])
-    assert twice.max_demand_ratio() == pytest.approx(3.0 / 10.0)
-    assert twice.congestion_sum(substrate, "node") == pytest.approx(
-        2 * (5.0 / 3.0) ** 2
-    )
+    twice = compute_bounds(substrate, [req, req], "profit")
+    assert twice.epsilon == pytest.approx(3.0 / 10.0)
+    assert twice.delta_nodes == pytest.approx(2 * (5.0 / 3.0) ** 2)
+    assert twice.delta_edges == pytest.approx(2.0)
 
 
 def _bounds_loop(substrate, requests) -> tuple[float, float, float]:
@@ -256,7 +253,7 @@ def _bounds_loop(substrate, requests) -> tuple[float, float, float]:
     return ratio, sums[0], sums[1]
 
 
-def test_resource_stats_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpus):
+def test_compute_bounds_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpus):
     rng = np.random.default_rng(3)
     substrate = random_substrate(rng, 12)
     crowd = [
@@ -268,12 +265,8 @@ def test_resource_stats_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpu
         for instance in (*tiny_corpus, *tree_corpus, *cost_corpus)
     ] + [(substrate, crowd), (substrate, [])]
     for substrate, requests in batches:
-        stats = resource_stats(substrate, requests)
-        ours = (
-            stats.max_demand_ratio(),
-            stats.congestion_sum(substrate, "node"),
-            stats.congestion_sum(substrate, "edge"),
-        )
+        b = compute_bounds(substrate, requests, "profit")
+        ours = (b.epsilon, b.delta_nodes, b.delta_edges)
         # the same floats, not just close ones
         assert ours == _bounds_loop(substrate, requests)
         assert all(type(value) is float for value in ours)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -144,6 +145,33 @@ def test_timing_keys_are_the_timed_stages(instance, variant, timed, request):
     }
 
 
+def test_stage_events_go_through_logging(fig3, caplog):
+    caplog.set_level(logging.DEBUG, logger="vnembed.pipeline")
+    report, _ = run_pipeline(fig3, PipelineConfig(variant="profit", seed=1))
+    records = [r for r in caplog.records if r.name == "vnembed.pipeline"]
+    # an inner stage logs before the stage around it; fig3's request fails
+    # its solo LP, so the joint LP is built and solved again without it and
+    # nothing is left to decompose
+    assert [(r.stage, r.request) for r in records] == [
+        ("validate", None),
+        ("width", "triangle"),
+        ("width", None),
+        ("build-lp", None),
+        ("solve-lp", None),
+        ("preprocess", None),
+        ("build-lp", None),
+        ("solve-lp", None),
+        ("decompose", None),
+        ("bounds", None),
+        ("round", None),
+        ("round", None),
+        ("verify", None),
+    ]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert all(r.failure is None and r.seconds >= 0.0 for r in records)
+    assert report.requests[0]["dropped"] is True
+
+
 @pytest.mark.parametrize(
     "callee, stage, instance, variant",
     [
@@ -159,8 +187,9 @@ def test_timing_keys_are_the_timed_stages(instance, variant, timed, request):
     ],
 )
 def test_every_stage_names_its_failure(
-    callee, stage, instance, variant, request, monkeypatch
+    callee, stage, instance, variant, request, monkeypatch, caplog
 ):
+    caplog.set_level(logging.DEBUG, logger="vnembed.pipeline")
     injected = RuntimeError(f"{callee} failed")
 
     def fail(*args, **kwargs):
@@ -176,6 +205,10 @@ def test_every_stage_names_its_failure(
     # the stages that run per request name the request
     where = "request 'triangle': " if stage in ("width", "decompose") else ""
     assert str(err.value) == f"[{stage}] {where}{injected}"
+    # the failing stage logs the error first, every stage around it again
+    failed = [r for r in caplog.records if r.failure is not None]
+    assert failed[0].stage == stage
+    assert all(r.failure is err.value for r in failed)
 
 
 def _broken(model):
