@@ -11,10 +11,11 @@ stage commands call it first, ``round`` and ``run`` through
 ``run_pipeline``. On an invalid instance, ``round`` and the stage
 commands print the issues JSON that ``validate`` prints, to stdout or
 ``--out``. ``run`` prints the failed checks, ``[validate] code:
-message; ...``, on stderr instead. ``decompose`` runs the pipeline's
-``decompose_solution``, so it prints only verified decompositions; a
-point that fails to decompose while off the model by more than
-``decomposition.EPS`` is an input error.
+message; ...``, on stderr instead. ``decompose`` checks a solution
+file's point once, at ``decomposition.EPS``, the tolerance extraction
+works at: a point off the model by more is an input error. It then runs
+the pipeline's ``decompose_solution``, so it prints only verified
+decompositions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from ._version import __version__
 from .decomposition import EPS
 from .extraction import (
-    Digraph,
     ExtractionError,
     flow_labeling,
     label_order,
@@ -68,8 +68,6 @@ EXIT_UNACCEPTED = 4
 EXIT_INTERNAL = 5
 
 FORMULATIONS = ("mcf", "novel")
-# Largest row or bound violation a solution file's values may show.
-POINT_TOL = 1e-6
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,8 +103,7 @@ def cmd_width(args) -> int:
     instance = _load(args.instance)
     rows = []
     for req in instance.requests:
-        graph = Digraph.build(req.nodes, req.edges)
-        labeled = min_width_order_search(graph, strategy=args.strategy)
+        labeled = min_width_order_search(req, strategy=args.strategy)
         order = labeled.order
         rows.append(
             {
@@ -143,14 +140,13 @@ def _orders(instance: Instance, formulation: str, strategy: str):
     if formulation == "mcf":
         return flow_orders(instance.requests)
     return [
-        min_width_order_search(Digraph.build(req.nodes, req.edges), strategy=strategy)
-        for req in instance.requests
+        min_width_order_search(req, strategy=strategy) for req in instance.requests
     ]
 
 
 def _pinned_orders(instance: Instance, formulation: str, pinned):
     """Rebuild the orders a solution file recorded: per request its root and
-    one reversal flag per edge of ``Digraph.build(req.nodes, req.edges)``."""
+    one reversal flag per request edge."""
     if not isinstance(pinned, list) or len(pinned) != len(instance.requests):
         raise InstanceFormatError("solution needs one order per request")
     labeling = flow_labeling if formulation == "mcf" else label_order
@@ -165,9 +161,8 @@ def _pinned_orders(instance: Instance, formulation: str, pinned):
             raise InstanceFormatError(
                 f"solution order of {req.name!r} needs a list of boolean flags"
             )
-        graph = Digraph.build(req.nodes, req.edges)
         orders.append(
-            labeling(orientation_from_flags(graph, entry.get("root"), flags))
+            labeling(orientation_from_flags(req, entry.get("root"), flags))
         )
     return orders
 
@@ -265,22 +260,15 @@ def cmd_decompose(args) -> int:
             f"solution has {values.shape[0]} values, model has "
             f"{model.num_variables} variables"
         )
-    if not np.isfinite(values).all():
-        raise InstanceFormatError("solution 'values' must be finite numbers")
+    # extraction compares at EPS, so a point further off may not decompose;
+    # a NaN or infinite value makes the violation NaN or inf
     violation = max_violation(model, values)
-    if violation > POINT_TOL:
+    if not violation <= EPS:
         raise InstanceFormatError(
-            f"solution 'values' violate the model by {violation:.3g}"
+            f"solution 'values' violate the model by {violation:.3g}, more "
+            f"than decomposition tolerates ({EPS:g})"
         )
-    try:
-        checked = decompose_solution(index, values)
-    except PipelineError as err:
-        if violation > EPS:  # extraction compares at EPS, not POINT_TOL
-            raise InstanceFormatError(
-                f"solution 'values' violate the model by {violation:.3g}, more "
-                f"than decomposition tolerates ({EPS:g}): {err}"
-            ) from err
-        raise
+    checked = decompose_solution(index, values)
     out_rows = [
         {
             "request": req.name,

@@ -54,7 +54,7 @@ from .decomposition import (
     decompose_novel,
     verify_decomposition,
 )
-from .extraction import Digraph, LabeledExtractionOrder, min_width_order_search
+from .extraction import LabeledExtractionOrder, min_width_order_search
 from .formulations import NovelVariableIndex, build_novel
 from .instances import Instance
 from .lpmodel import BACKEND, LPModel, LPSolution, solve
@@ -236,9 +236,8 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
     with _stage("width", timings):
         for req in instance.requests:
             with _stage("width", request=req.name):
-                graph = Digraph.build(req.nodes, req.edges)
                 orders.append(
-                    min_width_order_search(graph, strategy=config.order_strategy)
+                    min_width_order_search(req, strategy=config.order_strategy)
                 )
 
     request_rows = [
@@ -312,19 +311,18 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
         )
 
     # pruning counts toward the round stage, which sampling completes
-    with _stage("round", timings):
-        if config.variant == "cost":
-            with _stage("prune"):
-                for r, (req, row) in enumerate(zip(requests, decomposition_rows)):
-                    decompositions[r], prep = prune_costly_mappings(
-                        instance.substrate, req, decompositions[r]
-                    )
-                    row["pruning"] = {
-                        "name": req.name,
-                        "cost_share": round(prep.cost_share, 9),
-                        "surviving_weight": round(prep.surviving_weight, 9),
-                        "removed": prep.removed,
-                    }
+    if config.variant == "cost":
+        with _stage("round", timings), _stage("prune"):
+            for r, (req, row) in enumerate(zip(requests, decomposition_rows)):
+                decompositions[r], prep = prune_costly_mappings(
+                    instance.substrate, req, decompositions[r]
+                )
+                row["pruning"] = {
+                    "name": req.name,
+                    "cost_share": round(prep.cost_share, 9),
+                    "surviving_weight": round(prep.surviving_weight, 9),
+                    "removed": prep.removed,
+                }
 
     return Relaxation(
         instance=instance,

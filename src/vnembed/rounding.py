@@ -21,11 +21,12 @@ substrate edges.
 Per-request randomness comes from independent PCG64 substreams seeded
 with ``(seed, request_index)``, so runs are reproducible per request
 regardless of how many other requests exist. Tries are evaluated in
-blocks of growing size: each request draws a block of uniforms from its
-stream at once (on PCG64 the same values as that many single draws), and
-the whole block is picked, summed and checked with array operations. The
-result is the first passing try; draws past it are discarded and never
-affect the outcome, so a run equals a try-by-try loop that stops there.
+blocks of up to ``BLOCK_MAX``: each request draws a block of uniforms
+from its stream at once (on PCG64 the same values as that many single
+draws), and the whole block is picked, summed and checked with array
+operations. The result is the first passing try; draws past it are
+discarded and never affect the outcome, so a run equals a try-by-try
+loop that stops there.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ from .model import (
 ACCEPT_TOL = 1e-9
 WEIGHT_TOL = 1e-6
 MAX_TRIES_DEFAULT = 128
-# Tries per block grow 1, 8, 64, 512, 512, ...: a try accepted at once
-# costs one draw, and no block holds more than BLOCK_MAX rows of loads.
-BLOCK_GROWTH = 8
+# Tries per block; caps the rows of the load matrix a block allocates.
 BLOCK_MAX = 512
 
 
@@ -387,10 +386,8 @@ def _sample(
     best_picks: list[int] = []
     chosen: list[int] | None = None
     start = 0
-    block = 1
     while start < max_tries:
-        n = min(block, max_tries - start)
-        block = min(block * BLOCK_GROWTH, BLOCK_MAX)
+        n = min(BLOCK_MAX, max_tries - start)
         picks = []
         objective = np.zeros(n)
         load = np.zeros((n, len(columns)))
@@ -424,12 +421,9 @@ def _sample(
                     f"sampled cost {float(objective[over[0]]):.8f} exceeds "
                     f"twice the LP cost {lp_optimum:.8f}"
                 )
-        worst_node = (
-            node_use[:used].max(axis=1) if node_count else np.zeros(used)
-        )
-        worst_edge = (
-            edge_use[:used].max(axis=1) if edge_use.shape[1] else np.zeros(used)
-        )
+        # loads start at +0.0 and add nonnegative demands, so 0.0 is a floor
+        worst_node = node_use[:used].max(axis=1, initial=0.0)
+        worst_edge = edge_use[:used].max(axis=1, initial=0.0)
         records.extend(
             TryRecord(start + k, obj, node, edge, accepted)
             for k, (obj, node, edge, accepted) in enumerate(zip(

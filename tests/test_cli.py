@@ -450,12 +450,23 @@ def test_decompose_rejects_values_off_the_model(tmp_path, capsys, tamper, code):
         assert "values" in captured.err
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "scale, seed",
+    [
+        pytest.param(5e-7, 0, id="0"),
+        pytest.param(5e-7, 1, id="1"),
+        pytest.param(5e-7, 2, id="2"),
+        # points that extraction happened to peel apart despite the noise
+        pytest.param(2e-7, 2, id="2e-07-2"),
+        pytest.param(2e-7, 3, id="2e-07-3"),
+        pytest.param(5e-7, 3, id="5e-07-3"),
+    ],
+)
 def test_decompose_names_a_point_too_far_off_the_model_to_decompose(
-    tmp_path, capsys, seed
+    tmp_path, capsys, scale, seed
 ):
-    # noise below POINT_TOL passes the file check but leaves the point off
-    # the model by more than extraction's EPS, so it cannot be peeled apart
+    # noise leaves the point off the model by more than extraction's EPS,
+    # so the file check refuses it before any decomposition runs
     path = _generate(tmp_path, "fig3-cost-gadget")
     sol = tmp_path / "solution.json"
     argv = ["solve-lp", str(path), "--variant", "cost", "--solution-out", str(sol)]
@@ -466,7 +477,7 @@ def test_decompose_names_a_point_too_far_off_the_model_to_decompose(
     payload = json.loads(sol.read_text())
     values = np.array(payload["values"])
     positive = values > 0
-    noise = np.random.default_rng(seed).uniform(-5e-7, 5e-7, positive.sum())
+    noise = np.random.default_rng(seed).uniform(-scale, scale, positive.sum())
     values[positive] += noise
     payload["values"] = values.tolist()
     sol.write_text(json.dumps(payload))
@@ -474,7 +485,31 @@ def test_decompose_names_a_point_too_far_off_the_model_to_decompose(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: solution 'values' violate the model by ")
-    assert "[decompose] request 'triangle': " in captured.err
+    assert "(1e-09)" in captured.err
+
+
+def test_decompose_accepts_every_optimal_solution_file(tmp_path, capsys):
+    # the file check is as strict as extraction; no point solve-lp writes
+    # may fall outside it (every LP here is optimal)
+    for name in ("fig3-cost-gadget", "halfwheel:4", "tree:4", "cactus:6"):
+        path = _generate(tmp_path, name)
+        trees = all(
+            len(req.edges) == len(req.nodes) - 1
+            for req in load_instance(path).requests
+        )
+        for variant in ("profit", "cost"):
+            for formulation in ("novel", "mcf") if trees else ("novel",):
+                sol = tmp_path / "solution.json"
+                argv = [
+                    "solve-lp", str(path), "--variant", variant,
+                    "--formulation", formulation, "--solution-out", str(sol),
+                ]
+                assert main(argv) == 0
+                capsys.readouterr()
+                assert main(["decompose", str(path), str(sol)]) == 0, (
+                    name, variant, formulation, capsys.readouterr().err
+                )
+                capsys.readouterr()
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

@@ -164,7 +164,6 @@ def test_stage_events_go_through_logging(fig3, caplog):
         ("decompose", None),
         ("bounds", None),
         ("round", None),
-        ("round", None),
         ("verify", None),
     ]
     assert all(r.levelno == logging.DEBUG for r in records)
@@ -603,7 +602,9 @@ def test_one_relaxation_rounds_again_and_again(fig3_gadget, variant):
     again, again_rounded = round_relaxation(relaxation, 1)
     assert (again.to_json(), try_records_csv(again_rounded)) == want
     assert (relaxation, relaxation.timings) == before
-    assert relaxation.timings["round"] < again.timings["round"]
+    # only cost pruning times part of the round stage before sampling
+    assert ("round" in relaxation.timings) == (variant == "cost")
+    assert relaxation.timings.get("round", 0.0) < again.timings["round"]
 
 
 def test_seed_and_tries_leave_the_relaxation_alone(fig3_gadget):

@@ -423,8 +423,9 @@ class TestTryLimit:
         assert "max_tries must be at least 1, got 0" in str(err.value)
 
     def test_huge_limit_stops_at_the_first_accepted_try(self):
-        # the block schedule starts with one try, so a certain entry never
-        # draws (or allocates loads for) more than that one try
+        # blocks hold at most BLOCK_MAX tries, so a certain entry never
+        # draws (or allocates loads for) more than one block, and only its
+        # first try is recorded
         substrate, req, mapping, dec = _single_mapping_setup()
         bounds = compute_bounds(substrate, [req], "profit")
         out = round_profit(
