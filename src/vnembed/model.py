@@ -18,6 +18,7 @@ are lexicographic on those identifiers, so that every derived structure
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -292,6 +293,11 @@ def _validate_request(
         allowed = req.allowed_nodes.get(i, ())
         if not allowed:
             report.add("empty-allowed-set", f"{name}: node {i!r} has empty allowed set")
+        repeated = _repeated(allowed)
+        if repeated:
+            report.add(
+                "duplicate-allowed", f"{name}: node {i!r} lists {repeated} more than once"
+            )
         for u in allowed:
             if (t, u) not in substrate.node_capacity:
                 report.add(
@@ -314,6 +320,11 @@ def _validate_request(
         allowed = req.allowed_edges.get(e, ())
         if not allowed:
             report.add("empty-allowed-set", f"{name}: edge {e} has empty allowed set")
+        repeated = _repeated(allowed)
+        if repeated:
+            report.add(
+                "duplicate-allowed", f"{name}: edge {e} lists {repeated} more than once"
+            )
         for se in allowed:
             if se not in edge_idx:
                 report.add("unknown-edge", f"{name}: edge {e} allows unknown {se}")
@@ -322,6 +333,13 @@ def _validate_request(
                     "capacity-filter",
                     f"{name}: edge {e} allows {se} with insufficient capacity",
                 )
+
+
+def _repeated(entries: tuple) -> list:
+    """The entries listed more than once, sorted."""
+    if len(set(entries)) == len(entries):
+        return []
+    return sorted(x for x, n in Counter(entries).items() if n > 1)
 
 
 def _weakly_connected(req: Request) -> bool:

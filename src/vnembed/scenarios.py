@@ -5,6 +5,10 @@
 the seeded families used by the regression suite and the experiment
 scripts (random trees, cactus shapes, antiparallel augmentations, tiny
 oracle-checkable instances, costed instances).
+
+The benchmark's workloads and reference objectives, the release gate's
+counts and the width survey all rest on these exact draws: a change to
+a generator must keep every call on the random stream, in the same order.
 """
 
 from __future__ import annotations
@@ -267,65 +271,33 @@ def random_cactus_graph(
     sharing more than one node, which is exactly the cactus property.
     """
     nodes = tuple(f"v{k:02d}" for k in range(num_nodes))
-    parent = [0] * num_nodes
-    tree_adj: dict[int, list[tuple[int, int]]] = {k: [] for k in range(num_nodes)}
-    undirected: list[tuple[int, int]] = []
-    for k in range(1, num_nodes):
-        p = int(rng.integers(0, k))
-        parent[k] = p
-        eid = len(undirected)
-        undirected.append((p, k))
-        tree_adj[p].append((k, eid))
-        tree_adj[k].append((p, eid))
-    used = [False] * len(undirected)
+    # tree edge k - 1 joins parent[k] < k and k
+    parent = [0] + [int(rng.integers(0, k)) for k in range(1, num_nodes)]
+    used = [False] * (num_nodes - 1)
     chords: list[tuple[int, int]] = []
     for _ in range(cycle_attempts):
         a, b = (int(v) for v in rng.integers(0, num_nodes, size=2))
-        if a == b:
-            continue
-        path = _tree_path(tree_adj, num_nodes, a, b)
-        if path is None or len(path) < 2:
-            continue
-        if any(used[eid] for eid in path):
-            continue
-        if (a, b) in chords or (b, a) in chords:
+        # lift the higher end to its parent until the ends meet
+        path = []
+        x, y = a, b
+        while x != y:
+            x, y = max(x, y), min(x, y)
+            path.append(x - 1)
+            x = parent[x]
+        # a path of one edge would double a tree edge; a chord already
+        # drawn between the same ends has used its path
+        if len(path) < 2 or any(used[eid] for eid in path):
             continue
         for eid in path:
             used[eid] = True
         chords.append((a, b))
     directed = []
-    for (p, k) in undirected + chords:
+    for (p, k) in [(parent[k], k) for k in range(1, num_nodes)] + chords:
         if rng.random() < 0.5:
             directed.append((nodes[p], nodes[k]))
         else:
             directed.append((nodes[k], nodes[p]))
     return nodes, tuple(sorted(directed))
-
-
-def _tree_path(
-    tree_adj: dict[int, list[tuple[int, int]]], n: int, a: int, b: int
-) -> list[int] | None:
-    """Edge ids on the unique tree path from a to b (BFS; tree is small)."""
-    prev: dict[int, tuple[int, int]] = {}
-    queue = [a]
-    seen = {a}
-    while queue:
-        at = queue.pop(0)
-        if at == b:
-            break
-        for nxt, eid in tree_adj[at]:
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (at, eid)
-                queue.append(nxt)
-    if b not in seen:
-        return None
-    path = []
-    node = b
-    while node != a:
-        node, eid = prev[node]
-        path.append(eid)
-    return path
 
 
 def random_substrate(
@@ -441,9 +413,7 @@ def width3_corpus(
     """Cactus requests with antiparallel augmentations, width at most 3."""
     rng = np.random.default_rng(seed)
     out: list[tuple[Instance, LabeledExtractionOrder]] = []
-    k = 0
     while len(out) < count:
-        k += 1
         num_sub = int(rng.integers(5, 9))
         substrate = random_substrate(
             rng, num_sub, extra_edges=int(rng.integers(1, 3)),
@@ -494,6 +464,29 @@ _TINY_SHAPES: tuple[tuple[tuple[str, str], ...], ...] = (
 )
 
 
+def _mappable_corpus(
+    kind: str,
+    count: int,
+    draw: Callable[[], tuple[SubstrateGraph, tuple[Request, ...]]],
+) -> list[Instance]:
+    """The first ``count`` drawn instances whose requests all map somewhere.
+
+    Calls ``draw`` at most ``40 * count`` times and names the instances it
+    keeps ``<kind>-corpus-NNN``; the mappability check draws nothing.
+    """
+    out: list[Instance] = []
+    for _ in range(40 * count):
+        if len(out) == count:
+            break
+        substrate, requests = draw()
+        if all(enumerate_valid_mappings(substrate, r, cap=1).mappings for r in requests):
+            name = f"{kind}-corpus-{len(out):03d}"
+            out.append(Instance(name=name, substrate=substrate, requests=requests))
+    if len(out) < count:
+        raise RuntimeError(f"{kind} corpus generation exhausted its attempts")
+    return out
+
+
 def tiny_corpus(count: int = 20, seed: int = 20242) -> list[Instance]:
     """Tiny instances the enumerative oracle can certify exactly.
 
@@ -502,10 +495,8 @@ def tiny_corpus(count: int = 20, seed: int = 20242) -> list[Instance]:
     profit and cost relaxations are both meaningful.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 40:
-        attempts += 1
+
+    def draw() -> tuple[SubstrateGraph, tuple[Request, ...]]:
         substrate = random_substrate(
             rng,
             int(rng.integers(4, 7)),
@@ -513,71 +504,47 @@ def tiny_corpus(count: int = 20, seed: int = 20242) -> list[Instance]:
             types=(VM,) if rng.random() < 0.7 else (VM, "fw"),
             capacity_range=(6.0, 9.0),
         )
-        num_requests = int(rng.integers(1, 3))
         requests = []
-        for q in range(num_requests):
+        for q in range(int(rng.integers(1, 3))):
             shape = _TINY_SHAPES[int(rng.integers(0, len(_TINY_SHAPES)))]
             nodes = tuple(sorted({n for e in shape for n in e}))
-            req = random_request(
-                rng, substrate, f"q{q}", nodes, shape,
-                demand_range=(0.2, 0.8), restrict_probability=0.6,
-                min_allowed=2,
+            requests.append(
+                random_request(
+                    rng, substrate, f"q{q}", nodes, shape,
+                    demand_range=(0.2, 0.8), restrict_probability=0.6,
+                    min_allowed=2,
+                )
             )
-            requests.append(req)
-        if any(
-            not enumerate_valid_mappings(substrate, req, cap=1).mappings
-            for req in requests
-        ):
-            continue
-        out.append(
-            Instance(
-                name=f"tiny-corpus-{len(out):03d}", substrate=substrate,
-                requests=tuple(requests),
-            )
-        )
-    if len(out) < count:
-        raise RuntimeError("tiny corpus generation exhausted its attempts")
-    return out
+        return substrate, tuple(requests)
+
+    return _mappable_corpus("tiny", count, draw)
 
 
 def cost_corpus(count: int = 20, seed: int = 20243) -> list[Instance]:
     """Feasible costed instances for the cost-variant pipeline."""
     rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 40:
-        attempts += 1
+
+    def draw() -> tuple[SubstrateGraph, tuple[Request, ...]]:
         substrate = random_substrate(
             rng, int(rng.integers(5, 8)), extra_edges=int(rng.integers(1, 4)),
             capacity_range=(8.0, 12.0), cost_range=(1.0, 4.0),
         )
-        num_requests = int(rng.integers(1, 3))
         requests = []
-        for q in range(num_requests):
+        for q in range(int(rng.integers(1, 3))):
             if rng.random() < 0.5:
                 nodes, edges = random_tree_graph(rng, int(rng.integers(2, 6)))
             else:
                 nodes, edges = random_cactus_graph(rng, int(rng.integers(3, 6)))
-            req = random_request(
-                rng, substrate, f"q{q}", nodes, edges,
-                demand_range=(0.2, 0.9), restrict_probability=0.4,
-                min_allowed=2,
+            requests.append(
+                random_request(
+                    rng, substrate, f"q{q}", nodes, edges,
+                    demand_range=(0.2, 0.9), restrict_probability=0.4,
+                    min_allowed=2,
+                )
             )
-            requests.append(req)
-        if any(
-            not enumerate_valid_mappings(substrate, req, cap=1).mappings
-            for req in requests
-        ):
-            continue
-        out.append(
-            Instance(
-                name=f"cost-corpus-{len(out):03d}", substrate=substrate,
-                requests=tuple(requests),
-            )
-        )
-    if len(out) < count:
-        raise RuntimeError("cost corpus generation exhausted its attempts")
-    return out
+        return substrate, tuple(requests)
+
+    return _mappable_corpus("cost", count, draw)
 
 
 def cactus_graph_corpus(count: int = 100, seed: int = 20244) -> list[Digraph]:

@@ -104,19 +104,32 @@ def test_validate_flags_broken_instances(tmp_path, capsys):
             float("inf"),
             "bad-capacity",
         ),
+        (
+            ("requests", 0, "nodes", 0, "allowed_nodes"),
+            lambda hosts: [hosts[0], *hosts],
+            "duplicate-allowed",
+        ),
+        (
+            ("requests", 0, "edges", 0, "allowed_edges"),
+            lambda edges: [edges[0], *edges],
+            "duplicate-allowed",
+        ),
     ],
     ids=[
         "node-demand-nan", "profit-inf", "edge-cost-nan", "edge-capacity-inf",
-        "edge-demand-inf", "node-capacity-inf",
+        "edge-demand-inf", "node-capacity-inf", "allowed-node-repeated",
+        "allowed-edge-repeated",
     ],
 )
 def test_validate_rejects_non_finite_numbers(tmp_path, capsys, path, value, code):
-    # Python's json reads NaN and Infinity; they must not reach the solver
+    # Python's json reads NaN and Infinity; they must not reach the solver.
+    # Nor must a repeated entry in an allowed set (a callable value maps
+    # the entry's old value to the new one), which would duplicate columns.
     data = json.loads(_generate(tmp_path, "fig3").read_text())
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    target[path[-1]] = value(target[path[-1]]) if callable(value) else value
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(data))
     assert main(["validate", str(broken)]) == 2

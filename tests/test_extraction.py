@@ -350,6 +350,25 @@ def test_cactus_recognition():
     assert not is_cactus(k4)
 
 
+@pytest.mark.parametrize("cycle_attempts", [0, 6, 12])
+def test_random_cactus_graph_draws_a_cactus(cycle_attempts):
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        for num_nodes in range(1, 21):
+            nodes, edges = random_cactus_graph(rng, num_nodes, cycle_attempts)
+            assert len(nodes) == len(set(nodes)) == num_nodes
+            pairs = {frozenset(e) for e in edges}
+            # no repeated or antiparallel pair, and no self-loop
+            assert len(pairs) == len(edges)
+            assert all(len(pair) == 2 for pair in pairs)
+            assert num_nodes - 1 <= len(edges) <= num_nodes - 1 + cycle_attempts
+            reached = {nodes[0]}
+            for _ in nodes:
+                reached |= {v for pair in pairs if pair & reached for v in pair}
+            assert reached == set(nodes)
+            assert is_cactus(Digraph.build(nodes, edges))
+
+
 def test_cactus_orders_stay_within_width_two():
     rng = np.random.default_rng(77)
     for _ in range(10):

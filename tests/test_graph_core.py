@@ -80,6 +80,22 @@ def test_validate_clean_instance():
             ),
             "capacity-filter",
         ),
+        # a repeated entry would be one more LP column for the same host
+        (
+            lambda s, r: Request.build(
+                "q", {"x": ("vm", 1.0, ("a", "b", "a"))}, {}, profit=1.0
+            ),
+            "duplicate-allowed",
+        ),
+        (
+            lambda s, r: Request.build(
+                "q",
+                {"x": ("vm", 1.0, ("a",)), "y": ("vm", 1.0, ("b",))},
+                {("x", "y"): (1.0, (("a", "b"), ("a", "b")))},
+                profit=1.0,
+            ),
+            "duplicate-allowed",
+        ),
         (
             lambda s, r: Request.build(
                 "q",

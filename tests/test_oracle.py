@@ -16,6 +16,7 @@ from vnembed import (
     mapping_cost,
     solve_enumerative,
 )
+from vnembed.scenarios import _mappable_corpus
 
 
 def _k3_substrate():
@@ -30,6 +31,28 @@ def test_restricted_triangle_admits_no_mapping(fig3):
     enum = enumerate_valid_mappings(fig3.substrate, fig3.requests[0])
     assert enum.mappings == []
     assert not enum.truncated
+
+
+def test_corpus_loop_draws_nothing_for_an_empty_corpus():
+    def draw():
+        raise AssertionError("draw called for count=0")
+
+    assert _mappable_corpus("empty", 0, draw) == []
+
+
+def test_corpus_loop_gives_up_after_forty_draws_per_instance(fig3):
+    # fig3's restricted triangle has no valid mapping, so no draw is kept
+    calls = []
+
+    def draw():
+        calls.append(None)
+        return fig3.substrate, fig3.requests
+
+    with pytest.raises(
+        RuntimeError, match=r"^unmappable corpus generation exhausted its attempts$"
+    ):
+        _mappable_corpus("unmappable", 3, draw)
+    assert len(calls) == 40 * 3
 
 
 def test_cost_gadget_has_exactly_one_mapping(fig3_gadget):
