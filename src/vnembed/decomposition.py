@@ -4,13 +4,13 @@ One extraction loop, ``decompose_novel``, works on decomposable-LP
 solutions. It repeatedly peels off one mapping: map the root somewhere its
 host variable is positive, walk the order, let a node's bag variables pin
 the hosts of the confluence targets before the paths towards them are
-extracted, route every request edge along positive flow inside the sub-LP
-copy its label hosts select, take the minimum over all participating
-variables as the mapping's weight, and subtract. The bag variables are
-exactly what makes the loop sound on requests with cycles. A flow
-relaxation solution (``build_mcf``) goes through the same loop with its
-label-free orders; it is sure to decompose only when the request is a
-tree.
+extracted, and route every request edge along positive flow inside the
+sub-LP copy its label hosts select. The walk only builds the mapping; its
+own 0/1 LP point (``formulations.mapping_columns``) is then peeled off at
+the residual's minimum over those columns. The bag variables are exactly
+what makes the loop sound on requests with cycles. A flow relaxation
+solution (``build_mcf``) goes through the same loop with its label-free
+orders; it is sure to decompose only when the request is a tree.
 
 The loop reads and drains a ``NovelState``'s residual, a private copy of
 the solution vector, by column number; the caller's solution is never
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .extraction import LabeledExtractionOrder
-from .formulations import NovelState
+from .formulations import NovelState, mapping_columns
 from .model import (
     Request,
     Resource,
@@ -85,14 +85,13 @@ def find_connectivity_path(
     start: str,
     direction: str = "forward",
     target: str | None = None,
-    eps: float = EPS,
 ) -> list[tuple[str, str]]:
     """Shortest path over positive flow from ``start`` to a viable endpoint.
 
     Forward searches travel along flow edges, reverse searches against
     them; either way the returned edges are in forward orientation and
     travel order. Without a ``target`` any node whose ``endpoint_value``
-    exceeds ``eps`` succeeds (the start itself yields the empty path);
+    exceeds ``EPS`` succeeds (the start itself yields the empty path);
     with one, only the target does. Raises when nothing is reachable,
     which means flow conservation does not hold.
     """
@@ -103,13 +102,13 @@ def find_connectivity_path(
     def success(node: str) -> bool:
         if target is not None:
             return node == target
-        return endpoint_value(node) > eps
+        return endpoint_value(node) > EPS
 
     if success(start):
         return []
     adjacency: dict[str, list[tuple[str, tuple[str, str]]]] = {}
     for se in sorted(flows):
-        if flows[se] <= eps:
+        if flows[se] <= EPS:
             continue
         here, there = (se[0], se[1]) if forward else (se[1], se[0])
         adjacency.setdefault(here, []).append((there, se))
@@ -215,8 +214,6 @@ def decompose_novel(
         rounds += 1
         if rounds > max_rounds:
             raise DecompositionStuckError("extraction makes no progress")
-        # the columns this pass covers, in the order first covered
-        covered = {cols.x: None}
         root = order.root
         u0 = _positive_choice(
             [(u, residual[cols.y[(root, u)]]) for u in request.allowed_nodes[root]]
@@ -244,13 +241,11 @@ def decompose_novel(
                     )
                 for l, v in zip(bag.labels, assign):
                     node_map.setdefault(l, v)
-                covered[cols.gamma[(i, bi, assign, u)]] = None
                 for k in bag.edges:
                     oe = order.edges[k]
                     e = oe.original
                     j = oe.head
-                    labels_e = labeled.labels[k]
-                    mu = tuple(node_map[l] for l in labels_e)
+                    mu = tuple(node_map[l] for l in labeled.labels[k])
                     flows = cols.sub_z[(k, mu)]
                     known = node_map.get(j)
                     try:
@@ -274,11 +269,6 @@ def decompose_novel(
                         endpoint = u
                     node_map.setdefault(j, endpoint)
                     edge_map[e] = tuple(path)
-                    covered[cols.sub_x[(k, mu)]] = None
-                    for n in e:
-                        covered[cols.sub_y[(k, mu, n, node_map[n])]] = None
-                    for se in path:
-                        covered[flows[se]] = None
                     pending_in[j] -= 1
                     if pending_in[j] == 0:
                         queue.append(j)
@@ -286,9 +276,8 @@ def decompose_novel(
             raise DecompositionError(
                 "extraction order does not reach every request edge"
             )
-        for i in request.nodes:
-            covered[cols.y[(i, node_map[i])]] = None
         mapping = ValidMapping(node_map=node_map, edge_map=edge_map)
+        covered = dict.fromkeys(mapping_columns(cols, labeled, mapping))
         _apply_extraction(substrate, request, state, covered, mapping, entries)
     return ConvexDecomposition(request_name=request.name, entries=entries)
 

@@ -3,10 +3,11 @@
 One builder, ``build_novel``, makes the decomposable relaxation driven by
 labeled extraction orders. For every request edge it instantiates one
 single-edge flow sub-LP per mapping of the edge's confluence-target labels
-onto substrate nodes, and couples the copies of a node's outgoing edge bags
-through shared bag variables (``gamma``). Solutions of this LP always
-decompose into valid mappings; its size grows with ``|V_S|`` to the power
-of the order's width.
+onto substrate nodes, and ties the copies to each node's bag variables
+(``gamma``) by one rule, ``_bag_rows``. Solutions of this LP always
+decompose into valid mappings, and a valid mapping's own 0/1 point sets
+the columns ``mapping_columns`` yields; its size grows with ``|V_S|`` to
+the power of the order's width.
 
 ``build_mcf`` is the classical multi-commodity flow relaxation, built as
 the decomposable LP over orders with every label dropped
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -462,14 +463,14 @@ def _add_request(
         load_cols += [c for f in cp.firsts for c in range(f + z0, f + block)]
         load_demand += [req.edge_demand[e]] * (len(flows) * len(mus))
 
-    bags: dict[tuple[str, int], tuple[int, list[tuple[str, ...]]]] = {}
+    bags = {}
     for node in order.nodes:
         for bi, bag in enumerate(labeled.bags[node]):
             assigns = list(itertools.product(*(hosts[l] for l in bag.labels)))
             keys = [(node, bi, a, u) for a in assigns for u in hosts[node]]
             g0 = model.add_columns(len(keys))
             cols.gamma.update(zip(keys, range(g0, g0 + len(keys))))
-            bags[(node, bi)] = (g0, assigns)
+            bags[(node, bi)] = (range(g0, g0 + len(keys), len(hosts[node])), assigns)
     index.columns.append(cols)
     index.loads.append((
         np.array(load_res, dtype=np.intp),
@@ -500,57 +501,49 @@ def _add_request(
                 cp = copies[k]
                 cp.tile_hosts(rows, i, [row] * len(cp.mus), h, -1.0)
 
-    # Outgoing edges of a bag draw their placements from the bag variables:
-    # a sub-LP copy equals the total of all bag mappings extending its own
-    # label mapping.
+    # A bag's variables carry the placements of its labels. Its outgoing
+    # edges share all of them, so each copy gets its own block of rows, in
+    # copy order; the incoming edges agree with it on the labels they share,
+    # which chains the label choices along the order, one block per shared
+    # placement in sorted order.
     for node in order.nodes:
-        h = range(len(hosts[node]))
         for bi, bag in enumerate(labeled.bags[node]):
-            g0, assigns = bags[(node, bi)]
-            gammas = range(g0, g0 + len(assigns) * len(h), len(h))
             for ke in bag.edges:
-                cp = copies[ke]
-                row = rows.reserve(
-                    len(cp.mus) * len(h), _block_rows,
-                    "r{}_bagout_n{}_b{}_e{}_m{m}_s{s}", len(cp.mus), hosts[node],
-                    r, nidx[node], bi, ke,
+                _bag_rows(
+                    rows, copies[ke], node, hosts[node], bag, bags[(node, bi)], False,
+                    "r{}_bagout_n{}_b{}_e{}_m{m}_s{s}", r, nidx[node], bi, ke,
                 )
-                blocks = range(row, row + len(cp.mus) * len(h), len(h))
-                cp.tile_hosts(rows, node, blocks, h, 1.0)
-                copy_of = {mu: m for m, mu in enumerate(cp.mus)}
-                positions = [bag.labels.index(l) for l in cp.labels]
-                rows.tile(
-                    [blocks[copy_of[tuple(a[p] for p in positions)]] for a in assigns],
-                    h, gammas, h, -1.0,
+    for node in order.nodes:
+        for ke in order.in_edges[node]:
+            for bi, bag in enumerate(labeled.bags[node]) if copies[ke].mus else ():
+                _bag_rows(
+                    rows, copies[ke], node, hosts[node], bag, bags[(node, bi)], True,
+                    "r{}_bagin_n{}_e{}_b{}_m{m}_s{s}", r, nidx[node], ke, bi,
                 )
 
-    # Incoming edges agree with each bag on their shared labels, which chains
-    # the label choices along the order; a bag's rows follow the shared
-    # placements in sorted order.
-    for node in order.nodes:
-        h = range(len(hosts[node]))
-        for ke in order.in_edges[node] if labeled.bags[node] else ():
-            cp = copies[ke]
-            for bi, bag in enumerate(labeled.bags[node]) if cp.mus else ():
-                shared = [q for q, l in enumerate(cp.labels) if l in bag.labels]
-                keys = [tuple(mu[q] for q in shared) for mu in cp.mus]
-                rank = {key: m for m, key in enumerate(sorted(set(keys)))}
-                row = rows.reserve(
-                    len(rank) * len(h), _block_rows,
-                    "r{}_bagin_n{}_e{}_b{}_m{m}_s{s}", len(rank), hosts[node],
-                    r, nidx[node], ke, bi,
-                )
-                blocks = [row + rank[key] * len(h) for key in keys]
-                cp.tile_hosts(rows, node, blocks, h, 1.0)
-                g0, assigns = bags[(node, bi)]
-                positions = [bag.labels.index(cp.labels[q]) for q in shared]
-                rows.tile(
-                    [
-                        row + rank[tuple(a[p] for p in positions)] * len(h)
-                        for a in assigns
-                    ],
-                    h, range(g0, g0 + len(assigns) * len(h), len(h)), h, -1.0,
-                )
+
+def _bag_rows(
+    rows: _RowBuffer, cp: _EdgeCopies, node: str, hosts, bag, gammas,
+    by_key: bool, template: str, *fields,
+) -> None:
+    """At each host of ``node``, the copies ``cp`` whose placement of the
+    labels they share with ``bag`` is a given key sum to the bag variables
+    with that key (``gammas``: first columns, assignments). A key's block of
+    rows is numbered in copy order, or ``by_key`` sorted."""
+    columns, assigns = gammas
+    h = range(len(hosts))
+    shared = [q for q, l in enumerate(cp.labels) if l in bag.labels]
+    keys = [tuple([mu[q] for q in shared]) for mu in cp.mus]
+    rank = {key: m for m, key in enumerate(sorted(set(keys)) if by_key else keys)}
+    row = rows.reserve(
+        len(rank) * len(h), _block_rows, template, len(rank), hosts, *fields
+    )
+    cp.tile_hosts(rows, node, [row + rank[key] * len(h) for key in keys], h, 1.0)
+    positions = [bag.labels.index(cp.labels[q]) for q in shared]
+    rows.tile(
+        [row + rank[tuple([a[p] for p in positions])] * len(h) for a in assigns],
+        h, columns, h, -1.0,
+    )
 
 
 def _copy_tag(sidx, r, k, mu) -> str:
@@ -613,6 +606,28 @@ def _names(
     return variables, list(itertools.compress(rows, kept))
 
 
+def mapping_columns(
+    columns: RequestColumns, labeled: LabeledExtractionOrder, mapping: ValidMapping
+) -> Iterator[int]:
+    """The columns the 0/1 point of one valid mapping sets to 1: ``x``, each
+    node's host, each edge's copy under its labels' hosts with both
+    endpoint hosts and its path's flows, and each bag's assignment."""
+    hosted = mapping.node_map
+    yield columns.x
+    yield from (columns.y[(i, hosted[i])] for i in labeled.order.nodes)
+    for k, oe in enumerate(labeled.order.edges):
+        mu = tuple([hosted[l] for l in labeled.labels[k]])
+        yield columns.sub_x[(k, mu)]
+        for n in oe.original:
+            yield columns.sub_y[(k, mu, n, hosted[n])]
+        for se in mapping.edge_map[oe.original]:
+            yield columns.sub_z[(k, mu)][se]
+    for node in labeled.order.nodes:
+        for bi, bag in enumerate(labeled.bags[node]):
+            assign = tuple([hosted[l] for l in bag.labels])
+            yield columns.gamma[(node, bi, assign, hosted[node])]
+
+
 def embed_mapping(
     index: NovelVariableIndex, r: int, mapping: ValidMapping
 ) -> np.ndarray:
@@ -622,22 +637,6 @@ def embed_mapping(
     the model built alongside ``index`` must satisfy every request-local
     constraint; capacity rows hold whenever the mapping alone fits.
     """
-    req = index.requests[r]
-    labeled = index.orders[r]
-    cols = index.columns[r]
     vec = np.zeros(index.num_variables)
-    vec[cols.x] = 1.0
-    for i in req.nodes:
-        vec[cols.y[(i, mapping.node_map[i])]] = 1.0
-    for k, e in enumerate(req.edges):
-        mu = tuple(mapping.node_map[l] for l in labeled.labels[k])
-        vec[cols.sub_x[(k, mu)]] = 1.0
-        for n in e:
-            vec[cols.sub_y[(k, mu, n, mapping.node_map[n])]] = 1.0
-        for se in mapping.edge_map[e]:
-            vec[cols.sub_z[(k, mu)][se]] = 1.0
-    for node in labeled.order.nodes:
-        for bi, bag in enumerate(labeled.bags[node]):
-            assign = tuple(mapping.node_map[l] for l in bag.labels)
-            vec[cols.gamma[(node, bi, assign, mapping.node_map[node])]] = 1.0
+    vec[list(mapping_columns(index.columns[r], index.orders[r], mapping))] = 1.0
     return vec

@@ -17,10 +17,11 @@ Top-level document shape:
 
 The name, ids, types, edge endpoints and the entries of ``allowed_nodes``
 and ``allowed_edges`` are strings or integers; an integer reads as its
-decimal string, and a null name as no name. Omitted ``allowed_nodes``
-expands to every substrate node offering the type with enough capacity
-for the demand; omitted ``allowed_edges`` to every substrate edge with
-enough capacity.
+decimal string, and a null name as no name. Capacities, costs, demands
+and profits are JSON numbers; a string or a boolean is refused, even one
+that reads as a number. Omitted ``allowed_nodes`` expands to every
+substrate node offering the type with enough capacity for the demand;
+omitted ``allowed_edges`` to every substrate edge with enough capacity.
 Serialization always writes the expanded lists, so parse -> dump -> parse
 is the identity.
 """
@@ -91,11 +92,9 @@ def _name(table: Any, key: str, where: str) -> str:
 
 def _number(table: Any, key: str, where: str, default: float | None = None) -> float:
     value = _require(table, key, where) if default is None else table.get(key, default)
-    if not isinstance(value, bool):  # float() would read true as 1.0
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    # a JSON number: Python's bool is an int, and float() would read strings
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
     raise InstanceFormatError(f"{key!r} in {where} must be a number, got {value!r}")
 
 

@@ -226,6 +226,10 @@ def relax(instance: Instance, config: PipelineConfig) -> Relaxation:
     ``max_tries`` are left to ``round_relaxation``."""
     if config.variant not in ("profit", "cost"):
         raise PipelineError("config", f"unknown variant {config.variant!r}")
+    for key in ("alpha", "beta", "gamma"):
+        value = getattr(config, key)
+        if value is not None and not np.isfinite(value):
+            raise PipelineError("config", f"{key} must be finite, got {value}")
     _check_rounding_args(config.seed, config.max_tries)
     timings: dict[str, float] = {}
 

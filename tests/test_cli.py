@@ -21,6 +21,7 @@ from vnembed import (
     validate_instance,
 )
 import vnembed.cli
+import vnembed.model
 import vnembed.oracle
 import vnembed.pipeline
 from vnembed.cli import main
@@ -190,12 +191,33 @@ def test_round_and_run_validate_once(tmp_path, capsys, monkeypatch, command):
         calls.append(len(requests))
         return validate_instance(substrate, requests)
 
-    for module in (vnembed.cli, vnembed.pipeline):
+    for module in (vnembed.model, vnembed.pipeline):
         monkeypatch.setattr(module, "validate_instance", counting)
     path = _generate(tmp_path, "tree:3")
     assert main([command, str(path)]) == 0
     capsys.readouterr()
     assert calls == [1]
+
+
+def test_validate_goes_through_require_valid(tmp_path, capsys, monkeypatch):
+    # validate checks an instance as every other command does, once, in
+    # pipeline.require_valid, and prints the same issues JSON as before
+    calls = []
+
+    def counting(substrate, requests):
+        calls.append(len(requests))
+        return validate_instance(substrate, requests)
+
+    monkeypatch.setattr(vnembed.pipeline, "validate_instance", counting)
+    good = _generate(tmp_path, "fig3")
+    assert main(["validate", str(good)]) == 0
+    assert capsys.readouterr().out == '{\n  "issues": [],\n  "ok": true\n}\n'
+    broken = _broken_fig3(tmp_path)
+    assert main(["validate", str(broken)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [issue["code"] for issue in report["issues"]][:1] == ["bad-capacity"]
+    assert calls == [1, 1]
 
 
 def test_width_reports_orders(tmp_path, capsys):
@@ -690,6 +712,23 @@ def test_round_unreachable_load_target_exits_four(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["round", "run"])
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bound_override_is_a_usage_error(
+    tmp_path, capsys, command, option, value
+):
+    # round --beta nan exited 5 from the recheck, and run wrote NaN and
+    # Infinity into the report
+    path = _generate(tmp_path, "fig3")
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), f"{option}={value}"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: must be finite, got {float(value)}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["round", "run"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_max_tries_below_one_is_a_usage_error(tmp_path, capsys, command, value):
     path = _generate(tmp_path, "tree:3")
@@ -755,6 +794,12 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
          "'name' in instance must be a string or an integer, got [1]"),
         (("name",), True,
          "'name' in instance must be a string or an integer, got True"),
+        (("substrate", "nodes", 0, "types", 0, "capacity"), "10",
+         "'capacity' in type 'vm' at 'u1' must be a number, got '10'"),
+        (("requests", 0, "profit"), " 2 ",
+         "'profit' in request 'triangle' must be a number, got ' 2 '"),
+        (("substrate", "edges", 0, "cost"), "1e0",
+         "'cost' in substrate edge ('u1', 'u2') must be a number, got '1e0'"),
     ],
     ids=[
         "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
@@ -763,6 +808,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
         "allowed-nodes-entry-null", "allowed-edges-entry-float",
         "substrate-node-id-bool", "substrate-type-float", "substrate-tail-null",
         "capacity-bool", "demand-bool", "name-dict", "name-list", "name-bool",
+        "capacity-string", "profit-string", "cost-string",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -778,18 +824,6 @@ def test_malformed_fields_are_input_errors(
     broken.write_text(json.dumps(data))
     assert main([command, str(broken)]) == 2
     assert fragment in capsys.readouterr().err
-
-
-def test_numbers_in_strings_stay_accepted(tmp_path, capsys):
-    # whatever float() reads is still a number
-    data = json.loads(_generate(tmp_path, "fig3-cost-gadget").read_text())
-    data["substrate"]["nodes"][0]["types"][0]["cost"] = "1e1"
-    data["requests"][0]["profit"] = " 2 "
-    path = tmp_path / "strings.json"
-    path.write_text(json.dumps(data))
-    instance = load_instance(path)
-    assert instance.requests[0].profit == 2.0
-    assert main(["validate", str(path)]) == 0
 
 
 def test_integer_ids_stay_accepted(tmp_path, capsys):

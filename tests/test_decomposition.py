@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ from vnembed import (
     build_novel,
     decompose_novel,
     embed_mapping,
+    enumerate_valid_mappings,
     find_connectivity_path,
     flow_labeling,
     label_order,
+    max_violation,
     min_width_order_search,
+    scenario_instance,
     solve,
     verify_decomposition,
 )
@@ -221,6 +226,62 @@ def test_width3_corpus_slice_decomposes():
         dec = decompose_novel(instance.substrate, req, labeled, state)
         check = verify_decomposition(instance.substrate, req, dec, acceptance, loads)
         assert check.ok, instance.name
+
+
+def _round_trip_cases(corpus, request):
+    """(substrate, request, labeled order) triples of one corpus."""
+    if corpus == "tiny":
+        return [
+            (instance.substrate, req, min_width_order_search(req))
+            for instance in request.getfixturevalue("tiny_corpus")
+            for req in instance.requests
+        ]
+    if corpus == "cactus":
+        return [
+            (instance.substrate, req, min_width_order_search(req))
+            for n in (5, 8, 11)
+            for instance in [scenario_instance(f"cactus:{n}")]
+            for req in instance.requests
+        ]
+    cases = [
+        (instance.substrate, instance.requests[0], labeled)
+        for instance, labeled in request.getfixturevalue("width3_corpus")
+        if labeled.width == 3
+    ]
+    if corpus == "width3-reversed":
+        # label placements then enumerate against sorted order
+        cases = [
+            (substrate, dataclasses.replace(req, allowed_nodes={
+                i: hosts[::-1] for i, hosts in req.allowed_nodes.items()
+            }), labeled)
+            for substrate, req, labeled in cases
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("corpus", ["tiny", "width3", "width3-reversed", "cactus"])
+def test_embedded_mapping_decomposes_back_into_itself(corpus, request):
+    # a valid mapping's own 0/1 point is a point of the LP, and it peels
+    # into exactly that mapping with weight 1 and leaves nothing behind: the
+    # walk finds the mapping, and extraction drains the columns it set
+    checked = 0
+    for substrate, req, labeled in _round_trip_cases(corpus, request):
+        # room for any one mapping, so that only the request's own rows bind
+        roomy = dataclasses.replace(
+            substrate,
+            node_capacity=dict.fromkeys(substrate.node_capacity, 1e9),
+            edge_capacity=dict.fromkeys(substrate.edge_capacity, 1e9),
+        )
+        model, index = build_novel(roomy, [req], [labeled], "profit")
+        for mapping in enumerate_valid_mappings(substrate, req, cap=20).mappings:
+            values = embed_mapping(index, 0, mapping)
+            assert max_violation(model, values) <= 1e-9
+            state = index.request_state(values, 0)
+            dec = decompose_novel(substrate, req, labeled, state)
+            assert [(e.weight, e.mapping) for e in dec.entries] == [(1.0, mapping)]
+            assert not any(state.residual)
+            checked += 1
+    assert checked >= 60
 
 
 def test_decomposition_leaves_the_solution_untouched():

@@ -535,6 +535,48 @@ def test_array_build_matches_the_object_build(
     assert len(width3) == 8
 
 
+def test_array_build_matches_the_object_build_on_the_benchmark(bench_workloads):
+    # the distinct instances of the benchmark's workloads at seed 1: the
+    # half-wheels 8-10, the seed-sweep batch and the joint LPs of 4 cactus
+    # requests, under their searched orders and both objectives
+    instances = {
+        op.instance.name: op.instance
+        for make in bench_workloads.WORKLOADS.values()
+        for op in make(1)
+    }
+    rng = np.random.default_rng(13)
+    for instance in instances.values():
+        substrate, requests = instance.substrate, instance.requests
+        orders = _orders(instance)
+        for objective in ("profit", "cost"):
+            model, index = build_novel(substrate, requests, orders, objective)
+            reference, ref_index = lp_reference.build_novel(
+                substrate, requests, orders, objective
+            )
+            assert _same(
+                objective_vector(model), lp_reference.objective_vector(reference)
+            )
+            matrix, lower, upper = constraint_matrix(model)
+            ref_matrix, ref_lower, ref_upper = lp_reference.constraint_matrix(
+                reference
+            )
+            for part in ("indptr", "indices", "data"):
+                assert _same(getattr(matrix, part), getattr(ref_matrix, part))
+            assert _same(lower, ref_lower)
+            assert _same(upper, ref_upper)
+            assert [_layout(c) for c in index.columns] == [
+                _layout(c) for c in ref_index.columns
+            ]
+            assert write_lp(model) == lp_reference.write_lp(reference)
+            values = rng.uniform(0.0, 1.0, model.num_variables)
+            for r in range(len(requests)):
+                loads = lp_reference.request_loads(ref_index, values, r)
+                assert list(index.request_state(values, r).a.items()) == list(
+                    loads.items()
+                )
+    assert len(instances) == 3 + 16 + 24
+
+
 @pytest.mark.skipif(
     vnembed.lpmodel._highs is None, reason="scipy without HiGHS bindings"
 )

@@ -45,6 +45,21 @@ def test_unknown_variant_fails_in_config(fig3):
         run_pipeline(fig3, PipelineConfig(variant="latency"))
 
 
+@pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_bound_override_fails_in_config(fig3, monkeypatch, key, value):
+    # a NaN bound would pass the sampler's numpy check and fail Python's
+    # recheck, and an infinite one would reach the report as Infinity
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(vnembed.pipeline, "validate_instance", no_stage)
+    with pytest.raises(PipelineError) as err:
+        relax(fig3, PipelineConfig(**{key: value}))
+    assert err.value.stage == "config"
+    assert str(err.value) == f"[config] {key} must be finite, got {value}"
+
+
 def test_validation_failures_name_their_stage():
     substrate = SubstrateGraph.build({"a": {"vm": (1.0, 1.0)}}, {})
     bad = Request.build("r", {"x": ("gpu", 1.0, ("a",))}, {}, profit=1.0)
