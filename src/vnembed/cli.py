@@ -45,6 +45,7 @@ from .instances import (
     Instance,
     InstanceFormatError,
     dumps_instance,
+    json_number,
     load_instance,
 )
 from .lpmodel import max_violation, solve, write_lp
@@ -161,9 +162,13 @@ def _pinned_orders(instance: Instance, formulation: str, pinned):
             raise InstanceFormatError(
                 f"solution order of {req.name!r} needs a list of boolean flags"
             )
-        orders.append(
-            labeling(orientation_from_flags(req, entry.get("root"), flags))
-        )
+        root = entry.get("root")
+        if not isinstance(root, str):
+            raise InstanceFormatError(
+                f"solution order of {req.name!r} needs a node name as its root, "
+                f"got {reprlib.repr(root)}"
+            )
+        orders.append(labeling(orientation_from_flags(req, root, flags)))
     return orders
 
 
@@ -250,11 +255,12 @@ def cmd_decompose(args) -> int:
         instance.substrate, instance.requests, orders, payload["variant"]
     )
     raw = payload["values"]
-    if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+    if not isinstance(raw, list):
         raise InstanceFormatError("solution 'values' must be a flat list of numbers")
-    values = np.asarray(raw, dtype=float)
+    values = np.array(
+        [json_number(v, f"solution 'values'[{i}]") for i, v in enumerate(raw)],
+        dtype=float,
+    )
     if values.shape != (model.num_variables,):
         raise InstanceFormatError(
             f"solution has {values.shape[0]} values, model has "

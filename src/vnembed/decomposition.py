@@ -23,8 +23,17 @@ entry again, so it also flags invalid entries built elsewhere.
 
 All comparisons use an epsilon of ``EPS``; residual acceptance below
 ``LOOP_EPS`` ends extraction (the leftover is far below the completeness
-tolerance of verification). Iterations that would produce a weight under
-``WEIGHT_FLOOR`` only clear numerical dust and emit no entry.
+tolerance of verification).
+
+Every round that does not raise peels a weight above ``EPS``. The walk
+takes a root host, a bag column, a flow or an unknown endpoint's copy host
+only above ``EPS``, so a mapping column at or below ``EPS`` (the bottleneck
+of the round) is one the walk never reads: a copy's ``sub_x``, a tail's or
+a known head's copy host, or a non-root host. Zeroing it would rebuild the
+same mapping, so such a round raises ``DecompositionStuckError`` naming the
+column. Otherwise the bottleneck column drops to 0 and no column ever
+rises, so a decomposition takes at most one round per nonzero column of
+the request, and each round yields one entry.
 """
 
 from __future__ import annotations
@@ -47,7 +56,6 @@ from .model import (
 
 EPS = 1e-9
 LOOP_EPS = 1e-7
-WEIGHT_FLOOR = 1e-9
 
 
 class DecompositionError(Exception):
@@ -59,7 +67,8 @@ class MappingConflictError(DecompositionError):
 
 
 class DecompositionStuckError(DecompositionError):
-    """No positive variable admits further extraction progress."""
+    """Extraction cannot peel a positive weight: the walk finds no positive
+    choice, or the mapping it built has a column at or below ``EPS``."""
 
 
 @dataclass(frozen=True)
@@ -159,28 +168,28 @@ def _apply_extraction(
     covered: dict[int, None],
     mapping: ValidMapping,
     entries: list[DecompositionEntry],
-) -> bool:
-    """Validate the mapping, take the bottleneck weight over the ``covered``
-    columns, subtract it from each, and record the entry with the mapping's
-    allocation.
-
-    Returns False for dust rounds that only cleared a near-zero variable.
-    """
+) -> None:
+    """Validate the mapping, subtract the bottleneck weight, the residual's
+    minimum over the ``covered`` columns, from each of them, and record the
+    entry with the mapping's allocation. A bottleneck at or below ``EPS``
+    cannot be peeled and raises, naming its column."""
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
         raise DecompositionError(f"extracted mapping invalid: {why}")
     residual = state.residual
-    weight = min(residual[col] for col in covered)
-    if weight <= WEIGHT_FLOOR:
-        residual[min(covered, key=residual.__getitem__)] = 0.0
-        return False
+    bottleneck = min(covered, key=residual.__getitem__)
+    weight = residual[bottleneck]
+    if weight <= EPS:
+        raise DecompositionStuckError(
+            f"column {bottleneck} of the extracted mapping has residual "
+            f"{weight:.3g}, at or below {EPS:g}"
+        )
     for col in covered:
         residual[col] = _clamp(residual[col] - weight)
     entries.append(DecompositionEntry(
         weight=weight, mapping=mapping,
         allocation=_unchecked_allocations(request, mapping),
     ))
-    return True
 
 
 def decompose_novel(
@@ -201,19 +210,7 @@ def decompose_novel(
     cols = state.columns
     residual = state.residual
     entries: list[DecompositionEntry] = []
-    max_rounds = 100 + 2 * (
-        1
-        + len(cols.y)
-        + len(cols.gamma)
-        + len(cols.sub_x)
-        + len(cols.sub_y)
-        + sum(len(f) for f in cols.sub_z.values())
-    )
-    rounds = 0
     while state.x > LOOP_EPS:
-        rounds += 1
-        if rounds > max_rounds:
-            raise DecompositionStuckError("extraction makes no progress")
         root = order.root
         u0 = _positive_choice(
             [(u, residual[cols.y[(root, u)]]) for u in request.allowed_nodes[root]]

@@ -19,11 +19,11 @@ The name, ids, types, edge endpoints and the entries of ``allowed_nodes``
 and ``allowed_edges`` are strings or integers; an integer reads as its
 decimal string, and a null name as no name. Capacities, costs, demands
 and profits are JSON numbers; a string or a boolean is refused, even one
-that reads as a number. Omitted ``allowed_nodes`` expands to every
-substrate node offering the type with enough capacity for the demand;
-omitted ``allowed_edges`` to every substrate edge with enough capacity.
-Serialization always writes the expanded lists, so parse -> dump -> parse
-is the identity.
+that reads as a number, and so is an integer too large for a float.
+Omitted ``allowed_nodes`` expands to every substrate node offering the
+type with enough capacity for the demand; omitted ``allowed_edges`` to
+every substrate edge with enough capacity. Serialization always writes
+the expanded lists, so parse -> dump -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -90,12 +90,21 @@ def _name(table: Any, key: str, where: str) -> str:
     return _id(_require(table, key, where), key, where)
 
 
+def json_number(value: Any, field: str) -> float:
+    """``value`` as a float if it is a JSON number that fits one; ``field``
+    names it in the error."""
+    # Python's bool is an int, and float() would read strings
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise InstanceFormatError(f"{field} is too large for a float") from None
+    raise InstanceFormatError(f"{field} must be a number, got {value!r}")
+
+
 def _number(table: Any, key: str, where: str, default: float | None = None) -> float:
     value = _require(table, key, where) if default is None else table.get(key, default)
-    # a JSON number: Python's bool is an int, and float() would read strings
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise InstanceFormatError(f"{key!r} in {where} must be a number, got {value!r}")
+    return json_number(value, f"{key!r} in {where}")
 
 
 def instance_from_dict(data: Any) -> Instance:

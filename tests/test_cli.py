@@ -451,6 +451,26 @@ def _gadget_solution(tmp_path, capsys):
     return path, sol, json.loads(sol.read_text())
 
 
+def test_decompose_rejects_a_value_too_large_for_a_float(tmp_path, capsys):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    payload["values"][0] = 10**400
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert "solution 'values'[0] is too large for a float" in capsys.readouterr().err
+
+
+def test_decompose_rejects_a_pinned_root_that_is_no_name(tmp_path, capsys):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    (pinned,) = payload["orders"]
+    pinned["root"] = [pinned["root"]]
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    assert (
+        f"solution order of {pinned['request']!r} needs a node name as its root"
+        in capsys.readouterr().err
+    )
+
+
 def test_decompose_rejects_unknown_formulation(tmp_path, capsys):
     path, sol, payload = _gadget_solution(tmp_path, capsys)
     payload["formulation"] = "foo"
@@ -800,6 +820,10 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
          "'profit' in request 'triangle' must be a number, got ' 2 '"),
         (("substrate", "edges", 0, "cost"), "1e0",
          "'cost' in substrate edge ('u1', 'u2') must be a number, got '1e0'"),
+        (("substrate", "nodes", 0, "types", 0, "capacity"), 10**400,
+         "'capacity' in type 'vm' at 'u1' is too large for a float"),
+        (("requests", 0, "profit"), -(10**400),
+         "'profit' in request 'triangle' is too large for a float"),
     ],
     ids=[
         "capacity-null", "allowed-nodes-int", "edges-int", "profit-list",
@@ -809,6 +833,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
         "substrate-node-id-bool", "substrate-type-float", "substrate-tail-null",
         "capacity-bool", "demand-bool", "name-dict", "name-list", "name-bool",
         "capacity-string", "profit-string", "cost-string",
+        "capacity-too-large", "profit-too-large",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -28,13 +28,8 @@ from vnembed import (
     solve,
     verify_decomposition,
 )
-from vnembed.decomposition import (
-    WEIGHT_FLOOR,
-    DecompositionError,
-    DecompositionStuckError,
-    _apply_extraction,
-)
-from vnembed.formulations import NovelState, RequestColumns
+from vnembed.decomposition import DecompositionError, DecompositionStuckError
+from vnembed.formulations import NovelState, RequestColumns, mapping_columns
 from vnembed.scenarios import tiny_corpus, tree_corpus, width3_corpus
 
 
@@ -175,28 +170,42 @@ def test_stuck_when_root_has_no_host():
         decompose_novel(substrate, solo, flow_labeling(order), state)
 
 
-def test_dust_round_clears_without_emitting():
-    substrate, _ = _triangle_fixture()
-    solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
-    state = NovelState(
-        RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 5e-10], {}
-    )
-    covered = dict.fromkeys([state.columns.x, state.columns.y[("i", "v1")]])
-    entries = []
-    emitted = _apply_extraction(
-        substrate,
-        solo,
-        state,
-        covered,
-        ValidMapping(node_map={"i": "v1"}, edge_map={}),
-        entries,
-    )
-    assert not emitted
-    assert entries == []
-    # the near-zero variable was zeroed, acceptance stays for the next round
-    assert state.residual[state.columns.y[("i", "v1")]] == 0.0
-    assert state.x == 1.0
-    assert 5e-10 <= WEIGHT_FLOOR
+def _triangle_columns():
+    substrate, request = _triangle_fixture()
+    labeled, state = _embedded_state(substrate, request, [_TRIANGLE_M1], [1.0])
+    return list(mapping_columns(state.columns, labeled, _TRIANGLE_M1))
+
+
+@pytest.mark.parametrize("position", range(len(_triangle_columns())))
+def test_a_column_near_zero_fails_within_one_walk(position, monkeypatch):
+    # one covered column of an embedded mapping at 5e-10: acceptance ends
+    # extraction at once, every other column fails with a named error, in
+    # the walk or, for a column the walk never reads, right after it; each
+    # completed walk asks once for its mapping's columns
+    substrate, request = _triangle_fixture()
+    labeled, state = _embedded_state(substrate, request, [_TRIANGLE_M1], [1.0])
+    col = list(mapping_columns(state.columns, labeled, _TRIANGLE_M1))[position]
+    state.residual[col] = 5e-10
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return mapping_columns(*args)
+
+    monkeypatch.setattr("vnembed.decomposition.mapping_columns", counted)
+    if col == state.columns.x:
+        assert decompose_novel(substrate, request, labeled, state).entries == []
+        assert walks == []
+        return
+    with pytest.raises(DecompositionError) as caught:
+        decompose_novel(substrate, request, labeled, state)
+    assert len(walks) <= 1
+    message = str(caught.value)
+    assert "no progress" not in message
+    if walks:
+        assert caught.type is DecompositionStuckError
+        assert message.startswith(f"column {col} of the extracted mapping ")
+        assert "5e-10" in message
 
 
 def test_tree_corpus_slice_decomposes():
