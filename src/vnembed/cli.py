@@ -12,11 +12,14 @@ through ``run_pipeline``. On an invalid instance, ``validate``, ``round``
 and the stage commands print the issues JSON, to stdout or ``--out``.
 ``run`` prints the failed checks, ``[validate] code: message; ...``, on
 stderr instead. A bound override (``--alpha``, ``--beta``, ``--gamma``)
-that is not finite is a usage error (exit 2). ``decompose`` checks a
-solution file's point once, at ``decomposition.EPS``, the tolerance
-extraction works at: a point off the model by more is an input error. It
-then runs the pipeline's ``decompose_solution``, so it prints only
-verified decompositions.
+that is not finite is a usage error (exit 2). ``decompose`` rebuilds the
+model from the orders a solution file pins (``solve-lp --solution-out``
+writes them); a file without ``orders`` is an input error, as is one
+without ``formulation``, ``variant`` or ``values``. It checks the file's
+point once, at ``decomposition.EPS``, the tolerance extraction works at:
+a point off the model by more is an input error. It then runs the
+pipeline's ``decompose_solution``, so it prints only verified
+decompositions.
 """
 
 from __future__ import annotations
@@ -135,16 +138,6 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _orders(instance: Instance, formulation: str, strategy: str):
-    """Labeled orders for either relaxation: those of ``build_mcf`` for
-    ``mcf``, a search with ``strategy`` for the decomposable one."""
-    if formulation == "mcf":
-        return flow_orders(instance.requests)
-    return [
-        min_width_order_search(req, strategy=strategy) for req in instance.requests
-    ]
-
-
 def _pinned_orders(instance: Instance, formulation: str, pinned):
     """Rebuild the orders a solution file recorded: per request its root and
     one reversal flag per request edge."""
@@ -168,13 +161,23 @@ def _pinned_orders(instance: Instance, formulation: str, pinned):
                 f"solution order of {req.name!r} needs a node name as its root, "
                 f"got {reprlib.repr(root)}"
             )
-        orders.append(labeling(orientation_from_flags(req, root, flags)))
+        try:
+            order = orientation_from_flags(req, root, flags)
+        except ExtractionError as err:
+            raise InstanceFormatError(f"solution order of {req.name!r}: {err}") from err
+        orders.append(labeling(order))
     return orders
 
 
 def cmd_solve_lp(args) -> int:
     instance = _load(args.instance)
-    orders = _orders(instance, args.formulation, args.strategy)
+    if args.formulation == "mcf":
+        orders = flow_orders(instance.requests)
+    else:
+        orders = [
+            min_width_order_search(req, strategy=args.strategy)
+            for req in instance.requests
+        ]
     model, _ = build_novel(
         instance.substrate, instance.requests, orders, args.variant,
         var_budget=args.var_budget,
@@ -197,7 +200,6 @@ def cmd_solve_lp(args) -> int:
         payload = {
             "formulation": args.formulation,
             "variant": args.variant,
-            "strategy": args.strategy,
             "status": solution.status,
             "objective": solution.objective_value,
         }
@@ -230,7 +232,7 @@ def cmd_decompose(args) -> int:
         raise InstanceFormatError(
             f"solution file must hold a JSON object, got {reprlib.repr(payload)}"
         )
-    for key in ("formulation", "variant", "values"):
+    for key in ("formulation", "variant", "values", "orders"):
         if key not in payload:
             raise InstanceFormatError(f"solution file lacks {key!r}")
     formulation = payload["formulation"]
@@ -245,12 +247,7 @@ def cmd_decompose(args) -> int:
                     f"request {req.name!r} is not a tree; an mcf solution "
                     "decomposes only tree requests"
                 )
-    if "orders" in payload:
-        orders = _pinned_orders(instance, formulation, payload["orders"])
-    else:
-        orders = _orders(
-            instance, formulation, payload.get("strategy", "per-root-bfs")
-        )
+    orders = _pinned_orders(instance, formulation, payload["orders"])
     model, index = build_novel(
         instance.substrate, instance.requests, orders, payload["variant"]
     )

@@ -148,6 +148,97 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, path, value, code
         assert (captured.out, captured.err) == (issues, ""), command
 
 
+def _fig3_with(tmp_path, breakage):
+    """fig3 with ``breakage`` applied to its JSON data."""
+    data = json.loads(_generate(tmp_path, "fig3").read_text())
+    breakage(data["substrate"], data["requests"][0])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    return broken
+
+
+def _substrate_edge(tail, head):
+    return {"tail": tail, "head": head, "capacity": 1.0, "cost": 1.0}
+
+
+@pytest.mark.parametrize(
+    "breakage, code, message",
+    [
+        (
+            lambda sub, req: req.update(edges=[]),
+            "not-connected", "triangle: request graph is not weakly connected",
+        ),
+        (
+            lambda sub, req: req["edges"][0].update(head="i"),
+            "self-loop", "triangle: request self-loop on 'i'",
+        ),
+        (
+            lambda sub, req: req["edges"][0].update(head="z"),
+            "unknown-node", "triangle: edge ('i', 'z') uses unknown node",
+        ),
+        (
+            lambda sub, req: req["nodes"][0].update(allowed_nodes=["u1", "u9"]),
+            "unknown-node",
+            "triangle: node 'i' allows 'u9' which does not host type 'vm'",
+        ),
+        (
+            lambda sub, req: req["edges"][0].update(allowed_edges=[]),
+            "empty-allowed-set", "triangle: edge ('i', 'j') has empty allowed set",
+        ),
+        (
+            lambda sub, req: sub["edges"].append(_substrate_edge("u1", "u1")),
+            "self-loop", "substrate self-loop on 'u1'",
+        ),
+        (
+            lambda sub, req: sub["edges"].append(_substrate_edge("u1", "u9")),
+            "unknown-node", "substrate edge ('u1', 'u9') uses unknown node",
+        ),
+    ],
+    ids=[
+        "request-without-edges", "request-self-loop", "request-edge-to-missing-node",
+        "allowed-host-without-the-type", "edge-without-allowed-edges",
+        "substrate-self-loop", "substrate-edge-to-missing-node",
+    ],
+)
+def test_validate_names_a_structural_fault(
+    tmp_path, capsys, breakage, code, message
+):
+    broken = _fig3_with(tmp_path, breakage)
+    assert main(["validate", str(broken)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"ok": False, "issues": [{"code": code, "message": message}]}
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (
+            lambda sub, req: sub["nodes"][0]["types"].extend(sub["nodes"][0]["types"]),
+            "node 'u1' repeats type 'vm'",
+        ),
+        (
+            lambda sub, req: sub["edges"].append(sub["edges"][0]),
+            "duplicate substrate edge ('u1', 'u2')",
+        ),
+        (
+            lambda sub, req: req["nodes"].append(req["nodes"][0]),
+            "request 'triangle' repeats node 'i'",
+        ),
+        (
+            lambda sub, req: req["edges"].append(req["edges"][0]),
+            "request 'triangle' repeats edge ('i', 'j')",
+        ),
+    ],
+    ids=["node-type", "substrate-edge", "request-node", "request-edge"],
+)
+def test_validate_refuses_a_repeated_entry(tmp_path, capsys, breakage, message):
+    broken = _fig3_with(tmp_path, breakage)
+    assert main(["validate", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", STAGE_COMMANDS, ids=lambda c: c[0])
 def test_stage_commands_write_the_issues_to_out(tmp_path, capsys, command):
     broken = _broken_fig3(tmp_path)
@@ -363,12 +454,12 @@ def test_solution_file_pins_the_orders(tmp_path, capsys, monkeypatch):
     (row,) = json.loads(capsys.readouterr().out)
     assert row["total_weight"] == pytest.approx(lp_out["objective"], abs=1e-6)
 
-    # without the pinned orders the search picks a narrower order, whose
-    # model does not match the recorded values
+    # the values belong to the pinned model alone, so a file without its
+    # orders is refused rather than paired with a fresh search
     del payload["orders"]
     sol.write_text(json.dumps(payload))
     assert main(["decompose", str(path), str(sol)]) == 2
-    assert "values" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: solution file lacks 'orders'\n"
 
     payload["orders"] = [dict(pinned, root="w02")]
     sol.write_text(json.dumps(payload))
@@ -379,9 +470,14 @@ def test_solution_file_pins_the_orders(tmp_path, capsys, monkeypatch):
 def test_decompose_rejects_mismatched_solution(tmp_path, capsys):
     path = _generate(tmp_path, "tree:3")
     sol = tmp_path / "solution.json"
+    # the orders solve-lp writes for tree:3
+    orders = [{"request": "tree3", "root": "v00", "reversed": [False, True]}]
     sol.write_text(
         json.dumps(
-            {"formulation": "mcf", "variant": "profit", "values": [0.5]}
+            {
+                "formulation": "mcf", "variant": "profit", "values": [0.5],
+                "orders": orders,
+            }
         )
     )
     assert main(["decompose", str(path), str(sol)]) == 2
@@ -403,8 +499,15 @@ def test_decompose_rejects_mcf_solution_of_cyclic_request(tmp_path, capsys):
 def test_decompose_rejects_malformed_values(tmp_path, capsys, values):
     path = _generate(tmp_path, "fig3-cost-gadget")
     sol = tmp_path / "solution.json"
+    # the orders solve-lp writes for fig3-cost-gadget
+    orders = [{"request": "triangle", "root": "i", "reversed": [False, False, True]}]
     sol.write_text(
-        json.dumps({"formulation": "novel", "variant": "cost", "values": values})
+        json.dumps(
+            {
+                "formulation": "novel", "variant": "cost", "values": values,
+                "orders": orders,
+            }
+        )
     )
     assert main(["decompose", str(path), str(sol)]) == 2
     assert "values" in capsys.readouterr().err
@@ -469,6 +572,66 @@ def test_decompose_rejects_a_pinned_root_that_is_no_name(tmp_path, capsys):
         f"solution order of {pinned['request']!r} needs a node name as its root"
         in capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize("key", ["formulation", "variant", "values", "orders"])
+def test_decompose_names_a_missing_key(tmp_path, capsys, key):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    del payload[key]
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: solution file lacks {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda orders: orders[0], "solution needs one order per request"),
+        (lambda orders: [], "solution needs one order per request"),
+        (lambda orders: orders * 2, "solution needs one order per request"),
+        (
+            lambda orders: [dict(orders[0], request="other")],
+            "solution orders do not match request 'triangle'",
+        ),
+        (
+            lambda orders: [dict(orders[0], reversed=[0, 0, 1])],
+            "solution order of 'triangle' needs a list of boolean flags",
+        ),
+        (
+            lambda orders: [dict(orders[0], reversed=[False, False])],
+            "solution order of 'triangle': one reversal flag per edge required",
+        ),
+        (
+            lambda orders: [dict(orders[0], root="nope")],
+            "solution order of 'triangle': root 'nope' is not a request node",
+        ),
+        (
+            lambda orders: [
+                dict(orders[0], reversed=[not f for f in orders[0]["reversed"]])
+            ],
+            "solution order of 'triangle': nodes unreachable from root: ['j', 'k']",
+        ),
+    ],
+    ids=[
+        "no-list", "empty", "too-long", "other-request", "non-boolean-flags",
+        "flag-count", "unknown-root", "unreachable",
+    ],
+)
+def test_decompose_refuses_a_bad_pinned_order(
+    tmp_path, capsys, tamper, message
+):
+    path, sol, payload = _gadget_solution(tmp_path, capsys)
+    assert payload["orders"] == [
+        {"request": "triangle", "root": "i", "reversed": [False, False, True]}
+    ]
+    payload["orders"] = tamper(payload["orders"])
+    sol.write_text(json.dumps(payload))
+    assert main(["decompose", str(path), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_decompose_rejects_unknown_formulation(tmp_path, capsys):

@@ -185,6 +185,48 @@ def test_check_valid_mapping_rejects_revisits_and_gaps():
     assert not ok and "contiguous" in why
 
 
+def _cycle_request():
+    # x only on a, y on b or c; the edge may use the 4-cycle but not the chord
+    return Request.build(
+        "q",
+        {"x": ("vm", 1.0, ("a",)), "y": ("vm", 1.0, ("b", "c"))},
+        {("x", "y"): (1.0, (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))},
+        profit=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "node_map, path, message",
+    [
+        ({"x": "a"}, (), "incomplete mapping: node 'y' is unmapped"),
+        ({"x": "b", "y": "c"}, (), "node 'x' placed on disallowed 'b'"),
+        (
+            {"x": "a", "y": "b"}, (),
+            "edge ('x', 'y'): empty path but endpoints differ",
+        ),
+        (
+            {"x": "a", "y": "c"}, (("a", "c"),),
+            "edge ('x', 'y'): path uses disallowed substrate edge ('a', 'c')",
+        ),
+        (
+            {"x": "a", "y": "b"},
+            (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "b")),
+            "edge ('x', 'y'): path revisits 'a'",
+        ),
+    ],
+    ids=[
+        "unmapped-node", "disallowed-host", "empty-path", "disallowed-edge",
+        "revisit",
+    ],
+)
+def test_check_valid_mapping_names_its_violation(node_map, path, message):
+    substrate = square_substrate()
+    mapping = ValidMapping(node_map=node_map, edge_map={("x", "y"): path})
+    assert check_valid_mapping(substrate, _cycle_request(), mapping) == (
+        False, message
+    )
+
+
 def test_allocations_and_cost():
     substrate = square_substrate()
     req = chain_request(substrate)

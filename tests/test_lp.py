@@ -1068,3 +1068,61 @@ def test_folded_solve_matches_the_unfolded_lp(
                 assert check.ok, (instance.name, objective, req.name, check)
     assert statuses == {"optimal", "infeasible"}
     assert folded == 2 * len(instances)
+
+
+def assert_lp_invariant(instance, variant, relation):
+    """Require the LP of ``instance`` under its searched orders and the LP
+    of what ``relation`` makes of it to agree: the same status and, when
+    optimal, the same objective to a relative 1e-9. ``relation`` maps an
+    instance to an instance and one labeled order per request."""
+    outcomes = []
+    for case, orders in ((instance, _orders(instance)), relation(instance)):
+        model, _ = build_novel(case.substrate, case.requests, orders, variant)
+        outcomes.append(solve(model))
+    base, other = outcomes
+    assert other.status == base.status, instance.name
+    if base.optimal:
+        assert other.objective_value == pytest.approx(
+            base.objective_value, rel=1e-9
+        ), instance.name
+
+
+def bfs_orders_from_drawn_roots(instance):
+    """Every request's BFS order from a root drawn with ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    return instance, [
+        label_order(
+            build_extraction_order(req, req.nodes[rng.integers(len(req.nodes))])
+        )
+        for req in instance.requests
+    ]
+
+
+def _pin(labeled):
+    return labeled.order.root, [e.reversed for e in labeled.order.edges]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda get: [
+            (get("bench_workloads").cactus_instance(1, j), "profit") for j in (0, 1)
+        ],
+        lambda get: [(scenario_instance(f"halfwheel:{n}"), "cost") for n in (5, 6, 7)],
+        lambda get: [(instance, "profit") for instance in get("tree_corpus")[:4]],
+        lambda get: [(instance, "cost") for instance in get("cost_corpus")[:4]],
+        lambda get: [
+            (get("fig3_gadget"), "profit"), (get("fig3_gadget"), "cost"),
+            (get("fig4"), "profit"),
+        ],
+    ],
+    ids=["cactus-profit", "halfwheel-cost", "tree-corpus", "cost-corpus", "figures"],
+)
+def test_lp_does_not_depend_on_the_labeled_order(request, cases):
+    # any valid labeled order gives the LP of the valid mappings, so a BFS
+    # order from a drawn root (wider on the half-wheels and fig4) must give
+    # the searched order's status and objective
+    for instance, variant in cases(request.getfixturevalue):
+        _, drawn = bfs_orders_from_drawn_roots(instance)
+        assert any(_pin(a) != _pin(b) for a, b in zip(drawn, _orders(instance)))
+        assert_lp_invariant(instance, variant, bfs_orders_from_drawn_roots)

@@ -529,6 +529,36 @@ def test_verify_rechecks_the_accept_flag(fig3_gadget, monkeypatch, field):
     assert "tri-criteria recheck says accepted=True" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("objective", "reported objective 1.50000000 != recomputed 1.00000000"),
+        ("utilization", "utilization mismatch on "),
+    ],
+)
+def test_verify_rechecks_objective_and_utilization(
+    fig3_gadget, monkeypatch, field, message
+):
+    real = vnembed.pipeline.round_profit
+
+    def misreported(*args):
+        rounded = real(*args)
+        assert rounded.utilization  # the triangle is embedded
+        if field == "objective":
+            rounded.objective_value += 0.5
+        else:
+            rounded.utilization = {
+                res: used + 0.5 for res, used in rounded.utilization.items()
+            }
+        return rounded
+
+    monkeypatch.setattr(vnembed.pipeline, "round_profit", misreported)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fig3_gadget, PipelineConfig(variant="profit", seed=1))
+    assert err.value.stage == "verify"
+    assert message in str(err.value)
+
+
 _COST_CAP_SCRIPT = """
 import sys
 from vnembed import (
