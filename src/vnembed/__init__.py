@@ -25,7 +25,6 @@ from .extraction import (
     LabeledExtractionOrder,
     build_degree_order,
     build_extraction_order,
-    compute_edge_bags,
     flow_labeling,
     generate_half_wheel,
     generate_vc_gadget,

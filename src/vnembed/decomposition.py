@@ -21,9 +21,9 @@ Each mapping is validated as it is extracted, and its entry carries its
 the sampler read loads and costs. ``verify_decomposition`` validates every
 entry again, so it also flags invalid entries built elsewhere.
 
-All comparisons use an epsilon of ``EPS``; residual acceptance below
-``LOOP_EPS`` ends extraction (the leftover is far below the completeness
-tolerance of verification).
+There is one tolerance, ``EPS``: every comparison uses it, and extraction
+stops once the residual acceptance is at or below it (the leftover is far
+below the completeness tolerance of verification).
 
 Every round that does not raise peels a weight above ``EPS``. The walk
 takes a root host, a bag column, a flow or an unknown endpoint's copy host
@@ -55,7 +55,6 @@ from .model import (
 )
 
 EPS = 1e-9
-LOOP_EPS = 1e-7
 
 
 class DecompositionError(Exception):
@@ -210,7 +209,7 @@ def decompose_novel(
     cols = state.columns
     residual = state.residual
     entries: list[DecompositionEntry] = []
-    while state.x > LOOP_EPS:
+    while state.x > EPS:
         root = order.root
         u0 = _positive_choice(
             [(u, residual[cols.y[(root, u)]]) for u in request.allowed_nodes[root]]

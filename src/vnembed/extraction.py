@@ -27,6 +27,11 @@ one loop (``_narrowest``) over candidates scored on node indices by
 wins. The loop stops once a candidate meets the lower bound of 1
 (forests) or 2 (anything with an undirected cycle), and only the winner
 is built as an ``ExtractionOrder`` and rendered from its score.
+
+Every ``LabeledExtractionOrder`` is rendered from a score by ``_render``,
+so bags follow one rule: ``label_order`` scores an order's labels, and
+``flow_labeling`` renders the flow relaxation's orders from an all-zero
+score, every edge a bag alone.
 """
 
 from __future__ import annotations
@@ -356,19 +361,6 @@ def _render_bags(
     return bags
 
 
-def compute_edge_bags(
-    order: ExtractionOrder, labels: Sequence[tuple[str, ...]]
-) -> dict[str, tuple[EdgeBag, ...]]:
-    """Partition each node's outgoing edges by transitive label overlap.
-
-    Unlabeled edges form singleton bags with an empty label set.
-    """
-    index = order.node_index
-    masks = [sum(1 << index[v] for v in set(lab)) for lab in labels]
-    tails = [index[e.tail] for e in order.edges]
-    return _render_bags(order.nodes, _group_masks(len(order.nodes), tails, masks))
-
-
 def label_order(order: ExtractionOrder) -> LabeledExtractionOrder:
     """Compute labels, bags, per-label roots and the width of an order.
 
@@ -419,18 +411,13 @@ def _render(order: ExtractionOrder, score: _Score) -> LabeledExtractionOrder:
 
 
 def flow_labeling(order: ExtractionOrder) -> LabeledExtractionOrder:
-    """``order`` with every label dropped: one singleton bag per edge and
-    width 1. The decomposable LP over it is the multi-commodity flow
-    relaxation, whose solutions are sure to decompose only on tree
-    requests."""
-    labels = tuple(() for _ in order.edges)
-    return LabeledExtractionOrder(
-        order=order,
-        labels=labels,
-        bags=compute_edge_bags(order, labels),
-        label_roots={},
-        width=1,
-    )
+    """``order`` with every label dropped, rendered from an all-zero score:
+    one singleton bag per edge and width 1. The decomposable LP over it is
+    the multi-commodity flow relaxation, whose solutions are sure to
+    decompose only on tree requests."""
+    masks = [0] * len(order.edges)
+    _, tails, _ = _order_ends(order)
+    return _render(order, (masks, {}, _group_masks(len(order.nodes), tails, masks)))
 
 
 def min_width_order_search(

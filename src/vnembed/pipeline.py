@@ -511,7 +511,8 @@ def _verify_rounding(
 ) -> None:
     """Recompute the rounded objective, loads and accept flag from the
     selection alone and raise ``PipelineError("verify", ...)`` on any
-    disagreement with what the sampler reported. Each selected mapping is
+    disagreement with what the sampler reported, a utilization over other
+    resources than the substrate's included. Each selected mapping is
     validated and its allocation computed once, here; the cost objective
     and the loads both derive from that allocation."""
     by_name = {req.name: req for req in requests}
@@ -533,8 +534,15 @@ def _verify_rounding(
             f"{objective:.8f}",
         )
     _, utilization = collection_feasible(instance.substrate, allocations)
+    unmatched = sorted(utilization.keys() ^ rounded.utilization.keys(), key=repr)
+    if unmatched:
+        raise PipelineError(
+            "verify",
+            "sampler and recheck report utilization on different resources: "
+            + ", ".join(map(repr, unmatched)),
+        )
     for res, v in utilization.items():
-        if abs(v - rounded.utilization.get(res, 0.0)) > CONSISTENCY_TOL:
+        if abs(v - rounded.utilization[res]) > CONSISTENCY_TOL:
             raise PipelineError(
                 "verify", f"utilization mismatch on {res}"
             )

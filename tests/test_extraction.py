@@ -17,6 +17,7 @@ from vnembed import (
     build_degree_order,
     build_extraction_order,
     count_novel_variables,
+    flow_labeling,
     is_cactus,
     label_order,
     min_width_order_search,
@@ -31,7 +32,6 @@ from vnembed.extraction import (
     _narrowest,
     _ranked_candidates,
     _width_floor,
-    compute_edge_bags,
     generate_half_wheel,
     generate_vc_gadget,
     half_wheel_center_order,
@@ -190,6 +190,40 @@ def test_tree_orders_have_empty_labels_and_width_one():
         assert labeled.width == 1
 
 
+def test_flow_labeling_equals_label_order_on_tree_requests(tree_corpus):
+    """A tree's BFS order has no confluence, so dropping every label changes
+    nothing: the all-zero score renders what ``label_order`` scores."""
+    requests = [req for inst in tree_corpus for req in inst.requests]
+    assert len(requests) == 50
+    for req in requests:
+        order = build_extraction_order(req, req.nodes[0])
+        assert flow_labeling(order) == label_order(order)
+
+
+def test_flow_labeling_puts_every_edge_in_a_bag_alone(
+    tiny_corpus, cost_corpus, fig3, fig4
+):
+    """On requests with cycles too, the flow order's bags are the reference
+    bags of empty labels: width 1 and no label roots."""
+    named = [fig3, fig4] + [
+        scenario_instance(name) for name in ("halfwheel:6", "servicechain", "cactus:7")
+    ]
+    requests = [
+        req for inst in tiny_corpus + cost_corpus + named for req in inst.requests
+    ]
+    assert len(requests) == 70
+    for req in requests:
+        order = build_extraction_order(req, req.nodes[0])
+        labels = tuple(() for _ in order.edges)
+        assert flow_labeling(order) == extraction.LabeledExtractionOrder(
+            order=order,
+            labels=labels,
+            bags=reference.compute_edge_bags(order, labels),
+            label_roots={},
+            width=1,
+        )
+
+
 def test_labels_match_brute_force_on_braid(fig4):
     req = fig4.requests[0]
     g = Digraph.build(req.nodes, req.edges)
@@ -197,7 +231,7 @@ def test_labels_match_brute_force_on_braid(fig4):
     assert label_order(order).labels == brute_labels(order)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_labels_match_brute_force_on_random_graphs(seed):
     rng = np.random.default_rng(seed)
@@ -207,7 +241,7 @@ def test_labels_match_brute_force_on_random_graphs(seed):
     assert label_order(order).labels == brute_labels(order)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_labels_match_brute_force_on_every_orientation(seed):
     g = random_connected_digraph(np.random.default_rng(seed), max_nodes=6)
@@ -240,7 +274,7 @@ def test_label_order_rejects_invalid_orders():
         label_order(order("a", [("a", "b"), ("x", "b"), ("x", "y"), ("y", "b")]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_label_structure_invariants(seed):
     rng = np.random.default_rng(seed)
@@ -492,7 +526,7 @@ def test_degree_order_visits_low_degree_nodes_first():
         build_degree_order(Digraph.build(("a", "b", "c"), (("a", "b"),)), "a")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_search_never_wider_than_bfs(seed):
     rng = np.random.default_rng(seed)
@@ -506,7 +540,7 @@ def test_search_never_wider_than_bfs(seed):
         assert found == bfs
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_width_floor_is_a_true_lower_bound(seed):
     # the early exit is sound only if no order beats the floor

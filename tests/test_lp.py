@@ -1102,22 +1102,24 @@ def _pin(labeled):
     return labeled.order.root, [e.reversed for e in labeled.order.edges]
 
 
-@pytest.mark.parametrize(
-    "cases",
-    [
-        lambda get: [
-            (get("bench_workloads").cactus_instance(1, j), "profit") for j in (0, 1)
-        ],
-        lambda get: [(scenario_instance(f"halfwheel:{n}"), "cost") for n in (5, 6, 7)],
-        lambda get: [(instance, "profit") for instance in get("tree_corpus")[:4]],
-        lambda get: [(instance, "cost") for instance in get("cost_corpus")[:4]],
-        lambda get: [
-            (get("fig3_gadget"), "profit"), (get("fig3_gadget"), "cost"),
-            (get("fig4"), "profit"),
-        ],
+# 16 LP pairs: seeded instances of every family the pipeline runs, both
+# variants, each small enough to solve twice in tier-1
+_INVARIANCE_CASES = [
+    lambda get: [
+        (get("bench_workloads").cactus_instance(1, j), "profit") for j in (0, 1)
     ],
-    ids=["cactus-profit", "halfwheel-cost", "tree-corpus", "cost-corpus", "figures"],
-)
+    lambda get: [(scenario_instance(f"halfwheel:{n}"), "cost") for n in (5, 6, 7)],
+    lambda get: [(instance, "profit") for instance in get("tree_corpus")[:4]],
+    lambda get: [(instance, "cost") for instance in get("cost_corpus")[:4]],
+    lambda get: [
+        (get("fig3_gadget"), "profit"), (get("fig3_gadget"), "cost"),
+        (get("fig4"), "profit"),
+    ],
+]
+_INVARIANCE_IDS = ["cactus-profit", "halfwheel-cost", "tree-corpus", "cost-corpus", "figures"]
+
+
+@pytest.mark.parametrize("cases", _INVARIANCE_CASES, ids=_INVARIANCE_IDS)
 def test_lp_does_not_depend_on_the_labeled_order(request, cases):
     # any valid labeled order gives the LP of the valid mappings, so a BFS
     # order from a drawn root (wider on the half-wheels and fig4) must give
@@ -1126,3 +1128,87 @@ def test_lp_does_not_depend_on_the_labeled_order(request, cases):
         _, drawn = bfs_orders_from_drawn_roots(instance)
         assert any(_pin(a) != _pin(b) for a, b in zip(drawn, _orders(instance)))
         assert_lp_invariant(instance, variant, bfs_orders_from_drawn_roots)
+
+
+def _rebuilt(instance, substrate_name=str, request_names=lambda req: str, scale=1.0):
+    """``instance`` built again with substrate node ``u`` named
+    ``substrate_name(u)`` and request node ``i`` of ``req`` named
+    ``request_names(req)(i)``, every capacity and demand times ``scale`` and
+    every cost divided by it. Allowed lists and edges follow the names."""
+    sub = instance.substrate
+    s = substrate_name
+    node_types = {s(u): {} for u in sub.nodes}
+    for (t, u), cap in sub.node_capacity.items():
+        node_types[s(u)][t] = (cap * scale, sub.node_cost[(t, u)] / scale)
+    edges = {
+        (s(a), s(b)): (cap * scale, sub.edge_cost[(a, b)] / scale)
+        for (a, b), cap in sub.edge_capacity.items()
+    }
+    requests = []
+    for req in instance.requests:
+        n = request_names(req)
+        requests.append(Request.build(
+            req.name,
+            {
+                n(i): (
+                    req.node_type[i], req.node_demand[i] * scale,
+                    [s(u) for u in req.allowed_nodes[i]],
+                )
+                for i in req.nodes
+            },
+            {
+                (n(i), n(j)): (
+                    req.edge_demand[(i, j)] * scale,
+                    [(s(a), s(b)) for a, b in req.allowed_edges[(i, j)]],
+                )
+                for i, j in req.edges
+            },
+            profit=req.profit,
+        ))
+    return dataclasses.replace(
+        instance,
+        substrate=SubstrateGraph.build(node_types, edges),
+        requests=tuple(requests),
+    )
+
+
+def _reversing(names):
+    """A renaming that reverses the sort order of ``names``."""
+    ranked = sorted(names)
+    return {v: f"n{len(ranked) - 1 - k:03d}" for k, v in enumerate(ranked)}.__getitem__
+
+
+def requests_reversed(instance):
+    case = dataclasses.replace(instance, requests=instance.requests[::-1])
+    return case, _orders(case)
+
+
+def nodes_renamed_in_reverse_order(instance):
+    case = _rebuilt(
+        instance, _reversing(instance.substrate.nodes), lambda req: _reversing(req.nodes)
+    )
+    return case, _orders(case)
+
+
+def capacities_and_demands_doubled_costs_halved(instance):
+    # powers of two scale exactly: every row and cost term keeps its value
+    case = _rebuilt(instance, scale=2.0)
+    return case, _orders(case)
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        requests_reversed,
+        nodes_renamed_in_reverse_order,
+        capacities_and_demands_doubled_costs_halved,
+    ],
+    ids=["requests-reversed", "nodes-renamed", "scaled"],
+)
+@pytest.mark.parametrize("cases", _INVARIANCE_CASES, ids=_INVARIANCE_IDS)
+def test_lp_keeps_its_outcome_under_metamorphic_relations(request, cases, relation):
+    # the LP is that of the valid mappings, and none of these relations
+    # changes which mappings are valid, what they load relative to
+    # capacity, or what they earn or cost
+    for instance, variant in cases(request.getfixturevalue):
+        assert_lp_invariant(instance, variant, relation)

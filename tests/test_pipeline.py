@@ -534,6 +534,8 @@ def test_verify_rechecks_the_accept_flag(fig3_gadget, monkeypatch, field):
     [
         ("objective", "reported objective 1.50000000 != recomputed 1.00000000"),
         ("utilization", "utilization mismatch on "),
+        ("extra-resource", "different resources: ('node', 'vm', 'nowhere')"),
+        ("missing-resource", "different resources: ('node', 'vm', 'u4')"),
     ],
 )
 def test_verify_rechecks_objective_and_utilization(
@@ -546,10 +548,15 @@ def test_verify_rechecks_objective_and_utilization(
         assert rounded.utilization  # the triangle is embedded
         if field == "objective":
             rounded.objective_value += 0.5
-        else:
+        elif field == "utilization":
             rounded.utilization = {
                 res: used + 0.5 for res, used in rounded.utilization.items()
             }
+        elif field == "extra-resource":
+            rounded.utilization[("node", "vm", "nowhere")] = 5.0
+        else:
+            # an unloaded resource: its value alone would match at 0
+            assert rounded.utilization.pop(("node", "vm", "u4")) == 0.0
         return rounded
 
     monkeypatch.setattr(vnembed.pipeline, "round_profit", misreported)
