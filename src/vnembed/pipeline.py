@@ -406,12 +406,8 @@ def round_relaxation(
         requests=_fresh(relaxation.request_rows),
         lp=dict(relaxation.lp_row),
         bounds={
-            "epsilon": round(bounds.epsilon, 12),
-            "delta_nodes": round(bounds.delta_nodes, 12),
-            "delta_edges": round(bounds.delta_edges, 12),
-            "alpha": round(bounds.alpha, 12),
-            "beta": round(bounds.beta, 12),
-            "gamma": round(bounds.gamma, 12),
+            key: round(value, 12)
+            for key, value in dataclasses.asdict(bounds).items()
         },
         decomposition=_fresh(relaxation.decomposition_rows),
         rounding=rounding_row,

@@ -6,6 +6,14 @@ the seeded families used by the regression suite and the experiment
 scripts (random trees, cactus shapes, antiparallel augmentations, tiny
 oracle-checkable instances, costed instances).
 
+Every fixture but ``fig3`` and ``fig3-cost-gadget`` follows one rule: one
+request of unit demand and unit profit, allowed on every host and
+substrate edge that fits, on a bidirected ring of unit costs whose nodes
+and links share one capacity. Ring size and capacity per family:
+``fig4`` 3 and 50, ``halfwheel:<n>`` 4 and 4n, ``vc-gadget:<base>`` 4 and
+40, ``servicechain`` 5 and 20, ``virtualcluster:<n>`` 4 and 4n,
+``cactus:<n>`` and ``tree:<n>`` max(4, min(n, 8)) and 4n.
+
 The benchmark's workloads and reference objectives, the release gate's
 counts and the width survey all rest on these exact draws: a change to
 a generator must keep every call on the random stream, in the same order.
@@ -14,7 +22,8 @@ a generator must keep every call on the random stream, in the same order.
 from __future__ import annotations
 
 import zlib
-from typing import Callable
+from dataclasses import astuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -58,34 +67,34 @@ VC_BASES: dict[str, tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = {
 }
 
 
-def _generic_substrate(num_nodes: int = 4, capacity: float = 10.0) -> SubstrateGraph:
-    """Bidirected ring substrate with ample, uniform capacities."""
-    nodes = [f"s{k:02d}" for k in range(num_nodes)]
-    node_types = {u: {VM: (capacity, 1.0)} for u in nodes}
-    edges = {}
-    for k in range(num_nodes):
-        a, b = nodes[k], nodes[(k + 1) % num_nodes]
-        edges[(a, b)] = (capacity, 1.0)
-        edges[(b, a)] = (capacity, 1.0)
-    return SubstrateGraph.build(node_types, edges)
-
-
-def _uniform_request(
+def _uniform(
     name: str,
-    substrate: SubstrateGraph,
-    nodes: tuple[str, ...],
-    edges: tuple[tuple[str, str], ...],
-    demand: float = 1.0,
-    profit: float = 1.0,
-) -> Request:
-    node_specs = {
-        i: (VM, demand, default_allowed_nodes(substrate, VM, demand))
-        for i in nodes
+    request: str,
+    ring: int,
+    capacity: float,
+    nodes: Iterable[str],
+    edges: Iterable[tuple[str, str]],
+) -> Instance:
+    """Instance ``name``: the one request ``request`` on ``nodes`` and
+    ``edges`` over a bidirected ring of ``ring`` hosts, every host and link
+    of ``capacity`` and unit cost. Every request node and edge demands 1 and
+    may use each host and link that fits; the request earns 1."""
+    hosts = [f"s{k:02d}" for k in range(ring)]
+    links = {
+        e: (capacity, 1.0)
+        for a, b in zip(hosts, hosts[1:] + hosts[:1])
+        for e in ((a, b), (b, a))
     }
-    edge_specs = {
-        e: (demand, default_allowed_edges(substrate, demand)) for e in edges
-    }
-    return Request.build(name, node_specs, edge_specs, profit=profit)
+    node_types = {u: {VM: (capacity, 1.0)} for u in hosts}
+    substrate = SubstrateGraph.build(node_types, links)
+    fitting_hosts = default_allowed_nodes(substrate, VM, 1.0)
+    fitting_links = default_allowed_edges(substrate, 1.0)
+    built = Request.build(
+        request,
+        {i: (VM, 1.0, fitting_hosts) for i in nodes},
+        {e: (1.0, fitting_links) for e in edges},
+    )
+    return Instance(name=name, substrate=substrate, requests=(built,))
 
 
 def _fig3(with_cost_gadget: bool) -> Instance:
@@ -125,22 +134,6 @@ FIG4_EDGES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _fig4() -> Instance:
-    nodes = tuple(sorted({n for e in FIG4_EDGES for n in e}))
-    substrate = _generic_substrate(3, capacity=50.0)
-    request = _uniform_request("braid", substrate, nodes, FIG4_EDGES)
-    return Instance(name="fig4", substrate=substrate, requests=(request,))
-
-
-def _half_wheel_instance(n: int) -> Instance:
-    graph = generate_half_wheel(n)
-    substrate = _generic_substrate(4, capacity=float(4 * n))
-    request = _uniform_request(
-        f"halfwheel{n}", substrate, tuple(graph.nodes), tuple(graph.edges)
-    )
-    return Instance(name=f"halfwheel:{n}", substrate=substrate, requests=(request,))
-
-
 def _vc_gadget_instance(base_name: str) -> Instance:
     try:
         base_nodes, base_edges = VC_BASES[base_name]
@@ -149,13 +142,9 @@ def _vc_gadget_instance(base_name: str) -> Instance:
             f"unknown vc-gadget base {base_name!r}; "
             f"known: {', '.join(sorted(VC_BASES))}"
         ) from None
-    graph = generate_vc_gadget(base_nodes, base_edges)
-    substrate = _generic_substrate(4, capacity=40.0)
-    request = _uniform_request(
-        f"vc-{base_name}", substrate, tuple(graph.nodes), tuple(graph.edges)
-    )
-    return Instance(
-        name=f"vc-gadget:{base_name}", substrate=substrate, requests=(request,)
+    return _uniform(
+        f"vc-gadget:{base_name}", f"vc-{base_name}", 4, 40.0,
+        *astuple(generate_vc_gadget(base_nodes, base_edges)),
     )
 
 
@@ -176,36 +165,20 @@ SERVICE_CHAIN_EDGES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _service_chain() -> Instance:
-    nodes = ("FW", "LB1", "LB2", "NAT", "cache")
-    substrate = _generic_substrate(5, capacity=20.0)
-    request = _uniform_request("servicechain", substrate, nodes, SERVICE_CHAIN_EDGES)
-    return Instance(name="servicechain", substrate=substrate, requests=(request,))
-
-
 def _virtual_cluster(n: int) -> Instance:
-    if n < 1:
-        raise ValueError("virtual cluster needs at least one VM")
     vms = tuple(f"vm{k:02d}" for k in range(1, n + 1))
-    edges = tuple(("sw", v) for v in vms) + tuple((v, "sw") for v in vms)
-    substrate = _generic_substrate(4, capacity=float(4 * n))
-    request = _uniform_request(
-        f"cluster{n}", substrate, vms + ("sw",), edges
+    edges = [e for v in vms for e in (("sw", v), (v, "sw"))]
+    return _uniform(
+        f"virtualcluster:{n}", f"cluster{n}", 4, 4 * n, vms + ("sw",), edges
     )
-    return Instance(name=f"virtualcluster:{n}", substrate=substrate, requests=(request,))
 
 
 def _seeded_graph_instance(kind: str, n: int) -> Instance:
     # the name alone must determine the instance, so derive the seed from it
-    tag = zlib.crc32(f"{kind}:{n}".encode())
-    rng = np.random.default_rng(tag)
-    substrate = _generic_substrate(max(4, min(n, 8)), capacity=float(4 * n))
-    if kind == "tree":
-        nodes, edges = random_tree_graph(rng, n)
-    else:
-        nodes, edges = random_cactus_graph(rng, n)
-    request = _uniform_request(f"{kind}{n}", substrate, nodes, edges)
-    return Instance(name=f"{kind}:{n}", substrate=substrate, requests=(request,))
+    rng = np.random.default_rng(zlib.crc32(f"{kind}:{n}".encode()))
+    draw = random_tree_graph if kind == "tree" else random_cactus_graph
+    ring = max(4, min(n, 8))
+    return _uniform(f"{kind}:{n}", f"{kind}{n}", ring, 4 * n, *draw(rng, n))
 
 
 # Every fixture under its listed name: ``<n>`` takes a positive integer,
@@ -213,12 +186,19 @@ def _seeded_graph_instance(kind: str, n: int) -> Instance:
 _FIXTURES: dict[str, Callable[..., Instance]] = {
     "fig3": lambda: _fig3(False),
     "fig3-cost-gadget": lambda: _fig3(True),
-    "fig4": _fig4,
-    "halfwheel:<n>": _half_wheel_instance,
+    "fig4": lambda: _uniform(
+        "fig4", "braid", 3, 50.0, set().union(*FIG4_EDGES), FIG4_EDGES
+    ),
+    "halfwheel:<n>": lambda n: _uniform(
+        f"halfwheel:{n}", f"halfwheel{n}", 4, 4 * n, *astuple(generate_half_wheel(n))
+    ),
     "vc-gadget:<base>": _vc_gadget_instance,
     "cactus:<n>": lambda n: _seeded_graph_instance("cactus", n),
     "tree:<n>": lambda n: _seeded_graph_instance("tree", n),
-    "servicechain": _service_chain,
+    "servicechain": lambda: _uniform(
+        "servicechain", "servicechain", 5, 20.0,
+        set().union(*SERVICE_CHAIN_EDGES), SERVICE_CHAIN_EDGES,
+    ),
     "virtualcluster:<n>": _virtual_cluster,
 }
 SCENARIO_NAMES = tuple(_FIXTURES)

@@ -50,6 +50,28 @@ def test_generate_unknown_scenario(capsys):
         assert capsys.readouterr().err == f"error: unknown scenario {name!r}\n"
 
 
+def test_generate_needs_a_name_or_list(capsys):
+    assert main(["generate"]) == 2
+    assert capsys.readouterr().err == "error: scenario name required (or use --list)\n"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        (
+            "vc-gadget:nope",
+            "unknown vc-gadget base 'nope'; known: cycle4, cycle5, k4, path3, star4",
+        ),
+        ("halfwheel:x", "scenario 'halfwheel:x' needs an integer argument"),
+        ("halfwheel:0", "scenario 'halfwheel:0' needs a positive argument"),
+        ("halfwheel:1", "half wheel needs at least two outer nodes"),
+    ],
+)
+def test_generate_refuses_a_bad_fixture_argument(capsys, name, message):
+    assert main(["generate", name]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_roundtrip(tmp_path, capsys):
     path = _generate(tmp_path, "fig3")
     assert main(["validate", str(path)]) == 0

@@ -71,6 +71,11 @@ class TestConnectivityPath:
         )
         assert path == [("u", "v")]
 
+    def test_unknown_direction_raises(self):
+        flows = {("a", "b"): 0.4}
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            find_connectivity_path(flows, lambda u: 1.0, "a", direction="sideways")
+
     def test_tiny_flows_are_invisible(self):
         flows = {("a", "b"): 5e-10}
         with pytest.raises(DecompositionError):

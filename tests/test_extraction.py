@@ -459,6 +459,13 @@ def test_vc_gadget_small_cases():
     assert min_width_order_search(star, "exhaustive", roots=["r"]).width == 2
 
 
+def test_vc_gadget_refuses_a_colliding_super_node_and_a_self_loop():
+    with pytest.raises(ValueError, match="super node id 'r' collides with base node"):
+        generate_vc_gadget(("r", "a"), (("r", "a"),))
+    with pytest.raises(ValueError, match="self-loop on 'a'"):
+        generate_vc_gadget(("a", "b"), (("a", "b"), ("a", "a")))
+
+
 def test_figure_one_reference_widths():
     chain = scenario_instance("servicechain").requests[0]
     g = Digraph.build(chain.nodes, chain.edges)

@@ -88,6 +88,12 @@ def test_decomposable_formulation_sees_through_gadget(fig3):
     assert abs(sol.objective_value) <= 1e-6
 
 
+def test_decomposable_formulation_needs_one_order_per_request(fig3):
+    requests = fig3.requests * 2
+    with pytest.raises(ValueError, match="one labeled order per request required"):
+        build_novel(fig3.substrate, requests, _orders(fig3), "profit")
+
+
 def test_cost_variant_forces_full_embed(fig3, fig3_gadget):
     # without the shortcut edge there is no valid mapping at all
     model, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "cost")
@@ -1196,14 +1202,28 @@ def capacities_and_demands_doubled_costs_halved(instance):
     return case, _orders(case)
 
 
+def allowed_lists_reversed(instance):
+    # Request.build would sort the lists back, so replace them directly
+    case = dataclasses.replace(instance, requests=tuple(
+        dataclasses.replace(
+            req,
+            allowed_nodes={i: hosts[::-1] for i, hosts in req.allowed_nodes.items()},
+            allowed_edges={e: paths[::-1] for e, paths in req.allowed_edges.items()},
+        )
+        for req in instance.requests
+    ))
+    return case, _orders(case)
+
+
 @pytest.mark.parametrize(
     "relation",
     [
         requests_reversed,
         nodes_renamed_in_reverse_order,
         capacities_and_demands_doubled_costs_halved,
+        allowed_lists_reversed,
     ],
-    ids=["requests-reversed", "nodes-renamed", "scaled"],
+    ids=["requests-reversed", "nodes-renamed", "scaled", "allowed-reversed"],
 )
 @pytest.mark.parametrize("cases", _INVARIANCE_CASES, ids=_INVARIANCE_IDS)
 def test_lp_keeps_its_outcome_under_metamorphic_relations(request, cases, relation):
