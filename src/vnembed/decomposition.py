@@ -17,8 +17,9 @@ the solution vector, by column number; the caller's solution is never
 changed, so several requests decompose from one vector.
 
 Each mapping is validated as it is extracted, and its entry carries its
-``compute_allocations`` result, from which verification, cost pruning and
-the sampler read loads and costs. ``verify_decomposition`` validates every
+``compute_allocations`` result, the mapping's load vector over
+``substrate.resources``, from which verification, cost pruning and the
+sampler read loads and costs. ``verify_decomposition`` validates every
 entry again, so it also flags invalid entries built elsewhere.
 
 There is one tolerance, ``EPS``: every comparison uses it, and extraction
@@ -40,14 +41,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .extraction import LabeledExtractionOrder
 from .formulations import NovelState, mapping_columns
 from .model import (
     Request,
-    Resource,
     SubstrateGraph,
     ValidMapping,
     _unchecked_allocations,
@@ -74,7 +76,8 @@ class DecompositionStuckError(DecompositionError):
 class DecompositionEntry:
     weight: float
     mapping: ValidMapping
-    allocation: dict[Resource, float]  # compute_allocations of mapping
+    # compute_allocations of mapping; it derives from mapping, so == skips it
+    allocation: np.ndarray = field(compare=False)
 
 
 @dataclass
@@ -187,7 +190,7 @@ def _apply_extraction(
         residual[col] = _clamp(residual[col] - weight)
     entries.append(DecompositionEntry(
         weight=weight, mapping=mapping,
-        allocation=_unchecked_allocations(request, mapping),
+        allocation=_unchecked_allocations(substrate, request, mapping),
     ))
 
 
@@ -326,25 +329,22 @@ def verify_decomposition(
     request: Request,
     decomposition: ConvexDecomposition,
     x_value: float,
-    load_values: Mapping[Resource, float],
+    load_values: np.ndarray,
 ) -> DecompositionCheck:
-    """Check completeness, per-resource domination by the LP loads, and
-    validity of every entry's mapping. The loads of the valid entries are
-    summed from their ``allocation``; invalid entries are skipped."""
+    """Check completeness, per-resource domination by the LP load vector
+    ``load_values``, and validity of every entry's mapping. The loads of
+    the valid entries are summed from their ``allocation``; invalid entries
+    are skipped."""
     invalid = []
-    used: dict[Resource, float] = {}
+    used = np.zeros(len(substrate.resources))
     for idx, entry in enumerate(decomposition.entries):
         ok, why = check_valid_mapping(substrate, request, entry.mapping)
         if not ok:
             invalid.append(f"entry {idx}: {why}")
             continue
-        for res, amount in entry.allocation.items():
-            used[res] = used.get(res, 0.0) + entry.weight * amount
-    worst = 0.0
-    for res, total in used.items():
-        worst = max(worst, total - load_values.get(res, 0.0))
+        used += entry.weight * entry.allocation
     return DecompositionCheck(
         completeness_error=abs(decomposition.total_weight - x_value),
-        worst_overuse=worst,
+        worst_overuse=float((used - load_values).max(initial=0.0)),
         invalid=invalid,
     )

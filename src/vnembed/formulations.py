@@ -38,7 +38,8 @@ is exported.
 The builder returns a ``NovelVariableIndex`` with the labeled orders and one
 ``RequestColumns`` per request, which maps every variable to its column.
 ``request_state`` hands decomposition a ``NovelState``: the columns, a
-copy of the solution vector to drain, and the request's loads.
+copy of the solution vector to drain, and the request's load vector over
+``substrate.resources``, the form every mapping's allocation takes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .extraction import LabeledExtractionOrder, build_extraction_order, flow_lab
 from .lpmodel import MAXIMIZE, MINIMIZE, LPModel
 from .model import (
     Request,
-    Resource,
     SubstrateGraph,
     ValidMapping,
     edge_resource,
@@ -95,13 +95,13 @@ class NovelState:
     """One request's view of an LP solution, drained by decomposition.
 
     ``residual`` is a copy of the whole solution vector, read and drained
-    through ``columns``; ``a`` is the request's load per resource at the
-    solution.
+    through ``columns``; ``a`` is the request's load at the solution, a
+    vector over ``substrate.resources``.
     """
 
     columns: RequestColumns
     residual: list[float]
-    a: dict[Resource, float]
+    a: np.ndarray
 
     @property
     def x(self) -> float:
@@ -135,10 +135,8 @@ class NovelVariableIndex:
         resources = self.substrate.resources
         res, cols, demand = self.loads[r]
         # bincount adds in input order, as a loop over the terms would
-        totals = np.bincount(res, demand * values[cols], minlength=len(resources))
-        return NovelState(
-            self.columns[r], values.tolist(), dict(zip(resources, totals.tolist()))
-        )
+        a = np.bincount(res, demand * values[cols], minlength=len(resources))
+        return NovelState(self.columns[r], values.tolist(), a)
 
 
 def build_mcf(
@@ -248,8 +246,7 @@ def build_novel(
     if objective == "cost" and requests:
         res, cols, demand = (np.concatenate(part) for part in zip(*index.loads))
         by_resource = np.argsort(res, kind="stable")
-        cost = np.array([substrate.cost(resource) for resource in resources])
-        coef = cost[res[by_resource]] * demand[by_resource]
+        coef = np.array(substrate.costs)[res[by_resource]] * demand[by_resource]
         priced = coef != 0
         model.objective.update(
             zip(cols[by_resource][priced].tolist(), coef[priced].tolist())

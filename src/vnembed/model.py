@@ -7,6 +7,12 @@ demanding edges together with placement and routing restrictions. A valid
 mapping places every request node on an allowed substrate node and routes
 every request edge along an allowed substrate path.
 
+Loads have one form: a float vector over ``substrate.resources``, node
+resources first (the first ``len(substrate.node_capacity)`` entries), then
+edges. A mapping's allocation (``compute_allocations``), a request's LP
+load and a selection's utilization (``collection_feasible``) are all such
+vectors, and ``allocation_cost`` alone prices one.
+
 The demand statistics behind the rounding bounds are taken by
 ``rounding.compute_bounds``, in one pass per request.
 
@@ -22,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 # Resources are tagged tuples: ("node", node_type, node_id) for the typed
 # capacity of a substrate node, ("edge", tail, head) for edge bandwidth.
@@ -117,6 +125,11 @@ class SubstrateGraph:
     def capacities(self) -> tuple[float, ...]:
         """Capacity of each resource, in ``resources`` order."""
         return tuple(self.capacity(res) for res in self.resources)
+
+    @cached_property
+    def costs(self) -> tuple[float, ...]:
+        """Unit cost of each resource, in ``resources`` order."""
+        return tuple(self.cost(res) for res in self.resources)
 
     def capacity(self, res: Resource) -> float:
         if res[0] == NODE:
@@ -343,8 +356,6 @@ def _repeated(entries: tuple) -> list:
 
 
 def _weakly_connected(req: Request) -> bool:
-    if not req.nodes:
-        return True
     adj: dict[str, set[str]] = {i: set() for i in req.nodes}
     for (i, j) in req.edges:
         if i in adj and j in adj:
@@ -405,31 +416,29 @@ def check_valid_mapping(
 
 def compute_allocations(
     substrate: SubstrateGraph, request: Request, mapping: ValidMapping
-) -> dict[Resource, float]:
-    """Resource allocations induced by a valid mapping.
-
-    Only touched resources appear; zero-demand contributions are kept so the
-    key set mirrors what the mapping occupies.
-    """
+) -> np.ndarray:
+    """Load vector of a valid mapping: each request node's demand on its
+    host's typed resource and each request edge's demand on every edge of
+    its path, summed per resource, 0 where the mapping puts nothing."""
     ok, why = check_valid_mapping(substrate, request, mapping)
     if not ok:
         raise ValueError(f"invalid mapping: {why}")
-    return _unchecked_allocations(request, mapping)
+    return _unchecked_allocations(substrate, request, mapping)
 
 
 def _unchecked_allocations(
-    request: Request, mapping: ValidMapping
-) -> dict[Resource, float]:
+    substrate: SubstrateGraph, request: Request, mapping: ValidMapping
+) -> np.ndarray:
     """``compute_allocations`` of a mapping the caller has already checked."""
-    alloc: dict[Resource, float] = {}
+    column = substrate.resource_column
+    loads = [0.0] * len(column)
     for i in request.nodes:
         res = node_resource(request.node_type[i], mapping.node_map[i])
-        alloc[res] = alloc.get(res, 0.0) + request.node_demand[i]
+        loads[column[res]] += request.node_demand[i]
     for e in request.edges:
         for se in mapping.edge_map[e]:
-            res = edge_resource(*se)
-            alloc[res] = alloc.get(res, 0.0) + request.edge_demand[e]
-    return alloc
+            loads[column[edge_resource(*se)]] += request.edge_demand[e]
+    return np.array(loads)
 
 
 def mapping_cost(
@@ -441,29 +450,24 @@ def mapping_cost(
     )
 
 
-def allocation_cost(
-    substrate: SubstrateGraph, alloc: Mapping[Resource, float]
-) -> float:
-    """Cost of one ``compute_allocations`` result."""
-    return sum(substrate.cost(res) * amount for res, amount in alloc.items())
+def allocation_cost(substrate: SubstrateGraph, loads: np.ndarray) -> float:
+    """Cost of a load vector: ``math.fsum`` of cost times load, which is
+    exact before its one rounding, so it depends on no summation order or
+    machine."""
+    return math.fsum(np.multiply(substrate.costs, loads).tolist())
 
 
 def collection_feasible(
-    substrate: SubstrateGraph, allocations: Sequence[Mapping[Resource, float]]
-) -> tuple[bool, dict[Resource, float]]:
-    """Check the summed loads of ``allocations`` (``compute_allocations``
-    results of valid mappings) against capacities, up to a tolerance of 1e-9.
+    substrate: SubstrateGraph, allocations: Sequence[np.ndarray]
+) -> tuple[bool, np.ndarray]:
+    """Check the summed load vectors ``allocations`` against capacities, up
+    to a tolerance of 1e-9.
 
     Returns the verdict plus the utilization ``load / capacity`` of every
-    substrate resource, including untouched ones at 0.
+    substrate resource, a vector over ``substrate.resources``.
     """
-    load: dict[Resource, float] = {res: 0.0 for res in substrate.resources}
-    for alloc in allocations:
-        for res, amount in alloc.items():
-            load[res] += amount
-    utilization = {
-        res: load[res] / cap for res, cap in zip(load, substrate.capacities)
-    }
-    ok = all(used <= 1.0 + 1e-9 for used in utilization.values())
-    return ok, utilization
-
+    load = np.zeros(len(substrate.resources))
+    for loads in allocations:
+        load += loads
+    utilization = load / np.array(substrate.capacities)
+    return bool((utilization <= 1.0 + 1e-9).all()), utilization

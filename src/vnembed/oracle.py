@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .lpmodel import MAXIMIZE, MINIMIZE, LPModel, solve
 from .model import (
     Request,
-    Resource,
     SubstrateGraph,
     ValidMapping,
     _unchecked_allocations,
@@ -146,7 +147,7 @@ def solve_enumerative(
     enums = [enumerate_valid_mappings(substrate, req, cap=cap) for req in requests]
     # the enumerator has just validated every mapping
     allocations = [
-        [_unchecked_allocations(req, m) for m in enum.mappings]
+        [_unchecked_allocations(substrate, req, m) for m in enum.mappings]
         for req, enum in zip(requests, enums)
     ]
     values = [
@@ -168,20 +169,20 @@ def _enumerative_lp(substrate, enums, allocations, values, objective):
     weight_vars = [range(first, first + n) for first, n in zip(firsts, counts)]
     terms = itertools.chain.from_iterable(values)
     model.objective = {v: term for v, term in enumerate(terms) if term}
-    cols: dict[Resource, list[int]] = {res: [] for res in substrate.resources}
-    amts: dict[Resource, list[float]] = {res: [] for res in substrate.resources}
-    for v, alloc in enumerate(itertools.chain.from_iterable(allocations)):
-        for res, amt in alloc.items():
-            if amt:
-                cols[res].append(v)
-                amts[res].append(amt)
-    loaded = [res for res in substrate.resources if cols[res]]
+    # one row per resource and one column per mapping; nonzero lists the
+    # loaded entries row by row, so each capacity row's columns ascend
+    loads = np.reshape(
+        list(itertools.chain.from_iterable(allocations)),
+        (model.num_variables, len(substrate.resources)),
+    ).T
+    res, cols = np.nonzero(loads)
+    loaded, lengths = np.unique(res, return_counts=True)
     model.add_rows(
-        [*range(model.num_variables), *(v for res in loaded for v in cols[res])],
-        [1.0] * model.num_variables + [a for res in loaded for a in amts[res]],
-        counts + [len(cols[res]) for res in loaded],
+        [*range(model.num_variables), *cols.tolist()],
+        [1.0] * model.num_variables + loads[res, cols].tolist(),
+        counts + lengths.tolist(),
         [objective == "cost"] * len(enums) + [False] * len(loaded),
-        [1.0] * len(enums) + [substrate.capacity(res) for res in loaded],
+        [1.0] * len(enums) + [substrate.capacities[k] for k in loaded],
     )
     sol = solve(model)
     if not sol.optimal:
@@ -203,25 +204,30 @@ def _enumerative_lp(substrate, enums, allocations, values, objective):
 def _enumerative_ip(substrate, enums, allocations, values, objective):
     # Depth-first branch and bound maximizing sign * value. A request's
     # options are its mappings, plus embedding nothing under profit; the
-    # bound adds each remaining request's best signed term.
+    # bound adds each remaining request's best signed term. An option
+    # carries the resources its allocation loads and their loads, so a step
+    # touches only those.
     sign = 1.0 if objective == "profit" else -1.0
     options = [
-        list(zip(itertools.count(), request_allocations, request_values))
+        [
+            (k, np.flatnonzero(a).tolist(), a[a != 0].tolist(), term)
+            for k, (a, term) in enumerate(zip(request_allocations, request_values))
+        ]
         for request_allocations, request_values in zip(allocations, values)
     ]
     if objective == "profit":
         for request_options in options:
-            request_options.append((None, {}, 0.0))
+            request_options.append((None, [], [], 0.0))
     best_terms = [
-        max((sign * term for _, _, term in opts), default=-math.inf)
+        max((sign * term for *_, term in opts), default=-math.inf)
         for opts in options
     ]
     suffix = list(itertools.accumulate(reversed(best_terms), initial=0.0))[::-1]
-    capacity = {res: substrate.capacity(res) for res in substrate.resources}
+    capacity = substrate.capacities
     n = len(options)
     best_value: float | None = None
     best_pick: list[int | None] | None = None
-    load: dict[Resource, float] = {}
+    load = [0.0] * len(capacity)
     pick: list[int | None] = [None] * n
 
     def recurse(r: int, value: float) -> None:
@@ -234,17 +240,16 @@ def _enumerative_ip(substrate, enums, allocations, values, objective):
             best_value = value
             best_pick = list(pick)
             return
-        for k, alloc, term in options[r]:
+        for k, cols, amts, term in options[r]:
             if all(
-                load.get(res, 0.0) + amt <= capacity[res] + 1e-9
-                for res, amt in alloc.items()
+                load[c] + amt <= capacity[c] + 1e-9 for c, amt in zip(cols, amts)
             ):
-                for res, amt in alloc.items():
-                    load[res] = load.get(res, 0.0) + amt
+                for c, amt in zip(cols, amts):
+                    load[c] += amt
                 pick[r] = k
                 recurse(r + 1, value + term)
-                for res, amt in alloc.items():
-                    load[res] = load.get(res, 0.0) - amt
+                for c, amt in zip(cols, amts):
+                    load[c] -= amt
 
     recurse(0, 0.0)
     if best_pick is None:

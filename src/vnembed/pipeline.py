@@ -59,8 +59,6 @@ from .formulations import NovelVariableIndex, build_novel
 from .instances import Instance
 from .lpmodel import BACKEND, LPModel, LPSolution, solve
 from .model import (
-    EDGE,
-    NODE,
     Request,
     ValidationReport,
     ValidMapping,
@@ -386,12 +384,14 @@ def round_relaxation(
             relaxation.lp_objective,
         )
 
+    nodes = len(instance.substrate.node_capacity)  # node resources come first
+    utilization = rounded.utilization.tolist()
     rounding_row = {
         "accepted": rounded.accepted,
         "tries_used": rounded.tries_used,
         "objective": round(rounded.objective_value, 9),
-        "max_node_utilization": round(_worst(rounded.utilization, NODE), 9),
-        "max_edge_utilization": round(_worst(rounded.utilization, EDGE), 9),
+        "max_node_utilization": round(max(utilization[:nodes], default=0.0), 9),
+        "max_edge_utilization": round(max(utilization[nodes:], default=0.0), 9),
         "selection": {
             name: mapping_to_dict(mapping)
             for name, mapping in sorted(rounded.selection.items())
@@ -490,13 +490,6 @@ def _fresh(rows: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
     ]
 
 
-def _worst(utilization: dict, kind: str) -> float:
-    return max(
-        (used for res, used in utilization.items() if res[0] == kind),
-        default=0.0,
-    )
-
-
 def _verify_rounding(
     instance: Instance,
     requests: Sequence,
@@ -507,10 +500,10 @@ def _verify_rounding(
 ) -> None:
     """Recompute the rounded objective, loads and accept flag from the
     selection alone and raise ``PipelineError("verify", ...)`` on any
-    disagreement with what the sampler reported, a utilization over other
-    resources than the substrate's included. Each selected mapping is
-    validated and its allocation computed once, here; the cost objective
-    and the loads both derive from that allocation."""
+    disagreement with what the sampler reported, a utilization vector of
+    another length than ``substrate.resources`` included. Each selected
+    mapping is validated and its allocation computed once, here; the cost
+    objective and the loads both derive from that allocation."""
     by_name = {req.name: req for req in requests}
     allocations = []
     objective = 0.0
@@ -530,20 +523,22 @@ def _verify_rounding(
             f"{objective:.8f}",
         )
     _, utilization = collection_feasible(instance.substrate, allocations)
-    unmatched = sorted(utilization.keys() ^ rounded.utilization.keys(), key=repr)
-    if unmatched:
+    if len(rounded.utilization) != len(utilization):
         raise PipelineError(
             "verify",
-            "sampler and recheck report utilization on different resources: "
-            + ", ".join(map(repr, unmatched)),
+            f"sampler reports utilization on {len(rounded.utilization)} "
+            f"resources, the substrate has {len(utilization)}",
         )
-    for res, v in utilization.items():
-        if abs(v - rounded.utilization[res]) > CONSISTENCY_TOL:
-            raise PipelineError(
-                "verify", f"utilization mismatch on {res}"
-            )
+    # not <=, so that a NaN reads as a mismatch
+    close = np.abs(utilization - rounded.utilization) <= CONSISTENCY_TOL
+    off = np.flatnonzero(~close)
+    if off.size:
+        raise PipelineError(
+            "verify",
+            f"utilization mismatch on {instance.substrate.resources[off[0]]}",
+        )
     accepted = check_tri_criteria(
-        objective, utilization, bounds, lp_objective, variant
+        instance.substrate, objective, utilization, bounds, lp_objective, variant
     ).ok
     if accepted != rounded.accepted or accepted != rounded.records[-1].accepted:
         raise PipelineError(

@@ -11,8 +11,11 @@ the load criteria remain random there. Both variants run one sampling
 routine; the variant only decides what a try adds to the objective, what
 leftover mass does, whether the cost cap is checked and which fallback
 counts as best. Loads and costs come from each decomposition entry's
-``allocation``; the sampler validates no mapping itself, since every entry
-``decompose_novel`` returns was validated when it was extracted.
+``allocation``, its load vector over ``substrate.resources``; the sampler
+validates no mapping itself, since every entry ``decompose_novel`` returns
+was validated when it was extracted. A utilization is a vector in the same
+order, so its first ``len(substrate.node_capacity)`` entries are the node
+resources.
 
 ``compute_bounds`` alone derives the bounds' epsilon and node and edge
 congestion sums, in one pass per request over its allowed hosts and
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +45,7 @@ from .extraction import LabeledExtractionOrder
 from .formulations import NovelVariableIndex, build_novel
 from .lpmodel import solve
 from .model import (
-    NODE,
     Request,
-    Resource,
     SubstrateGraph,
     ValidMapping,
     allocation_cost,
@@ -216,7 +217,7 @@ class RoundedSolution:
     variant: str
     selection: dict[str, ValidMapping | None]
     objective_value: float
-    utilization: dict[Resource, float]
+    utilization: np.ndarray  # per resource of substrate.resources
     accepted: bool
     tries_used: int
     seed: int
@@ -232,8 +233,9 @@ class TriCriteriaReport:
 
 
 def check_tri_criteria(
+    substrate: SubstrateGraph,
     objective_value: float,
-    utilization: Mapping[Resource, float],
+    utilization: np.ndarray,
     bounds: RoundingBounds,
     lp_optimum: float,
     variant: str,
@@ -241,20 +243,17 @@ def check_tri_criteria(
     """Margins are nonnegative (within tolerance) when the criterion holds.
 
     Profit requires objective >= alpha * lp_optimum; cost requires
-    objective <= alpha * lp_optimum. Loads must stay within beta (nodes)
-    and gamma (edges) times capacity.
+    objective <= alpha * lp_optimum. The utilization vector over
+    ``substrate.resources`` must stay within beta on node resources and
+    gamma on edges.
     """
     if variant == "profit":
         objective_margin = objective_value - bounds.alpha * lp_optimum
     else:
         objective_margin = bounds.alpha * lp_optimum - objective_value
-    node_margin = math.inf
-    edge_margin = math.inf
-    for res, used in utilization.items():
-        if res[0] == NODE:
-            node_margin = min(node_margin, bounds.beta - used)
-        else:
-            edge_margin = min(edge_margin, bounds.gamma - used)
+    nodes = len(substrate.node_capacity)
+    node_margin = float((bounds.beta - utilization[:nodes]).min(initial=math.inf))
+    edge_margin = float((bounds.gamma - utilization[nodes:]).min(initial=math.inf))
     ok = (
         objective_margin >= -ACCEPT_TOL
         and node_margin >= -ACCEPT_TOL
@@ -343,10 +342,9 @@ def _sample(
     profit; under cost the renormalized weights sum to 1, so leftover mass
     is numerical only and takes the last entry.
 
-    Per request, a dense allocation matrix over ``substrate.resources``
-    (one row per entry plus an all-zero row for "embed nothing") and a
-    vector of objective terms are built once, from the entries'
-    ``allocation``. Tries then run in blocks:
+    Per request, an allocation matrix (the entries' ``allocation`` as
+    rows, plus an all-zero row for "embed nothing") and a vector of
+    objective terms are built once. Tries then run in blocks:
     every request draws the block's uniforms, picks rows, and the rows are
     added in request order, so each objective and load is the same float
     sum a try-by-try loop gives. Utilization and the three margins follow
@@ -358,18 +356,15 @@ def _sample(
     """
     cost = variant == "cost"
     cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
-    columns = substrate.resource_column
     capacities = np.array(substrate.capacities)
     node_count = len(substrate.node_capacity)
     load_rows = []
     terms = []
     cumulative = []
     for req, dec in zip(requests, decompositions):
-        rows = np.zeros((len(dec.entries) + 1, len(columns)))
-        for k, entry in enumerate(dec.entries):
-            for res, amount in entry.allocation.items():
-                rows[k, columns[res]] = amount
-        load_rows.append(rows)
+        load_rows.append(np.array(
+            [entry.allocation for entry in dec.entries] + [np.zeros(len(capacities))]
+        ))
         terms.append(np.array(
             [
                 allocation_cost(substrate, entry.allocation) if cost else req.profit
@@ -390,7 +385,7 @@ def _sample(
         n = min(BLOCK_MAX, max_tries - start)
         picks = []
         objective = np.zeros(n)
-        load = np.zeros((n, len(columns)))
+        load = np.zeros((n, len(capacities)))
         for r, stream in enumerate(streams):
             pick = _pick(cumulative[r], stream.uniform(size=n))
             if cost:

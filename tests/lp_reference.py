@@ -448,7 +448,8 @@ def objective_vector(model: LPModel) -> np.ndarray:
 
 def request_loads(index: NovelVariableIndex, values: np.ndarray, r: int) -> dict:
     """``request_state(values, r).a`` as the object build's index computed
-    it: one pass over the load terms in column-dictionary order."""
+    it, keyed by resource in ``substrate.resources`` order: one pass over
+    the load terms in column-dictionary order."""
     residual = values.tolist()
     loads = dict.fromkeys(index.substrate.resources, 0.0)
     for res, var, demand in _load_terms(index, r):

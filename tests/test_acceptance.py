@@ -99,7 +99,7 @@ def test_criterion_2_tree_decomposition(gate, tree_corpus):
         assert sol.status == "optimal"
         for ri, req in enumerate(instance.requests):
             state = index.request_state(sol.values, ri)
-            acceptance, loads = state.x, dict(state.a)
+            acceptance, loads = state.x, state.a
             dec = decompose_novel(instance.substrate, req, index.orders[ri], state)
             check = verify_decomposition(
                 instance.substrate, req, dec, acceptance, loads
@@ -145,7 +145,7 @@ def test_criterion_3_novel_decomposition(gate, width3_corpus):
         sol = solve(model)
         assert sol.status == "optimal"
         state = index.request_state(sol.values, 0)
-        acceptance, loads = state.x, dict(state.a)
+        acceptance, loads = state.x, state.a
         dec = decompose_novel(instance.substrate, req, labeled, state)
         check = verify_decomposition(instance.substrate, req, dec, acceptance, loads)
         checked += 1
@@ -372,7 +372,7 @@ def test_criterion_7_rounding_statistics(gate):
     decompositions = []
     for ri, req in enumerate(requests):
         state = index.request_state(sol.values, ri)
-        acceptance, loads = state.x, dict(state.a)
+        acceptance, loads = state.x, state.a
         dec = decompose_novel(instance.substrate, req, orders[ri], state)
         check = verify_decomposition(instance.substrate, req, dec, acceptance, loads)
         assert check.ok
@@ -421,49 +421,87 @@ def test_criterion_7_rounding_statistics(gate):
     )
 
 
+def _uncapacitated(instance, with_capacity):
+    """``instance`` with every capacity at the sum of all its demands, which
+    no selection of valid mappings exceeds on any resource."""
+    total = sum(
+        sum(req.node_demand.values()) + sum(req.edge_demand.values())
+        for req in instance.requests
+    )
+    return with_capacity(instance, total)
+
+
 @pytest.mark.criterion(8, "cost-variant guarantees")
-def test_criterion_8_cost_guarantees(gate, cost_corpus):
+def test_criterion_8_cost_guarantees(gate, cost_corpus, with_capacity):
+    # as drawn, no capacity of the corpus binds, so every check also runs
+    # with every capacity set to 1.5 and to 1.0, where the LPs bind
     problems = []
     accepted = 0
-    for instance in cost_corpus:
-        orders = _labeled_orders(instance)
-        model, index = build_novel(
-            instance.substrate, instance.requests, orders, "cost"
+    capacities = (None, 1.5, 1.0)
+    binding = dict.fromkeys(capacities, 0)
+    for drawn in cost_corpus:
+        orders = _labeled_orders(drawn)
+        free, _ = build_novel(
+            _uncapacitated(drawn, with_capacity).substrate, drawn.requests, orders,
+            "cost",
         )
-        sol = solve(model)
-        if sol.status != "optimal":
-            problems.append(f"{instance.name}: relaxation {sol.status}")
-            continue
-        lp_cost = sol.objective_value
-        pruned = []
-        for ri, req in enumerate(instance.requests):
-            state = index.request_state(sol.values, ri)
-            dec = decompose_novel(instance.substrate, req, orders[ri], state)
-            kept, report = prune_costly_mappings(instance.substrate, req, dec)
-            if report.surviving_weight < 0.5 - 1e-9:
-                problems.append(
-                    f"{instance.name}/{req.name}: surviving {report.surviving_weight:.3f}"
+        free_cost = solve(free).objective_value
+        for capacity in capacities:
+            instance = drawn if capacity is None else with_capacity(drawn, capacity)
+            where = f"{instance.name}/c={capacity or 'drawn'}"
+            model, index = build_novel(
+                instance.substrate, instance.requests, orders, "cost"
+            )
+            sol = solve(model)
+            if sol.status != "optimal":
+                problems.append(f"{where}: relaxation {sol.status}")
+                continue
+            lp_cost = sol.objective_value
+            binding[capacity] += _differ(lp_cost, free_cost)
+            pruned = []
+            for ri, req in enumerate(instance.requests):
+                state = index.request_state(sol.values, ri)
+                acceptance = state.x
+                dec = decompose_novel(instance.substrate, req, orders[ri], state)
+                check = verify_decomposition(
+                    instance.substrate, req, dec, acceptance, state.a
                 )
-            pruned.append(kept)
-        bounds = compute_bounds(instance.substrate, instance.requests, "cost")
-        rounded = round_cost(
-            instance.substrate, instance.requests, pruned, bounds, lp_cost, seed=11
-        )
-        for record in rounded.records:
-            if record.objective > 2.0 * lp_cost + TOL:
-                problems.append(
-                    f"{instance.name} try {record.index}: "
-                    f"cost {record.objective:.3f} > 2x{lp_cost:.3f}"
-                )
-        accepted += rounded.accepted
+                if not check.ok:
+                    problems.append(f"{where}/{req.name}: {check}")
+                kept, report = prune_costly_mappings(instance.substrate, req, dec)
+                if report.surviving_weight < 0.5 - 1e-9:
+                    problems.append(
+                        f"{where}/{req.name}: surviving {report.surviving_weight:.3f}"
+                    )
+                pruned.append(kept)
+            bounds = compute_bounds(instance.substrate, instance.requests, "cost")
+            rounded = round_cost(
+                instance.substrate, instance.requests, pruned, bounds, lp_cost,
+                seed=11,
+            )
+            for record in rounded.records:
+                if record.objective > 2.0 * lp_cost + TOL:
+                    problems.append(
+                        f"{where} try {record.index}: "
+                        f"cost {record.objective:.3f} > 2x{lp_cost:.3f}"
+                    )
+            accepted += rounded.accepted
     if len(cost_corpus) != 20:
         problems.append(f"{len(cost_corpus)} instances, expected 20")
+    for capacity in capacities[1:]:
+        if not binding[capacity]:
+            problems.append(f"no LP has a binding capacity at c={capacity}")
+    detail = ", ".join(
+        f"c={capacity or 'drawn'} {count}/{len(cost_corpus)}"
+        for capacity, count in binding.items()
+    )
     gate(
         8,
         "cost-variant guarantees",
         not problems,
         "; ".join(problems[:3])
-        or f"20 instances within the 2x cost cap, {accepted} accepted",
+        or f"{len(capacities) * len(cost_corpus)} LPs within the 2x cost cap, "
+        f"{accepted} accepted; binding capacity in {detail}",
     )
 
 

@@ -28,6 +28,7 @@ from vnembed.cli import main
 from vnembed.decomposition import DecompositionCheck
 from vnembed.instances import Instance
 from vnembed.lpmodel import LPSolution
+from vnembed.scenarios import tree_corpus
 
 
 def _generate(tmp_path, name, stem=None):
@@ -420,6 +421,34 @@ def test_solve_lp_infeasible_cost_exits_three(tmp_path, capsys):
     payload = json.loads(sol.read_text())
     assert payload["status"] == "infeasible"
     assert "values" not in payload
+
+
+def test_solve_lp_solver_failure_exits_five(tmp_path, capsys, monkeypatch):
+    path = _generate(tmp_path, "fig3")
+
+    def broken(model):
+        return LPSolution(status="error", objective_value=None, values=None)
+
+    monkeypatch.setattr(vnembed.cli, "solve", broken)
+    sol = tmp_path / "solution.json"
+    assert main(["solve-lp", str(path), "--solution-out", str(sol)]) == 5
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+    payload = json.loads(sol.read_text())
+    assert payload["status"] == "error"
+    assert "values" not in payload
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, KeyError, ZeroDivisionError])
+def test_an_unexpected_exception_exits_five(tmp_path, capsys, monkeypatch, fault):
+    # neither a pipeline stage's failure nor an input error: the program's own
+    def planted(name):
+        raise fault("planted fault")
+
+    monkeypatch.setattr(vnembed.cli, "scenario_instance", planted)
+    assert main(["generate", "fig3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fault('planted fault')}\n"
 
 
 def test_solution_handoff_to_decompose(tmp_path, capsys):
@@ -1167,6 +1196,38 @@ def test_run_multi_instance_with_plot_data(tmp_path, capsys):
     assert rows[0] == "instance,request,metric,value"
     metrics = {line.split(",")[2] for line in rows[1:]}
     assert {"width", "lp_objective", "accepted"} <= metrics
+
+
+@pytest.mark.parametrize("variant", ["profit", "cost"])
+def test_run_with_two_jobs_writes_what_one_job_writes(tmp_path, capsys, variant):
+    # forked workers each build their own HiGHS object; what they write must
+    # match one process byte for byte. Under profit the three tree-corpus
+    # instances each solve a solo LP; under cost they are infeasible, and
+    # halfwheel:5 is the one instance that writes a report.
+    corpus = {instance.name: instance for instance in tree_corpus(30, seed=777)}
+    paths = []
+    for name in ("tree-corpus-002", "tree-corpus-008", "tree-corpus-011"):
+        paths.append(tmp_path / f"{name}.json")
+        dump_instance(corpus[name], paths[-1])
+    paths.append(_generate(tmp_path, "halfwheel:5"))
+    written = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs-{jobs}"
+        code = main([
+            "run", *map(str, paths), "--variant", variant, "--jobs", jobs,
+            "--out-dir", str(out_dir), "--plot-data", str(tmp_path / f"plot-{jobs}"),
+        ])
+        files = sorted(out_dir.iterdir())
+        written.append((
+            code, capsys.readouterr(), [f.name for f in files],
+            [f.read_bytes() for f in files],
+            (tmp_path / f"plot-{jobs}").read_bytes(),
+        ))
+    assert written[0] == written[1]
+    stems = ["halfwheel-5"] if variant == "cost" else [p.stem for p in paths]
+    assert written[0][2] == sorted(
+        f"{stem}.{kind}" for stem in stems for kind in ("report.json", "tries.csv")
+    )
 
 
 def _plot_lines(path):

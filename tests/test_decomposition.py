@@ -141,7 +141,7 @@ def test_average_of_two_embeddings_splits_back():
         },
     )
     labeled, state = _embedded_state(substrate, request, [m1, m2], [0.5, 0.5])
-    loads = dict(state.a)
+    loads = state.a
     dec = decompose_novel(substrate, request, labeled, state)
     # the average admits several convex combinations; any exact split
     # into valid mappings that the input loads dominate is acceptable
@@ -170,9 +170,29 @@ def test_stuck_when_root_has_no_host():
     substrate, request = _triangle_fixture()
     solo = Request.build("one", {"i": ("vm", 1.0, ("v1",))}, {}, profit=1.0)
     order = build_extraction_order(Digraph.build(solo.nodes, solo.edges), "i")
-    state = NovelState(RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 0.0], {})
+    state = NovelState(
+        RequestColumns(x=0, y={("i", "v1"): 1}), [1.0, 0.0],
+        np.zeros(len(substrate.resources)),
+    )
     with pytest.raises(DecompositionStuckError, match="no positive host"):
         decompose_novel(substrate, solo, flow_labeling(order), state)
+
+
+def test_an_order_that_misses_an_edge_raises():
+    # without the root's last bag the walk never routes that bag's edges
+    instance = scenario_instance("tree:4")
+    (req,) = instance.requests
+    labeled = min_width_order_search(req)
+    model, index = build_novel(instance.substrate, [req], [labeled], "profit")
+    state = index.request_state(solve(model).values, 0)
+    root = labeled.order.root
+    short = dataclasses.replace(
+        labeled, bags={**labeled.bags, root: labeled.bags[root][:-1]}
+    )
+    with pytest.raises(
+        DecompositionError, match="extraction order does not reach every request edge"
+    ):
+        decompose_novel(instance.substrate, req, short, state)
 
 
 def _triangle_columns():
@@ -219,7 +239,7 @@ def test_tree_corpus_slice_decomposes():
         sol = solve(model)
         for ri, req in enumerate(instance.requests):
             state = index.request_state(sol.values, ri)
-            acceptance, loads = state.x, dict(state.a)
+            acceptance, loads = state.x, state.a
             dec = decompose_novel(instance.substrate, req, index.orders[ri], state)
             assert dec.total_weight == pytest.approx(acceptance, abs=1e-6)
             check = verify_decomposition(
@@ -236,7 +256,7 @@ def test_width3_corpus_slice_decomposes():
         )
         sol = solve(model)
         state = index.request_state(sol.values, 0)
-        acceptance, loads = state.x, dict(state.a)
+        acceptance, loads = state.x, state.a
         dec = decompose_novel(instance.substrate, req, labeled, state)
         check = verify_decomposition(instance.substrate, req, dec, acceptance, loads)
         assert check.ok, instance.name
@@ -327,15 +347,14 @@ def test_verifier_flags_tampering():
     substrate, request = _triangle_fixture()
     m1 = _TRIANGLE_M1
     labeled, state = _embedded_state(substrate, request, [m1], [1.0])
-    loads = dict(state.a)
+    loads = state.a
     dec = decompose_novel(substrate, request, labeled, state)
 
     short = verify_decomposition(substrate, request, dec, 1.5, loads)
     assert short.completeness_error == pytest.approx(0.5)
     assert not short.ok
 
-    squeezed = {res: 0.5 * load for res, load in loads.items()}
-    over = verify_decomposition(substrate, request, dec, 1.0, squeezed)
+    over = verify_decomposition(substrate, request, dec, 1.0, 0.5 * loads)
     assert over.worst_overuse > 0.0
     assert not over.ok
 
@@ -350,7 +369,7 @@ def test_verifier_flags_tampering():
         request_name=request.name,
         entries=[DecompositionEntry(
             weight=1.0, mapping=broken,
-            allocation=_unchecked_allocations(request, broken),
+            allocation=_unchecked_allocations(substrate, request, broken),
         )],
     )
     flagged = verify_decomposition(substrate, request, bad, 1.0, loads)
@@ -378,17 +397,15 @@ def test_verifier_checks_each_entry_once(monkeypatch):
     )
     dec = decompose_novel(substrate, request, labeled, state)
     assert len(dec.entries) == 2
-    loads = {res: 0.9 * load for res, load in state.a.items()}
+    loads = 0.9 * state.a
     # the check as computed through the public, validating allocations
-    used: dict = {}
-    for entry in dec.entries:
-        for res, amount in compute_allocations(
-            substrate, request, entry.mapping
-        ).items():
-            used[res] = used.get(res, 0.0) + entry.weight * amount
+    used = sum(
+        entry.weight * compute_allocations(substrate, request, entry.mapping)
+        for entry in dec.entries
+    )
     expected = DecompositionCheck(
         completeness_error=abs(dec.total_weight - 1.0),
-        worst_overuse=max(0.0, *(t - loads.get(r, 0.0) for r, t in used.items())),
+        worst_overuse=max(0.0, *(used - loads).tolist()),
         invalid=[],
     )
 

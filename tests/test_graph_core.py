@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,22 @@ def test_validation_flags_unknown_substrate_edge():
     assert "unknown-edge" in {issue.code for issue in report.issues}
 
 
+def test_validation_flags_repeated_substrate_ids():
+    # ``SubstrateGraph.build`` cannot repeat a node or an edge; a substrate
+    # made directly can
+    substrate = square_substrate()
+    repeated = dataclasses.replace(
+        substrate,
+        nodes=substrate.nodes + substrate.nodes[:1],
+        edges=substrate.edges + substrate.edges[:1],
+    )
+    report = validate_instance(repeated, [chain_request(substrate)])
+    assert [(issue.code, issue.message) for issue in report.issues] == [
+        ("duplicate-id", "substrate node ids are not duplicate free"),
+        ("duplicate-id", "substrate edge list is not duplicate free"),
+    ]
+
+
 def test_duplicate_request_names_rejected():
     substrate = square_substrate()
     req = chain_request(substrate)
@@ -235,10 +252,16 @@ def test_allocations_and_cost():
         edge_map={("x", "y"): (("a", "b"), ("b", "c"))},
     )
     alloc = compute_allocations(substrate, req, mapping)
-    assert alloc[node_resource("vm", "a")] == 2.0
-    assert alloc[node_resource("vm", "c")] == 3.0
-    assert alloc[edge_resource("a", "b")] == 1.0
-    assert alloc[edge_resource("b", "c")] == 1.0
+    # one load per substrate resource, in resource order
+    assert alloc.tolist() == [
+        {
+            node_resource("vm", "a"): 2.0,
+            node_resource("vm", "c"): 3.0,
+            edge_resource("a", "b"): 1.0,
+            edge_resource("b", "c"): 1.0,
+        }.get(res, 0.0)
+        for res in substrate.resources
+    ]
     # node costs: a=1, c=3; both hops cost 1
     assert mapping_cost(substrate, req, mapping) == pytest.approx(
         2.0 * 1.0 + 3.0 * 3.0 + 1.0 + 1.0
@@ -254,10 +277,11 @@ def test_collection_feasible_reports_utilization():
     alloc = compute_allocations(substrate, req, mapping)
     ok, utilization = collection_feasible(substrate, [alloc] * 3)
     assert ok
-    assert utilization[edge_resource("a", "b")] == pytest.approx(3.0 / 5.0)
-    assert utilization[node_resource("vm", "a")] == pytest.approx(6.0 / 10.0)
-    assert utilization[edge_resource("c", "d")] == 0.0
-    assert list(utilization) == list(substrate.resources)
+    column = substrate.resource_column
+    assert utilization[column[edge_resource("a", "b")]] == pytest.approx(3.0 / 5.0)
+    assert utilization[column[node_resource("vm", "a")]] == pytest.approx(6.0 / 10.0)
+    assert utilization[column[edge_resource("c", "d")]] == 0.0
+    assert len(utilization) == len(substrate.resources)
 
     # a fourth copy pushes node b to 12/10
     ok, _ = collection_feasible(substrate, [alloc] * 4)

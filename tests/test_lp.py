@@ -134,9 +134,8 @@ def test_embedded_mappings_satisfy_constraints():
                 assert cost == pytest.approx(mapping_cost(substrate, req, mapping))
                 loads = compute_allocations(substrate, req, mapping)
                 derived = index.request_state(values, 0).a
-                assert set(derived) == set(substrate.resources)
-                for res in substrate.resources:
-                    assert derived[res] == pytest.approx(loads.get(res, 0.0))
+                assert len(derived) == len(substrate.resources)
+                assert derived == pytest.approx(loads)
 
 
 def test_flow_relaxation_is_never_stronger(tiny_corpus, tree_corpus, cost_corpus):
@@ -535,7 +534,7 @@ def test_array_build_matches_the_object_build(
                     state = index.request_state(values, r)
                     assert state.residual == values.tolist()
                     loads = lp_reference.request_loads(ref_index, values, r)
-                    assert list(state.a.items()) == list(loads.items())
+                    assert state.a.tolist() == list(loads.values())
                 compared += 1
     assert compared == 4 * len(cases)
     assert len(width3) == 8
@@ -577,8 +576,8 @@ def test_array_build_matches_the_object_build_on_the_benchmark(bench_workloads):
             values = rng.uniform(0.0, 1.0, model.num_variables)
             for r in range(len(requests)):
                 loads = lp_reference.request_loads(ref_index, values, r)
-                assert list(index.request_state(values, r).a.items()) == list(
-                    loads.items()
+                assert index.request_state(values, r).a.tolist() == list(
+                    loads.values()
                 )
     assert len(instances) == 3 + 16 + 24
 
@@ -607,6 +606,25 @@ def test_array_handoff_matches_the_list_handoff(
             assert _same(ours.values, reference.values)
         statuses.add(ours.status)
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_add_rows_appends_to_the_rows_already_set():
+    model = LPModel(sense=MAXIMIZE)
+    a = model.add_columns(2)
+    model.add_rows([a], [1.0], [1], [False], [0.5])
+    model.add_rows([a, a + 1], [1.0, 2.0], [2], [True], [1.0])
+    cols, vals, lengths, eq, rhs = model.rows()
+    assert cols.tolist() == [a, a, a + 1]
+    assert vals.tolist() == [1.0, 1.0, 2.0]
+    assert lengths.tolist() == [1, 2]
+    assert eq.tolist() == [False, True]
+    assert rhs.tolist() == [0.5, 1.0]
+    # both rows bind: x0 <= 0.5 and x0 + 2 x1 == 1 cap x0 + x1 at 0.75
+    model.set_objective_coefficient(a, 1.0)
+    model.set_objective_coefficient(a + 1, 1.0)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(0.75)
 
 
 def _malformed_model() -> LPModel:
@@ -1068,7 +1086,7 @@ def test_folded_solve_matches_the_unfolded_lp(
             assert max_violation(model, ours.values) <= 1e-9
             for r, req in enumerate(instance.requests):
                 state = index.request_state(ours.values, r)
-                x, loads = state.x, dict(state.a)
+                x, loads = state.x, state.a
                 dec = decompose_novel(instance.substrate, req, index.orders[r], state)
                 check = verify_decomposition(instance.substrate, req, dec, x, loads)
                 assert check.ok, (instance.name, objective, req.name, check)

@@ -166,8 +166,7 @@ def _option_tables(instance, objective):
         )
         values = np.zeros(len(loads))
         for k, m in enumerate(mappings):
-            for res, amount in compute_allocations(substrate, req, m).items():
-                loads[k, substrate.resource_column[res]] += amount
+            loads[k] = compute_allocations(substrate, req, m)
             values[k] = (
                 req.profit if objective == "profit"
                 else mapping_cost(substrate, req, m)

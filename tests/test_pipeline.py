@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lp_reference
@@ -534,29 +535,34 @@ def test_verify_rechecks_the_accept_flag(fig3_gadget, monkeypatch, field):
     [
         ("objective", "reported objective 1.50000000 != recomputed 1.00000000"),
         ("utilization", "utilization mismatch on "),
-        ("extra-resource", "different resources: ('node', 'vm', 'nowhere')"),
-        ("missing-resource", "different resources: ('node', 'vm', 'u4')"),
+        ("nan-utilization", "utilization mismatch on ('node', 'vm', 'u1')"),
+        ("extra-resource", "utilization on 14 resources, the substrate has 13"),
+        ("missing-resource", "utilization on 12 resources, the substrate has 13"),
     ],
 )
 def test_verify_rechecks_objective_and_utilization(
     fig3_gadget, monkeypatch, field, message
 ):
     real = vnembed.pipeline.round_profit
+    substrate_column = fig3_gadget.substrate.resource_column
 
     def misreported(*args):
         rounded = real(*args)
-        assert rounded.utilization  # the triangle is embedded
+        assert rounded.utilization.any()  # the triangle is embedded
         if field == "objective":
             rounded.objective_value += 0.5
         elif field == "utilization":
-            rounded.utilization = {
-                res: used + 0.5 for res, used in rounded.utilization.items()
-            }
+            rounded.utilization = rounded.utilization + 0.5
+        elif field == "nan-utilization":
+            rounded.utilization = rounded.utilization.copy()
+            rounded.utilization[0] = float("nan")
         elif field == "extra-resource":
-            rounded.utilization[("node", "vm", "nowhere")] = 5.0
+            rounded.utilization = np.append(rounded.utilization, 5.0)
         else:
             # an unloaded resource: its value alone would match at 0
-            assert rounded.utilization.pop(("node", "vm", "u4")) == 0.0
+            u4 = substrate_column[("node", "vm", "u4")]
+            assert rounded.utilization[u4] == 0.0
+            rounded.utilization = np.delete(rounded.utilization, u4)
         return rounded
 
     monkeypatch.setattr(vnembed.pipeline, "round_profit", misreported)

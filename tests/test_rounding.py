@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import vnembed.decomposition
@@ -364,29 +365,33 @@ class TestCostRounding:
 
 
 class TestTriCriteria:
+    # a substrate without resources: only the objective criterion is left
+    EMPTY = SubstrateGraph.build({}, {})
+
     def test_profit_requires_a_third_of_the_optimum(self):
         b = bounds_from_parameters("profit", 0.0, 0.0, 0.0, 10, 1)
-        low = check_tri_criteria(0.9, {}, b, 3.0, "profit")
+        low = check_tri_criteria(self.EMPTY, 0.9, np.zeros(0), b, 3.0, "profit")
         assert not low.ok
         assert low.objective_margin == pytest.approx(-0.1)
-        exact = check_tri_criteria(1.0, {}, b, 3.0, "profit")
+        exact = check_tri_criteria(self.EMPTY, 1.0, np.zeros(0), b, 3.0, "profit")
         assert exact.ok
 
     def test_cost_requires_at_most_twice_the_relaxation(self):
         b = bounds_from_parameters("cost", 0.0, 0.0, 0.0, 10, 1)
-        over = check_tri_criteria(6.1, {}, b, 3.0, "cost")
+        over = check_tri_criteria(self.EMPTY, 6.1, np.zeros(0), b, 3.0, "cost")
         assert not over.ok
-        under = check_tri_criteria(6.0, {}, b, 3.0, "cost")
+        under = check_tri_criteria(self.EMPTY, 6.0, np.zeros(0), b, 3.0, "cost")
         assert under.ok
 
     def test_load_margins_track_the_worst_resource(self):
         b = bounds_from_parameters("profit", 0.0, 0.0, 0.0, 10, 1)
-        utilization = {
-            ("node", "u0", "vm"): 0.4,
-            ("node", "u1", "vm"): 1.2,
-            ("edge", ("u0", "u1")): 0.7,
-        }
-        report = check_tri_criteria(5.0, utilization, b, 5.0, "profit")
+        substrate = SubstrateGraph.build(
+            {"u0": {"vm": (1.0, 1.0)}, "u1": {"vm": (1.0, 1.0)}},
+            {("u0", "u1"): (1.0, 1.0)},
+        )
+        # node vm on u0, node vm on u1, edge (u0, u1)
+        utilization = np.array([0.4, 1.2, 0.7])
+        report = check_tri_criteria(substrate, 5.0, utilization, b, 5.0, "profit")
         assert report.node_margin == pytest.approx(1.0 - 1.2)
         assert report.edge_margin == pytest.approx(1.0 - 0.7)
         assert not report.ok
@@ -554,10 +559,13 @@ def _reference_sample(
         if cost and objective > cap:
             raise GuaranteeError(f"sampled cost {objective:.8f}")
         _, utilization = collection_feasible(substrate, loads)
-        ok = check_tri_criteria(objective, utilization, bounds, lp_optimum, variant).ok
+        ok = check_tri_criteria(
+            substrate, objective, utilization, bounds, lp_optimum, variant
+        ).ok
         worst = {
             kind: max(
-                (u for res, u in utilization.items() if res[0] == kind),
+                (u for res, u in zip(substrate.resources, utilization.tolist())
+                 if res[0] == kind),
                 default=0.0,
             )
             for kind in (NODE, EDGE)
@@ -630,9 +638,7 @@ def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
                     )
                     assert got.records == want.records
                     assert got.selection == want.selection
-                    assert list(got.utilization.items()) == list(
-                        want.utilization.items()
-                    )
+                    assert got.utilization.tolist() == want.utilization.tolist()
                     assert got.objective_value == want.objective_value
                     assert got.tries_used == want.tries_used
                     assert got.accepted == want.accepted
@@ -719,8 +725,8 @@ def test_every_entry_carries_its_allocation(corpus, request):
     for substrate, req, dec in decompositions:
         for entry in dec.entries:
             want = compute_allocations(substrate, req, entry.mapping)
-            assert [(res, v.hex()) for res, v in entry.allocation.items()] == [
-                (res, v.hex()) for res, v in want.items()
+            assert [v.hex() for v in entry.allocation.tolist()] == [
+                v.hex() for v in want.tolist()
             ]
             entries += 1
     assert entries >= len(decompositions) >= 3
