@@ -62,14 +62,13 @@ from .model import (
     check_valid_mapping,
     collection_feasible,
     compute_allocations,
-    edge_resource,
     mapping_cost,
-    node_resource,
     validate_instance,
 )
 from .oracle import (
     EnumerativeSolution,
     MappingEnumeration,
+    TruncatedEnumerationError,
     enumerate_valid_mappings,
     solve_enumerative,
 )

@@ -53,7 +53,7 @@ from .instances import (
 )
 from .lpmodel import max_violation, solve, write_lp
 from .model import ValidationReport
-from .oracle import DEFAULT_MAPPING_CAP, solve_enumerative
+from .oracle import DEFAULT_MAPPING_CAP, TruncatedEnumerationError, solve_enumerative
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -310,18 +310,13 @@ def cmd_round(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = _load(args.instance)
-    solution = solve_enumerative(
-        instance.substrate, instance.requests, args.variant,
-        relaxation=args.relaxation, cap=args.cap,
-    )
-    truncated = [
-        enum.request.name for enum in solution.enumerations if enum.truncated
-    ]
-    if truncated:
-        sys.stderr.write(
-            f"enumeration truncated at cap={args.cap} for: "
-            f"{', '.join(truncated)}; raise --cap\n"
+    try:
+        solution = solve_enumerative(
+            instance.substrate, instance.requests, args.variant,
+            relaxation=args.relaxation, cap=args.cap,
         )
+    except TruncatedEnumerationError as err:
+        sys.stderr.write(f"{err}; raise --cap\n")
         return EXIT_INVALID
     assignment = []
     for r, picks in enumerate(solution.assignment):

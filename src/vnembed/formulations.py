@@ -57,8 +57,6 @@ from .model import (
     Request,
     SubstrateGraph,
     ValidMapping,
-    edge_resource,
-    node_resource,
 )
 
 
@@ -386,7 +384,8 @@ def _add_request(
     hosts = req.allowed_nodes
     sidx = substrate.node_index
     nidx = req.node_index
-    res_index = substrate.resource_column
+    node_column = substrate.node_column
+    edge_column = substrate.edge_column
     # where each host's flow row lies among a sub-LP copy's rows
     flow_row = {i: [2 + sidx[u] for u in hosts[i]] for i in req.nodes}
 
@@ -397,7 +396,7 @@ def _add_request(
     ystart = {}
     for i in req.nodes:
         ystart[i], y0 = y0, y0 + len(hosts[i])
-    load_res = [res_index[node_resource(req.node_type[i], u)] for i, u in ykeys]
+    load_res = [node_column[req.node_type[i], u] for i, u in ykeys]
     load_cols = list(range(x + 1, y0))
     load_demand = [req.node_demand[i] for i, _ in ykeys]
 
@@ -456,7 +455,7 @@ def _add_request(
         for t, n in enumerate(e):
             cp.tile_hosts(rows, n, row0, flow_row[n], 1.0 if t else -1.0)
 
-        load_res += [res_index[edge_resource(*se)] for se in flows] * len(mus)
+        load_res += [edge_column[se] for se in flows] * len(mus)
         load_cols += [c for f in cp.firsts for c in range(f + z0, f + block)]
         load_demand += [req.edge_demand[e]] * (len(flows) * len(mus))
 

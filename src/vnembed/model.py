@@ -7,11 +7,12 @@ demanding edges together with placement and routing restrictions. A valid
 mapping places every request node on an allowed substrate node and routes
 every request edge along an allowed substrate path.
 
-Loads have one form: a float vector over ``substrate.resources``, node
-resources first (the first ``len(substrate.node_capacity)`` entries), then
-edges. A mapping's allocation (``compute_allocations``), a request's LP
-load and a selection's utilization (``collection_feasible``) are all such
-vectors, and ``allocation_cost`` alone prices one.
+Loads have one form: a float vector over ``substrate.resources``;
+``substrate.node_column`` and ``substrate.edge_column`` give each node and
+edge resource its column, node columns first. A mapping's allocation
+(``compute_allocations``), a request's LP load and a selection's
+utilization (``collection_feasible``) are all such vectors, and
+``allocation_cost`` alone prices one.
 
 The demand statistics behind the rounding bounds are taken by
 ``rounding.compute_bounds``, in one pass per request.
@@ -30,22 +31,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-# Resources are tagged tuples: ("node", node_type, node_id) for the typed
-# capacity of a substrate node, ("edge", tail, head) for edge bandwidth.
-Resource = tuple
-
-NODE = "node"
-EDGE = "edge"
-
-
-def node_resource(node_type: str, node: str) -> Resource:
-    return (NODE, node_type, node)
-
-
-def edge_resource(tail: str, head: str) -> Resource:
-    return (EDGE, tail, head)
-
 
 @dataclass(frozen=True)
 class SubstrateGraph:
@@ -108,38 +93,35 @@ class SubstrateGraph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
-    def resources(self) -> tuple[Resource, ...]:
-        """All resources, node resources first, in index order."""
-        node_part = [
-            node_resource(t, u) for t in self.types for u in self.typed_nodes[t]
-        ]
-        edge_part = [edge_resource(*e) for e in self.edges]
-        return tuple(node_part + edge_part)
+    def node_column(self) -> dict[tuple[str, str], int]:
+        """Column of each ``(type, node)`` resource: type by type, hosts in
+        ``typed_nodes`` order, before every edge column."""
+        keys = [(t, u) for t in self.types for u in self.typed_nodes[t]]
+        return {key: k for k, key in enumerate(keys)}
 
     @cached_property
-    def resource_column(self) -> dict[Resource, int]:
-        """Position of each resource in ``resources``."""
-        return {res: k for k, res in enumerate(self.resources)}
+    def edge_column(self) -> dict[tuple[str, str], int]:
+        """Column of each edge resource, in edge order after the nodes'."""
+        first = len(self.node_column)
+        return {e: first + k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def resources(self) -> tuple[tuple[str, str, str], ...]:
+        """Label of each column: ``("node", type, node)``, ``("edge", tail, head)``."""
+        nodes = [("node", *key) for key in self.node_column]
+        return tuple(nodes + [("edge", *e) for e in self.edge_column])
 
     @cached_property
     def capacities(self) -> tuple[float, ...]:
-        """Capacity of each resource, in ``resources`` order."""
-        return tuple(self.capacity(res) for res in self.resources)
+        """Capacity of each resource, in column order."""
+        nodes = [self.node_capacity[key] for key in self.node_column]
+        return tuple(nodes + [self.edge_capacity[e] for e in self.edge_column])
 
     @cached_property
     def costs(self) -> tuple[float, ...]:
-        """Unit cost of each resource, in ``resources`` order."""
-        return tuple(self.cost(res) for res in self.resources)
-
-    def capacity(self, res: Resource) -> float:
-        if res[0] == NODE:
-            return self.node_capacity[(res[1], res[2])]
-        return self.edge_capacity[(res[1], res[2])]
-
-    def cost(self, res: Resource) -> float:
-        if res[0] == NODE:
-            return self.node_cost[(res[1], res[2])]
-        return self.edge_cost[(res[1], res[2])]
+        """Unit cost of each resource, in column order."""
+        nodes = [self.node_cost[key] for key in self.node_column]
+        return tuple(nodes + [self.edge_cost[e] for e in self.edge_column])
 
 
 @dataclass(frozen=True)
@@ -430,14 +412,15 @@ def _unchecked_allocations(
     substrate: SubstrateGraph, request: Request, mapping: ValidMapping
 ) -> np.ndarray:
     """``compute_allocations`` of a mapping the caller has already checked."""
-    column = substrate.resource_column
-    loads = [0.0] * len(column)
+    node_column = substrate.node_column
+    edge_column = substrate.edge_column
+    loads = [0.0] * len(substrate.resources)
     for i in request.nodes:
-        res = node_resource(request.node_type[i], mapping.node_map[i])
-        loads[column[res]] += request.node_demand[i]
+        key = (request.node_type[i], mapping.node_map[i])
+        loads[node_column[key]] += request.node_demand[i]
     for e in request.edges:
         for se in mapping.edge_map[e]:
-            loads[column[edge_resource(*se)]] += request.edge_demand[e]
+            loads[edge_column[se]] += request.edge_demand[e]
     return np.array(loads)
 
 

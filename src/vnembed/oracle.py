@@ -8,8 +8,9 @@ pipeline and are only intended for instances with a handful of nodes.
 Enumerations keep at most ``cap`` mappings per request, and ``cap`` must
 be at least 1. An enumeration is ``truncated`` only when the request has
 a valid mapping beyond the first ``cap``; one with exactly ``cap``
-mappings is complete. A solve over a truncated enumeration optimizes over
-the kept mappings only.
+mappings is complete. ``solve_enumerative`` solves nothing over a
+truncated enumeration: it raises ``TruncatedEnumerationError``, naming the
+truncated requests, before it computes any allocation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .model import (
 )
 
 DEFAULT_MAPPING_CAP = 100_000
+
+
+class TruncatedEnumerationError(ValueError):
+    """Some request has a valid mapping beyond the first ``cap``."""
 
 
 @dataclass
@@ -138,13 +143,20 @@ def solve_enumerative(
 
     ``relaxation="lp"`` solves the convex-combination relaxation with one
     weight variable per enumerated mapping; ``"ip"`` searches integral
-    selections exactly via depth-first branch and bound.
+    selections exactly via depth-first branch and bound. Raises
+    ``TruncatedEnumerationError`` if any request has more than ``cap``
+    valid mappings.
     """
     if objective not in ("profit", "cost"):
         raise ValueError(f"unknown objective {objective!r}")
     if relaxation not in ("lp", "ip"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     enums = [enumerate_valid_mappings(substrate, req, cap=cap) for req in requests]
+    truncated = [enum.request.name for enum in enums if enum.truncated]
+    if truncated:
+        raise TruncatedEnumerationError(
+            f"enumeration truncated at cap={cap} for: {', '.join(truncated)}"
+        )
     # the enumerator has just validated every mapping
     allocations = [
         [_unchecked_allocations(substrate, req, m) for m in enum.mappings]

@@ -384,7 +384,7 @@ def round_relaxation(
             relaxation.lp_objective,
         )
 
-    nodes = len(instance.substrate.node_capacity)  # node resources come first
+    nodes = len(instance.substrate.node_column)  # node resources come first
     utilization = rounded.utilization.tolist()
     rounding_row = {
         "accepted": rounded.accepted,

@@ -14,8 +14,8 @@ counts as best. Loads and costs come from each decomposition entry's
 ``allocation``, its load vector over ``substrate.resources``; the sampler
 validates no mapping itself, since every entry ``decompose_novel`` returns
 was validated when it was extracted. A utilization is a vector in the same
-order, so its first ``len(substrate.node_capacity)`` entries are the node
-resources.
+order: ``substrate.node_column`` holds the node resources' columns, all
+before ``substrate.edge_column``'s.
 
 ``compute_bounds`` alone derives the bounds' epsilon and node and edge
 congestion sums, in one pass per request over its allowed hosts and
@@ -50,8 +50,6 @@ from .model import (
     ValidMapping,
     allocation_cost,
     collection_feasible,
-    edge_resource,
-    node_resource,
 )
 
 ACCEPT_TOL = 1e-9
@@ -128,32 +126,34 @@ def compute_bounds(
     in order, with a positive peak there, and delta_nodes and delta_edges
     are its maxima over node and edge resources (0 for an empty batch).
     """
-    columns = substrate.resource_column
-    largest = np.zeros(len(columns))
-    congestion = np.zeros(len(columns))
+    node_column = substrate.node_column
+    edge_column = substrate.edge_column
+    size = len(substrate.resources)
+    largest = np.zeros(size)
+    congestion = np.zeros(size)
     types: set[str] = set()
     for req in requests:
         where: list[int] = []
         demand: list[float] = []
         for i in req.nodes:
             allowed = req.allowed_nodes[i]
-            where += [columns[node_resource(req.node_type[i], u)] for u in allowed]
+            where += [node_column[req.node_type[i], u] for u in allowed]
             demand += [req.node_demand[i]] * len(allowed)
         for e in req.edges:
             allowed = req.allowed_edges[e]
-            where += [columns[edge_resource(*se)] for se in allowed]
+            where += [edge_column[se] for se in allowed]
             demand += [req.edge_demand[e]] * len(allowed)
         where_array = np.array(where, dtype=np.intp)
         demand_array = np.array(demand, dtype=float)
-        peak = np.zeros(len(columns))
+        peak = np.zeros(size)
         np.maximum.at(peak, where_array, demand_array)
-        total = np.bincount(where_array, weights=demand_array, minlength=len(columns))
+        total = np.bincount(where_array, weights=demand_array, minlength=size)
         np.maximum(largest, peak, out=largest)
         reach = peak > 0
         share = total[reach] / peak[reach]
         congestion[reach] += share * share
         types.update(req.referenced_types)
-    nodes = len(substrate.node_capacity)
+    nodes = len(node_column)
     return bounds_from_parameters(
         variant,
         float((largest / np.array(substrate.capacities)).max(initial=0.0)),
@@ -251,7 +251,7 @@ def check_tri_criteria(
         objective_margin = objective_value - bounds.alpha * lp_optimum
     else:
         objective_margin = bounds.alpha * lp_optimum - objective_value
-    nodes = len(substrate.node_capacity)
+    nodes = len(substrate.node_column)
     node_margin = float((bounds.beta - utilization[:nodes]).min(initial=math.inf))
     edge_margin = float((bounds.gamma - utilization[nodes:]).min(initial=math.inf))
     ok = (
@@ -357,7 +357,7 @@ def _sample(
     cost = variant == "cost"
     cap = 2.0 * lp_optimum + WEIGHT_TOL * max(1.0, abs(lp_optimum))
     capacities = np.array(substrate.capacities)
-    node_count = len(substrate.node_capacity)
+    node_count = len(substrate.node_column)
     load_rows = []
     terms = []
     cumulative = []

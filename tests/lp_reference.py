@@ -41,14 +41,23 @@ from vnembed.formulations import (
     count_novel_variables,
 )
 from vnembed.lpmodel import EQ, LE, MAXIMIZE, MINIMIZE, LPSolution, _highs
-from vnembed.model import (
-    Request,
-    Resource,
-    SubstrateGraph,
-    edge_resource,
-    node_resource,
-)
+from vnembed.model import Request, SubstrateGraph
 from vnembed.rounding import WEIGHT_TOL
+
+# The reference keys a resource by its label in ``substrate.resources``,
+# ("node", type, node) or ("edge", tail, head), and reads its capacity and
+# cost from the input tables, independent of the substrate's column maps.
+Resource = tuple
+
+
+def _capacity(substrate: SubstrateGraph, res: Resource) -> float:
+    table = substrate.node_capacity if res[0] == "node" else substrate.edge_capacity
+    return table[res[1:]]
+
+
+def _cost(substrate: SubstrateGraph, res: Resource) -> float:
+    table = substrate.node_cost if res[0] == "node" else substrate.edge_cost
+    return table[res[1:]]
 
 
 @dataclass
@@ -173,11 +182,11 @@ def _load_terms(
     req = index.requests[r]
     cols = index.columns[r]
     for (i, u), var in cols.y.items():
-        yield node_resource(req.node_type[i], u), var, req.node_demand[i]
+        yield ("node", req.node_type[i], u), var, req.node_demand[i]
     for (k, _), flows in cols.sub_z.items():
         demand = req.edge_demand[req.edges[k]]
         for se, var in flows.items():
-            yield edge_resource(*se), var, demand
+            yield ("edge", *se), var, demand
 
 
 def _add_capacity_rows(
@@ -196,10 +205,10 @@ def _add_capacity_rows(
         coeffs = terms.get(res)
         if not coeffs:
             continue
-        model.add_constraint(f"cap_res{k}", coeffs, LE, substrate.capacity(res))
+        model.add_constraint(f"cap_res{k}", coeffs, LE, _capacity(substrate, res))
         if objective == "cost":
             for var, demand in coeffs:
-                model.set_objective_coefficient(var, substrate.cost(res) * demand)
+                model.set_objective_coefficient(var, _cost(substrate, res) * demand)
 
 
 def _mappings_of(labels: Sequence[str], req: Request) -> list[tuple[str, ...]]:

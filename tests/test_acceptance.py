@@ -19,6 +19,8 @@ import pytest
 
 from vnembed import (
     Digraph,
+    Request,
+    SubstrateGraph,
     build_extraction_order,
     build_mcf,
     build_novel,
@@ -42,6 +44,7 @@ from vnembed.extraction import (
     generate_vc_gadget,
     half_wheel_center_order,
 )
+from vnembed.instances import Instance
 from vnembed.pipeline import PipelineConfig, run_pipeline
 from vnembed.rounding import bounds_from_parameters, request_streams, sample_entry
 from vnembed.scenarios import VC_BASES, cactus_graph_corpus, monte_carlo_instance
@@ -431,10 +434,80 @@ def _uncapacitated(instance, with_capacity):
     return with_capacity(instance, total)
 
 
+def _pruning_instance():
+    """Two requests ``i -> j`` whose every optimal cost point prunes: A
+    holds only 0.9 of the 1.0 the two ``i`` nodes need, so some request
+    places part of its ``i`` on B, whose mapping costs more than twice that
+    request's cost share."""
+    substrate = SubstrateGraph.build(
+        {
+            "A": {"vm": (0.9, 1.0)},
+            "B": {"vm": (1.0, 10.0)},
+            "C": {"vm": (10.0, 0.01)},
+        },
+        {
+            link: (10.0, 0.01)
+            for link in (("A", "C"), ("C", "A"), ("B", "C"), ("C", "B"))
+        },
+    )
+    requests = tuple(
+        Request.build(
+            name,
+            {"i": ("vm", 0.5, ("A", "B")), "j": ("vm", 0.1, ("C",))},
+            {("i", "j"): (0.1, substrate.edges)},
+        )
+        for name in ("r0", "r1")
+    )
+    return Instance(name="pruning", substrate=substrate, requests=requests)
+
+
+def _cost_guarantees(instance, orders, where, problems):
+    """Solve the cost LP of ``instance``, decompose, verify and prune every
+    request and round the pruned decompositions, appending each violated
+    guarantee to ``problems``. Returns the LP cost, the number of entries
+    pruning removed and whether the rounding was accepted, or None if the
+    LP is not optimal."""
+    model, index = build_novel(instance.substrate, instance.requests, orders, "cost")
+    sol = solve(model)
+    if sol.status != "optimal":
+        problems.append(f"{where}: relaxation {sol.status}")
+        return None
+    lp_cost = sol.objective_value
+    pruned = []
+    removed = 0
+    for ri, req in enumerate(instance.requests):
+        state = index.request_state(sol.values, ri)
+        acceptance = state.x
+        dec = decompose_novel(instance.substrate, req, orders[ri], state)
+        check = verify_decomposition(instance.substrate, req, dec, acceptance, state.a)
+        if not check.ok:
+            problems.append(f"{where}/{req.name}: {check}")
+        kept, report = prune_costly_mappings(instance.substrate, req, dec)
+        if report.surviving_weight < 0.5 - 1e-9:
+            problems.append(
+                f"{where}/{req.name}: surviving {report.surviving_weight:.3f}"
+            )
+        removed += report.removed
+        pruned.append(kept)
+    bounds = compute_bounds(instance.substrate, instance.requests, "cost")
+    rounded = round_cost(
+        instance.substrate, instance.requests, pruned, bounds, lp_cost, seed=11
+    )
+    for record in rounded.records:
+        if record.objective > 2.0 * lp_cost + TOL:
+            problems.append(
+                f"{where} try {record.index}: "
+                f"cost {record.objective:.3f} > 2x{lp_cost:.3f}"
+            )
+    return lp_cost, removed, rounded.accepted
+
+
 @pytest.mark.criterion(8, "cost-variant guarantees")
 def test_criterion_8_cost_guarantees(gate, cost_corpus, with_capacity):
     # as drawn, no capacity of the corpus binds, so every check also runs
-    # with every capacity set to 1.5 and to 1.0, where the LPs bind
+    # with every capacity set to 1.5 and to 1.0, where the LPs bind; pruning
+    # removes no entry there, so the checks also run on an instance where
+    # it must
     problems = []
     accepted = 0
     capacities = (None, 1.5, 1.0)
@@ -449,43 +522,18 @@ def test_criterion_8_cost_guarantees(gate, cost_corpus, with_capacity):
         for capacity in capacities:
             instance = drawn if capacity is None else with_capacity(drawn, capacity)
             where = f"{instance.name}/c={capacity or 'drawn'}"
-            model, index = build_novel(
-                instance.substrate, instance.requests, orders, "cost"
-            )
-            sol = solve(model)
-            if sol.status != "optimal":
-                problems.append(f"{where}: relaxation {sol.status}")
-                continue
-            lp_cost = sol.objective_value
-            binding[capacity] += _differ(lp_cost, free_cost)
-            pruned = []
-            for ri, req in enumerate(instance.requests):
-                state = index.request_state(sol.values, ri)
-                acceptance = state.x
-                dec = decompose_novel(instance.substrate, req, orders[ri], state)
-                check = verify_decomposition(
-                    instance.substrate, req, dec, acceptance, state.a
-                )
-                if not check.ok:
-                    problems.append(f"{where}/{req.name}: {check}")
-                kept, report = prune_costly_mappings(instance.substrate, req, dec)
-                if report.surviving_weight < 0.5 - 1e-9:
-                    problems.append(
-                        f"{where}/{req.name}: surviving {report.surviving_weight:.3f}"
-                    )
-                pruned.append(kept)
-            bounds = compute_bounds(instance.substrate, instance.requests, "cost")
-            rounded = round_cost(
-                instance.substrate, instance.requests, pruned, bounds, lp_cost,
-                seed=11,
-            )
-            for record in rounded.records:
-                if record.objective > 2.0 * lp_cost + TOL:
-                    problems.append(
-                        f"{where} try {record.index}: "
-                        f"cost {record.objective:.3f} > 2x{lp_cost:.3f}"
-                    )
-            accepted += rounded.accepted
+            outcome = _cost_guarantees(instance, orders, where, problems)
+            if outcome is not None:
+                lp_cost, _, ok = outcome
+                binding[capacity] += _differ(lp_cost, free_cost)
+                accepted += ok
+    pruning = _pruning_instance()
+    outcome = _cost_guarantees(
+        pruning, _labeled_orders(pruning), pruning.name, problems
+    )
+    removed = 0 if outcome is None else outcome[1]
+    if not removed:
+        problems.append(f"{pruning.name}: pruning removed no entry")
     if len(cost_corpus) != 20:
         problems.append(f"{len(cost_corpus)} instances, expected 20")
     for capacity in capacities[1:]:
@@ -501,7 +549,8 @@ def test_criterion_8_cost_guarantees(gate, cost_corpus, with_capacity):
         not problems,
         "; ".join(problems[:3])
         or f"{len(capacities) * len(cost_corpus)} LPs within the 2x cost cap, "
-        f"{accepted} accepted; binding capacity in {detail}",
+        f"{accepted} accepted; binding capacity in {detail}; "
+        f"{removed} entries pruned on the {pruning.name} instance",
     )
 
 

@@ -860,7 +860,13 @@ def test_exact_separates_infeasible_from_solver_failure(
     assert json.loads(capsys.readouterr().out)["status"] == "error"
 
 
-def test_exact_truncation_asks_for_higher_cap(tmp_path, capsys):
+def test_exact_truncation_asks_for_higher_cap(tmp_path, capsys, monkeypatch):
+    # the refusal comes before any allocation is computed or anything solved
+    calls = []
+    monkeypatch.setattr(
+        vnembed.oracle, "_unchecked_allocations", lambda *a: calls.append(a)
+    )
+    monkeypatch.setattr(vnembed.oracle, "solve", lambda *a: calls.append(a))
     hosts = ("v1", "v2", "v3")
     substrate = SubstrateGraph.build(
         {u: {"vm": (5.0, 1.0)} for u in hosts},
@@ -869,8 +875,13 @@ def test_exact_truncation_asks_for_higher_cap(tmp_path, capsys):
     req = Request.build("solo", {"x": ("vm", 1.0, hosts)}, {}, profit=1.0)
     path = tmp_path / "k3.json"
     dump_instance(Instance(name="k3", substrate=substrate, requests=(req,)), path)
-    assert main(["exact", str(path), "--cap", "1"]) == 2
-    assert "raise --cap" in capsys.readouterr().err
+    for relaxation in ("lp", "ip"):
+        args = ["exact", str(path), "--cap", "1", "--relaxation", relaxation]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "enumeration truncated at cap=1 for: solo; raise --cap\n"
+    assert calls == []
 
 
 def test_exact_cap_equal_to_the_count_is_complete(tmp_path, capsys):

@@ -27,8 +27,13 @@ from vnembed import (
     mapping_cost,
     validate_instance,
 )
-from vnembed.model import edge_resource, node_resource
-from vnembed.scenarios import random_request, random_substrate, random_tree_graph
+from vnembed.scenarios import (
+    VC_BASES,
+    random_request,
+    random_substrate,
+    random_tree_graph,
+    scenario_instance,
+)
 
 
 def square_substrate():
@@ -255,10 +260,10 @@ def test_allocations_and_cost():
     # one load per substrate resource, in resource order
     assert alloc.tolist() == [
         {
-            node_resource("vm", "a"): 2.0,
-            node_resource("vm", "c"): 3.0,
-            edge_resource("a", "b"): 1.0,
-            edge_resource("b", "c"): 1.0,
+            ("node", "vm", "a"): 2.0,
+            ("node", "vm", "c"): 3.0,
+            ("edge", "a", "b"): 1.0,
+            ("edge", "b", "c"): 1.0,
         }.get(res, 0.0)
         for res in substrate.resources
     ]
@@ -277,10 +282,10 @@ def test_collection_feasible_reports_utilization():
     alloc = compute_allocations(substrate, req, mapping)
     ok, utilization = collection_feasible(substrate, [alloc] * 3)
     assert ok
-    column = substrate.resource_column
-    assert utilization[column[edge_resource("a", "b")]] == pytest.approx(3.0 / 5.0)
-    assert utilization[column[node_resource("vm", "a")]] == pytest.approx(6.0 / 10.0)
-    assert utilization[column[edge_resource("c", "d")]] == 0.0
+    edge_column = substrate.edge_column
+    assert utilization[edge_column["a", "b"]] == pytest.approx(3.0 / 5.0)
+    assert utilization[substrate.node_column["vm", "a"]] == pytest.approx(6.0 / 10.0)
+    assert utilization[edge_column["c", "d"]] == 0.0
     assert len(utilization) == len(substrate.resources)
 
     # a fourth copy pushes node b to 12/10
@@ -312,10 +317,10 @@ def _bounds_loop(substrate, requests) -> tuple[float, float, float]:
     a_max: dict = {}
     for k, req in enumerate(requests):
         terms = [
-            (node_resource(req.node_type[i], u), req.node_demand[i])
+            (("node", req.node_type[i], u), req.node_demand[i])
             for i in req.nodes for u in req.allowed_nodes[i]
         ] + [
-            (edge_resource(*se), req.edge_demand[e])
+            (("edge", *se), req.edge_demand[e])
             for e in req.edges for se in req.allowed_edges[e]
         ]
         for res, d in terms:
@@ -323,7 +328,8 @@ def _bounds_loop(substrate, requests) -> tuple[float, float, float]:
             a_max[(k, res)] = a_max.get((k, res), 0.0) + d
     ratio = 0.0
     for (_, res), d in d_max.items():
-        ratio = max(ratio, d / substrate.capacity(res))
+        table = substrate.node_capacity if res[0] == "node" else substrate.edge_capacity
+        ratio = max(ratio, d / table[res[1:]])
     sums = []
     for kind in ("node", "edge"):
         per_resource: dict = {}
@@ -352,6 +358,46 @@ def test_compute_bounds_match_the_dict_loop(tiny_corpus, tree_corpus, cost_corpu
         # the same floats, not just close ones
         assert ours == _bounds_loop(substrate, requests)
         assert all(type(value) is float for value in ours)
+
+
+# Every named fixture: the names without an argument, each family over a
+# range of sizes and the vc-gadget over every base.
+NAMED_FIXTURES = (
+    ["fig3", "fig3-cost-gadget", "fig4", "servicechain"]
+    + [f"halfwheel:{n}" for n in range(2, 13)]
+    + [f"vc-gadget:{base}" for base in VC_BASES]
+    + [f"{family}:{n}" for family in ("cactus", "tree") for n in range(1, 12)]
+    + [f"virtualcluster:{n}" for n in range(1, 7)]
+)
+
+
+def test_column_maps_agree_with_the_input_tables(
+    tiny_corpus, tree_corpus, cost_corpus, with_capacity
+):
+    instances = [scenario_instance(name) for name in NAMED_FIXTURES]
+    instances += [*tiny_corpus, *tree_corpus, *cost_corpus]
+    # a substrate rebuilt through dataclasses.replace lays out its own tables
+    instances += [with_capacity(instance, 0.5) for instance in cost_corpus]
+    assert len(NAMED_FIXTURES) == 48
+    for instance in instances:
+        substrate = instance.substrate
+        node_column, edge_column = substrate.node_column, substrate.edge_column
+        assert set(node_column) == set(substrate.node_capacity)
+        assert set(edge_column) == set(substrate.edge_capacity)
+        columns = [*node_column.values(), *edge_column.values()]
+        assert sorted(columns) == list(range(len(substrate.resources)))
+        assert max(node_column.values(), default=-1) < min(
+            edge_column.values(), default=len(columns)
+        )
+        tables = (
+            ("node", node_column, substrate.node_capacity, substrate.node_cost),
+            ("edge", edge_column, substrate.edge_capacity, substrate.edge_cost),
+        )
+        for kind, column, capacity, cost in tables:
+            for key, c in column.items():
+                assert substrate.capacities[c] == capacity[key]
+                assert substrate.costs[c] == cost[key]
+                assert substrate.resources[c] == (kind, *key)
 
 
 def test_instance_dict_round_trip_and_defaults():

@@ -11,6 +11,7 @@ import vnembed.oracle
 from vnembed import (
     Request,
     SubstrateGraph,
+    TruncatedEnumerationError,
     compute_allocations,
     enumerate_valid_mappings,
     mapping_cost,
@@ -107,6 +108,25 @@ def test_cap_truncates_and_flags():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be at least 1"):
             enumerate_valid_mappings(substrate, req, cap=cap)
+
+
+@pytest.mark.parametrize("relaxation", ["lp", "ip"])
+def test_truncated_enumeration_is_refused_before_solving(monkeypatch, relaxation):
+    calls = []
+    monkeypatch.setattr(
+        vnembed.oracle, "_unchecked_allocations", lambda *a: calls.append(a)
+    )
+    monkeypatch.setattr(vnembed.oracle, "solve", lambda *a: calls.append(a))
+    hosts = ("v1", "v2", "v3")
+    requests = [
+        Request.build(name, {"x": ("vm", 1.0, allowed)}, {}, profit=1.0)
+        for name, allowed in (("wide", hosts), ("pinned", ("v2",)), ("also", hosts))
+    ]
+    with pytest.raises(TruncatedEnumerationError) as err:
+        solve_enumerative(_k3_substrate(), requests, "profit", relaxation, cap=1)
+    # only the requests with a mapping beyond the cap are named
+    assert str(err.value) == "enumeration truncated at cap=1 for: wide, also"
+    assert calls == []
 
 
 def test_exact_profit_is_zero_without_mappings(fig3):

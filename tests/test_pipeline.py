@@ -544,7 +544,7 @@ def test_verify_rechecks_objective_and_utilization(
     fig3_gadget, monkeypatch, field, message
 ):
     real = vnembed.pipeline.round_profit
-    substrate_column = fig3_gadget.substrate.resource_column
+    node_column = fig3_gadget.substrate.node_column
 
     def misreported(*args):
         rounded = real(*args)
@@ -560,7 +560,7 @@ def test_verify_rechecks_objective_and_utilization(
             rounded.utilization = np.append(rounded.utilization, 5.0)
         else:
             # an unloaded resource: its value alone would match at 0
-            u4 = substrate_column[("node", "vm", "u4")]
+            u4 = node_column["vm", "u4"]
             assert rounded.utilization[u4] == 0.0
             rounded.utilization = np.delete(rounded.utilization, u4)
         return rounded

@@ -40,7 +40,6 @@ from vnembed import (
 )
 from vnembed.instances import Instance
 from vnembed.lpmodel import solve
-from vnembed.model import EDGE, NODE
 from vnembed.scenarios import scenario_instance
 from vnembed.rounding import (
     WEIGHT_TOL,
@@ -568,9 +567,11 @@ def _reference_sample(
                  if res[0] == kind),
                 default=0.0,
             )
-            for kind in (NODE, EDGE)
+            for kind in ("node", "edge")
         }
-        records.append(TryRecord(attempt, objective, worst[NODE], worst[EDGE], ok))
+        records.append(
+            TryRecord(attempt, objective, worst["node"], worst["edge"], ok)
+        )
         return RoundedSolution(
             variant, selection, objective, utilization, ok, attempt + 1, seed
         )
