@@ -15,31 +15,50 @@ Nothing on the build or solve path formats a name.
 tie many columns to one other column with a row ``x_a - x_b = 0`` (a
 sub-LP copy to its global host or bag column), and HiGHS would spend most
 of its presolve removing them. The columns such rows link form classes;
-each class keeps one column, the one with the most entries in the row
-arrays (the lowest index on a tie). The fold is a column map applied to
-the solver's arrays (``fold_aliases``, ``solver_input``), not a second
-model. Which column survives decides which optimal vertex HiGHS returns:
-keeping the lowest index of each class instead moved enough points that
-the ``seed-sweep`` benchmark's accepted runs fell from 8 to 0 of 128,
-while this rule keeps them at 8. Change it only after measuring that
-again. Each column then takes its survivor's value, and the primal check
-reads the model's own rows, alias rows included.
+each class keeps its lowest index. The fold is a column map applied to the
+solver's arrays (``fold_aliases``, ``solver_input``), not a second model.
+Each column then takes its survivor's value, and the primal check reads
+the model's own rows, alias rows included.
+
+``solve`` returns one canonical optimal point per LP: the minimum of a
+fixed generic cost vector ``d`` (``canonical_costs``, one draw per model
+column, summed over each alias class as ``c`` is) over the LP's optimal
+face. For any optimal dual, the optimal points are exactly the points that
+meet complementary slackness with it, so the face, and with it the point,
+depend on neither the dual nor the vertex the solver finds; reports do not
+depend on the solver's options or the backend. Three runs on one HiGHS
+object reach it:
+
+1. ``c + PERTURBATION * s * d`` by dual simplex, where ``s`` is the largest
+   cost magnitude, at least 1. For a small enough perturbation this is
+   already the point (Charnes' lexicographic optimum).
+2. ``c`` by primal simplex from that basis, usually in no iteration: the
+   optimum, its objective and its duals.
+3. ``d`` by primal simplex without presolve over the optimal face, usually
+   in no iteration: a column whose reduced cost passes ``FACE_TOLERANCE *
+   s`` is fixed at its bound, and a ``<=`` row whose dual passes it is made
+   an equality.
+
+The point's cost must match the optimum to a relative
+``OBJECTIVE_TOLERANCE``, or the solve is an error. The size of the LP
+decides one thing, HiGHS' presolve in the first run: it pays off only
+above ``PRESOLVE_NONZEROS`` folded nonzeros. The solution carries the
+second run's row duals and reduced costs, on the folded LP (``LPSolution``).
 
 The solver gets the rows as CSC arrays (``<=`` rows first, then ``==``
 rows, each in insertion order) through scipy's bundled HiGHS bindings,
 called directly by the module-level ``_run_highs``. It passes the arrays
-and sets the options exactly as ``linprog(method="highs")`` does, so both
-return the same solution vector bit for bit, but it skips ``linprog``'s
-input cleaning, option validation and per-column marginal loop, none of
-which the package reads. An optimal point that breaks a bound or a row by
-more than ``linprog``'s own post-check allows is reported as an error.
+as ``linprog(method="highs")`` does, but skips ``linprog``'s input
+cleaning, option validation and per-column marginal loop. An optimal point
+that breaks a bound or a row by more than ``linprog``'s own post-check
+allows is reported as an error.
 
 Each thread keeps one HiGHS object, made on its first solve with
 ``linprog``'s options; the slot also records the process id, so a forked
 worker makes its own instead of using a copy of its parent's. Every solve
-clears the object's model and passes the LP afresh, which gives the same
-point and iteration count as a new object; nothing else is kept between
-solves.
+clears the object's model and passes the LP afresh, and sets back the
+options its runs change, which gives the same point and iteration count
+as a new object; nothing else is kept between solves.
 
 The bindings are loaded from their file, ``scipy/optimize/_highspy/_core``
 plus the interpreter's extension suffix, in the folder that
@@ -50,7 +69,9 @@ start. The module is registered in ``sys.modules`` under its own name, so
 a later ``import scipy.optimize`` reuses it (a second load would register
 its types twice); scipy reaches it through ``from`` imports, which find it
 there. scipy releases before 1.15 ship no such file; there ``solve`` hands
-the same folded rows to ``linprog``, which is imported on that path only.
+the same folded rows to ``linprog``, which is imported on that path only:
+it solves ``c``, fixes the face from ``linprog``'s marginals and solves
+``d`` over it, which reaches the same point.
 """
 
 from __future__ import annotations
@@ -101,6 +122,19 @@ BACKEND = "highs"
 # linprog's post-check: an "optimal" point farther than this outside a
 # bound or a row is no solution (10 times the root of its 1e-9 tolerance)
 PRIMAL_TOLERANCE = 10 * 1e-9 ** 0.5
+
+# The canonical point: ``canonical_costs`` draws ``d`` from this seed, the
+# first run minimizes ``c + PERTURBATION * s * d`` (``s`` the cost scale),
+# a reduced cost or row dual beyond ``FACE_TOLERANCE * s`` fixes the
+# optimal face, and the point's cost must be the optimum to a relative
+# ``OBJECTIVE_TOLERANCE``.
+CANONICAL_SEED = 0
+PERTURBATION = 1e-4
+FACE_TOLERANCE = 1e-7
+OBJECTIVE_TOLERANCE = 1e-9
+
+# HiGHS presolves the first run only of LPs with more folded nonzeros
+PRESOLVE_NONZEROS = 60_000
 
 
 class Row(NamedTuple):
@@ -187,11 +221,22 @@ class LPModel:
 
 @dataclass
 class LPSolution:
+    """A solve's outcome. An optimal one carries the canonical point in
+    ``values`` (one per model column) and, from the solve of the costs
+    themselves, the duals of the LP the solver saw: ``row_duals`` per row
+    of ``solver_input``'s matrix (``<=`` rows first, then ``==`` rows;
+    alias rows are folded away and have none) and ``reduced_costs`` per
+    folded column, both in HiGHS' minimization sign, so that ``c - A.T @
+    row_duals - reduced_costs`` is 0 for ``solver_input``'s ``c`` and ``A``.
+    """
+
     status: str  # optimal | infeasible | error (a unit box is never unbounded)
     objective_value: float | None
     values: np.ndarray | None
-    iterations: int = 0  # simplex iterations the solver reported
+    iterations: int = 0  # simplex iterations the solver reported, all runs
     message: str = ""  # the solver's own status text
+    row_duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -277,10 +322,9 @@ def fold_aliases(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
 
     An alias row is an ``==`` row of two entries, +1 and -1 on two distinct
     columns, with right-hand side 0. The columns that alias rows link form
-    classes, and each class keeps one column: the one with the most entries
-    in the row arrays (alias rows included), the lowest index on a tie.
-    Survivors keep their order. In a model without alias rows every column
-    keeps its index.
+    classes, and each class keeps one column, its lowest index. Survivors
+    keep their order. In a model without alias rows every column keeps its
+    index.
     """
     cols, vals, lengths, eq, rhs = model.rows()
     n = model.num_variables
@@ -308,12 +352,7 @@ def fold_aliases(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
-    # the survivor has the highest score: most entries, then lowest index
-    score = np.bincount(cols, minlength=n) * n + (n - 1 - np.arange(n))
-    best = np.zeros(n, dtype=score.dtype)
-    np.maximum.at(best, root, score)
-    survivor = (n - 1 - best % n)[root]
-    column = (np.cumsum(survivor == np.arange(n)) - 1)[survivor]
+    column = (np.cumsum(root == np.arange(n)) - 1)[root]
     return column, alias_rows
 
 
@@ -338,25 +377,42 @@ def solver_input(model: LPModel):
     return column, c, *_csc(*arrays, size)
 
 
+def canonical_costs(num_columns: int) -> np.ndarray:
+    """The fixed generic cost vector ``d`` whose minimum over an LP's
+    optimal face is the point ``solve`` returns: one draw in [0, 1) per
+    column, from a generator seeded with ``CANONICAL_SEED``."""
+    return np.random.default_rng(CANONICAL_SEED).random(num_columns)
+
+
 def solve(model: LPModel) -> LPSolution:
-    """Solve with HiGHS; a status other than optimal carries no values.
+    """Solve with HiGHS to the canonical optimal point; a status other than
+    optimal carries no values.
 
     The objective is minimized as given, or negated for ``MAXIMIZE``, over
-    the unit box, with HiGHS' dual simplex after presolve (the options of
-    ``linprog(method="highs")``). The solver sees the LP with its alias
-    rows folded away (``solver_input``), and every column takes its
-    survivor's value. An optimal point that violates the model's own rows
-    or box by more than ``PRIMAL_TOLERANCE`` is reported as an ``error``.
+    the unit box. The solver sees the LP with its alias rows folded away
+    (``solver_input``) and the canonical costs ``d`` folded like ``c``,
+    summed over each alias class, so the point does not depend on which
+    column of a class survives. It returns the minimum of ``d`` over the
+    LP's optimal face (see the module docstring for the three runs that
+    reach it), and every column takes its survivor's value. The reported
+    objective is the optimum of ``c``, and the solution carries the folded
+    LP's row duals and reduced costs. An optimal point that violates the
+    model's own rows or box by more than ``PRIMAL_TOLERANCE`` is reported
+    as an ``error``.
     """
     if model.num_variables == 0:
         # With no variables every row reads ``0 <sense> rhs``.
         _, _, _, eq, rhs = model.rows()
         if np.any(np.where(eq, rhs != 0.0, rhs < 0.0)):
             return LPSolution(status="infeasible", objective_value=None, values=None)
-        return LPSolution(status="optimal", objective_value=0.0, values=np.zeros(0))
-    column, *arrays = solver_input(model)
+        return LPSolution(
+            status="optimal", objective_value=0.0, values=np.zeros(0),
+            row_duals=np.zeros(model.num_rows), reduced_costs=np.zeros(0),
+        )
+    column, c, matrix, lower, upper = solver_input(model)
+    d = np.bincount(column, weights=canonical_costs(model.num_variables))
     run = _run_highs if _highs is not None else _run_linprog
-    solution = run(*arrays)
+    solution = run(c, matrix, lower, upper, d)
     if solution.optimal:
         solution.values = solution.values[column]
         violation = max_violation(model, solution.values)
@@ -372,6 +428,36 @@ def solve(model: LPModel) -> LPSolution:
     return solution
 
 
+def _presolve(matrix: CscMatrix) -> bool:
+    """Whether HiGHS presolves the first run: on LPs above
+    ``PRESOLVE_NONZEROS`` folded nonzeros only."""
+    return len(matrix.data) > PRESOLVE_NONZEROS
+
+
+def _cost_scale(c: np.ndarray) -> float:
+    """``s``: the largest cost magnitude, at least 1. The perturbation and
+    the face tolerance scale with it."""
+    return max(1.0, float(np.abs(c).max(initial=0.0)))
+
+
+def _face(
+    c: np.ndarray, lower: np.ndarray, row_duals: np.ndarray,
+    reduced_costs: np.ndarray,
+):
+    """The optimal face from one optimal dual: which columns sit at 0 and
+    which at 1 (reduced cost beyond ``FACE_TOLERANCE`` times the cost scale,
+    positive or negative), and which ``<=`` rows bind (dual beyond it).
+
+    Every optimal point meets complementary slackness with every optimal
+    dual, so the face does not depend on which dual the solver returned.
+    """
+    tolerance = FACE_TOLERANCE * _cost_scale(c)
+    at_zero = reduced_costs > tolerance
+    at_one = reduced_costs < -tolerance
+    tight = (np.abs(row_duals) > tolerance) & np.isneginf(lower)
+    return at_zero, at_one, tight
+
+
 class _Slot(threading.local):
     """One thread's HiGHS object and the process that made it."""
 
@@ -381,14 +467,19 @@ class _Slot(threading.local):
 
 _slot = _Slot()
 
+# HiGHS' simplex_strategy values
+_DUAL_SIMPLEX = 1
+_PRIMAL_SIMPLEX = 4
+
 
 def _solver():
     """This thread's HiGHS object, made on first use in each process with
-    what ``linprog(method="highs")`` sets."""
+    what ``linprog(method="highs")`` sets. A solve changes ``presolve`` and
+    ``simplex_strategy`` between its runs and sets them back to these."""
     if _slot.pid != os.getpid():
         highs = _highs._Highs()
         highs.setOptionValue("presolve", "on")
-        highs.setOptionValue("simplex_strategy", 1)  # dual simplex
+        highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("log_to_console", False)
         highs.setOptionValue("highs_debug_level", 0)
@@ -397,11 +488,12 @@ def _solver():
 
 
 def _run_highs(
-    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray,
+    d: np.ndarray,
 ) -> LPSolution:
     """Minimize ``c @ x`` over the unit box and ``lower <= matrix @ x <= upper``
-    through the bundled HiGHS bindings, on this thread's solver with its
-    previous model cleared."""
+    through the bundled HiGHS bindings, to the minimum of ``d`` over the
+    optimal face, on this thread's solver with its previous model cleared."""
     num_row, num_col = matrix.shape
     highs = _solver()
     # clearModel keeps the options; clear() would reset them
@@ -420,20 +512,80 @@ def _run_highs(
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
         )
-    ran = highs.run() != _highs.HighsStatus.kError
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    solution = LPSolution(
-        status="error", objective_value=None, values=None,
-        iterations=info.simplex_iteration_count,
-        message=highs.modelStatusToString(status),
-    )
-    if ran and status == _highs.HighsModelStatus.kOptimal:
-        solution.status = "optimal"
-        solution.objective_value = float(info.objective_function_value)
-        solution.values = np.array(highs.getSolution().col_value)
-    elif ran and status == _highs.HighsModelStatus.kInfeasible:
-        solution.status = "infeasible"
+    return _solve_passed(highs, c, matrix, lower, upper, d)
+
+
+def _solve_passed(highs, c, matrix, lower, upper, d) -> LPSolution:
+    """``_run_highs``'s three runs on ``highs``, which holds the LP with the
+    costs ``c``. Sets the options back to ``_solver``'s even if a run
+    fails."""
+    num_col = len(c)
+    columns = np.arange(num_col, dtype=np.int32)
+    solution = LPSolution(status="error", objective_value=None, values=None)
+
+    def run(costs, phase: str) -> float | None:
+        """One run on the costs ``costs``: its optimum, or None, with
+        ``solution`` set, unless it ends optimal."""
+        highs.changeColsCost(num_col, columns, costs)
+        ran = highs.run() != _highs.HighsStatus.kError
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        solution.iterations += info.simplex_iteration_count
+        solution.message = highs.modelStatusToString(status)
+        if ran and status == _highs.HighsModelStatus.kOptimal:
+            return float(info.objective_function_value)
+        if ran and status == _highs.HighsModelStatus.kInfeasible and not phase:
+            solution.status = "infeasible"
+        elif phase:
+            solution.message = f"{phase} ended {solution.message}"
+        return None
+
+    try:
+        # 1: the perturbed costs, by dual simplex
+        highs.setOptionValue("presolve", "on" if _presolve(matrix) else "off")
+        if run(c + PERTURBATION * _cost_scale(c) * d, "") is None:
+            return solution
+        # 2: the costs themselves, by primal simplex from that basis
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        objective = run(c, "the re-solve of the costs")
+        if objective is None:
+            return solution
+        duals = highs.getSolution()
+        row_duals, reduced_costs = np.array(duals.row_dual), np.array(duals.col_dual)
+        # 3: d over the optimal face, by primal simplex without presolve
+        at_zero, at_one, tight = _face(c, lower, row_duals, reduced_costs)
+        fixed = np.flatnonzero(at_zero | at_one).astype(np.int32)
+        bound = at_one[fixed].astype(float)
+        highs.changeColsBounds(len(fixed), fixed, bound, bound)
+        for row in np.flatnonzero(tight).tolist():
+            highs.changeRowBounds(row, upper[row], upper[row])
+        highs.setOptionValue("presolve", "off")
+        if run(d, "the canonical solve over the optimal face") is None:
+            return solution
+    finally:
+        highs.setOptionValue("presolve", "on")
+        highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    values = np.array(highs.getSolution().col_value)
+    return _canonical(solution, c, objective, values, row_duals, reduced_costs)
+
+
+def _canonical(solution, c, objective, values, row_duals, reduced_costs):
+    """``solution`` made optimal at the canonical point ``values``, with the
+    optimum ``objective`` and the duals of the solve of ``c``; an error
+    instead if ``c @ values`` is not that optimum to a relative
+    ``OBJECTIVE_TOLERANCE``."""
+    cost = float(c @ values)
+    if abs(cost - objective) > OBJECTIVE_TOLERANCE * max(1.0, abs(objective)):
+        solution.status = "error"
+        solution.message = (
+            f"{solution.message}, but the canonical point costs {cost!r} "
+            f"against the optimum {objective!r}"
+        )
+        return solution
+    solution.status = "optimal"
+    solution.objective_value = objective
+    solution.values = values
+    solution.row_duals, solution.reduced_costs = row_duals, reduced_costs
     return solution
 
 
@@ -446,31 +598,53 @@ def linprog(*args, **kwargs):
 
 
 def _run_linprog(
-    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray
+    c: np.ndarray, matrix: CscMatrix, lower: np.ndarray, upper: np.ndarray,
+    d: np.ndarray,
 ) -> LPSolution:
-    """``_run_highs`` through ``linprog``, for scipy without the bindings."""
+    """``_run_highs`` through ``linprog``, for scipy without the bindings:
+    ``c`` solved first, its marginals fix the optimal face, and ``d`` is
+    solved over that face, both with ``_run_highs``' first presolve."""
     from scipy.sparse import csc_array
 
     rows = csc_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
-    num_le = int(np.isneginf(lower).sum())
-    num_eq = len(upper) - num_le
-    res = linprog(
-        c,
-        A_ub=rows[:num_le] if num_le else None,
-        b_ub=upper[:num_le] if num_le else None,
-        A_eq=rows[num_le:] if num_eq else None,
-        b_eq=upper[num_le:] if num_eq else None,
-        bounds=(0.0, 1.0),
-        method="highs",
+
+    def run(costs, held, bounds):
+        """``linprog`` of ``costs`` with the rows ``held`` as equalities."""
+        loose, held = np.flatnonzero(~held), np.flatnonzero(held)
+        return linprog(
+            costs,
+            A_ub=rows[loose] if len(loose) else None,
+            b_ub=upper[loose] if len(loose) else None,
+            A_eq=rows[held] if len(held) else None,
+            b_eq=upper[held] if len(held) else None,
+            bounds=bounds, method="highs",
+            options={"presolve": _presolve(matrix)},
+        )
+
+    first = run(c, np.isfinite(lower), (0.0, 1.0))
+    status = {0: "optimal", 2: "infeasible"}.get(first.status, "error")
+    solution = LPSolution(
+        status=status, objective_value=None, values=None,
+        iterations=int(first.nit), message=first.message,
     )
-    status = {0: "optimal", 2: "infeasible"}.get(res.status, "error")
-    optimal = status == "optimal"
-    return LPSolution(
-        status=status,
-        objective_value=float(res.fun) if optimal else None,
-        values=np.asarray(res.x) if optimal else None,
-        iterations=int(res.nit),
-        message=res.message,
+    if status != "optimal":
+        return solution
+    # linprog's marginals are HiGHS' duals, the bounds' split by sign
+    row_duals = np.concatenate([first.ineqlin.marginals, first.eqlin.marginals])
+    reduced_costs = first.lower.marginals + first.upper.marginals
+    at_zero, at_one, tight = _face(c, lower, row_duals, reduced_costs)
+    bounds = np.column_stack([at_one, ~at_zero]).astype(float)
+    second = run(d, tight | np.isfinite(lower), bounds)
+    solution.iterations += int(second.nit)
+    solution.message = second.message
+    if second.status != 0:
+        solution.status = "error"
+        solution.message = (
+            f"the canonical solve over the optimal face ended {second.message}"
+        )
+        return solution
+    return _canonical(
+        solution, c, float(first.fun), np.asarray(second.x), row_duals, reduced_costs
     )
 
 

@@ -10,11 +10,12 @@ gives decomposition the same loads.
 
 ``run_highs`` is the HiGHS hand-off as it was before the arrays went to the
 bindings' array overload: a ``HighsLp`` filled from ``.tolist()`` copies,
-on a new HiGHS object per solve. ``tests/test_lp.py`` checks that
-``lpmodel._run_highs`` and ``lpmodel.solve``, which reuse one object per
-thread, return what it does, bit for bit; ``solve_fresh`` solves the arrays
-of ``lpmodel.solver_input``, with the alias rows folded away, as ``solve``
-does.
+on a new HiGHS object per solve, which then takes the same three runs to
+the canonical point (``lpmodel._solve_passed``). ``tests/test_lp.py``
+checks that ``lpmodel._run_highs`` and ``lpmodel.solve``, which reuse one
+object per thread, return what it does, bit for bit; ``solve_fresh`` solves
+the arrays of ``lpmodel.solver_input``, with the alias rows folded away and
+the canonical costs summed over each alias class, as ``solve`` does.
 
 ``preprocess_profit`` is profit preprocessing of every request of a list,
 without a joint LP: one solo model built and solved per request.
@@ -467,7 +468,7 @@ def request_loads(index: NovelVariableIndex, values: np.ndarray, r: int) -> dict
 
 
 def run_highs(
-    c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray
+    c: np.ndarray, matrix, lower: np.ndarray, upper: np.ndarray, d: np.ndarray
 ) -> LPSolution:
     """``lpmodel._run_highs`` through a ``HighsLp`` built from lists, on a new
     HiGHS object."""
@@ -497,29 +498,17 @@ def run_highs(
             status="error", objective_value=None, values=None,
             message=highs.modelStatusToString(_highs.HighsModelStatus.kModelError),
         )
-    ran = highs.run() != _highs.HighsStatus.kError
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    solution = LPSolution(
-        status="error", objective_value=None, values=None,
-        iterations=info.simplex_iteration_count,
-        message=highs.modelStatusToString(status),
-    )
-    if ran and status == _highs.HighsModelStatus.kOptimal:
-        solution.status = "optimal"
-        solution.objective_value = float(info.objective_function_value)
-        solution.values = np.array(highs.getSolution().col_value)
-    elif ran and status == _highs.HighsModelStatus.kInfeasible:
-        solution.status = "infeasible"
-    return solution
+    return lpmodel._solve_passed(highs, c, matrix, lower, upper, d)
 
 
 def solve_fresh(model) -> LPSolution:
     """``lpmodel.solve`` on a new HiGHS object, without its primal check:
-    the model with its alias rows folded away, solved, and each column
-    given its survivor's value."""
+    the model with its alias rows folded away, solved to the canonical
+    point, and each column given its survivor's value."""
     column, *arrays = lpmodel.solver_input(model)
-    solution = run_highs(*arrays)
+    d = np.zeros(len(arrays[0]))
+    np.add.at(d, column, lpmodel.canonical_costs(model.num_variables))
+    solution = run_highs(*arrays, d)
     if solution.optimal:
         solution.values = solution.values[column]
         if model.sense == MAXIMIZE:

@@ -47,6 +47,7 @@ from vnembed.lpmodel import (
     MINIMIZE,
     LPModel,
     LPSolution,
+    canonical_costs,
     constraint_matrix,
     fold_aliases,
     objective_vector,
@@ -282,7 +283,18 @@ def test_acceptance_fraction_bounded():
 
 def _linprog_reference(model: LPModel) -> LPSolution:
     """The earlier solve: one CSR block per sense, handed to ``linprog``,
-    on the LP with its alias rows folded away as ``solve`` folds them."""
+    on the LP with its alias rows folded away as ``solve`` folds them, and
+    the runs of ``solve``'s backend replayed, with the canonical costs
+    summed over each alias class and ``solve``'s presolve.
+
+    The linprog fallback's runs are ``c``, then ``d`` over the optimal face
+    that the marginals of ``c`` fix. The bindings' first run is the
+    perturbed costs; ``linprog`` cannot start a run from an earlier basis,
+    so their other two are replayed cold: the re-solve of ``c`` must reach
+    the first point's cost, and the solve of ``d`` over the face its
+    marginals fix must reach the first point's ``d`` cost. The first point
+    is then the canonical point, where the warm runs stay, and its
+    objective is HiGHS' sum of ``c_j x_j`` in column order."""
     column, alias_rows = fold_aliases(model)
     n = int(column.max(initial=-1)) + 1
     c = np.zeros(n)
@@ -290,6 +302,9 @@ def _linprog_reference(model: LPModel) -> LPSolution:
         c[column[idx]] += coef
     if model.sense == MAXIMIZE:
         c = -c
+    d = np.zeros(n)
+    for idx, draw in enumerate(canonical_costs(model.num_variables)):
+        d[column[idx]] += draw
     kept = [
         con._replace(coefficients=[(column[i], coef) for i, coef in con.coefficients])
         for con, alias in zip(model.constraints, alias_rows)
@@ -308,20 +323,50 @@ def _linprog_reference(model: LPModel) -> LPSolution:
         mat = csr_matrix((data, (ri, ci)), shape=(len(rows), n))
         return mat, np.array([con.rhs for con in rows])
 
-    a_ub, b_ub = matrix([con for con in kept if con.sense == LE])
-    a_eq, b_eq = matrix([con for con in kept if con.sense == EQ])
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0),
-        method="highs",
-    )
-    status = {0: "optimal", 2: "infeasible"}.get(res.status, "error")
+    le = [con for con in kept if con.sense == LE]
+    eq = [con for con in kept if con.sense == EQ]
+    nonzeros = sum(len(con.coefficients) for con in kept)
+    options = {"presolve": nonzeros > vnembed.lpmodel.PRESOLVE_NONZEROS}
+
+    def run(costs, held=(), bounds=(0.0, 1.0)):
+        """``linprog`` of ``costs`` with the ``<=`` rows ``held`` as
+        equalities."""
+        a_ub, b_ub = matrix([con for k, con in enumerate(le) if k not in held])
+        a_eq, b_eq = matrix([con for k, con in enumerate(le) if k in held] + eq)
+        return linprog(
+            costs, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+            method="highs", options=options,
+        )
+
+    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    bindings = vnembed.lpmodel._highs is not None
+    first = run(c + 1e-4 * scale * d if bindings else c)
+    status = {0: "optimal", 2: "infeasible"}.get(first.status, "error")
     if status != "optimal":
         return LPSolution(status=status, objective_value=None, values=None)
-    objective = float(res.fun)
+    costs = run(c) if bindings else first
+    # the optimal face: a bound or a <= row whose marginal passes the
+    # tolerance holds at every optimal point
+    tolerance = 1e-7 * scale
+    bounds = [
+        (float(at_upper < -tolerance), float(not at_lower > tolerance))
+        for at_lower, at_upper in zip(costs.lower.marginals, costs.upper.marginals)
+    ]
+    held = {k for k, m in enumerate(costs.ineqlin.marginals) if abs(m) > tolerance}
+    face = run(d, held, bounds)
+    assert face.status == 0
+    if bindings:
+        point, objective = first.x, 0.0
+        for cost, value in zip(c.tolist(), point.tolist()):
+            objective += cost * value
+        assert abs(objective - costs.fun) <= 1e-9 * max(1.0, abs(costs.fun))
+        assert abs(d @ point - face.fun) <= 1e-9 * max(1.0, abs(face.fun))
+    else:
+        point, objective = face.x, float(costs.fun)
     if model.sense == MAXIMIZE:
         objective = -objective
     return LPSolution(
-        status=status, objective_value=objective, values=res.x[column]
+        status=status, objective_value=objective, values=point[column]
     )
 
 
@@ -383,7 +428,7 @@ def test_solution_carries_solver_diagnostics(fig3):
     assert sol.status == "infeasible"
     assert sol.message
     assert sol.outcome == f"infeasible ({sol.message})"
-    # presolve alone settles fig3; halfwheel:4 takes simplex iterations
+    # halfwheel:4 takes simplex iterations
     halfwheel = scenario_instance("halfwheel:4")
     model, _ = build_novel(
         halfwheel.substrate, halfwheel.requests, _orders(halfwheel), "cost"
@@ -412,11 +457,11 @@ def test_linprog_fallback_gives_the_same_results(name, variant, monkeypatch):
     # as if the bindings were missing (scipy < 1.15)
     monkeypatch.setattr(vnembed.lpmodel, "_highs", None)
     fallback = solve(model)
-    assert len(calls) == 1
-    assert calls[0]["method"] == "highs"
+    # the costs, then the canonical costs over the optimal face
+    assert len(calls) == (2 if direct.optimal else 1)
+    assert all(call["method"] == "highs" for call in calls)
     assert fallback.status == direct.status
     assert fallback.objective_value == direct.objective_value
-    assert fallback.iterations == direct.iterations
     assert fallback.message
     if direct.values is None:
         assert fallback.values is None
@@ -594,8 +639,9 @@ def test_array_handoff_matches_the_list_handoff(
     for model in _equivalence_models(fig3, fig3_gadget, tiny_corpus, tree_corpus):
         c = objective_vector(model)
         matrix, lower, upper = constraint_matrix(model)
-        ours = vnembed.lpmodel._run_highs(c, matrix, lower, upper)
-        reference = lp_reference.run_highs(c, matrix, lower, upper)
+        d = canonical_costs(model.num_variables)
+        ours = vnembed.lpmodel._run_highs(c, matrix, lower, upper, d)
+        reference = lp_reference.run_highs(c, matrix, lower, upper, d)
         assert ours.status == reference.status
         assert ours.message == reference.message
         assert ours.iterations == reference.iterations
@@ -833,8 +879,8 @@ def _off_model(monkeypatch, kind):
     """Make the solve path report optimal with a point moved off the model."""
     name, honest = _solver_entry()
 
-    def run(c, matrix, lower, upper):
-        solution = honest(c, matrix, lower, upper)
+    def run(*arrays):
+        solution = honest(*arrays)
         values = solution.values
         solution.values = {
             "row": np.ones_like(values),  # inside the box, outside the rows
@@ -880,8 +926,8 @@ def test_optimal_point_within_tolerance_stays_optimal(fig3_gadget, monkeypatch):
 
 
 def _solve_recording(model, monkeypatch):
-    """``solve(model)``, and the ``(c, matrix, lower, upper)`` it handed
-    the solver."""
+    """``solve(model)``, the ``(c, matrix, lower, upper)`` it handed the
+    solver, and the canonical costs it handed with them."""
     entry, run = _solver_entry()
     passed = []
 
@@ -892,8 +938,8 @@ def _solve_recording(model, monkeypatch):
     monkeypatch.setattr(vnembed.lpmodel, entry, recording)
     solution = solve(model)
     monkeypatch.setattr(vnembed.lpmodel, entry, run)
-    (arrays,) = passed
-    return solution, arrays
+    ((*arrays, d),) = passed
+    return solution, arrays, d
 
 
 def _assert_unfolded_input(arrays, model):
@@ -926,7 +972,7 @@ def _rows_model(num_columns, rows, objective=()) -> LPModel:
     return model
 
 
-def test_alias_chains_and_cycles_fold_onto_their_densest_column():
+def test_alias_chains_and_cycles_fold_onto_their_lowest_column():
     model = _rows_model(
         10,
         [
@@ -943,20 +989,20 @@ def test_alias_chains_and_cycles_fold_onto_their_densest_column():
         objective=[(0, 1.0), (3, 2.0), (4, 0.5), (8, -1.0), (6, -0.25), (9, 1.0)],
     )
     column, alias_rows = fold_aliases(model)
-    # the chain keeps 5 (3 entries) over its lowest index 0; the cycle keeps
-    # 7, the lower of its two columns of 3 entries; 1, 4 and 9 stand alone
-    assert column.tolist() == [2, 0, 2, 2, 1, 2, 3, 3, 3, 4]
+    # the chain keeps its lowest index 0, the cycle its lowest index 6,
+    # whatever their entry counts; 1, 4 and 9 stand alone
+    assert column.tolist() == [0, 1, 0, 0, 2, 0, 3, 3, 3, 4]
     assert np.flatnonzero(~alias_rows).tolist() == [1, 4, 8]
-    # the solver gets the LP over the 5 survivors (1, 4, 5, 7, 9 in their
+    # the solver gets the LP over the 5 survivors (0, 1, 4, 6, 9 in their
     # order), with the other rows in their order and the objective summed
     folded = _rows_model(
         5,
         [
-            ([(2, 1.0), (0, 1.0)], LE, 1.0),
-            ([(2, 1.0), (1, 0.5)], LE, 0.75),
-            ([(3, 1.0), (3, 1.0), (0, 1.0)], LE, 1.5),
+            ([(0, 1.0), (1, 1.0)], LE, 1.0),
+            ([(0, 1.0), (2, 0.5)], LE, 0.75),
+            ([(3, 1.0), (3, 1.0), (1, 1.0)], LE, 1.5),
         ],
-        objective=[(1, 0.5), (2, 3.0), (3, -1.25), (4, 1.0)],
+        objective=[(0, 3.0), (2, 0.5), (3, -1.25), (4, 1.0)],
     )
     _assert_unfolded_input(solver_input(model)[1:], folded)
     solution = solve(model)
@@ -994,7 +1040,7 @@ def test_aliased_pair_in_one_row_keeps_a_zero_entry():
         ],
     )
     column, alias_rows = fold_aliases(model)
-    assert column.tolist() == [0, 0, 1]  # a tie at 2 entries: 0 survives
+    assert column.tolist() == [0, 0, 1]  # the class {0, 1} keeps 0
     assert alias_rows.tolist() == [False, True]
     _, _, matrix, lower, upper = solver_input(model)
     assert matrix.indptr.tolist() == [0, 1, 2]
@@ -1009,7 +1055,7 @@ def test_folded_maximize_costs_keep_negative_zeros(fig3, monkeypatch):
     # the sum would turn them into +0.0
     model, _ = build_novel(fig3.substrate, fig3.requests, _orders(fig3), "profit")
     assert model.sense == MAXIMIZE
-    solution, (c, matrix, _, _) = _solve_recording(model, monkeypatch)
+    solution, (c, matrix, _, _), _ = _solve_recording(model, monkeypatch)
     assert solution.optimal
     column, _ = fold_aliases(model)
     assert matrix.shape[1] == len(c) < model.num_variables
@@ -1039,10 +1085,11 @@ def test_model_without_alias_rows_reaches_the_solver_unchanged(
     column, alias_rows = fold_aliases(model)
     assert pair.any() and not alias_rows.any()
     assert column.tolist() == list(range(model.num_variables))
-    ours, arrays = _solve_recording(model, monkeypatch)
+    ours, arrays, d = _solve_recording(model, monkeypatch)
     _assert_unfolded_input(arrays, model)
+    assert _same(d, canonical_costs(model.num_variables))
     _, run = _solver_entry()
-    direct = run(*arrays)
+    direct = run(*arrays, d)
     assert ours.optimal and direct.optimal
     sign = -1.0 if model.sense == MAXIMIZE else 1.0
     assert ours.objective_value == sign * direct.objective_value
@@ -1074,7 +1121,10 @@ def test_folded_solve_matches_the_unfolded_lp(
             )
             folded += fold_aliases(model)[0].max() + 1 < model.num_variables
             ours = solve(model)
-            direct = run(objective_vector(model), *constraint_matrix(model))
+            direct = run(
+                objective_vector(model), *constraint_matrix(model),
+                canonical_costs(model.num_variables),
+            )
             assert ours.status == direct.status
             statuses.add(ours.status)
             if not ours.optimal:
@@ -1250,3 +1300,182 @@ def test_lp_keeps_its_outcome_under_metamorphic_relations(request, cases, relati
     # capacity, or what they earn or cost
     for instance, variant in cases(request.getfixturevalue):
         assert_lp_invariant(instance, variant, relation)
+
+
+@pytest.fixture(scope="module")
+def canonical_corpus(tiny_corpus, tree_corpus, cost_corpus, bench_workloads):
+    """The tiny, tree and cost corpora and the first two instances of the
+    cactus batches of seeds 1 and 2."""
+    cactus = bench_workloads.cactus_instance
+    return [
+        *tiny_corpus, *tree_corpus, *cost_corpus,
+        *(cactus(seed, j) for seed in (1, 2) for j in (0, 1)),
+    ]
+
+
+def _canonical_models(instances):
+    """The decomposable LP of every instance, under both variants."""
+    for instance in instances:
+        orders = _orders(instance)
+        for variant in ("profit", "cost"):
+            yield build_novel(instance.substrate, instance.requests, orders, variant)[0]
+
+
+_SOLVER = vnembed.lpmodel._solver
+
+
+def _fresh_solver():
+    """A new HiGHS object, made for each solve."""
+    vnembed.lpmodel._slot.pid = None
+    return _SOLVER()
+
+
+# every way to reach the canonical point, next to the default one
+_SOLVE_PATHS = {
+    "presolve-on": ("PRESOLVE_NONZEROS", -1),
+    "presolve-off": ("PRESOLVE_NONZEROS", math.inf),
+    "linprog": ("_highs", None),
+    "fresh-solver": ("_solver", _fresh_solver),
+}
+
+
+def _assert_same_point(ours: LPSolution, reference: LPSolution, where) -> None:
+    assert ours.status == reference.status, where
+    if reference.optimal:
+        assert ours.objective_value == pytest.approx(
+            reference.objective_value, rel=1e-12, abs=1e-12
+        ), where
+        gap = np.max(np.abs(ours.values - reference.values), initial=0.0)
+        assert gap <= 1e-12, where
+
+
+@pytest.fixture(scope="module")
+def canonical_solves(canonical_corpus):
+    """Every LP of the canonical corpus, with its default solve."""
+    models = list(_canonical_models(canonical_corpus))
+    return models, [solve(model) for model in models]
+
+
+@pytest.mark.parametrize("path", _SOLVE_PATHS)
+def test_every_solve_path_reaches_the_canonical_point(
+    canonical_solves, path, monkeypatch
+):
+    # the point is the minimum of the canonical costs over the optimal face,
+    # whatever the presolve, the backend or the solver's earlier solves
+    models, expected = canonical_solves
+    monkeypatch.setattr(vnembed.lpmodel, *_SOLVE_PATHS[path])
+    statuses = set()
+    for k, (model, reference) in enumerate(zip(models, expected)):
+        _assert_same_point(solve(model), reference, k)
+        statuses.add(reference.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_the_fold_keeps_the_canonical_point(canonical_solves):
+    # the canonical costs are summed over each alias class, so the LP as
+    # built, with every model column drawn, has the same canonical point
+    _, run = _solver_entry()
+    for k, (model, reference) in enumerate(zip(*canonical_solves)):
+        direct = run(
+            objective_vector(model), *constraint_matrix(model),
+            canonical_costs(model.num_variables),
+        )
+        assert direct.status == reference.status, k
+        if reference.optimal:
+            gap = np.max(np.abs(direct.values - reference.values), initial=0.0)
+            assert gap <= 1e-12, k
+
+
+def test_a_perturbation_too_large_still_reaches_the_canonical_point():
+    # x_a + x_b + x_low = 1, with a cost of 1e-6 on x_low, the column of the
+    # smallest canonical cost: the first run's perturbation (1e-4 times the
+    # canonical costs) outweighs that cost and ends at x_low = 1, which is
+    # not optimal. The re-solve of the costs moves to x_a or x_b, and the
+    # run over the optimal face must end at the one of smaller canonical cost
+    d = canonical_costs(6)
+    low = int(np.argmin(d))
+    others = [j for j in range(6) if j != low]
+    for a in others:
+        for b in others:
+            if a == b:
+                continue
+            model = _rows_model(
+                6, [([(a, 1.0), (b, 1.0), (low, 1.0)], EQ, 1.0)],
+                objective=[(low, 1e-6)],
+            )
+            solution = solve(model)
+            assert solution.optimal and solution.objective_value == 0.0
+            point = np.zeros(6)
+            point[min((a, b), key=d.__getitem__)] = 1.0
+            assert np.array_equal(solution.values, point), (a, b)
+
+
+def _reports(instances) -> list[str]:
+    """Each instance's report and try records under both variants, or the
+    pipeline's error."""
+    out = []
+    for instance in instances:
+        for variant in ("profit", "cost"):
+            try:
+                report, rounded = vnembed.pipeline.run_pipeline(
+                    instance, vnembed.pipeline.PipelineConfig(variant=variant, seed=3)
+                )
+            except vnembed.pipeline.PipelineError as err:
+                out.append(f"{err.stage}: {err}")
+            else:
+                out.append(report.to_json() + vnembed.pipeline.try_records_csv(rounded))
+    return out
+
+
+@pytest.fixture(scope="module")
+def canonical_reports(canonical_corpus):
+    return _reports(canonical_corpus)
+
+
+@pytest.mark.parametrize("path", _SOLVE_PATHS)
+def test_reports_do_not_depend_on_the_solve_path(
+    canonical_corpus, canonical_reports, path, monkeypatch
+):
+    monkeypatch.setattr(vnembed.lpmodel, *_SOLVE_PATHS[path])
+    assert _reports(canonical_corpus) == canonical_reports
+
+
+def test_scaled_instances_reach_the_same_point(canonical_corpus, canonical_solves):
+    # capacities and demands doubled and costs halved give the LP rows times
+    # two and the same costs, so the duals halve: the face tolerance must
+    # still find the same face, and the canonical point is the same
+    scaled = [
+        capacities_and_demands_doubled_costs_halved(instance)[0]
+        for instance in canonical_corpus
+    ]
+    models, expected = canonical_solves
+    for k, (model, other, reference) in enumerate(
+        zip(models, _canonical_models(scaled), expected)
+    ):
+        assert other.num_variables == model.num_variables
+        _assert_same_point(solve(other), reference, k)
+
+
+@pytest.mark.parametrize("backend", ["bindings", "linprog"])
+def test_duals_certify_the_optimum(canonical_solves, backend, monkeypatch):
+    # the row duals and reduced costs of the folded LP are dual feasible in
+    # HiGHS' minimization sign and close the duality gap
+    if backend == "linprog":
+        monkeypatch.setattr(vnembed.lpmodel, "_highs", None)
+    checked = 0
+    for model in canonical_solves[0]:
+        solution = solve(model)
+        if not solution.optimal:
+            continue
+        column, c, matrix, lower, upper = solver_input(model)
+        y, z = solution.row_duals, solution.reduced_costs
+        a = csc_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        assert len(y) == matrix.shape[0] and len(z) == matrix.shape[1]
+        assert np.max(np.abs(c - a.T @ y - z), initial=0.0) <= 1e-9
+        # a <= row can only hold at its upper bound, every column lies in [0, 1]
+        assert np.all(y[np.isneginf(lower)] <= 1e-9)
+        dual = float(y @ upper + np.minimum(z, 0.0).sum())
+        primal = solution.objective_value * (-1.0 if model.sense == MAXIMIZE else 1.0)
+        assert abs(primal - dual) <= 1e-9 * max(1.0, abs(primal))
+        checked += 1
+    assert checked > 100

@@ -12,6 +12,7 @@ import vnembed.decomposition
 import vnembed.model
 import vnembed.pipeline
 import vnembed.rounding
+from test_acceptance import _pruning_instance
 from vnembed import (
     ConvexDecomposition,
     DecompositionEntry,
@@ -38,7 +39,6 @@ from vnembed import (
     round_profit,
     run_pipeline,
 )
-from vnembed.instances import Instance
 from vnembed.lpmodel import solve
 from vnembed.scenarios import scenario_instance
 from vnembed.rounding import (
@@ -653,23 +653,6 @@ def test_block_sampler_matches_the_try_by_try_loop(corpus, variant, request):
         assert late_accepts
 
 
-def _pruned_instance() -> Instance:
-    """Three one-node requests on three hosts. The cost LP places a tenth of
-    request ``a`` on the costly host ``h2``, its first decomposition entry,
-    and pruning removes that entry."""
-    substrate = SubstrateGraph.build(
-        {"h1": {"vm": (1.9, 1.0)}, "h2": {"vm": (5.0, 100.0)}, "h3": {"vm": (1.0, 1.5)}},
-        {},
-    )
-    requests = tuple(
-        Request.build(name, {"i": ("vm", 1.0, ("h2", "h1", "h3"))}, {}, profit=1.0)
-        for name in "abc"
-    )
-    return Instance(name="pruned", substrate=substrate, requests=requests)
-
-
-
-
 def _decompositions(corpus, request):
     """``(substrate, request, decomposition)`` for every decomposition the
     pipeline makes on ``corpus``; the width-3 corpus is decomposed along
@@ -743,11 +726,13 @@ def test_pruning_keeps_the_surviving_allocations(monkeypatch):
         return norm, prep
 
     monkeypatch.setattr(vnembed.pipeline, "prune_costly_mappings", spy)
-    run_pipeline(_pruned_instance(), PipelineConfig(variant="cost", seed=1))
-    dec, norm, prep = seen[0]
-    assert prep.removed == 1
-    assert [e.mapping for e in norm.entries] == [e.mapping for e in dec.entries[1:]]
+    # every optimal point of the cost LP places part of one request's ``i``
+    # on the costly host B, and pruning removes that entry alone
+    run_pipeline(_pruning_instance(), PipelineConfig(variant="cost", seed=1))
+    assert sum(prep.removed for _, _, prep in seen) == 1
     for dec, norm, prep in seen:
+        kept = [e.mapping for e in dec.entries if e.mapping.node_map["i"] != "B"]
+        assert [e.mapping for e in norm.entries] == kept
         # survivors are only reweighted: mapping and allocation stay as they are
         originals = {id(entry.mapping): entry for entry in dec.entries}
         assert len(norm.entries) == len(dec.entries) - prep.removed
@@ -821,7 +806,7 @@ def _never_called(*args):
 
 @pytest.mark.parametrize(
     "workload, checks, allocations",
-    [("seed-sweep", 1624, 944), ("halfwheel-cost", 9, 6)],
+    [("seed-sweep", 1448, 848), ("halfwheel-cost", 9, 6)],
 )
 def test_mappings_checked_and_allocated_per_pass(
     workload, checks, allocations, bench_workloads, monkeypatch
